@@ -32,10 +32,6 @@ class ClosureStages:
     deriv_y: np.ndarray
     _words: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
-    def stage_elements(self, i: int) -> np.ndarray:
-        """All elements that become reachable at stage ``i``, derivation order."""
-        return np.concatenate(self.stage_rounds[i])
-
     def word(self, elem: int) -> tuple[int, ...]:
         """One product expression for ``elem`` as a sequence of generators.
 

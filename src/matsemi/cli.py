@@ -173,12 +173,7 @@ _CHECK_FLAGS = [
 
 
 def _cmd_map_check(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatsemiError(f"malformed map JSON: {exc}") from exc
-    phi = MapTable.from_json(payload, size_cap=args.size_cap)
+    phi = _load_map(args.path, args.size_cap)
     selected = [(name, fn) for name, flag, fn in _CHECK_FLAGS
                 if getattr(args, name)]
     if not selected and not args.unital:
@@ -314,6 +309,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise MatsemiError("--workers must be >= 1")
         if args.command == "ring":
             return _cmd_ring_info(args)
         if args.command == "map":

@@ -28,7 +28,11 @@ class MapTable:
     """A total function between two rings, as an image array of cod indices."""
 
     def __init__(self, dom: RingTable, cod: RingTable, img):
-        img = np.asarray(img, dtype=np.int64)
+        try:
+            img = np.asarray(img, dtype=np.int64)
+        except OverflowError:
+            raise MapFormatError(
+                "image array contains out-of-range codomain indices") from None
         if img.shape != (dom.size,):
             raise MapFormatError(
                 f"image array has length {img.shape}, domain has {dom.size} elements")
@@ -50,29 +54,21 @@ class MapTable:
                 "img": [int(v) for v in self.img]}
 
     @classmethod
-    def from_json(cls, obj, size_cap: int | None = None,
-                  rings: dict[str, RingTable] | None = None) -> "MapTable":
-        """Load from the wire format ``{dom, cod, img}``.
-
-        ``rings`` may pre-resolve spec strings to already-built rings.
-        """
+    def from_json(cls, obj, size_cap: int | None = None) -> "MapTable":
+        """Load from the wire format ``{dom, cod, img}``: two ring spec
+        strings and a list of JSON integers."""
         if not isinstance(obj, dict):
             raise MapFormatError("map JSON must be an object")
         missing = {"dom", "cod", "img"} - set(obj)
         if missing:
             raise MapFormatError(f"map JSON lacks fields: {sorted(missing)}")
-        rings = rings or {}
-
-        def resolve(spec):
-            if spec in rings:
-                return rings[spec]
-            ring = parse_ring_spec(spec, size_cap=size_cap)
-            rings[spec] = ring
-            return ring
-
-        if not isinstance(obj["img"], list):
+        if not (isinstance(obj["dom"], str) and isinstance(obj["cod"], str)):
+            raise MapFormatError("dom and cod must be ring spec strings")
+        img = obj["img"]
+        if not isinstance(img, list) or any(type(v) is not int for v in img):
             raise MapFormatError("img must be a list of integers")
-        return cls(resolve(obj["dom"]), resolve(obj["cod"]), obj["img"])
+        return cls(parse_ring_spec(obj["dom"], size_cap=size_cap),
+                   parse_ring_spec(obj["cod"], size_cap=size_cap), img)
 
     def __repr__(self):
         return f"MapTable({self.dom.label} -> {self.cod.label})"

@@ -15,6 +15,7 @@ verifiable in seconds without sampling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,11 +115,13 @@ class RingTable:
         return f"RingTable({self.label}, size={self.size})"
 
 
-def make_zmod(n: int) -> RingTable:
+@functools.cache
+def make_zmod(n: int, /) -> RingTable:
     """The ring of integers mod ``n``, with the identity involution.
 
     The imaginary-unit slot is filled with the smallest ``x`` satisfying
     ``x*x = n-1`` when one exists.  ``n = 1`` yields the one-element ring.
+    Every call with the same ``n`` returns the same shared object.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -144,11 +147,13 @@ def _gauss_render(n):
     return fmt
 
 
-def make_gaussian(n: int) -> RingTable:
+@functools.cache
+def make_gaussian(n: int, /) -> RingTable:
     """The ring Z_n[x]/(x^2+1): pairs a+bi with conjugation involution.
 
     Element ``a + b*i`` has index ``a + n*b``, so 0 and 1 land on indices
     0 and 1 and the class of ``x`` (the imaginary unit) on index ``n``.
+    Every call with the same ``n`` returns the same shared object.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -170,25 +175,17 @@ class MatrixRingView:
 
     ``ring`` is the induced :class:`RingTable` of size ``|base|**(k*k)``;
     ``encode``/``decode`` translate between ring indices and row-major
-    ``(k, k)`` arrays of base indices.
+    ``(k, k)`` arrays of base indices.  Build views through
+    :func:`make_matrix_ring`, which checks the size limits and shares one
+    view per base ring and ``k``.
     """
 
-    def __init__(self, base: RingTable, k: int, size_cap: int | None = None):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        cap = effective_size_cap(size_cap)
-        n = base.size ** (k * k)
-        if n > cap:
-            raise SizeCapExceeded(
-                f"matrix ring mat:{k}:{base.label} has {n} elements, cap is {cap}")
-        if n * n > _DENSE_TABLE_ENTRY_LIMIT:
-            raise SizeCapExceeded(
-                f"matrix ring mat:{k}:{base.label} needs {n}x{n} tables, "
-                f"beyond the dense-table limit")
+    def __init__(self, base: RingTable, k: int):
         self.base = base
         self.k = k
         k2 = k * k
         B = base.size
+        n = B ** k2
         dt = _min_dtype(B)
         digits = np.empty((n, k2), dtype=dt)
         r = np.arange(n, dtype=np.int64)
@@ -281,26 +278,39 @@ class MatrixRingView:
         return f"MatrixRingView(k={self.k}, base={self.base.label}, size={self._n})"
 
 
-def make_matrix_ring(base: RingTable, k: int, size_cap: int | None = None,
-                     use_cache: bool = True) -> MatrixRingView:
-    """Construct (or fetch the cached) k x k matrix ring over ``base``.
+def make_matrix_ring(base: RingTable, k: int,
+                     size_cap: int | None = None) -> MatrixRingView:
+    """The k x k matrix ring over ``base``, built once per base ring and
+    ``k`` and shared by every later call.
 
     Raises :class:`SizeCapExceeded` when ``|base|**(k*k)`` exceeds the
     element-count cap, or when the dense Cayley tables would not fit in
-    memory at desk scale.
+    memory at desk scale.  Both limits are checked on every call, so an
+    already-built view is still refused under a smaller cap.
     """
-    if use_cache and k in base._views:
-        return base._views[k]
-    view = MatrixRingView(base, k, size_cap=size_cap)
-    if use_cache:
-        base._views[k] = view
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    cap = effective_size_cap(size_cap)
+    n = base.size ** (k * k)
+    if n > cap:
+        raise SizeCapExceeded(
+            f"matrix ring mat:{k}:{base.label} has {n} elements, cap is {cap}")
+    if n * n > _DENSE_TABLE_ENTRY_LIMIT:
+        raise SizeCapExceeded(
+            f"matrix ring mat:{k}:{base.label} needs {n}x{n} tables, "
+            f"beyond the dense-table limit")
+    view = base._views.get(k)
+    if view is None:
+        view = base._views[k] = MatrixRingView(base, k)
     return view
 
 
 def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
     """Parse a ring spec string: ``zmod:<n>``, ``gauss:<n>``, ``mat:<k>:<spec>``.
 
-    ``mat`` specs nest, e.g. ``mat:2:gauss:3``.
+    ``mat`` specs nest, e.g. ``mat:2:gauss:3``.  The size cap is checked on
+    every call; within a process each spec yields one shared ring object,
+    the one its constructor returns.
     """
     spec = spec.strip()
     parts = spec.split(":", 1)
@@ -347,13 +357,6 @@ def units(ring: RingTable) -> np.ndarray:
         ring._units = np.flatnonzero(two_sided.any(axis=1))
         ring._units.setflags(write=False)
     return ring._units
-
-
-def inverse_of(ring: RingTable, x: int) -> int | None:
-    """The two-sided inverse of ``x``, or None."""
-    row = (ring.mul[x, :] == ring.one) & (ring.mul[:, x] == ring.one)
-    hits = np.flatnonzero(row)
-    return int(hits[0]) if hits.size else None
 
 
 def unitaries(ring: RingTable) -> np.ndarray:
@@ -433,11 +436,6 @@ def mat_mul(ring: RingTable, X, Y) -> np.ndarray:
                 acc = ring.add[acc, ring.mul[X[..., i, t], Y[..., t, j]]]
             out[..., i, j] = acc
     return out
-
-
-def mat_add(ring: RingTable, X, Y) -> np.ndarray:
-    X, Y = np.broadcast_arrays(np.asarray(X), np.asarray(Y))
-    return ring.add[X, Y]
 
 
 def mat_star(ring: RingTable, X) -> np.ndarray:
@@ -755,8 +753,3 @@ def validate_matrix_view(view: MatrixRingView) -> MatrixViewValidation:
 def monoid_closure(ring: RingTable) -> ClosureStages:
     """Greedy generating-set closure of the multiplicative monoid."""
     return greedy_closure(ring.mul, seed=ring.one)
-
-
-def additive_closure(ring: RingTable) -> ClosureStages:
-    """Greedy generating-set closure of the additive group."""
-    return greedy_closure(ring.add, seed=ring.zero)

@@ -15,7 +15,6 @@ no matter how many worker processes execute them.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -344,30 +343,37 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     return out, nodes, exhausted
 
 
-# Per-process cache so worker tasks parse each ring spec only once.
-_task_rings: dict[str, RingTable] = {}
-_task_plans: dict[tuple, _Plan] = {}
+def _on_spec_rings(fn, dom_spec: str, cod_spec: str, args: tuple):
+    """Pool-worker side of :func:`_run_ring_tasks`."""
+    return fn(parse_ring_spec(dom_spec), parse_ring_spec(cod_spec), *args)
 
 
-def _resolve_task_ring(spec: str) -> RingTable:
-    ring = _task_rings.get(spec)
-    if ring is None:
-        ring = parse_ring_spec(spec)
-        _task_rings[spec] = ring
-    return ring
+def _run_ring_tasks(fn, dom: RingTable, cod: RingTable, argss: list[tuple],
+                    workers: int) -> list:
+    """``[fn(dom, cod, *args) for args in argss]``, in order.
 
+    A process pool runs the tasks only when ``workers > 1``, there is more
+    than one task, and both rings are the objects :func:`parse_ring_spec`
+    returns for their labels: workers resolve the labels to the same rings
+    (under ``fork``, from the constructor caches they inherit).  Any other
+    ring, hand-assembled or labelled with a spec it was not built from,
+    runs in this process.  ``fn`` must be a private module-level function,
+    so a pickled reference resolves to it even when public names are
+    wrapped.
+    """
+    def built_from_spec(ring: RingTable) -> bool:
+        try:
+            return parse_ring_spec(ring.label) is ring
+        except MatsemiError:
+            return False
 
-def _enum_task(dom_spec, cod_spec, filters, injective, limit, node_budget, lo, hi):
-    dom = _resolve_task_ring(dom_spec)
-    cod = _resolve_task_ring(cod_spec)
-    key = (dom_spec, filters)
-    plan = _task_plans.get(key)
-    if plan is None:
-        plan = _Plan(dom, filters)
-        _task_plans[key] = plan
-    out, nodes, exhausted = _search_range(
-        dom, cod, plan, injective, limit, node_budget, lo, hi)
-    return [o.tolist() for o in out], nodes, exhausted
+    if (workers > 1 and len(argss) > 1
+            and built_from_spec(dom) and built_from_spec(cod)):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futs = [pool.submit(_on_spec_rings, fn, dom.label, cod.label, args)
+                    for args in argss]
+            return [f.result() for f in futs]
+    return [fn(dom, cod, *args) for args in argss]
 
 
 def _partition(total: int, max_tasks: int = 16) -> list[tuple[int, int]]:
@@ -393,9 +399,9 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     top-level branch may visit; ``limit`` truncates the output.  Both
     truncations clear the ``exhaustive`` flag.
 
-    With ``workers > 1`` the fixed top-level partition is executed by a
-    process pool; output is merged in partition order, so results are
-    byte-identical for every worker count.
+    With ``workers > 1`` the fixed top-level partition may be executed by
+    a process pool (see :func:`_run_ring_tasks`); output is merged in
+    partition order, so results are byte-identical for every worker count.
     """
     filters = canonical_filters(filters)
     if "star" in filters:
@@ -404,27 +410,11 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     if "i_relation" in filters:
         cod.require_i()
     plan = _Plan(dom, filters)  # validates filter applicability eagerly
-    tasks = _partition(cod.size)
-    specs_parseable = True
-    try:
-        parse_ring_spec(dom.label)
-        parse_ring_spec(cod.label)
-    except MatsemiError:
-        specs_parseable = False
-
-    results = []
-    if workers > 1 and specs_parseable and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_enum_task, dom.label, cod.label, filters,
-                                injective, limit, node_budget, lo, hi)
-                    for lo, hi in tasks]
-            for f in futs:
-                imgs, nodes, exhausted = f.result()
-                results.append(([np.asarray(i) for i in imgs], nodes, exhausted))
-    else:
-        for lo, hi in tasks:
-            results.append(_search_range(dom, cod, plan, injective,
-                                         limit, node_budget, lo, hi))
+    results = _run_ring_tasks(
+        _search_range, dom, cod,
+        [(plan, injective, limit, node_budget, lo, hi)
+         for lo, hi in _partition(cod.size)],
+        workers)
 
     maps: list[MapTable] = []
     nodes = 0

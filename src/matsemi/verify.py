@@ -8,16 +8,16 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionFailed
+from .errors import MapFormatError, PreconditionFailed
 from .maps import MapTable, is_multiplicative, tensor_id
-from .rings import RingTable, parse_ring_spec, units
+from .rings import RingTable, units
 from .search import (
     _function_digits,
+    _run_ring_tasks,
     enumerate_multiplicative_maps,
     function_space_masks,
     function_space_size,
@@ -38,37 +38,16 @@ _CHUNK = 8192
 # more patience pass a larger budget explicitly.
 DEFAULT_NODE_BUDGET = 5000
 
-_task_rings: dict[str, RingTable] = {}
-
-
-def _ring(spec: str) -> RingTable:
-    ring = _task_rings.get(spec)
-    if ring is None:
-        ring = parse_ring_spec(spec)
-        _task_rings[spec] = ring
-    return ring
-
 
 def _chunks(total: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-
-
-def _run_tasks(fn, argss, workers: int):
-    """Execute tasks in order; a pool only changes who runs them."""
-    if workers > 1 and len(argss) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(fn, *a) for a in argss]
-            return [f.result() for f in futs]
-    return [fn(*a) for a in argss]
 
 
 # ---------------------------------------------------------------------------
 # Suite: corner-relation equivalence on a 2x2 matrix ring (map-set level)
 
 
-def _corner_task(dom_spec: str, cod_spec: str, lo: int, hi: int):
-    dom = _ring(dom_spec)
-    cod = _ring(cod_spec)
+def _corner_task(dom: RingTable, cod: RingTable, lo: int, hi: int):
     masks = function_space_masks(dom, cod, lo, hi,
                                  want=("multiplicative", "additive", "corner"))
     m = masks["multiplicative"]
@@ -116,8 +95,7 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     the generator-based enumeration reproduces the multiplicative set
     element for element."""
     total = function_space_size(dom, cod)
-    tasks = [(dom.label, cod.label, lo, hi) for lo, hi in _chunks(total)]
-    parts = _run_tasks(_corner_task, tasks, workers)
+    parts = _run_ring_tasks(_corner_task, dom, cod, _chunks(total), workers)
     mult_ids = np.concatenate([p[0] for p in parts])
     corner_ids = np.concatenate([p[1] for p in parts])
     add_ids = np.concatenate([p[2] for p in parts])
@@ -148,9 +126,7 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
 # Suite: matrix lift multiplicativity <-> ring homomorphism
 
 
-def _tensor_task(dom_spec: str, cod_spec: str, k: int, lo: int, hi: int):
-    dom = _ring(dom_spec)
-    cod = _ring(cod_spec)
+def _tensor_task(dom: RingTable, cod: RingTable, k: int, lo: int, hi: int):
     masks = function_space_masks(dom, cod, lo, hi,
                                  want=("multiplicative", "additive"))
     hom = masks["multiplicative"] & masks["additive"]
@@ -195,8 +171,8 @@ def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
     multiplicative exactly for the ring homomorphisms."""
     cod = cod if cod is not None else dom
     total = function_space_size(dom, cod)
-    tasks = [(dom.label, cod.label, k, lo, hi) for lo, hi in _chunks(total)]
-    parts = _run_tasks(_tensor_task, tasks, workers)
+    tasks = [(k, lo, hi) for lo, hi in _chunks(total)]
+    parts = _run_ring_tasks(_tensor_task, dom, cod, tasks, workers)
     hom_ids = np.concatenate([p[0] for p in parts])
     lift_ids = np.concatenate([p[1] for p in parts])
     return TensorEquivalenceReport(
@@ -377,7 +353,20 @@ def verify_doubling(phi: MapTable, mode: str, depth: int = 4,
 
 def replay_doubling_trace(stored: dict) -> tuple[bool, dict]:
     """Re-run a serialized doubling trace and compare against the stored
-    outcome.  Returns (identical, recomputed_trace_json)."""
+    outcome.  Returns (identical, recomputed_trace_json).
+
+    Raises :class:`MapFormatError` unless ``stored`` is an object carrying
+    ``map``, ``mode``, an integer ``depth`` and a boolean ``zero_padding``.
+    """
+    if not isinstance(stored, dict):
+        raise MapFormatError("doubling trace must be a JSON object")
+    missing = {"map", "mode", "depth", "zero_padding"} - set(stored)
+    if missing:
+        raise MapFormatError(f"doubling trace lacks fields: {sorted(missing)}")
+    if (type(stored["depth"]) is not int
+            or not isinstance(stored["zero_padding"], bool)):
+        raise MapFormatError(
+            "doubling trace needs an integer depth and a boolean zero_padding")
     phi = MapTable.from_json(stored["map"])
     trace = doubling_additivity_closure(
         phi, mode=stored["mode"], depth=stored["depth"],

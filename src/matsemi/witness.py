@@ -372,6 +372,16 @@ def fourth_power_reduction(phi: MapTable) -> CheckReport:
 # Doubling recursion
 
 
+def _pool(ring: RingTable, mode: str) -> np.ndarray:
+    """The units (``mode="units"``) or unitaries (``"unitaries"``) of
+    ``ring``; any other mode raises ValueError before work is done."""
+    if mode == "units":
+        return units(ring)
+    if mode == "unitaries":
+        return unitaries(ring)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 @dataclass
 class DoublingConflict:
     level: int
@@ -468,9 +478,7 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     if not 1 <= depth <= 4:
         raise ValueError("depth must be in 1..4")
     dom, cod = phi.dom, phi.cod
-    pool = units(dom) if mode == "units" else unitaries(dom)
-    if mode not in ("units", "unitaries"):
-        raise ValueError(f"unknown mode {mode!r}")
+    pool = _pool(dom, mode)
     img = phi.img
     pl = np.asarray(pool, dtype=np.int64)
     eq = img[dom.mul[np.ix_(pl, pl)]] == cod.mul[np.ix_(img[pl], img[pl])]
@@ -551,8 +559,8 @@ def group_hom_restriction_check(phi: MapTable, k: int, mode: str = "units",
         raise ValueError("k must be >= 1")
     lifted = phi if k == 1 else tensor_id(phi, k, size_cap=size_cap)
     dring, cring = lifted.dom, lifted.cod
-    pool = units(dring) if mode == "units" else unitaries(dring)
-    cod_pool = units(cring) if mode == "units" else unitaries(cring)
+    pool = _pool(dring, mode)
+    cod_pool = _pool(cring, mode)
     img = lifted.img
     member = np.zeros(cring.size, dtype=bool)
     member[cod_pool] = True

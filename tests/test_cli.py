@@ -209,6 +209,46 @@ def test_enumerate_csv():
 
 
 # ---------------------------------------------------------------------------
+# Malformed input: exit 2 with a one-line error, never a traceback
+
+
+def _assert_one_line_error(code, out, capsys):
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit2(workers, capsys):
+    for argv in (["enumerate", "--dom", "zmod:2", "--cod", "zmod:2"],
+                 ["verify", "tensor", "--dom", "zmod:2"]):
+        _assert_one_line_error(*run_cli(*argv, "--workers", workers), capsys)
+
+
+@pytest.mark.parametrize("trace", [
+    [1, 2],
+    "trace",
+    {"mode": "units", "depth": 4, "zero_padding": True},
+    {"map": {"dom": "zmod:4", "cod": "zmod:4", "img": [0, 1, 2, 3]},
+     "mode": "units", "depth": 4},
+    {"map": {"dom": "zmod:4", "cod": "zmod:4", "img": [0, 1, 2, 3]},
+     "mode": "units", "depth": "4", "zero_padding": True},
+])
+def test_verify_replay_malformed_trace_exit2(trace, tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    _assert_one_line_error(
+        *run_cli("verify", "doubling-gl", "--replay", str(path)), capsys)
+
+
+@pytest.mark.parametrize("img", [[0, 1.7], [0, True], [0, "1"]])
+def test_map_check_non_integer_img_exit2(img, tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"dom": "zmod:2", "cod": "zmod:2", "img": img}))
+    _assert_one_line_error(*run_cli("map", "check", str(path), "--mult"), capsys)
+
+
+# ---------------------------------------------------------------------------
 # Subprocess-level checks: entry point, env var, byte determinism
 
 

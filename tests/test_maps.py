@@ -233,6 +233,11 @@ def test_check_report_wire_format(m2z2):
     {"dom": "zmod:2", "cod": "zmod:2", "img": [0, 5]},
     {"dom": "zmod:2", "cod": "zmod:2", "img": "xx"},
     [],
+    {"dom": "zmod:2", "cod": "zmod:2", "img": [0, 1.7]},
+    {"dom": "zmod:2", "cod": "zmod:2", "img": [False, True]},
+    {"dom": "zmod:2", "cod": "zmod:2", "img": [0, "1"]},
+    {"dom": 2, "cod": "zmod:2", "img": [0, 1]},
+    {"dom": "zmod:2", "cod": "zmod:2", "img": [0, 10**30]},
 ])
 def test_map_json_rejects_malformed(doc):
     with pytest.raises(MapFormatError):

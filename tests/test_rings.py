@@ -102,7 +102,25 @@ def test_matrix_units_orthogonal():
 
 def test_matrix_size_cap():
     with pytest.raises(SizeCapExceeded):
-        make_matrix_ring(make_zmod(2), 2, size_cap=10, use_cache=False)
+        make_matrix_ring(make_zmod(2), 2, size_cap=10)
+
+
+def test_cached_matrix_view_still_checks_size_cap():
+    base = make_zmod(3)
+    view = make_matrix_ring(base, 2)
+    assert make_matrix_ring(base, 2) is view
+    with pytest.raises(SizeCapExceeded):
+        make_matrix_ring(base, 2, size_cap=10)
+
+
+def test_one_ring_object_per_spec():
+    from matsemi.maps import identity_map, tensor_id
+
+    assert parse_ring_spec("mat:2:zmod:2") is make_matrix_ring(make_zmod(2), 2).ring
+    assert parse_ring_spec("zmod:5") is make_zmod(5)
+    assert parse_ring_spec(" gauss:3") is make_gaussian(3)
+    lifted = tensor_id(identity_map(make_gaussian(2)), 2)
+    assert lifted.dom is lifted.cod is parse_ring_spec("mat:2:gauss:2")
 
 
 def test_matrix_product_against_row_column_oracle():

@@ -12,7 +12,7 @@ from matsemi.maps import (
     power_map,
     zero_map,
 )
-from matsemi.rings import make_gaussian, make_matrix_ring, make_zmod, units
+from matsemi.rings import RingTable, make_gaussian, make_matrix_ring, make_zmod, units
 from matsemi.witness import (
     build_uv_pair,
     corner_product_identity_check,
@@ -249,6 +249,14 @@ def test_doubling_trace_json_shape():
     assert doc["mode"] == "units" and doc["depth"] == 2
     assert doc["conflicts_total"] == 0
     assert doc["levels"][0]["pairs_checked"] == len(doc["pool"]) ** 2
+
+
+def test_unknown_pool_mode_rejected_before_work():
+    no_star = RingTable(Z4.add, Z4.mul, Z4.zero, Z4.one, label="ring")
+    with pytest.raises(ValueError, match="unknown mode"):
+        doubling_additivity_closure(identity_map(no_star), "bogus")
+    with pytest.raises(ValueError, match="unknown mode"):
+        group_hom_restriction_check(identity_map(Z4), 1, mode="bogus")
 
 
 # ---------------------------------------------------------------------------
