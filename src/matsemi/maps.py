@@ -46,9 +46,6 @@ class MapTable:
     def __call__(self, x: int) -> int:
         return int(self.img[x])
 
-    def key(self) -> tuple:
-        return (self.dom.label, self.cod.label, self.img.tobytes())
-
     def to_json(self) -> dict:
         return {"dom": self.dom.label, "cod": self.cod.label,
                 "img": [int(v) for v in self.img]}

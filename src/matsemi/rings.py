@@ -46,6 +46,17 @@ def _min_dtype(size: int):
     return np.uint32
 
 
+def _digits(ids, width: int, base: int, dtype) -> np.ndarray:
+    """The ``width`` base-``base`` digits of each id, most significant
+    first, as a (len(ids), width) array of ``dtype``."""
+    r = np.array(ids, dtype=np.int64)
+    out = np.empty((r.shape[0], width), dtype=dtype)
+    for pos in range(width - 1, -1, -1):
+        out[:, pos] = r % base
+        r //= base
+    return out
+
+
 class RingTable:
     """A finite ring as index-based addition and multiplication tables.
 
@@ -186,57 +197,37 @@ class MatrixRingView:
         k2 = k * k
         B = base.size
         n = B ** k2
-        dt = _min_dtype(B)
-        digits = np.empty((n, k2), dtype=dt)
-        r = np.arange(n, dtype=np.int64)
-        for pos in range(k2 - 1, -1, -1):
-            digits[:, pos] = r % B
-            r //= B
-        place = B ** np.arange(k2 - 1, -1, -1, dtype=np.int64)
-        self.digits = digits
-        self.place = place
+        self.digits = digits = _digits(np.arange(n), k2, B, _min_dtype(B))
+        self.place = place = B ** np.arange(k2 - 1, -1, -1, dtype=np.int64)
         self._n = n
 
         out_dt = _min_dtype(n)
         add = np.empty((n, n), dtype=out_dt)
         mul = np.empty((n, n), dtype=out_dt)
         chunk = max(1, (2 * 10**6) // max(n, 1))
-        badd, bmul = base.add, base.mul
+        mats = digits.reshape(n, k, k)
         for s in range(0, n, chunk):
             d = digits[s:s + chunk]
             acc_add = np.zeros((d.shape[0], n), dtype=np.int64)
             acc_mul = np.zeros((d.shape[0], n), dtype=np.int64)
-            for i in range(k):
-                for j in range(k):
-                    pos = i * k + j
-                    acc_add += badd[d[:, pos, None], digits[None, :, pos]].astype(np.int64) * place[pos]
-                    prod = bmul[d[:, i * k, None], digits[None, :, j]]
-                    for t in range(1, k):
-                        nxt = bmul[d[:, i * k + t, None], digits[None, :, t * k + j]]
-                        prod = badd[prod, nxt]
-                    acc_mul += prod.astype(np.int64) * place[pos]
+            for pos in range(k2):
+                acc_add += base.add[d[:, pos, None], digits[None, :, pos]].astype(np.int64) * place[pos]
+            for i, j, entry in _mat_entries(base, mats[s:s + chunk, None], mats[None]):
+                acc_mul += entry.astype(np.int64) * place[i * k + j]
             add[s:s + chunk] = acc_add
             mul[s:s + chunk] = acc_mul
 
-        eye = np.full((k, k), base.zero, dtype=np.int64)
-        eye[np.arange(k), np.arange(k)] = base.one
-        zero_mat = np.full((k, k), base.zero, dtype=np.int64)
         star = None
         if base.star is not None:
-            td = digits.reshape(n, k, k).transpose(0, 2, 1).reshape(n, k2)
+            td = mats.transpose(0, 2, 1).reshape(n, k2)
             star = base.star[td].astype(np.int64) @ place
-        i_elem = None
-        if base.i_elem is not None:
-            imat = np.full((k, k), base.zero, dtype=np.int64)
-            imat[np.arange(k), np.arange(k)] = base.i_elem
-            i_elem = int(self.encode(imat))
 
         self.ring = RingTable(
             add, mul,
-            zero=int(self.encode(zero_mat)),
-            one=int(self.encode(eye)),
+            zero=self.scalar_matrix(base.zero),
+            one=self.scalar_matrix(base.one),
             star=star,
-            i_elem=i_elem,
+            i_elem=None if base.i_elem is None else self.scalar_matrix(base.i_elem),
             label=f"mat:{k}:{base.label}",
             render=self._render_matrix,
         )
@@ -370,6 +361,16 @@ def unitaries(ring: RingTable) -> np.ndarray:
     return ring._unitaries
 
 
+def _pool(ring: RingTable, mode: str) -> np.ndarray:
+    """The units (``mode="units"``) or unitaries (``"unitaries"``) of
+    ``ring``; any other mode raises ValueError before work is done."""
+    if mode == "units":
+        return units(ring)
+    if mode == "unitaries":
+        return unitaries(ring)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
                            mode: str = "units") -> list[int] | None:
     """Shortest decomposition of ``x`` as a sum of at most ``kmax`` pool
@@ -381,12 +382,7 @@ def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if mode == "units":
-        pool = units(ring)
-    elif mode == "unitaries":
-        pool = unitaries(ring)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    pool = _pool(ring, mode)
     if pool.size == 0:
         return None
     dist = np.full(ring.size, -1, dtype=np.int64)
@@ -419,22 +415,29 @@ def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
 
 # ---------------------------------------------------------------------------
 # Batched k x k matrix arithmetic over an arbitrary ring (no table of the
-# matrix ring required; used by the proof-identity scans).
+# matrix ring required; used by the proof-identity scans, and by
+# MatrixRingView to fill that table).
 
 
-def mat_mul(ring: RingTable, X, Y) -> np.ndarray:
-    """Row-by-column product of (…, k, k) index matrices over ``ring``."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
+def _mat_entries(ring: RingTable, X, Y):
+    """Yield ``(i, j, entry)`` for the row-by-column product of (…, k, k)
+    index matrices over ``ring``; ``entry`` is the broadcast of X's and
+    Y's leading axes.  The one k x k product formula in the package."""
     k = X.shape[-1]
-    X, Y = np.broadcast_arrays(X, Y)
-    out = np.empty_like(X)
     for i in range(k):
         for j in range(k):
             acc = ring.mul[X[..., i, 0], Y[..., 0, j]]
             for t in range(1, k):
                 acc = ring.add[acc, ring.mul[X[..., i, t], Y[..., t, j]]]
-            out[..., i, j] = acc
+            yield i, j, acc
+
+
+def mat_mul(ring: RingTable, X, Y) -> np.ndarray:
+    """Row-by-column product of (…, k, k) index matrices over ``ring``."""
+    X, Y = np.broadcast_arrays(np.asarray(X), np.asarray(Y))
+    out = np.empty_like(X)
+    for i, j, entry in _mat_entries(ring, X, Y):
+        out[..., i, j] = entry
     return out
 
 
@@ -464,12 +467,7 @@ def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
     if total > cap:
         raise SizeCapExceeded(
             f"inverse scan over {total} candidate matrices exceeds cap {cap}")
-    digits = np.empty((total, 4), dtype=np.int64)
-    r = np.arange(total)
-    for pos in range(3, -1, -1):
-        digits[:, pos] = r % n
-        r //= n
-    C = digits.reshape(total, 2, 2)
+    C = _digits(np.arange(total), 4, n, np.int64).reshape(total, 2, 2)
     M = np.asarray(M, dtype=np.int64)
     eye = mat_eye(ring, 2)
     left = mat_mul(ring, M[None, :, :], C)

@@ -23,7 +23,7 @@ import numpy as np
 from ._closure import greedy_closure
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch
 from .maps import MapTable, corner_relation_holds, is_additive
-from .rings import RingTable, monoid_closure, parse_ring_spec
+from .rings import RingTable, _digits, monoid_closure, parse_ring_spec
 
 BRUTE_FORCE_LIMIT = 2**20
 
@@ -403,6 +403,8 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     a process pool (see :func:`_run_ring_tasks`); output is merged in
     partition order, so results are byte-identical for every worker count.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     filters = canonical_filters(filters)
     if "star" in filters:
         dom.require_star()
@@ -516,15 +518,6 @@ def unique_addition_probe(dom: RingTable, cod: RingTable,
 # Full function-space scan (production side of the oracle cross-checks)
 
 
-def _function_digits(ids: np.ndarray, n: int, c: int) -> np.ndarray:
-    imgs = np.empty((ids.size, n), dtype=np.int64)
-    r = ids.copy()
-    for pos in range(n - 1, -1, -1):
-        imgs[:, pos] = r % c
-        r //= c
-    return imgs
-
-
 def function_space_masks(dom: RingTable, cod: RingTable, lo: int, hi: int,
                          want=("multiplicative", "additive")) -> dict:
     """Predicate masks over the function ids [lo, hi) in lexicographic order.
@@ -534,7 +527,7 @@ def function_space_masks(dom: RingTable, cod: RingTable, lo: int, hi: int,
     """
     n, c = dom.size, cod.size
     ids = np.arange(lo, hi, dtype=np.int64)
-    imgs = _function_digits(ids, n, c)
+    imgs = _digits(ids, n, c, np.int64)
     masks: dict[str, np.ndarray] = {}
     if "multiplicative" in want:
         m = np.ones(ids.size, dtype=bool)

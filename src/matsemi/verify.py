@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import MapFormatError, PreconditionFailed
 from .maps import MapTable, is_multiplicative, tensor_id
-from .rings import RingTable, units
+from .rings import RingTable, _digits, units
 from .search import (
-    _function_digits,
     _run_ring_tasks,
     enumerate_multiplicative_maps,
     function_space_masks,
@@ -104,7 +103,7 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     res = enumerate_multiplicative_maps(dom, cod, workers=workers)
     enum_imgs = (np.stack([m.img for m in res.maps])
                  if res.maps else np.empty((0, dom.size), dtype=np.int64))
-    brute_imgs = _function_digits(mult_ids, dom.size, cod.size)
+    brute_imgs = _digits(mult_ids, dom.size, cod.size, np.int64)
     matches = res.exhaustive and bool(np.array_equal(enum_imgs, brute_imgs))
 
     res_corner = enumerate_multiplicative_maps(dom, cod, filters=("corner",),
@@ -112,7 +111,7 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     corner_imgs = (np.stack([m.img for m in res_corner.maps])
                    if res_corner.maps else np.empty((0, dom.size), dtype=np.int64))
     matches = matches and res_corner.exhaustive and bool(
-        np.array_equal(corner_imgs, _function_digits(corner_ids, dom.size, cod.size)))
+        np.array_equal(corner_imgs, _digits(corner_ids, dom.size, cod.size, np.int64)))
 
     return CornerEquivalenceReport(
         dom=dom.label, cod=cod.label, total_functions=total,

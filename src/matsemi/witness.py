@@ -38,7 +38,7 @@ from .maps import (
     is_multiplicative,
     tensor_id,
 )
-from .rings import RingTable, mat_mul, mat2_inverse_scan, unitaries, units
+from .rings import RingTable, _pool, mat_mul, mat2_inverse_scan, units
 
 TRACE_CONFLICT_CAP = 64
 
@@ -49,7 +49,7 @@ TRACE_CONFLICT_CAP = 64
 
 def _guard_pair_scan(ring: RingTable, size_cap: int | None):
     cap = effective_size_cap(size_cap)
-    if ring.size * ring.size > cap * cap:
+    if ring.size > cap:
         raise SizeCapExceeded(
             f"pair scan over {ring.size}^2 parameter pairs exceeds the cap")
 
@@ -370,16 +370,6 @@ def fourth_power_reduction(phi: MapTable) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # Doubling recursion
-
-
-def _pool(ring: RingTable, mode: str) -> np.ndarray:
-    """The units (``mode="units"``) or unitaries (``"unitaries"``) of
-    ``ring``; any other mode raises ValueError before work is done."""
-    if mode == "units":
-        return units(ring)
-    if mode == "unitaries":
-        return unitaries(ring)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass

@@ -225,6 +225,12 @@ def test_workers_below_one_exit2(workers, capsys):
         _assert_one_line_error(*run_cli(*argv, "--workers", workers), capsys)
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_verify_i_relation_limit_below_one_exit2(limit, capsys):
+    _assert_one_line_error(*run_cli("verify", "i-relation", "--dom", "mat:2:zmod:2",
+                                    "--limit", limit), capsys)
+
+
 @pytest.mark.parametrize("trace", [
     [1, 2],
     "trace",

@@ -139,16 +139,35 @@ def test_matrix_product_against_row_column_oracle():
 
 
 def test_matrix_tables_match_oracle_everywhere():
-    base = make_zmod(3)
-    v = make_matrix_ring(base, 2)
-    o = oracles.oracle_mat2(oracles.oracle_zmod(3))
-    for x in range(0, 81, 7):
-        for y in range(0, 81, 5):
-            assert int(v.ring.mul[x, y]) == o.mul(x, y)
-            assert int(v.ring.add[x, y]) == o.add(x, y)
-    assert v.ring.one == o.one
-    assert v.ring.star is not None
-    assert all(int(v.ring.star[x]) == o.star(x) for x in range(81))
+    """All pairs of M_2(Z_3) and M_2(Z_2[i]) against the plain-Python oracle."""
+    for base, oracle_base in ((make_zmod(3), oracles.oracle_zmod(3)),
+                              (make_gaussian(2), oracles.oracle_gauss(2))):
+        v = make_matrix_ring(base, 2)
+        o = oracles.oracle_mat2(oracle_base)
+        n = o.size
+        assert v.ring.size == n
+        assert v.ring.mul.tolist() == [[o.mul(x, y) for y in range(n)] for x in range(n)]
+        assert v.ring.add.tolist() == [[o.add(x, y) for y in range(n)] for x in range(n)]
+        assert (v.ring.zero, v.ring.one, v.ring.i_elem) == (o.zero, o.one, o.i_elem)
+        assert v.ring.star.tolist() == [o.star(x) for x in range(n)]
+
+
+def test_matrix_ring_k3_against_row_column_sums():
+    """M_3(Z_2), all pairs: tables and mat_mul against integer row-by-column
+    sums reduced mod 2, with row-major base-2 digits."""
+    v = make_matrix_ring(make_zmod(2), 3)
+    n = 2**9
+    mats = (np.arange(n)[:, None] >> np.arange(8, -1, -1)) & 1
+    mats = mats.reshape(n, 3, 3)
+    place = 2 ** np.arange(8, -1, -1)
+    prod = np.einsum("xit,ytj->xyij", mats, mats) % 2
+    total = (mats[:, None] + mats[None, :]) % 2
+    assert np.array_equal(v.ring.mul, prod.reshape(n, n, 9) @ place)
+    assert np.array_equal(v.ring.add, total.reshape(n, n, 9) @ place)
+    assert np.array_equal(mat_mul(make_zmod(2), mats[:, None], mats[None, :]), prod)
+    assert v.ring.one == int(np.eye(3, dtype=np.int64).reshape(9) @ place)
+    assert v.ring.zero == 0
+    assert validate_ring(v.ring).ok and validate_matrix_view(v).ok
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +372,15 @@ def test_decompose_unitaries_mode():
 
 
 def test_mat_mul_matches_ring_table():
+    """Batched products re-encoded against the oracle M_2(Z_3) table."""
     base = make_zmod(3)
     v = make_matrix_ring(base, 2)
+    o = oracles.oracle_mat2(oracles.oracle_zmod(3))
     rng = np.random.default_rng(7)
     xs = rng.integers(0, 81, size=12)
     ys = rng.integers(0, 81, size=12)
     got = v.encode(mat_mul(base, v.decode(xs), v.decode(ys)))
-    want = v.ring.mul[xs, ys]
-    assert np.array_equal(np.asarray(got), np.asarray(want, dtype=np.int64))
+    assert list(got) == [o.mul(int(x), int(y)) for x, y in zip(xs, ys)]
 
 
 def test_mat2_inverse_scan_finds_inverse():

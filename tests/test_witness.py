@@ -12,7 +12,14 @@ from matsemi.maps import (
     power_map,
     zero_map,
 )
-from matsemi.rings import RingTable, make_gaussian, make_matrix_ring, make_zmod, units
+from matsemi.rings import (
+    RingTable,
+    make_gaussian,
+    make_matrix_ring,
+    make_zmod,
+    sum_of_units_decompose,
+    units,
+)
 from matsemi.witness import (
     build_uv_pair,
     corner_product_identity_check,
@@ -257,6 +264,8 @@ def test_unknown_pool_mode_rejected_before_work():
         doubling_additivity_closure(identity_map(no_star), "bogus")
     with pytest.raises(ValueError, match="unknown mode"):
         group_hom_restriction_check(identity_map(Z4), 1, mode="bogus")
+    with pytest.raises(ValueError, match="unknown mode"):
+        sum_of_units_decompose(Z4, 1, 2, mode="bogus")
 
 
 # ---------------------------------------------------------------------------
