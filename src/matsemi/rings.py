@@ -4,7 +4,13 @@ Elements of a ring are the indices ``0 .. size-1``; the additive and
 multiplicative structure is carried by two ``size x size`` index tables.
 Constructors arrange ``zero`` at index 0 and, where the encoding permits,
 ``one`` at index 1 (matrix rings keep the row-major entry encoding instead,
-so their identity sits wherever that encoding puts it).
+so their identity sits wherever that encoding puts it).  A table entry
+outside ``0..size-1`` is refused when the ring is built.
+
+A matrix ring's tables are built without n x n gathers: its sum table is
+the base addition broadcast over each digit position, and its product
+table is one |base|**k x |base|**k table of row-by-column sums broadcast
+onto the digit axes of each row of X and each column of Y.
 
 The module also houses the exhaustive axiom scans.  Associativity and
 distributivity are verified through greedy generating sets rather than raw
@@ -57,6 +63,18 @@ def _digits(ids, width: int, base: int, dtype) -> np.ndarray:
     return out
 
 
+def _index_array(name: str, a, n: int, dt) -> np.ndarray:
+    """``a`` as a contiguous ``dt`` array of element indices.  Raises
+    ValueError unless it holds integers in ``0..n-1``: the cast to ``dt``
+    would silently wrap or truncate anything else."""
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{name} must hold integer indices, not {a.dtype}")
+    if a.size and (a.min() < 0 or a.max() >= n):
+        raise ValueError(f"{name} entries must lie in 0..{n - 1}")
+    return np.ascontiguousarray(a, dtype=dt)
+
+
 class RingTable:
     """A finite ring as index-based addition and multiplication tables.
 
@@ -71,6 +89,9 @@ class RingTable:
     i_elem : optional element index with ``i*i = -1``.
     label : ring spec string used in reports and serialization.
     render : optional element formatter ``idx -> str``.
+
+    Raises ValueError when ``add``, ``mul`` or ``star`` is not an integer
+    array or has an entry outside ``0..size-1``.
     """
 
     def __init__(self, add, mul, zero, one, star=None, i_elem=None,
@@ -82,11 +103,11 @@ class RingTable:
         n = add.shape[0]
         dt = _min_dtype(n)
         self.size = n
-        self.add = np.ascontiguousarray(add, dtype=dt)
-        self.mul = np.ascontiguousarray(mul, dtype=dt)
+        self.add = _index_array("add", add, n, dt)
+        self.mul = _index_array("mul", mul, n, dt)
         self.zero = int(zero)
         self.one = int(one)
-        self.star = None if star is None else np.ascontiguousarray(star, dtype=dt)
+        self.star = None if star is None else _index_array("star", star, n, dt)
         self.i_elem = None if i_elem is None else int(i_elem)
         self.label = label
         # Additive inverse per element; meaningful once the axioms hold.
@@ -201,29 +222,41 @@ class MatrixRingView:
         self.place = place = B ** np.arange(k2 - 1, -1, -1, dtype=np.int64)
         self._n = n
 
-        out_dt = _min_dtype(n)
-        add = np.empty((n, n), dtype=out_dt)
-        mul = np.empty((n, n), dtype=out_dt)
-        chunk = max(1, (2 * 10**6) // max(n, 1))
-        mats = digits.reshape(n, k, k)
-        for s in range(0, n, chunk):
-            d = digits[s:s + chunk]
-            acc_add = np.zeros((d.shape[0], n), dtype=np.int64)
-            acc_mul = np.zeros((d.shape[0], n), dtype=np.int64)
-            for pos in range(k2):
-                acc_add += base.add[d[:, pos, None], digits[None, :, pos]].astype(np.int64) * place[pos]
-            for i, j, entry in _mat_entries(base, mats[s:s + chunk, None], mats[None]):
-                acc_mul += entry.astype(np.int64) * place[i * k + j]
-            add[s:s + chunk] = acc_add
-            mul[s:s + chunk] = acc_mul
+        # Both tables are built in their final (X digits, Y digits) layout.
+        # Each step adds digit * place terms, so every partial sum stays
+        # below n and fits the table dtype; the ``dt(...)`` scalars keep the
+        # arithmetic in that dtype under NumPy 1.x and 2.x casting rules.
+        dt = _min_dtype(n)
+        add = np.zeros((B,) * (2 * k2), dtype=dt)
+        for pos in range(k2):
+            shape = [1] * (2 * k2)
+            shape[pos] = shape[k2 + pos] = B
+            add += (base.add.astype(dt) * dt(place[pos])).reshape(shape)
+
+        # T[r, c] = sum_t r_t c_t over rows r and columns c of k base
+        # entries; entry (i, j) of XY is T[row i of X, column j of Y].  With
+        # X's rows as k axes of size B**k and Y's k*k digits as axes after
+        # them, the axes of row i and of column j's digits (t, j) are in
+        # increasing order, so T broadcasts in without a transpose.
+        vecs = _digits(np.arange(B ** k), k, B, _min_dtype(B))
+        _, _, T = next(_mat_entries(base, vecs[:, None, None, :], vecs[None, :, :, None]))
+        T = T.astype(dt, copy=False)
+        mul = np.zeros((B ** k,) * k + (B,) * k2, dtype=dt)
+        for i in range(k):
+            for j in range(k):
+                shape = [1] * (k + k2)
+                shape[i] = B ** k
+                for t in range(k):
+                    shape[k + t * k + j] = B
+                mul += (T * dt(place[i * k + j])).reshape(shape)
 
         star = None
         if base.star is not None:
-            td = mats.transpose(0, 2, 1).reshape(n, k2)
+            td = digits.reshape(n, k, k).transpose(0, 2, 1).reshape(n, k2)
             star = base.star[td].astype(np.int64) @ place
 
         self.ring = RingTable(
-            add, mul,
+            add.reshape(n, n), mul.reshape(n, n),
             zero=self.scalar_matrix(base.zero),
             one=self.scalar_matrix(base.one),
             star=star,
@@ -420,14 +453,14 @@ def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
 
 
 def _mat_entries(ring: RingTable, X, Y):
-    """Yield ``(i, j, entry)`` for the row-by-column product of (…, k, k)
-    index matrices over ``ring``; ``entry`` is the broadcast of X's and
-    Y's leading axes.  The one k x k product formula in the package."""
-    k = X.shape[-1]
-    for i in range(k):
-        for j in range(k):
+    """Yield ``(i, j, entry)`` for the row-by-column product of (…, p, q)
+    and (…, q, r) index matrices over ``ring``; ``entry`` is the broadcast
+    of X's and Y's leading axes.  The one matrix product formula in the
+    package."""
+    for i in range(X.shape[-2]):
+        for j in range(Y.shape[-1]):
             acc = ring.mul[X[..., i, 0], Y[..., 0, j]]
-            for t in range(1, k):
+            for t in range(1, X.shape[-1]):
                 acc = ring.add[acc, ring.mul[X[..., i, t], Y[..., t, j]]]
             yield i, j, acc
 

@@ -5,6 +5,8 @@ triple-loop oracle on every small ring, so the fast path and the
 definitional path must agree before anything else is trusted.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from matsemi.errors import (
     SizeCapExceeded,
 )
 from matsemi.rings import (
+    MatrixRingView,
+    RingTable,
     make_gaussian,
     make_matrix_ring,
     make_zmod,
@@ -85,12 +89,27 @@ def test_matrix_ring_sizes():
 
 
 def test_matrix_ring_k1_is_isomorphic_copy():
-    base = make_zmod(4)
-    v = make_matrix_ring(base, 1)
-    assert v.ring.size == 4
-    assert v.ring.one == base.one and v.ring.zero == base.zero
-    assert np.array_equal(np.asarray(v.ring.mul), np.asarray(base.mul))
-    assert validate_ring(v.ring).ok and validate_matrix_view(v).ok
+    for base in (make_zmod(4), make_gaussian(3)):
+        v = make_matrix_ring(base, 1)
+        assert v.ring.size == base.size
+        assert (v.ring.zero, v.ring.one, v.ring.i_elem) == (base.zero, base.one, base.i_elem)
+        for name in ("add", "mul", "star"):
+            assert np.array_equal(getattr(v.ring, name), getattr(base, name)), (base, name)
+        assert validate_ring(v.ring).ok and validate_matrix_view(v).ok
+
+
+@pytest.mark.parametrize("base,k", [(make_zmod(7), 2), (make_zmod(2), 3)],
+                         ids=["mat:2:zmod:7", "mat:3:zmod:2"])
+def test_matrix_ring_build_peak_memory(base, k):
+    """Building the tables allocates at most about 2.5 tables: add, mul and
+    the boolean scan for additive inverses, with no n x n temporaries."""
+    tracemalloc.start()
+    try:
+        v = MatrixRingView(base, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * v.ring.add.nbytes
 
 
 def test_matrix_units_orthogonal():
@@ -170,6 +189,47 @@ def test_matrix_ring_k3_against_row_column_sums():
     assert validate_ring(v.ring).ok and validate_matrix_view(v).ok
 
 
+def _upper_triangular_z2() -> RingTable:
+    """T_2(Z_2), the 8 upper-triangular 2x2 matrices [[a, b], [0, d]] over
+    Z_2 with index 4a + 2b + d: a noncommutative base ring."""
+    a, b, d = (np.arange(8)[:, None] >> np.array([2, 1, 0])).T & 1
+    add = np.arange(8)[:, None] ^ np.arange(8)[None, :]
+    pa = a[:, None] & a[None, :]
+    pb = (a[:, None] & b[None, :]) ^ (b[:, None] & d[None, :])
+    pd = d[:, None] & d[None, :]
+    return RingTable(add, 4 * pa + 2 * pb + pd, zero=0, one=5, label="t2z2")
+
+
+def test_matrix_ring_over_noncommutative_base():
+    """M_2(T_2(Z_2)) against 4x4 block matrices over Z_2: add on all pairs,
+    mul on a fixed sample of 512 rows against every column.  A base ring
+    with xy != yx catches a row/column swap in the product."""
+    base = _upper_triangular_z2()
+    assert validate_ring(base).ok
+    assert base.mul[4, 2] != base.mul[2, 4]  # e11 e12 = e12, e12 e11 = 0
+    v = MatrixRingView(base, 2)
+    n = 8**4
+    assert v.ring.size == n
+    idx = np.arange(n)
+    # Entry bits (a, b, d) are the element's base-2 digits, so addition,
+    # entrywise mod 2, is XOR of indices.
+    assert np.array_equal(v.ring.add, idx[:, None] ^ idx[None, :])
+
+    bits = (idx[:, None] >> np.arange(11, -1, -1)) & 1  # (n, 12): 4 entries x (a, b, d)
+    blocks = np.zeros((n, 2, 2, 2, 2), dtype=np.uint8)  # element, block row/col, row/col
+    e = bits.reshape(n, 2, 2, 3)
+    blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 1] = e[..., 0], e[..., 1], e[..., 2]
+    full = blocks.transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
+    rows = np.random.default_rng(5).choice(n, size=512, replace=False)
+    prod = (full[rows, None] @ full[None]) % 2  # integer 4x4 products
+    assert not prod[..., 1::2, 0::2].any()  # stays block upper-triangular
+    prod = prod.reshape(512, n, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    entry = 4 * prod[..., 0, 0] + 2 * prod[..., 0, 1] + prod[..., 1, 1]
+    want = entry.reshape(512, n, 4).astype(np.int64) @ (8 ** np.arange(3, -1, -1))
+    assert np.array_equal(v.ring.mul[rows], want)
+    assert validate_matrix_view(v).ok
+
+
 # ---------------------------------------------------------------------------
 # Spec grammar
 
@@ -220,6 +280,23 @@ def test_validation_agrees_with_triple_loop_oracle(spec):
     else:
         oring = oracles.oracle_mat2(oracles.oracle_zmod(2))
     assert oracles.ring_axioms_hold(oring)
+
+
+@pytest.mark.parametrize("bad", [
+    {"add": [[0, 257], [1, 0]]},
+    {"add": [[0, 1], [1, -256]]},
+    {"mul": [[0, 0], [0, 0.7]]},
+    {"mul": np.zeros((2, 2), dtype=bool)},
+    {"star": np.arange(2) + 256},
+], ids=["add-257", "add-minus-256", "mul-float", "mul-bool", "star-256"])
+def test_ring_table_rejects_entries_it_cannot_store(bad):
+    """An entry outside 0..n-1 or a non-integer table raises, instead of
+    being wrapped or truncated into a table that then validates."""
+    z2 = make_zmod(2)
+    tables = {"add": z2.add, "mul": z2.mul, "star": z2.star}
+    tables.update(bad)
+    with pytest.raises(ValueError):
+        RingTable(tables["add"], tables["mul"], 0, 1, star=tables["star"])
 
 
 def test_validation_catches_broken_associativity():
