@@ -62,6 +62,17 @@ def _csv_rows(rows: list[list]) -> str:
     return "\n".join(out)
 
 
+def _render(fmt: str, json_text: str, rows: list[list], lines: list[str]):
+    """Write one report in ``fmt``: the JSON text as is, the rows as CSV,
+    or the lines as text."""
+    if fmt == "json":
+        _emit(json_text)
+    elif fmt == "csv":
+        _emit(_csv_rows(rows))
+    else:
+        _emit("\n".join(lines))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="matsemi",
@@ -142,23 +153,18 @@ def _cmd_ring_info(args) -> int:
         "info": {k: v for k, v in val.info.items()
                  if not isinstance(v, list)},
     }
-    if args.format == "json":
-        _emit(_dump(report))
-    elif args.format == "csv":
-        rows = [["field", "value"]]
-        for key in ("spec", "size", "zero", "one", "valid", "units",
-                    "unitaries", "has_star", "has_i", "i_elem"):
-            rows.append([key, report[key]])
-        _emit(_csv_rows(rows))
-    else:
-        lines = [f"ring {report['spec']}: size {report['size']}, "
-                 f"zero {report['zero']}, one {report['one']}",
-                 f"valid: {report['valid']}",
-                 f"units: {report['units']}, unitaries: {report['unitaries']}",
-                 f"imaginary unit: {report['i_elem']}"]
-        for name, ok in report["checks"].items():
-            lines.append(f"  check {name}: {'pass' if ok else 'FAIL'}")
-        _emit("\n".join(lines))
+    rows = [["field", "value"]]
+    rows += [[key, report[key]] for key in (
+        "spec", "size", "zero", "one", "valid", "units", "unitaries",
+        "has_star", "has_i", "i_elem")]
+    lines = [f"ring {report['spec']}: size {report['size']}, "
+             f"zero {report['zero']}, one {report['one']}",
+             f"valid: {report['valid']}",
+             f"units: {report['units']}, unitaries: {report['unitaries']}",
+             f"imaginary unit: {report['i_elem']}"]
+    lines += [f"  check {name}: {'pass' if ok else 'FAIL'}"
+              for name, ok in report["checks"].items()]
+    _render(args.format, _dump(report), rows, lines)
     return 0 if report["valid"] else 1
 
 
@@ -189,24 +195,18 @@ def _cmd_map_check(args) -> int:
     all_pass = all(r["pass"] for r in reports)
     doc = {"map": {"dom": phi.dom.label, "cod": phi.cod.label},
            "checks": reports, "pass": all_pass}
-    if args.format == "json":
-        _emit(_dump(doc))
-    elif args.format == "csv":
-        rows = [["predicate", "pass", "checked", "violations"]]
-        rows += [[r["predicate"], r["pass"], r["counts"]["checked"],
-                  r["counts"]["violations"]] for r in reports]
-        _emit(_csv_rows(rows))
-    else:
-        lines = [f"map {phi.dom.label} -> {phi.cod.label}"]
-        for r in reports:
-            mark = "pass" if r["pass"] else "FAIL"
-            lines.append(f"  {r['predicate']}: {mark} "
-                         f"({r['counts']['violations']} violations / "
-                         f"{r['counts']['checked']} checked)")
-            for w in r["witnesses"][:4]:
-                lines.append(f"    witness {tuple(w)}")
-        lines.append(f"overall: {'pass' if all_pass else 'FAIL'}")
-        _emit("\n".join(lines))
+    rows = [["predicate", "pass", "checked", "violations"]]
+    rows += [[r["predicate"], r["pass"], r["counts"]["checked"],
+              r["counts"]["violations"]] for r in reports]
+    lines = [f"map {phi.dom.label} -> {phi.cod.label}"]
+    for r in reports:
+        mark = "pass" if r["pass"] else "FAIL"
+        lines.append(f"  {r['predicate']}: {mark} "
+                     f"({r['counts']['violations']} violations / "
+                     f"{r['counts']['checked']} checked)")
+        lines += [f"    witness {tuple(w)}" for w in r["witnesses"][:4]]
+    lines.append(f"overall: {'pass' if all_pass else 'FAIL'}")
+    _render(args.format, _dump(doc), rows, lines)
     return 0 if all_pass else 1
 
 
@@ -221,6 +221,7 @@ def _load_map(path: str, size_cap) -> MapTable:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
+    lines = None  # the generic text report unless a suite sets its own
     if suite in ("doubling-unitary", "doubling-gl"):
         mode = "unitaries" if suite == "doubling-unitary" else "units"
         if args.replay:
@@ -230,14 +231,12 @@ def _cmd_verify(args) -> int:
             doc = {"suite": suite, "replay": args.replay,
                    "identical": identical,
                    "pass": identical and recomputed["conflicts_total"] == 0}
-            _emit(_dump(doc) if args.format == "json"
-                  else f"replay {'identical' if identical else 'DIVERGED'}")
-            return 0 if doc["pass"] else 1
-        if not args.map_path:
-            raise MatsemiError(f"verify {suite} needs --map (or --replay)")
-        phi = _load_map(args.map_path, args.size_cap)
-        report = verify_doubling(phi, mode=mode)
-        doc = report.to_json()
+            lines = [f"replay {'identical' if identical else 'DIVERGED'}"]
+        else:
+            if not args.map_path:
+                raise MatsemiError(f"verify {suite} needs --map (or --replay)")
+            phi = _load_map(args.map_path, args.size_cap)
+            doc = verify_doubling(phi, mode=mode).to_json()
     elif suite == "prop1":
         if not args.dom or not args.cod:
             raise MatsemiError("verify prop1 needs --dom and --cod")
@@ -266,19 +265,12 @@ def _cmd_verify(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise MatsemiError(f"unknown suite {suite}")
 
-    if args.format == "json":
-        _emit(_dump(doc))
-    elif args.format == "csv":
-        rows = [["key", "value"]]
-        rows += [[k, v] for k, v in doc.items()
-                 if isinstance(v, (str, int, bool)) or v is None]
-        _emit(_csv_rows(rows))
-    else:
+    scalars = [[k, v] for k, v in doc.items()
+               if isinstance(v, (str, int, bool)) or v is None]
+    if lines is None:
         lines = [f"suite {doc.get('suite', suite)}:"]
-        for k, v in doc.items():
-            if isinstance(v, (str, int, bool)) or v is None:
-                lines.append(f"  {k}: {v}")
-        _emit("\n".join(lines))
+        lines += [f"  {k}: {v}" for k, v in scalars]
+    _render(args.format, _dump(doc), [["key", "value"], *scalars], lines)
     return 0 if doc.get("pass") else 1
 
 
@@ -287,21 +279,14 @@ def _cmd_enumerate(args) -> int:
                              filters=tuple(args.filter), limit=args.limit)
     result = run_query(query, workers=args.workers, size_cap=args.size_cap)
     summary = {"query": query.to_json(), **result.summary()}
-    if args.format == "json":
-        parts = [_dump(m.to_json()) for m in result.maps]
-        parts.append(_dump({"summary": summary}))
-        _emit("\n".join(parts))
-    elif args.format == "csv":
-        rows = [["index", "img"]]
-        rows += [[i, " ".join(str(int(v)) for v in m.img)]
-                 for i, m in enumerate(result.maps)]
-        _emit(_csv_rows(rows))
-    else:
-        lines = [f"map {i}: {' '.join(str(int(v)) for v in m.img)}"
-                 for i, m in enumerate(result.maps)]
-        lines.append(f"count {summary['count']}, nodes {summary['nodes']}, "
-                     f"exhaustive {summary['exhaustive']}")
-        _emit("\n".join(lines))
+    json_lines = [_dump(m.to_json()) for m in result.maps]
+    json_lines.append(_dump({"summary": summary}))
+    imgs = [" ".join(str(int(v)) for v in m.img) for m in result.maps]
+    lines = [f"map {i}: {img}" for i, img in enumerate(imgs)]
+    lines.append(f"count {summary['count']}, nodes {summary['nodes']}, "
+                 f"exhaustive {summary['exhaustive']}")
+    _render(args.format, "\n".join(json_lines),
+            [["index", "img"], *enumerate(imgs)], lines)
     return 0
 
 

@@ -135,12 +135,20 @@ class CheckReport:
 def _pair_report(name: str, eq: np.ndarray, witness_cap: int,
                  extra_counts: dict | None = None) -> CheckReport:
     eq = np.asarray(eq)
-    bad = np.argwhere(~eq)
-    counts = {"checked": int(eq.size), "violations": int(bad.shape[0])}
+    violations = eq.size - int(np.count_nonzero(eq))
+    counts = {"checked": int(eq.size), "violations": violations}
     if extra_counts:
         counts.update(extra_counts)
-    witnesses = [tuple(int(v) for v in row) for row in bad[:witness_cap]]
-    return CheckReport(name, bad.shape[0] == 0, witnesses, counts)
+    witnesses = []
+    if violations:
+        # Only the leading rows that hold the first ``witness_cap``
+        # violations are searched, so no index array over all of them is built.
+        rows = eq.reshape(len(eq), -1)
+        bad_per_row = rows.shape[1] - np.count_nonzero(rows, axis=1)
+        stop = int(np.searchsorted(np.cumsum(bad_per_row), witness_cap)) + 1
+        witnesses = [tuple(int(v) for v in w)
+                     for w in np.argwhere(~eq[:stop])[:witness_cap]]
+    return CheckReport(name, violations == 0, witnesses, counts)
 
 
 def is_unital(phi: MapTable) -> bool:
@@ -149,7 +157,7 @@ def is_unital(phi: MapTable) -> bool:
 
 def is_multiplicative(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
     """phi(x*y) = phi(x)*phi(y) over all pairs."""
-    img = phi.img
+    img = phi.img.astype(phi.cod.mul.dtype)
     eq = img[phi.dom.mul] == phi.cod.mul[img[:, None], img[None, :]]
     return _pair_report("multiplicative", eq, witness_cap,
                         {"unital": int(is_unital(phi))})
@@ -157,7 +165,7 @@ def is_multiplicative(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckRep
 
 def is_additive(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
     """phi(x+y) = phi(x)+phi(y) over all pairs."""
-    img = phi.img
+    img = phi.img.astype(phi.cod.add.dtype)
     eq = img[phi.dom.add] == phi.cod.add[img[:, None], img[None, :]]
     return _pair_report("additive", eq, witness_cap)
 

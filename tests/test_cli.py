@@ -157,6 +157,23 @@ def test_verify_doubling_pass_and_replay(map_files, tmp_path):
     assert json.loads(out)["identical"] is True
 
 
+def test_verify_replay_csv_prints_key_value_rows(map_files, tmp_path):
+    """Replay CSV has the key,value rows of every other verify suite; text
+    keeps its one replay line."""
+    code, out = run_cli("verify", "doubling-gl", "--map", map_files["id_z4"])
+    tracefile = tmp_path / "trace.json"
+    tracefile.write_text(json.dumps(json.loads(out)["trace"]))
+    code, out = run_cli("verify", "doubling-gl", "--replay", str(tracefile),
+                        "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["key,value", "suite,doubling-gl",
+                                f"replay,{tracefile}", "identical,True",
+                                "pass,True"]
+    code, out = run_cli("verify", "doubling-gl", "--replay", str(tracefile),
+                        "--format", "text")
+    assert code == 0 and out == "replay identical\n"
+
+
 def test_verify_replay_detects_tampering(map_files, tmp_path):
     code, out = run_cli("verify", "doubling-gl", "--map", map_files["id_z4"])
     trace = json.loads(out)["trace"]

@@ -1,6 +1,7 @@
 """Predicate scans, the matrix lift, and map serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,33 @@ def test_witness_order_and_cap():
     assert len(rep.witnesses) == 5
     assert rep.witnesses == sorted(rep.witnesses)
     assert rep.counts["violations"] > 5
+
+
+@pytest.mark.parametrize("scan,op", [(is_multiplicative, "mul"),
+                                     (is_additive, "add")], ids=["mul", "add"])
+@pytest.mark.parametrize("kind", ["identity", "random"])
+def test_pair_scan_peak_memory(scan, op, kind):
+    """A pair scan of M_2(Z_7) peaks at 6 bytes per pair or less: images
+    gathered in the table dtype, products and the boolean mask, with no
+    int64 gather and no index array over every violation.  Counts and
+    witnesses equal a plain int64 scan's."""
+    ring = make_matrix_ring(make_zmod(7), 2).ring
+    n = ring.size
+    img = (np.arange(n) if kind == "identity"
+           else np.random.default_rng(7).integers(0, n, n))
+    phi = MapTable(ring, ring, img)
+    tracemalloc.start()
+    try:
+        rep = scan(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * n
+    table = getattr(ring, op)
+    bad = np.argwhere(img[table] != table[img[:, None], img[None, :]])
+    assert rep.passed == (kind == "identity")
+    assert rep.counts["violations"] == len(bad)
+    assert rep.witnesses == [tuple(int(v) for v in w) for w in bad[:16]]
 
 
 def test_respects_star_conjugation():

@@ -320,6 +320,78 @@ def test_validation_catches_broken_distributivity():
     assert not validate_ring(broken).ok
 
 
+def _is_violation(name: str, w: tuple, ring: RingTable, add, mul) -> bool:
+    """Whether witness ``w`` of check ``name`` breaks that law in the
+    tables (nested lists), read from the law's definition.  The inverse
+    law is read as ``add_inverses`` states it: ``ring.neg[x]``, the first
+    right inverse in x's row, is a two-sided inverse of x."""
+    zero, one = ring.zero, ring.one
+    if name == "add_commutative":
+        x, y = w
+        return add[x][y] != add[y][x]
+    if name == "add_identity":
+        x = w[1]
+        return add[zero][x] != x or add[x][zero] != x
+    if name == "add_inverses":
+        (x,) = w
+        y = int(ring.neg[x])
+        return add[x][y] != zero or add[y][x] != zero
+    if name == "add_associative":
+        x, s, y = w
+        return add[add[x][s]][y] != add[x][add[s][y]]
+    if name == "mul_identity":
+        x = w[1]
+        return mul[one][x] != x or mul[x][one] != x
+    if name == "zero_absorbs":
+        x = w[1]
+        return mul[zero][x] != zero or mul[x][zero] != zero
+    if name == "left_distributive":
+        x, y, s = w
+        return mul[x][add[y][s]] != add[mul[x][y]][mul[x][s]]
+    if name == "right_distributive":
+        y, s, x = w
+        return mul[add[y][s]][x] != add[mul[y][x]][mul[s][x]]
+    if name == "mul_associative":
+        x, s, y = w
+        return mul[mul[x][s]][y] != mul[x][mul[s][y]]
+    raise AssertionError(f"no definition for check {name}")
+
+
+@pytest.mark.parametrize("spec", ["zmod:%d" % n for n in range(2, 9)]
+                         + ["gauss:2", "gauss:3", "mat:2:zmod:2"])
+def test_validation_against_oracle_on_single_entry_mutants(spec):
+    """Every single-entry change of the add or mul table (to the next value
+    and to one seeded random other value): ``validate_ring`` fails exactly
+    when the triple-loop oracle does, and each failed check's witness
+    breaks its law.  The mutants carry no involution or imaginary unit,
+    which the oracle does not check."""
+    ring = parse_ring_spec(spec)
+    n = ring.size
+    rng = np.random.default_rng(n)
+    mutants = 0
+    for which in ("add", "mul"):
+        for x in range(n):
+            for y in range(n):
+                old = int(getattr(ring, which)[x, y])
+                for new in {(old + 1) % n, (old + 1 + int(rng.integers(n - 1))) % n}:
+                    tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
+                    tables[which][x, y] = new
+                    add, mul = tables["add"].tolist(), tables["mul"].tolist()
+                    mutant = RingTable(tables["add"], tables["mul"],
+                                       ring.zero, ring.one)
+                    val = validate_ring(mutant)
+                    oring = oracles.OracleRing(
+                        n, lambda a, b: add[a][b], lambda a, b: mul[a][b],
+                        ring.zero, ring.one)
+                    assert val.ok == oracles.ring_axioms_hold(oring), (which, x, y, new)
+                    for c in val.failed():
+                        if c.witness is not None:
+                            assert _is_violation(c.name, c.witness, mutant,
+                                                 add, mul), (which, x, y, new, c)
+                    mutants += 1
+    assert mutants >= 2 * n * n
+
+
 def test_degenerate_ring_vacuously_valid():
     z1 = make_zmod(1)
     val = validate_ring(z1)

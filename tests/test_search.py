@@ -1,14 +1,21 @@
 """Generator sets, enumeration completeness against the oracle, mining."""
 
+import functools
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from matsemi.errors import SizeMismatch
 from matsemi.maps import determinant_map, is_additive, is_multiplicative, power_map
-from matsemi.rings import make_gaussian, make_matrix_ring, make_zmod
+from matsemi.rings import make_gaussian, make_matrix_ring, make_zmod, parse_ring_spec
 from matsemi.search import (
     EnumerationQuery,
+    _Plan,
     canonical_filters,
     enumerate_multiplicative_maps,
     find_counterexamples,
@@ -187,6 +194,65 @@ def test_query_roundtrip():
 def test_canonical_filters_rejects_unknown():
     with pytest.raises(ValueError):
         canonical_filters(("frobnicate",))
+
+
+# ---------------------------------------------------------------------------
+# Stage checks: ready pairs against full grids
+
+
+READY_RINGS = ("zmod:4", "gauss:2", "mat:2:zmod:2")
+
+
+@functools.cache
+def _endos(spec: str) -> list:
+    return enumerate_multiplicative_maps(RINGS[spec], RINGS[spec]).maps
+
+
+@given(spec=st.sampled_from(READY_RINGS), data=st.data())
+def test_ready_pairs_decide_multiplicativity_on_each_closure(spec, data):
+    """A multiplicative map with one entry changed: the ready pairs of
+    stages 0..p pass exactly when the map is multiplicative on every pair
+    of the closure reached after stage p."""
+    ring = RINGS[spec]
+    maps = _endos(spec)
+    img = maps[data.draw(st.integers(0, len(maps) - 1))].img.copy()
+    img[data.draw(st.integers(0, ring.size - 1))] = data.draw(
+        st.integers(0, ring.size - 1))
+    plan = _Plan(ring, ())
+    closure = np.empty(0, dtype=np.int64)
+    ready_ok = True
+    for p, new in enumerate(plan.new_elems):
+        xs, gs, xgs = plan.ready[p]
+        ready_ok = ready_ok and np.array_equal(img[xgs], ring.mul[img[xs], img[gs]])
+        closure = np.concatenate([closure, new])
+        grid = np.ix_(closure, closure)
+        full_ok = np.array_equal(img[ring.mul[grid]],
+                                 ring.mul[np.ix_(img[closure], img[closure])])
+        assert ready_ok == full_ok, (p, img.tolist())
+
+
+def _digest(maps) -> str:
+    return hashlib.sha256(
+        json.dumps([m.img.tolist() for m in maps]).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("dom,cod,filters,limit,budget,nodes,count,digest", [
+    ("mat:2:gauss:3", "gauss:3", ("star", "i_relation"), None, None,
+     329, 1, "d93aea5e6d77a565"),
+    ("mat:2:gauss:3", "mat:2:gauss:3", ("star", "i_relation"), 4, 60,
+     256, 1, "d93aea5e6d77a565"),
+    ("mat:2:zmod:3", "mat:2:zmod:3", (), None, None, 4292, 196, "56fb4ad2df58432d"),
+    ("mat:2:zmod:3", "mat:2:zmod:3", ("star",), None, None, 1266, 52, "aff8d6b31aeb6edb"),
+    ("mat:2:zmod:4", "mat:2:zmod:4", (), None, 1000, 3527, 186, "c55c5f6f20a9a28e"),
+], ids=["irel-base", "irel-endo-budget", "m2z3-endo", "m2z3-star", "m2z4-budget"])
+def test_mid_size_search_node_counts_and_maps_pinned(
+        dom, cod, filters, limit, budget, nodes, count, digest):
+    """Searches too large for the brute-force oracle keep their node counts
+    and emitted maps, as recorded with the full new x prev stage grids."""
+    res = enumerate_multiplicative_maps(parse_ring_spec(dom), parse_ring_spec(cod),
+                                        filters=filters, limit=limit,
+                                        node_budget=budget)
+    assert (res.nodes, len(res.maps), _digest(res.maps)) == (nodes, count, digest)
 
 
 # ---------------------------------------------------------------------------
