@@ -20,7 +20,7 @@ from matsemi.rings import (
 z4 = make_zmod(4)
 print("Z4:", z4)
 print("  2 + 3 =", int(z4.add[2, 3]), "   2 * 2 =", int(z4.mul[2, 2]))
-print("  units:", list(units(z4)))
+print("  units:", [int(u) for u in units(z4)])
 
 # Every constructed ring passes the full axiom scan.
 val = validate_ring(z4)

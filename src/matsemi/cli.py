@@ -12,21 +12,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .errors import MatsemiError, PreconditionFailed
 from .maps import (
     MapTable,
+    _relation_report,
     corner_relation_holds,
     i_relation_holds,
     is_additive,
     is_multiplicative,
     is_ring_hom,
-    is_unital,
     respects_star,
 )
 from .rings import parse_ring_spec, unitaries, units, validate_matrix_view, validate_ring
 from .search import EnumerationQuery, run_query
 from .verify import (
+    DEFAULT_MAP_LIMIT,
     replay_doubling_trace,
     verify_corner_equivalence,
     verify_doubling,
@@ -168,30 +170,26 @@ def _cmd_ring_info(args) -> int:
     return 0 if report["valid"] else 1
 
 
+# Report rows follow this order, whatever the order of the flags.
 _CHECK_FLAGS = [
-    ("mult", "--mult", lambda phi: is_multiplicative(phi)),
-    ("add", "--add", lambda phi: is_additive(phi)),
-    ("ring_hom", "--ring-hom", lambda phi: is_ring_hom(phi)),
-    ("star", "--star", lambda phi: respects_star(phi)),
-    ("corner", "--corner", lambda phi: corner_relation_holds(phi)),
-    ("i_relation", "--i-relation", lambda phi: i_relation_holds(phi)),
+    ("mult", is_multiplicative),
+    ("add", is_additive),
+    ("ring_hom", is_ring_hom),
+    ("star", respects_star),
+    ("corner", corner_relation_holds),
+    ("i_relation", i_relation_holds),
+    ("unital", partial(_relation_report, "unital")),
 ]
 
 
 def _cmd_map_check(args) -> int:
     phi = _load_map(args.path, args.size_cap)
-    selected = [(name, fn) for name, flag, fn in _CHECK_FLAGS
-                if getattr(args, name)]
-    if not selected and not args.unital:
+    selected = [fn for name, fn in _CHECK_FLAGS if getattr(args, name)]
+    if not selected:
         raise MatsemiError(
             "no checks requested; pass --mult/--add/--ring-hom/--star/"
             "--corner/--i-relation/--unital")
-    reports = [fn(phi).to_json() for _, fn in selected]
-    if args.unital:
-        ok = is_unital(phi)
-        reports.append({"predicate": "unital", "pass": ok,
-                        "witnesses": [] if ok else [[phi.dom.one]],
-                        "counts": {"checked": 1, "violations": int(not ok)}})
+    reports = [fn(phi).to_json() for fn in selected]
     all_pass = all(r["pass"] for r in reports)
     doc = {"map": {"dom": phi.dom.label, "cod": phi.cod.label},
            "checks": reports, "pass": all_pass}
@@ -254,7 +252,7 @@ def _cmd_verify(args) -> int:
             raise MatsemiError("verify i-relation needs --dom")
         dom = parse_ring_spec(args.dom, size_cap=args.size_cap)
         cod = parse_ring_spec(args.cod, size_cap=args.size_cap) if args.cod else None
-        limit = args.limit if args.limit is not None else 40
+        limit = args.limit if args.limit is not None else DEFAULT_MAP_LIMIT
         doc = verify_fourth_power_search(
             dom, cod, limit=limit, workers=args.workers).to_json()
     elif suite == "witnesses":

@@ -10,6 +10,13 @@ on a 2x2 matrix ring, and the imaginary-unit analogue
 Every predicate returns a :class:`CheckReport` whose violating witnesses
 are listed in ascending lexicographic index order, capped at
 :data:`WITNESS_CAP` per report so output stays diffable.
+
+Each law is stated once.  ``_pair_law`` scans phi(x o y) = phi(x) o phi(y)
+for o in {*, +}, over all pairs or over given element sets, and
+``_relation`` gives both sides of the unital, corner and imaginary-unit
+relations for one image array or a stack of them.  The predicates here,
+the search, the witness scans, the verification suites and the CLI all
+use these two.
 """
 
 from __future__ import annotations
@@ -133,7 +140,11 @@ class CheckReport:
 
 
 def _pair_report(name: str, eq: np.ndarray, witness_cap: int,
-                 extra_counts: dict | None = None) -> CheckReport:
+                 extra_counts: dict | None = None, axes=None) -> CheckReport:
+    """Report over the boolean array ``eq``: its size, its false entries and
+    the first ``witness_cap`` of them in index order.  ``axes`` gives, per
+    axis of ``eq``, the element each position stands for (default: the
+    position itself)."""
     eq = np.asarray(eq)
     violations = eq.size - int(np.count_nonzero(eq))
     counts = {"checked": int(eq.size), "violations": violations}
@@ -146,43 +157,111 @@ def _pair_report(name: str, eq: np.ndarray, witness_cap: int,
         rows = eq.reshape(len(eq), -1)
         bad_per_row = rows.shape[1] - np.count_nonzero(rows, axis=1)
         stop = int(np.searchsorted(np.cumsum(bad_per_row), witness_cap)) + 1
-        witnesses = [tuple(int(v) for v in w)
+        witnesses = [tuple(int(v) if axes is None else int(axes[d][v])
+                           for d, v in enumerate(w))
                      for w in np.argwhere(~eq[:stop])[:witness_cap]]
     return CheckReport(name, violations == 0, witnesses, counts)
 
 
+def _joint_report(name: str, parts: list[CheckReport], witness_cap: int,
+                  extra_counts: dict | None = None) -> CheckReport:
+    """One report for the conjunction of ``parts``: counts summed, witnesses
+    concatenated in order and capped."""
+    violations = sum(r.counts["violations"] for r in parts)
+    counts = {"checked": sum(r.counts["checked"] for r in parts),
+              "violations": violations, **(extra_counts or {})}
+    witnesses = [w for r in parts for w in r.witnesses][:witness_cap]
+    return CheckReport(name, violations == 0, witnesses, counts)
+
+
+def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
+              xs=None, ys=None, extra_counts: dict | None = None) -> CheckReport:
+    """The pair law phi(x o y) = phi(x) o phi(y) for ``op`` in {"mul", "add"}
+    over all pairs (x, y) in ``xs`` x ``ys``, by default every element.
+
+    Witnesses are element pairs in the order of the grid (lexicographic for
+    sorted ``xs`` and ``ys``).  Images are gathered in the codomain table's
+    dtype, so a full scan holds two table-sized arrays and one boolean one.
+    """
+    dom_t, cod_t = getattr(phi.dom, op), getattr(phi.cod, op)
+    img = phi.img.astype(cod_t.dtype)
+    if xs is None:
+        eq = img[dom_t] == cod_t[img[:, None], img[None, :]]
+        return _pair_report(name, eq, witness_cap, extra_counts)
+    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    eq = img[dom_t[np.ix_(xs, ys)]] == cod_t[np.ix_(img[xs], img[ys])]
+    return _pair_report(name, eq, witness_cap, extra_counts, axes=(xs, ys))
+
+
+def _corner_units(ring: RingTable) -> tuple[int, int]:
+    """The matrix units e11 and e22 of a ring built as a 2x2 matrix ring."""
+    view = ring.matrix_view
+    if view is None or view.k != 2:
+        raise NotAMatrixRing(
+            f"ring {ring.label} was not built as a 2x2 matrix ring")
+    return view.matrix_unit(0, 0), view.matrix_unit(1, 1)
+
+
+def _relation(name: str, dom: RingTable, cod: RingTable, imgs):
+    """``(elements, lhs, rhs)`` of relation ``name`` for one image array
+    ``imgs`` of a map ``dom -> cod``, or a stack of them (images of element
+    e read as ``imgs[..., e]``):
+
+    * ``unital``: phi(1) = 1;
+    * ``corner``: phi(1) = phi(e11) + phi(e22);
+    * ``i_relation``: phi(i) = i phi(e11) + i phi(e22).
+
+    The last two need a 2x2 matrix ring domain (:class:`NotAMatrixRing`),
+    and ``i_relation`` an imaginary unit on both sides.
+    """
+    if name == "unital":
+        return (dom.one,), imgs[..., dom.one], cod.one
+    e11, e22 = _corner_units(dom)
+    if name == "corner":
+        return ((dom.one, e11, e22), imgs[..., dom.one],
+                cod.add[imgs[..., e11], imgs[..., e22]])
+    i_dom, i_cod = dom.require_i(), cod.require_i()
+    return ((i_dom, e11, e22), imgs[..., i_dom],
+            cod.add[cod.mul[i_cod, imgs[..., e11]], cod.mul[i_cod, imgs[..., e22]]])
+
+
+_RELATION_PREDICATES = {"unital": "unital", "corner": "corner_relation",
+                        "i_relation": "i_relation"}
+
+
+def _relation_report(name: str, phi: MapTable) -> CheckReport:
+    """Relation ``name`` (see :func:`_relation`) as a one-check report whose
+    witness is the relation's elements."""
+    elems, lhs, rhs = _relation(name, phi.dom, phi.cod, phi.img)
+    ok = bool(lhs == rhs)
+    return CheckReport(_RELATION_PREDICATES[name], ok, [] if ok else [elems],
+                       {"checked": 1, "violations": int(not ok)})
+
+
 def is_unital(phi: MapTable) -> bool:
-    return int(phi.img[phi.dom.one]) == phi.cod.one
+    return _relation_report("unital", phi).passed
 
 
 def is_multiplicative(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
     """phi(x*y) = phi(x)*phi(y) over all pairs."""
-    img = phi.img.astype(phi.cod.mul.dtype)
-    eq = img[phi.dom.mul] == phi.cod.mul[img[:, None], img[None, :]]
-    return _pair_report("multiplicative", eq, witness_cap,
-                        {"unital": int(is_unital(phi))})
+    return _pair_law("multiplicative", phi, "mul", witness_cap,
+                     extra_counts={"unital": int(is_unital(phi))})
 
 
 def is_additive(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
     """phi(x+y) = phi(x)+phi(y) over all pairs."""
-    img = phi.img.astype(phi.cod.add.dtype)
-    eq = img[phi.dom.add] == phi.cod.add[img[:, None], img[None, :]]
-    return _pair_report("additive", eq, witness_cap)
+    return _pair_law("additive", phi, "add", witness_cap)
 
 
 def is_ring_hom(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
     """Conjunction of the multiplicative and additive scans."""
     m = is_multiplicative(phi, witness_cap)
     a = is_additive(phi, witness_cap)
-    witnesses = (m.witnesses + a.witnesses)[:witness_cap]
-    counts = {
-        "checked": m.counts["checked"] + a.counts["checked"],
-        "violations": m.counts["violations"] + a.counts["violations"],
+    return _joint_report("ring_hom", [m, a], witness_cap, {
         "mul_violations": m.counts["violations"],
         "add_violations": a.counts["violations"],
         "unital": m.counts["unital"],
-    }
-    return CheckReport("ring_hom", m.passed and a.passed, witnesses, counts)
+    })
 
 
 def respects_star(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
@@ -193,41 +272,14 @@ def respects_star(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
     return _pair_report("star", eq, witness_cap)
 
 
-def _mat2_view(ring: RingTable) -> MatrixRingView:
-    view = ring.matrix_view
-    if view is None or view.k != 2:
-        raise NotAMatrixRing(
-            f"ring {ring.label} was not built as a 2x2 matrix ring")
-    return view
-
-
 def corner_relation_holds(phi: MapTable) -> CheckReport:
     """phi(1) = phi(e11) + phi(e22) on a 2x2 matrix ring domain."""
-    view = _mat2_view(phi.dom)
-    e11 = view.matrix_unit(0, 0)
-    e22 = view.matrix_unit(1, 1)
-    lhs = int(phi.img[phi.dom.one])
-    rhs = int(phi.cod.add[phi.img[e11], phi.img[e22]])
-    ok = lhs == rhs
-    witnesses = [] if ok else [(phi.dom.one, e11, e22)]
-    return CheckReport("corner_relation", ok, witnesses,
-                       {"checked": 1, "violations": int(not ok)})
+    return _relation_report("corner", phi)
 
 
 def i_relation_holds(phi: MapTable) -> CheckReport:
     """phi(i·1) = i·phi(e11) + i·phi(e22) on a 2x2 matrix ring domain."""
-    view = _mat2_view(phi.dom)
-    i_dom = phi.dom.require_i()
-    i_cod = phi.cod.require_i()
-    e11 = view.matrix_unit(0, 0)
-    e22 = view.matrix_unit(1, 1)
-    lhs = int(phi.img[i_dom])
-    rhs = int(phi.cod.add[phi.cod.mul[i_cod, phi.img[e11]],
-                          phi.cod.mul[i_cod, phi.img[e22]]])
-    ok = lhs == rhs
-    witnesses = [] if ok else [(i_dom, e11, e22)]
-    return CheckReport("i_relation", ok, witnesses,
-                       {"checked": 1, "violations": int(not ok)})
+    return _relation_report("i_relation", phi)
 
 
 def tensor_id(phi: MapTable, k: int, size_cap: int | None = None) -> MapTable:
@@ -248,34 +300,18 @@ def scalar_linearity_holds(phi: MapTable, scalars,
     Raises :class:`NonCentralScalar` when a scalar fails to commute with
     some domain element.
     """
-    view = _mat2_view(phi.dom)
-    dom, cod, img = phi.dom, phi.cod, phi.img
+    dom = phi.dom
+    e11, e22 = _corner_units(dom)
     scalars = [int(s) for s in scalars]
     for s in scalars:
         diff = np.flatnonzero(dom.mul[s, :] != dom.mul[:, s])
         if diff.size:
             raise NonCentralScalar(
                 f"scalar {s} does not commute with element {int(diff[0])}")
-    witnesses: list[tuple[int, ...]] = []
-    violations = 0
-    checked = 0
-    for s in scalars:
-        eq = img[dom.mul[s, :]] == cod.mul[int(img[s]), img]
-        checked += eq.size
-        bad = np.flatnonzero(~eq)
-        violations += bad.size
-        witnesses.extend((s, int(x)) for x in bad[: max(0, witness_cap - len(witnesses))])
-    e11 = view.matrix_unit(0, 0)
-    e22 = view.matrix_unit(1, 1)
-    sarr = np.asarray(scalars)
+    # phi(s*x) = phi(s)*phi(x) is the multiplicative pair law on scalars x all.
+    scaled = _pair_law("", phi, "mul", witness_cap, scalars, np.arange(dom.size))
+    sarr = np.asarray(scalars, dtype=np.int64)
     span = np.unique(dom.add[np.ix_(dom.mul[sarr, e11], dom.mul[sarr, e22])])
-    eq = img[dom.add[np.ix_(span, span)]] == cod.add[np.ix_(img[span], img[span])]
-    checked += eq.size
-    bad = np.argwhere(~eq)
-    violations += bad.shape[0]
-    witnesses.extend(
-        (int(span[i]), int(span[j]))
-        for i, j in bad[: max(0, witness_cap - len(witnesses))])
-    return CheckReport("scalar_linearity", violations == 0, witnesses,
-                       {"checked": checked, "violations": violations,
-                        "scalars": len(scalars), "span_size": int(span.size)})
+    summed = _pair_law("", phi, "add", witness_cap, span, span)
+    return _joint_report("scalar_linearity", [scaled, summed], witness_cap,
+                         {"scalars": len(scalars), "span_size": int(span.size)})

@@ -613,6 +613,10 @@ def validate_ring(ring: RingTable) -> RingValidation:
         (add[ring.zero, :] == idx) & (add[:, ring.zero] == idx), n,
         mapper=lambda w: (ring.zero, w[0]))
     neg_ok = (add[idx, ring.neg] == ring.zero) & (add[ring.neg, idx] == ring.zero)
+    # ring.neg[x] is only the first right inverse in x's row: search the
+    # rows it fails for any two-sided inverse.
+    bad = np.flatnonzero(~neg_ok)
+    neg_ok[bad] = ((add[bad] == ring.zero) & (add[:, bad].T == ring.zero)).any(axis=1)
     ch["add_inverses"] = _outcome("add_inverses", neg_ok, n)
 
     add_cl = greedy_closure(add, seed=ring.zero)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._closure import greedy_closure
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch
-from .maps import MapTable, corner_relation_holds, is_additive
+from .maps import MapTable, _relation, corner_relation_holds, is_additive
 from .rings import RingTable, _digits, monoid_closure, parse_ring_spec
 
 BRUTE_FORCE_LIMIT = 2**20
@@ -202,27 +202,14 @@ class _Plan:
             self.star_checks = [
                 np.flatnonzero(ready == i) for i in range(nstages)]
 
+        # Per stage: the relation filters whose elements are all decided
+        # there.  The identity map of dom stands in for phi, as only the
+        # elements of each relation are read.
         self.checkpoints: list[list[str]] = [[] for _ in range(nstages)]
-        self.relation_elems: dict[str, tuple[int, ...]] = {}
-        if "unital" in filters:
-            self.checkpoints[int(stage_of[dom.one])].append("unital")
-        view = dom.matrix_view
-        if "corner" in filters or "i_relation" in filters:
-            if view is None or view.k != 2:
-                from .errors import NotAMatrixRing
-                raise NotAMatrixRing(
-                    "corner/i_relation filters need a 2x2 matrix ring domain")
-            e11 = view.matrix_unit(0, 0)
-            e22 = view.matrix_unit(1, 1)
-            if "corner" in filters:
-                stage = int(max(stage_of[dom.one], stage_of[e11], stage_of[e22]))
-                self.checkpoints[stage].append("corner")
-                self.relation_elems["corner"] = (dom.one, e11, e22)
-            if "i_relation" in filters:
-                i_dom = dom.require_i()
-                stage = int(max(stage_of[i_dom], stage_of[e11], stage_of[e22]))
-                self.checkpoints[stage].append("i_relation")
-                self.relation_elems["i_relation"] = (i_dom, e11, e22)
+        for name in ("unital", "corner", "i_relation"):
+            if name in filters:
+                elems, _, _ = _relation(name, dom, dom, np.arange(dom.size))
+                self.checkpoints[int(stage_of[list(elems)].max())].append(name)
 
 
 class _StopSearch(Exception):
@@ -238,7 +225,6 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     out: list[np.ndarray] = []
     nodes = 0
     exhausted = True
-    i_cod = cod.i_elem
     nvars = len(plan.vars)
 
     def candidates(p: int) -> np.ndarray:
@@ -284,20 +270,10 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
             if xs.size and not np.array_equal(img[dom.star[xs]],
                                               cod.star[img[xs]]):
                 return False
-        for kind in plan.checkpoints[p]:
-            if kind == "unital":
-                if int(img[dom.one]) != cod.one:
-                    return False
-            elif kind == "corner":
-                one, e11, e22 = plan.relation_elems["corner"]
-                if int(img[one]) != int(cod.add[img[e11], img[e22]]):
-                    return False
-            elif kind == "i_relation":
-                i_dom, e11, e22 = plan.relation_elems["i_relation"]
-                rhs = cod.add[cod.mul[i_cod, img[e11]],
-                              cod.mul[i_cod, img[e22]]]
-                if int(img[i_dom]) != int(rhs):
-                    return False
+        for name in plan.checkpoints[p]:
+            _, lhs, rhs = _relation(name, dom, cod, img)
+            if lhs != rhs:
+                return False
         return True
 
     def rec(p: int):
@@ -547,10 +523,8 @@ def function_space_masks(dom: RingTable, cod: RingTable, lo: int, hi: int,
                 a &= imgs[:, dom.add[x, y]] == cod.add[imgs[:, x], imgs[:, y]]
         masks["additive"] = a
     if "corner" in want:
-        view = dom.matrix_view
-        e11 = view.matrix_unit(0, 0)
-        e22 = view.matrix_unit(1, 1)
-        masks["corner"] = imgs[:, dom.one] == cod.add[imgs[:, e11], imgs[:, e22]]
+        _, lhs, rhs = _relation("corner", dom, cod, imgs)
+        masks["corner"] = lhs == rhs
     masks["_imgs"] = imgs
     return masks
 

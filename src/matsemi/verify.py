@@ -37,9 +37,22 @@ _CHUNK = 8192
 # more patience pass a larger budget explicitly.
 DEFAULT_NODE_BUDGET = 5000
 
+# Default cap on the maps the i-relation search lists.
+DEFAULT_MAP_LIMIT = 40
+
 
 def _chunks(total: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+
+
+def _enumeration_matches(res, ids: np.ndarray, dom: RingTable,
+                         cod: RingTable) -> bool:
+    """Whether the exhaustive enumeration ``res`` emitted exactly the
+    functions with ids ``ids``, in the same order."""
+    imgs = (np.stack([m.img for m in res.maps]) if res.maps
+            else np.empty((0, dom.size), dtype=np.int64))
+    return res.exhaustive and bool(
+        np.array_equal(imgs, _digits(ids, dom.size, cod.size, np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +114,10 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     sets_equal = bool(np.array_equal(corner_ids, add_ids))
 
     res = enumerate_multiplicative_maps(dom, cod, workers=workers)
-    enum_imgs = (np.stack([m.img for m in res.maps])
-                 if res.maps else np.empty((0, dom.size), dtype=np.int64))
-    brute_imgs = _digits(mult_ids, dom.size, cod.size, np.int64)
-    matches = res.exhaustive and bool(np.array_equal(enum_imgs, brute_imgs))
-
     res_corner = enumerate_multiplicative_maps(dom, cod, filters=("corner",),
                                                workers=workers)
-    corner_imgs = (np.stack([m.img for m in res_corner.maps])
-                   if res_corner.maps else np.empty((0, dom.size), dtype=np.int64))
-    matches = matches and res_corner.exhaustive and bool(
-        np.array_equal(corner_imgs, _digits(corner_ids, dom.size, cod.size, np.int64)))
+    matches = (_enumeration_matches(res, mult_ids, dom, cod)
+               and _enumeration_matches(res_corner, corner_ids, dom, cod))
 
     return CornerEquivalenceReport(
         dom=dom.label, cod=cod.label, total_functions=total,
@@ -277,7 +283,7 @@ class FourthPowerSearchReport:
 
 
 def verify_fourth_power_search(dom: RingTable, cod: RingTable | None = None,
-                               limit: int | None = 40,
+                               limit: int | None = DEFAULT_MAP_LIMIT,
                                node_budget: int | None = DEFAULT_NODE_BUDGET,
                                workers: int = 1) -> FourthPowerSearchReport:
     """Enumerate multiplicative star-preserving maps satisfying the

@@ -32,6 +32,10 @@ from .maps import (
     CheckReport,
     MapTable,
     WITNESS_CAP,
+    _joint_report,
+    _pair_law,
+    _pair_report,
+    _relation,
     corner_relation_holds,
     i_relation_holds,
     is_additive,
@@ -338,22 +342,14 @@ def fourth_power_reduction(phi: MapTable) -> CheckReport:
     irep = i_relation_holds(phi)
     if not irep.passed:
         raise PreconditionFailed("map fails the imaginary-unit relation", irep)
-    view = phi.dom.matrix_view
-    cod = phi.cod
-    i_cod = cod.require_i()
-    img = phi.img
-    e11 = view.matrix_unit(0, 0)
-    e22 = view.matrix_unit(1, 1)
-    P = int(img[e11])
-    Q = int(img[e22])
-    z = int(img[phi.dom.zero])
-
-    s = int(cod.add[cod.mul[i_cod, P], cod.mul[i_cod, Q]])
+    dom, cod, img = phi.dom, phi.cod, phi.img
+    z = int(img[dom.zero])
+    _, _, s = _relation("i_relation", dom, cod, img)  # s = iP + iQ
+    _, phi_one, pq = _relation("corner", dom, cod, img)  # pq = P + Q
     s2 = int(cod.mul[s, s])
-    fourth_ok = int(cod.mul[s2, s2]) == int(img[phi.dom.one])
-    pq = int(cod.add[P, Q])
+    fourth_ok = int(cod.mul[s2, s2]) == int(phi_one)
     pq2 = int(cod.mul[pq, pq])
-    sum_ok = int(cod.mul[pq2, pq2]) == pq
+    sum_ok = int(cod.mul[pq2, pq2]) == int(pq)
 
     crep = corner_relation_holds(phi)
     counts = {
@@ -471,12 +467,8 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     pool = _pool(dom, mode)
     img = phi.img
     pl = np.asarray(pool, dtype=np.int64)
-    eq = img[dom.mul[np.ix_(pl, pl)]] == cod.mul[np.ix_(img[pl], img[pl])]
-    if not eq.all():
-        x, y = np.argwhere(~eq)[0]
-        rep = CheckReport("pool_multiplicative", False,
-                          [(int(pl[x]), int(pl[y]))],
-                          {"checked": int(eq.size), "violations": int((~eq).sum())})
+    rep = _pair_law("pool_multiplicative", phi, "mul", WITNESS_CAP, pl, pl)
+    if not rep.passed:
         raise PreconditionFailed("map is not multiplicative on the pool", rep)
 
     cert_val = {int(u): int(img[u]) for u in pl}
@@ -551,27 +543,10 @@ def group_hom_restriction_check(phi: MapTable, k: int, mode: str = "units",
     dring, cring = lifted.dom, lifted.cod
     pool = _pool(dring, mode)
     cod_pool = _pool(cring, mode)
-    img = lifted.img
     member = np.zeros(cring.size, dtype=bool)
     member[cod_pool] = True
-
-    in_pool = member[img[pool]]
-    witnesses = [(int(u),) for u in pool[~in_pool][:witness_cap]]
-    violations = int((~in_pool).sum())
-
-    pl = np.asarray(pool, dtype=np.int64)
-    eq = img[dring.mul[np.ix_(pl, pl)]] == cring.mul[np.ix_(img[pl], img[pl])]
-    bad = np.argwhere(~eq)
-    violations += int(bad.shape[0])
-    witnesses.extend(
-        (int(pl[i]), int(pl[j]))
-        for i, j in bad[: max(0, witness_cap - len(witnesses))])
-    counts = {
-        "checked": int(pool.size + eq.size),
-        "violations": violations,
-        "pool_size": int(pool.size),
-        "cod_pool_size": int(cod_pool.size),
-        "k": k,
-    }
-    return CheckReport(f"group_restriction_{mode}", violations == 0,
-                       witnesses, counts)
+    into = _pair_report("", member[lifted.img[pool]], witness_cap, axes=(pool,))
+    mult = _pair_law("", lifted, "mul", witness_cap, pool, pool)
+    return _joint_report(f"group_restriction_{mode}", [into, mult], witness_cap,
+                         {"pool_size": int(pool.size),
+                          "cod_pool_size": int(cod_pool.size), "k": k})

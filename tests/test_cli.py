@@ -8,20 +8,23 @@ import sys
 import pytest
 
 from matsemi.cli import main
-from matsemi.maps import determinant_map, identity_map, power_map
-from matsemi.rings import make_matrix_ring, make_zmod
+from matsemi.maps import constant_map, determinant_map, identity_map, power_map
+from matsemi.rings import make_gaussian, make_matrix_ring, make_zmod
 
 
 @pytest.fixture(scope="module")
 def map_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("maps")
     m = make_matrix_ring(make_zmod(2), 2)
+    mg = make_matrix_ring(make_gaussian(2), 2).ring
     files = {}
     for name, phi in [
         ("det", determinant_map(m)),
         ("identity", identity_map(m.ring)),
         ("cube", power_map(make_zmod(4), 3)),
         ("id_z4", identity_map(make_zmod(4))),
+        ("id_mg2", identity_map(mg)),
+        ("idem_mg2", constant_map(mg, mg, 5)),  # 5 is idempotent, not 1
     ]:
         p = d / f"{name}.json"
         p.write_text(json.dumps(phi.to_json()))
@@ -225,6 +228,37 @@ def test_enumerate_csv():
     assert lines[1] == "0,0 0"
 
 
+_MULT_ROW = ('{"predicate":"multiplicative","pass":true,"witnesses":[],'
+             '"counts":{"checked":65536,"violations":0,"unital":%d}}')
+_REL_ROWS = {
+    ("unital", True): '{"predicate":"unital","pass":true,"witnesses":[],'
+                      '"counts":{"checked":1,"violations":0}}',
+    ("unital", False): '{"predicate":"unital","pass":false,"witnesses":[[65]],'
+                       '"counts":{"checked":1,"violations":1}}',
+    ("i-relation", True): '{"predicate":"i_relation","pass":true,"witnesses":[],'
+                          '"counts":{"checked":1,"violations":0}}',
+    ("i-relation", False): '{"predicate":"i_relation","pass":false,'
+                           '"witnesses":[[130,64,1]],'
+                           '"counts":{"checked":1,"violations":1}}',
+}
+
+
+@pytest.mark.parametrize("relation", ["unital", "i-relation"])
+@pytest.mark.parametrize("with_mult", [(), ("--mult",)], ids=["alone", "after-mult"])
+@pytest.mark.parametrize("name,ok", [("id_mg2", True), ("idem_mg2", False)])
+def test_map_check_relation_rows_pinned(map_files, relation, with_mult, name, ok):
+    """``--unital`` and ``--i-relation`` rows on M2(Z2[i]), alone and with
+    ``--mult`` (flag given before or after it): the multiplicative row
+    always comes first, and the exit code follows the relation."""
+    rows = [_MULT_ROW % ok] if with_mult else []
+    rows.append(_REL_ROWS[relation, ok])
+    expected = ('{"map":{"dom":"mat:2:gauss:2","cod":"mat:2:gauss:2"},'
+                '"checks":[%s],"pass":%s}\n' % (",".join(rows), str(ok).lower()))
+    for flags in {(f"--{relation}", *with_mult), (*with_mult, f"--{relation}")}:
+        code, out = run_cli("map", "check", map_files[name], *flags)
+        assert (code, out) == (0 if ok else 1, expected)
+
+
 # ---------------------------------------------------------------------------
 # Malformed input: exit 2 with a one-line error, never a traceback
 
@@ -246,6 +280,14 @@ def test_workers_below_one_exit2(workers, capsys):
 def test_verify_i_relation_limit_below_one_exit2(limit, capsys):
     _assert_one_line_error(*run_cli("verify", "i-relation", "--dom", "mat:2:zmod:2",
                                     "--limit", limit), capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--dom", "zmod:4", "--cod", "zmod:2", "--filter", "corner"],
+    ["verify", "prop1", "--dom", "zmod:4", "--cod", "zmod:2"],
+], ids=["enumerate-corner", "verify-prop1"])
+def test_corner_relation_on_non_matrix_domain_exit2(argv, capsys):
+    _assert_one_line_error(*run_cli(*argv), capsys)
 
 
 @pytest.mark.parametrize("trace", [

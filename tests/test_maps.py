@@ -229,6 +229,30 @@ def test_scalar_linearity_zero_map(m2z2):
     assert scalar_linearity_holds(z, [m2z2.ring.zero, m2z2.ring.one]).passed
 
 
+def test_scalar_linearity_reports_pinned(m2z2):
+    """Counts and witnesses, in order: the scalar pairs (s, x) first, in
+    the order the scalars are given, then the span pairs; the cap applies
+    to both parts together."""
+    m = make_matrix_ring(make_zmod(3), 2)
+    scalars = [m.scalar_matrix(s) for s in range(3)]
+    rep = scalar_linearity_holds(power_map(m.ring, 2), scalars, witness_cap=5)
+    assert rep.to_json() == {
+        "predicate": "scalar_linearity", "pass": False,
+        "witnesses": [[1, 1], [1, 2], [1, 28], [1, 29], [1, 55]],
+        "counts": {"checked": 324, "violations": 56, "scalars": 3, "span_size": 9}}
+    assert scalar_linearity_holds(power_map(m.ring, 3), scalars).counts == {
+        "checked": 324, "violations": 0, "scalars": 3, "span_size": 9}
+    shift = from_callable(m.ring, m.ring, lambda x: int(m.ring.add[x, m.ring.one]))
+    rep = scalar_linearity_holds(shift, scalars[::-1], witness_cap=6)
+    assert rep.witnesses == [(56, 0), (56, 1), (56, 2), (56, 3), (56, 4), (56, 5)]
+    assert rep.counts["violations"] == 321
+    rep = scalar_linearity_holds(determinant_map(m2z2),
+                                 [m2z2.ring.zero, m2z2.ring.one])
+    assert rep.witnesses == [(1, 8), (1, 9), (8, 1), (8, 9), (9, 1), (9, 8)]
+    assert rep.counts == {"checked": 48, "violations": 6, "scalars": 2,
+                          "span_size": 4}
+
+
 def test_scalar_linearity_rejects_noncentral(m2z2):
     e12 = m2z2.matrix_unit(0, 1)
     with pytest.raises(NonCentralScalar):

@@ -322,9 +322,7 @@ def test_validation_catches_broken_distributivity():
 
 def _is_violation(name: str, w: tuple, ring: RingTable, add, mul) -> bool:
     """Whether witness ``w`` of check ``name`` breaks that law in the
-    tables (nested lists), read from the law's definition.  The inverse
-    law is read as ``add_inverses`` states it: ``ring.neg[x]``, the first
-    right inverse in x's row, is a two-sided inverse of x."""
+    tables (nested lists), read from the law's definition."""
     zero, one = ring.zero, ring.one
     if name == "add_commutative":
         x, y = w
@@ -334,8 +332,8 @@ def _is_violation(name: str, w: tuple, ring: RingTable, add, mul) -> bool:
         return add[zero][x] != x or add[x][zero] != x
     if name == "add_inverses":
         (x,) = w
-        y = int(ring.neg[x])
-        return add[x][y] != zero or add[y][x] != zero
+        return not any(add[x][y] == zero and add[y][x] == zero
+                       for y in range(ring.size))
     if name == "add_associative":
         x, s, y = w
         return add[add[x][s]][y] != add[x][add[s][y]]
@@ -390,6 +388,26 @@ def test_validation_against_oracle_on_single_entry_mutants(spec):
                                                  add, mul), (which, x, y, new, c)
                     mutants += 1
     assert mutants >= 2 * n * n
+
+
+def test_add_inverses_accepts_any_two_sided_inverse():
+    """zmod:3 with add[2, 0] = 0: the first zero of row 2 is at 0, which is
+    not a two-sided inverse, but 1 is, so 2 is no ``add_inverses`` witness.
+    The table still fails, on commutativity and the identity."""
+    z3 = make_zmod(3)
+    add = z3.add.copy()
+    add[2, 0] = 0
+    broken = RingTable(add, z3.mul, 0, 1)
+    assert int(broken.neg[2]) == 0
+    val = validate_ring(broken)
+    assert val.checks["add_inverses"].passed
+    assert val.checks["add_inverses"].witness is None
+    assert not val.ok
+    assert not val.checks["add_identity"].passed
+    add = z3.add.copy()
+    add[2, 1] = 2  # 1 and 2 lose each other, their only inverses
+    val = validate_ring(RingTable(add, z3.mul, 0, 1))
+    assert val.checks["add_inverses"].witness == (1,)
 
 
 def test_degenerate_ring_vacuously_valid():

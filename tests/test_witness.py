@@ -5,6 +5,7 @@ import pytest
 import oracles
 from matsemi.errors import NotAUnit, PreconditionFailed
 from matsemi.maps import (
+    constant_map,
     determinant_map,
     from_callable,
     identity_map,
@@ -193,6 +194,23 @@ def test_fourth_power_gates_on_i_relation():
         fourth_power_reduction(determinant_map(M2G3))
 
 
+def test_fourth_power_reduction_with_nonzero_phi_zero():
+    """The constant map onto c = 3+i in Z5[i], an idempotent with c = 2ic,
+    is multiplicative and meets the i-relation but not the corner
+    relation: (iP + iQ)^4 = c = phi(1), while (P + Q)^4 = c != 2c."""
+    g5 = make_gaussian(5)
+    c = 8
+    assert g5.render(c) == "3+i"
+    rep = fourth_power_reduction(constant_map(make_matrix_ring(make_gaussian(2), 2).ring,
+                                              g5, c))
+    assert rep.to_json() == {
+        "predicate": "fourth_power_reduction", "pass": False,
+        "witnesses": [[65, 64, 1]],
+        "counts": {"checked": 3, "violations": 1, "phi_zero": 8,
+                   "phi_zero_is_zero": 0, "fourth_power_identity": 1,
+                   "sum_fourth_equals_sum": 0}}
+
+
 # ---------------------------------------------------------------------------
 # Doubling closure
 
@@ -238,6 +256,23 @@ def test_doubling_gates_on_pool_multiplicativity():
     shift = from_callable(Z4, Z4, lambda x: (x + 1) % 4)
     with pytest.raises(PreconditionFailed):
         doubling_additivity_closure(shift, "units", depth=1)
+
+
+def test_doubling_gate_reports_first_pool_violations_in_order():
+    """The pool gate's report lists the first 16 violating pool pairs in
+    lexicographic order, with the total count."""
+    ring = make_matrix_ring(Z3, 2).ring
+    phi = power_map(ring, 2)
+    with pytest.raises(PreconditionFailed) as exc:
+        doubling_additivity_closure(phi, "units", depth=1)
+    rep = exc.value.report
+    pool = sorted(int(u) for u in units(ring))
+    bad = [(x, y) for x in pool for y in pool
+           if phi(int(ring.mul[x, y])) != int(ring.mul[phi(x), phi(y)])]
+    assert rep.predicate == "pool_multiplicative" and not rep.passed
+    assert rep.counts == {"checked": len(pool) ** 2, "violations": len(bad)}
+    assert len(bad) == 1920
+    assert rep.witnesses == bad[:16]
 
 
 def test_doubling_without_padding_only_even_lengths():
@@ -288,6 +323,24 @@ def test_group_restriction_cube_k2_fails():
     rep = group_hom_restriction_check(power_map(Z4, 3), 2)
     assert not rep.passed
     assert rep.counts["violations"] > 0
+
+
+def test_group_restriction_reports_pinned():
+    """Counts and witnesses, in order: pool elements mapped outside the
+    codomain pool first, then violating pairs; the cap covers both."""
+    rep = group_hom_restriction_check(power_map(Z4, 3), 2)
+    assert rep.witnesses == [
+        (21, 21), (21, 22), (21, 29), (21, 30), (21, 54), (21, 55), (21, 62),
+        (21, 63), (21, 69), (21, 71), (21, 73), (21, 75), (21, 81), (21, 84),
+        (21, 86), (21, 89)]
+    assert rep.counts == {"checked": 9312, "violations": 6656, "pool_size": 96,
+                          "cod_pool_size": 96, "k": 2}
+    rep = group_hom_restriction_check(constant_map(Z4, Z4, 2), 1)
+    assert rep.witnesses == [(1,), (3,), (1, 1), (1, 3), (3, 1), (3, 3)]
+    assert rep.counts["violations"] == rep.counts["checked"] == 6
+    rep = group_hom_restriction_check(constant_map(Z4, Z4, 2), 2, witness_cap=5)
+    assert rep.witnesses == [(20,), (21,), (22,), (23,), (28,)]
+    assert rep.counts["violations"] == rep.counts["checked"] == 9312
 
 
 def test_group_restriction_unitaries_mode():
