@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--ring", help="ring spec for ring-level suites")
     ver.add_argument("--map", dest="map_path", help="JSON map file")
     ver.add_argument("--limit", type=int, default=None)
-    ver.add_argument("--workers", type=int, default=1)
+    ver.add_argument("--workers", type=int, default=None)
     ver.add_argument("--size-cap", type=int, default=None)
     ver.add_argument("--replay", help="replay a stored doubling trace")
     ver.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -217,8 +217,28 @@ def _load_map(path: str, size_cap) -> MapTable:
     return MapTable.from_json(payload, size_cap=size_cap)
 
 
+# Flags of ``verify`` that only some suites read, as (flag, attribute,
+# suites); any other suite refuses them with exit 2 rather than ignoring
+# them.  The doubling suites run in one process and ignore --workers, which
+# they take so that a worker-count sweep can pass it to every suite.
+_SUITE_FLAGS = [
+    ("--dom", "dom", ("prop1", "tensor", "i-relation")),
+    ("--cod", "cod", ("prop1", "tensor", "i-relation")),
+    ("--workers", "workers", ("prop1", "tensor", "i-relation",
+                              "doubling-unitary", "doubling-gl")),
+    ("--limit", "limit", ("i-relation",)),
+    ("--ring", "ring", ("witnesses",)),
+    ("--map", "map_path", ("doubling-unitary", "doubling-gl")),
+    ("--replay", "replay", ("doubling-unitary", "doubling-gl")),
+]
+
+
 def _cmd_verify(args) -> int:
     suite = args.suite
+    for flag, attr, suites in _SUITE_FLAGS:
+        if getattr(args, attr) is not None and suite not in suites:
+            raise MatsemiError(f"verify {suite} does not take {flag}")
+    workers = 1 if args.workers is None else args.workers
     lines = None  # the generic text report unless a suite sets its own
     if suite in ("doubling-unitary", "doubling-gl"):
         mode = "unitaries" if suite == "doubling-unitary" else "units"
@@ -240,13 +260,13 @@ def _cmd_verify(args) -> int:
             raise MatsemiError("verify prop1 needs --dom and --cod")
         dom = parse_ring_spec(args.dom, size_cap=args.size_cap)
         cod = parse_ring_spec(args.cod, size_cap=args.size_cap)
-        doc = verify_corner_equivalence(dom, cod, workers=args.workers).to_json()
+        doc = verify_corner_equivalence(dom, cod, workers=workers).to_json()
     elif suite == "tensor":
         if not args.dom:
             raise MatsemiError("verify tensor needs --dom")
         dom = parse_ring_spec(args.dom, size_cap=args.size_cap)
         cod = parse_ring_spec(args.cod, size_cap=args.size_cap) if args.cod else None
-        doc = verify_tensor_equivalence(dom, cod, workers=args.workers).to_json()
+        doc = verify_tensor_equivalence(dom, cod, workers=workers).to_json()
     elif suite == "i-relation":
         if not args.dom:
             raise MatsemiError("verify i-relation needs --dom")
@@ -254,7 +274,7 @@ def _cmd_verify(args) -> int:
         cod = parse_ring_spec(args.cod, size_cap=args.size_cap) if args.cod else None
         limit = args.limit if args.limit is not None else DEFAULT_MAP_LIMIT
         doc = verify_fourth_power_search(
-            dom, cod, limit=limit, workers=args.workers).to_json()
+            dom, cod, limit=limit, workers=workers).to_json()
     elif suite == "witnesses":
         if not args.ring:
             raise MatsemiError("verify witnesses needs --ring")
@@ -292,7 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
+        if getattr(args, "workers", None) is not None and args.workers < 1:
             raise MatsemiError("--workers must be >= 1")
         if args.command == "ring":
             return _cmd_ring_info(args)

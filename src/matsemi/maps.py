@@ -21,12 +21,19 @@ use these two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MapFormatError, NonCentralScalar, NotAMatrixRing
-from .rings import MatrixRingView, RingTable, make_matrix_ring, parse_ring_spec
+from .rings import (
+    MatrixRingView,
+    RingTable,
+    _row_scan,
+    make_matrix_ring,
+    parse_ring_spec,
+)
 
 WITNESS_CAP = 16
 
@@ -141,26 +148,18 @@ class CheckReport:
 
 def _pair_report(name: str, eq: np.ndarray, witness_cap: int,
                  extra_counts: dict | None = None, axes=None) -> CheckReport:
-    """Report over the boolean array ``eq``: its size, its false entries and
-    the first ``witness_cap`` of them in index order.  ``axes`` gives, per
-    axis of ``eq``, the element each position stands for (default: the
-    position itself)."""
+    """Report over the boolean vector or grid ``eq``: its size, its false
+    entries and the first ``witness_cap`` of them in index order.  ``axes``
+    gives, per axis of ``eq``, the element each position stands for
+    (default: the position itself)."""
     eq = np.asarray(eq)
-    violations = eq.size - int(np.count_nonzero(eq))
-    counts = {"checked": int(eq.size), "violations": violations}
-    if extra_counts:
-        counts.update(extra_counts)
-    witnesses = []
-    if violations:
-        # Only the leading rows that hold the first ``witness_cap``
-        # violations are searched, so no index array over all of them is built.
-        rows = eq.reshape(len(eq), -1)
-        bad_per_row = rows.shape[1] - np.count_nonzero(rows, axis=1)
-        stop = int(np.searchsorted(np.cumsum(bad_per_row), witness_cap)) + 1
-        witnesses = [tuple(int(v) if axes is None else int(axes[d][v])
-                           for d, v in enumerate(w))
-                     for w in np.argwhere(~eq[:stop])[:witness_cap]]
-    return CheckReport(name, violations == 0, witnesses, counts)
+    grid = eq.reshape(len(eq), math.prod(eq.shape[1:]))
+    violations, found = _row_scan(grid.shape, lambda lo, hi: grid[lo:hi], witness_cap)
+    witnesses = [tuple(v if axes is None else int(axes[d][v])
+                       for d, v in enumerate(w[:eq.ndim])) for w in found]
+    return CheckReport(name, violations == 0, witnesses,
+                       {"checked": int(eq.size), "violations": violations,
+                        **(extra_counts or {})})
 
 
 def _joint_report(name: str, parts: list[CheckReport], witness_cap: int,
@@ -181,13 +180,22 @@ def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
 
     Witnesses are element pairs in the order of the grid (lexicographic for
     sorted ``xs`` and ``ys``).  Images are gathered in the codomain table's
-    dtype, so a full scan holds two table-sized arrays and one boolean one.
+    dtype; the full scan runs in row blocks (:func:`rings._row_scan`), so
+    its temporaries stay at block size.
     """
     dom_t, cod_t = getattr(phi.dom, op), getattr(phi.cod, op)
     img = phi.img.astype(cod_t.dtype)
     if xs is None:
-        eq = img[dom_t] == cod_t[img[:, None], img[None, :]]
-        return _pair_report(name, eq, witness_cap, extra_counts)
+        n = phi.dom.size
+
+        def law(lo, hi):  # phi(x o y) == phi(x) o phi(y), rows x in lo..hi-1
+            return np.take(img, dom_t[lo:hi]) == np.take(
+                np.take(cod_t, img[lo:hi], axis=0), img, axis=1)
+
+        violations, witnesses = _row_scan((n, n), law, witness_cap)
+        return CheckReport(name, violations == 0, witnesses,
+                           {"checked": n * n, "violations": violations,
+                            **(extra_counts or {})})
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
     eq = img[dom_t[np.ix_(xs, ys)]] == cod_t[np.ix_(img[xs], img[ys])]
     return _pair_report(name, eq, witness_cap, extra_counts, axes=(xs, ys))
@@ -199,7 +207,7 @@ def _corner_units(ring: RingTable) -> tuple[int, int]:
     if view is None or view.k != 2:
         raise NotAMatrixRing(
             f"ring {ring.label} was not built as a 2x2 matrix ring")
-    return view.matrix_unit(0, 0), view.matrix_unit(1, 1)
+    return view.diagonal_units
 
 
 def _relation(name: str, dom: RingTable, cod: RingTable, imgs):

@@ -17,6 +17,20 @@ distributivity are verified through greedy generating sets rather than raw
 triple loops: the generator-reduced scans cover every triple by an
 induction on derivation words, which keeps even a 6561-element matrix ring
 verifiable in seconds without sampling.
+
+Every dense n x n law runs through one row-blocked kernel, ``_row_scan``,
+which evaluates about ``_BLOCK_ENTRIES`` entries at a time with gathers
+along one axis (or flat gathers into rows of a transposed table), so
+temporaries stay at block size.  Two checks are decided by exact
+reductions once the laws their proofs use have passed; otherwise the full
+translation scan runs and reports the same first witness:
+
+* right distributivity on (y, s, t) with s, t additive generators: given
+  the additive group laws and left distributivity, (y+s)x - yx - sx is
+  additive in x;
+* multiplicative associativity on the additive-generator cube: given the
+  group laws and both distributive laws, (xy)z - x(yz) is additive in
+  each argument.
 """
 
 from __future__ import annotations
@@ -35,9 +49,13 @@ from .errors import (
     effective_size_cap,
 )
 
-# Above this many (pairs x generators), associativity switches from the
-# generator "translation" scans to the additive-generator cube argument.
+# Above this many (pairs x generators), associativity is reported as decided
+# by the additive-generator cube rather than as the generator "translation"
+# scans, which the cube certifies whenever its prerequisites pass.
 _LIGHT_SCAN_BUDGET = 2 * 10**8
+
+# Dense n x n scans evaluate their law this many table entries at a time.
+_BLOCK_ENTRIES = 1 << 20
 
 # Dense n x n tables beyond this many entries per table do not fit desk-scale
 # memory, independently of the element-count cap.
@@ -285,6 +303,11 @@ class MatrixRingView:
         m[i, j] = self.base.one if scalar is None else scalar
         return int(self.encode(m))
 
+    @functools.cached_property
+    def diagonal_units(self) -> tuple[int, ...]:
+        """Indices of e_11, ..., e_kk, encoded once per view."""
+        return tuple(self.matrix_unit(i, i) for i in range(self.k))
+
     def scalar_matrix(self, s: int) -> int:
         """Index of ``s`` times the identity matrix."""
         m = np.full((self.k, self.k), self.base.zero, dtype=np.int64)
@@ -520,6 +543,11 @@ def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
 
 @dataclass
 class CheckOutcome:
+    """One axiom check.  ``checked`` counts the law instances the check
+    certifies: for a generator translation scan, all (x, s, y) with s a
+    generator, also when a reduced check on fewer instances decided it
+    exactly (see :func:`validate_ring`)."""
+
     name: str
     passed: bool
     checked: int
@@ -532,7 +560,9 @@ class RingValidation:
     """Outcome of the full axiom scan of a ring table.
 
     ``checks`` gates validity; ``info`` carries reported-but-not-gating
-    facts (the star/imaginary-unit compatibility, scan strategies).
+    facts (the star/imaginary-unit compatibility, scan strategies).  Each
+    check's ``checked`` and ``note`` name the translation scan it
+    certifies, whether that scan ran or an exact reduction decided it.
     """
 
     label: str
@@ -563,11 +593,59 @@ class RingValidation:
         }
 
 
+def _row_scan(shape: tuple[int, int], law, witness_cap: int = 1,
+              count: bool = True) -> tuple[int, list[tuple[int, int]]]:
+    """Scan a ``shape`` boolean law in row blocks of about
+    :data:`_BLOCK_ENTRIES` entries; ``law(lo, hi)`` returns its rows
+    ``lo..hi-1``, true where the law holds.
+
+    Returns the number of false entries and the first ``witness_cap`` of
+    them as ``(row, col)`` in row-major order.  With ``count`` false the
+    scan stops at the first block holding a false entry, so the count is
+    only nonzero-or-not.  Blocks keep every temporary at block size, and
+    laws gather with ``np.take`` along one axis of a contiguous table.
+    """
+    n, width = shape
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    violations, witnesses = 0, []
+    for lo in range(0, n, step):
+        ok = law(lo, min(lo + step, n))
+        bad = ok.size - int(np.count_nonzero(ok))
+        if not bad:
+            continue
+        violations += bad
+        need = witness_cap - len(witnesses)
+        if need > 0:
+            # Only the leading rows holding the first ``need`` violations
+            # are searched, so no index array over all of them is built.
+            bad_per_row = ok.shape[1] - np.count_nonzero(ok, axis=1)
+            stop = int(np.searchsorted(np.cumsum(bad_per_row), need)) + 1
+            witnesses += [(lo + r, c)
+                          for r, c in np.argwhere(~ok[:stop])[:need].tolist()]
+        if not count:
+            break
+    return violations, witnesses
+
+
+def _first_violation(n: int, law) -> tuple[int, int] | None:
+    """The first ``(row, col)`` where the n x n ``law`` fails, or None."""
+    _, w = _row_scan((n, n), law, 1, count=False)
+    return w[0] if w else None
+
+
+def _transposed(t: np.ndarray) -> np.ndarray:
+    """A contiguous copy of ``t.T``, written one row block at a time."""
+    out = np.empty(t.shape[::-1], dtype=t.dtype)
+    step = max(1, _BLOCK_ENTRIES // max(t.shape[1], 1))
+    for lo in range(0, t.shape[0], step):
+        out[:, lo:lo + step] = t[lo:lo + step].T
+    return out
+
+
 def _first_bad(eq: np.ndarray) -> tuple[int, ...] | None:
-    bad = np.argwhere(~eq)
-    if bad.size == 0:
+    if eq.all():
         return None
-    return tuple(int(v) for v in bad[0])
+    return tuple(int(v) for v in np.argwhere(~eq)[0])
 
 
 def _outcome(name, eq, checked, mapper=None, note="") -> CheckOutcome:
@@ -576,6 +654,27 @@ def _outcome(name, eq, checked, mapper=None, note="") -> CheckOutcome:
     if w is not None and mapper is not None:
         w = mapper(w)
     return CheckOutcome(name, w is None, checked, w, note)
+
+
+def _outcome_at(name: str, n: int, law) -> CheckOutcome:
+    """Outcome of the n x n ``law(lo, hi)`` (see :func:`_row_scan`)."""
+    w = _first_violation(n, law)
+    return CheckOutcome(name, w is None, n * n, w)
+
+
+def _generator_scan(n: int, gens, law) -> tuple[int, int, int] | None:
+    """The first failure ``(s, row, col)`` of the n x n laws
+    ``law(s, lo, hi)``, generators s taken in order, or None."""
+    for s in gens:
+        w = _first_violation(n, functools.partial(law, s))
+        if w is not None:
+            return (s, *w)
+    return None
+
+
+def _xsy(hit):
+    """A :func:`_generator_scan` failure ``(s, x, y)`` as the triple (x, s, y)."""
+    return None if hit is None else (hit[1], hit[0], hit[2])
 
 
 def validate_ring(ring: RingTable) -> RingValidation:
@@ -607,7 +706,11 @@ def validate_ring(ring: RingTable) -> RingValidation:
         in_range = in_range and 0 <= ring.i_elem < n
     ch["tables_well_formed"] = CheckOutcome("tables_well_formed", in_range, 2 * n * n)
 
-    ch["add_commutative"] = _outcome("add_commutative", add == add.T, n * n)
+    # add's transpose serves commutativity and, as xy + xs = entry
+    # (xs, xy) of it, the left distributivity scan: one row of it per x.
+    addT = _transposed(add)
+    ch["add_commutative"] = _outcome_at(
+        "add_commutative", n, lambda lo, hi: add[lo:hi] == addT[lo:hi])
     ch["add_identity"] = _outcome(
         "add_identity",
         (add[ring.zero, :] == idx) & (add[:, ring.zero] == idx), n,
@@ -622,18 +725,18 @@ def validate_ring(ring: RingTable) -> RingValidation:
     add_cl = greedy_closure(add, seed=ring.zero)
     gens_add = add_cl.gens
     v.info["additive_generators"] = list(gens_add)
-    assoc_ok = True
-    assoc_w = None
-    for s in gens_add:
-        eq = add[add[:, s], :] == add[:, add[s, :]]
-        if not eq.all():
-            assoc_ok = False
-            a, b = _first_bad(eq)
-            assoc_w = (a, s, b)
-            break
+    G = np.asarray(gens_add, dtype=np.intp)
+    per = n * n * len(gens_add)
+
+    def add_assoc(s, lo, hi):  # (x + s) + y == x + (s + y)
+        return np.take(add, add[lo:hi, s], axis=0) == np.take(add[lo:hi], add[s], axis=1)
+
+    hit = _generator_scan(n, gens_add, add_assoc)
     ch["add_associative"] = CheckOutcome(
-        "add_associative", assoc_ok, n * n * len(gens_add), assoc_w,
+        "add_associative", hit is None, per, _xsy(hit),
         note="generator translation scan")
+    group = all(ch[k].passed for k in (
+        "add_commutative", "add_identity", "add_inverses", "add_associative"))
 
     ch["mul_identity"] = _outcome(
         "mul_identity",
@@ -644,57 +747,60 @@ def validate_ring(ring: RingTable) -> RingValidation:
         (mul[ring.zero, :] == ring.zero) & (mul[:, ring.zero] == ring.zero), n,
         mapper=lambda w: (ring.zero, w[0]))
 
-    ldist_ok, rdist_ok = True, True
-    ldist_w = rdist_w = None
-    for s in gens_add:
-        eq = mul[:, add[:, s]] == add[mul, mul[:, s][:, None]]
-        if ldist_ok and not eq.all():
-            x, y = _first_bad(eq)
-            ldist_ok, ldist_w = False, (x, y, s)
-        eq = mul[add[:, s], :] == add[mul, mul[s, :][None, :]]
-        if rdist_ok and not eq.all():
-            y, x = _first_bad(eq)
-            rdist_ok, rdist_w = False, (y, s, x)
-        if not ldist_ok and not rdist_ok:
-            break
-    per = n * n * len(gens_add)
+    def left_dist(s, lo, hi):  # x(y + s) == xy + xs
+        xs = mul[lo:hi, s].astype(np.intp) * n
+        return (np.take(mul[lo:hi], add[:, s], axis=1)
+                == np.take(addT, xs[:, None] + mul[lo:hi]))
+
+    hit = _generator_scan(n, gens_add, left_dist)
+    del addT
     ch["left_distributive"] = CheckOutcome(
-        "left_distributive", ldist_ok, per, ldist_w, note="additive generator scan")
+        "left_distributive", hit is None, per,
+        None if hit is None else (hit[1], hit[2], hit[0]),
+        note="additive generator scan")
+
+    # With the additive group laws and left distributivity, the defect
+    # (y+s)x - yx - sx is additive in x: it vanishes for every x once it
+    # vanishes for x in the additive generators.
+    reduced = group and ch["left_distributive"].passed and bool((
+        mul[add[:, G][:, :, None], G]
+        == add[mul[:, G][:, None, :], mul[np.ix_(G, G)]]).all())
+
+    def right_dist(s, lo, hi):  # (y + s)x == yx + sx
+        return (np.take(mul, add[lo:hi, s], axis=0)
+                == np.take(add, mul[lo:hi].astype(np.intp) * n + mul[s]))
+
+    hit = None if reduced else _generator_scan(n, gens_add, right_dist)
     ch["right_distributive"] = CheckOutcome(
-        "right_distributive", rdist_ok, per, rdist_w, note="additive generator scan")
+        "right_distributive", hit is None, per, _xsy(hit),
+        note="additive generator scan")
 
     mul_cl = greedy_closure(mul, seed=ring.one)
     gens_mul = mul_cl.gens
     v.info["multiplicative_generators"] = list(gens_mul)
+    # (xy)z - x(yz) is additive in each argument once distributivity and
+    # the additive group laws hold, so vanishing on additive-generator
+    # triples is equivalent to vanishing everywhere.
+    prereq = (group and ch["left_distributive"].passed
+              and ch["right_distributive"].passed and ch["zero_absorbs"].passed)
+    GG = mul[np.ix_(G, G)]
+    cube_w = _first_bad(mul[GG[:, :, None], G] == mul[G[:, None, None], GG[None, :, :]])
     if n * n * max(len(gens_mul), 1) <= _LIGHT_SCAN_BUDGET:
         strategy = "generator translation scan"
-        massoc_ok, massoc_w = True, None
-        for s in gens_mul:
-            eq = mul[mul[:, s], :] == mul[:, mul[s, :]]
-            if not eq.all():
-                massoc_ok = False
-                a, b = _first_bad(eq)
-                massoc_w = (a, s, b)
-                break
+
+        def mul_assoc(s, lo, hi):  # (x s) y == x (s y)
+            return (np.take(mul, mul[lo:hi, s], axis=0)
+                    == np.take(mul[lo:hi], mul[s], axis=1))
+
+        # The translation scan runs only when the cube cannot decide it.
+        hit = None if prereq and cube_w is None else _generator_scan(n, gens_mul, mul_assoc)
+        massoc_ok, massoc_w = hit is None, _xsy(hit)
         checked = n * n * len(gens_mul)
     else:
-        # (xy)z - x(yz) is additive in each argument once distributivity and
-        # the additive group laws hold, so vanishing on additive-generator
-        # triples is equivalent to vanishing everywhere.
         strategy = "additive generator cube"
-        prereq = (ch["add_associative"].passed and ch["add_commutative"].passed
-                  and ch["add_identity"].passed and ch["add_inverses"].passed
-                  and ldist_ok and rdist_ok and ch["zero_absorbs"].passed)
-        G = np.asarray(gens_add)
-        lhs = mul[mul[np.ix_(G, G)][:, :, None], G[None, None, :]]
-        rhs = mul[G[:, None, None], mul[np.ix_(G, G)][None, :, :]]
-        eq = lhs == rhs
-        massoc_ok = prereq and bool(eq.all())
-        massoc_w = None
-        if not eq.all():
-            a, b, c = _first_bad(eq)
-            massoc_w = (int(G[a]), int(G[b]), int(G[c]))
-        elif not prereq:
+        massoc_ok = prereq and cube_w is None
+        massoc_w = None if cube_w is None else tuple(int(G[a]) for a in cube_w)
+        if cube_w is None and not prereq:
             strategy += " (prerequisite scans failed)"
         checked = len(gens_add) ** 3
     ch["mul_associative"] = CheckOutcome(
@@ -707,11 +813,14 @@ def validate_ring(ring: RingTable) -> RingValidation:
         ch["star_fixes_one"] = CheckOutcome(
             "star_fixes_one", int(star[ring.one]) == ring.one, 1,
             None if int(star[ring.one]) == ring.one else (ring.one,))
-        ch["star_additive"] = _outcome(
-            "star_additive", star[add] == add[star[:, None], star[None, :]], n * n)
-        ch["star_antimultiplicative"] = _outcome(
-            "star_antimultiplicative",
-            star[mul] == mul[star[:, None], star[None, :]].T, n * n)
+        ch["star_additive"] = _outcome_at(
+            "star_additive", n, lambda lo, hi: np.take(star, add[lo:hi]) == np.take(
+                np.take(add, star[lo:hi], axis=0), star, axis=1))
+        mulT = _transposed(mul)
+        ch["star_antimultiplicative"] = _outcome_at(
+            "star_antimultiplicative", n, lambda lo, hi: np.take(star, mul[lo:hi]) == np.take(
+                np.take(mulT, star[lo:hi], axis=0), star, axis=1))
+        del mulT
 
     if ring.i_elem is not None:
         i = ring.i_elem

@@ -6,6 +6,7 @@ the independent plain-python oracle live inline so a regression in the
 vectorized paths cannot silently pass.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +56,12 @@ def _report(num, name, ok, elapsed, budget, detail=""):
 # 1. Ring corpus validity
 
 
+# sha256 of validate_ring(M_2(Z_3[i])).to_json() as sorted compact JSON:
+# the checks, counts, witnesses, notes and generators, pinned byte for byte.
+M2_GAUSS3_VALIDATION_SHA256 = (
+    "b048e3f8a510b3b671d33dd45601cc0242db25620ea58c020d26df3979522219")
+
+
 def test_acceptance_1_ring_corpus_validity(corpus):
     t0 = time.monotonic()
     rings = corpus["rings"]
@@ -62,6 +69,12 @@ def test_acceptance_1_ring_corpus_validity(corpus):
     for spec, ring in rings.items():
         val = validate_ring(ring)
         ok = val.ok
+        if spec == "mat:2:gauss:3":
+            digest = hashlib.sha256(json.dumps(
+                val.to_json(), sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+            if digest != M2_GAUSS3_VALIDATION_SHA256:
+                ok = False
+                print(f"  corpus ring {spec} report digest {digest} changed")
         if ring.matrix_view is not None:
             ok = ok and validate_matrix_view(ring.matrix_view).ok
         if not ok:

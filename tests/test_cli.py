@@ -282,6 +282,25 @@ def test_verify_i_relation_limit_below_one_exit2(limit, capsys):
                                     "--limit", limit), capsys)
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["witnesses", "--ring", "zmod:4", "--limit", "3"], "--limit"),
+    (["tensor", "--dom", "zmod:2", "--limit", "3"], "--limit"),
+    (["witnesses", "--ring", "zmod:4", "--dom", "zmod:4"], "--dom"),
+    (["doubling-gl", "--map", "{id_z4}", "--cod", "zmod:4"], "--cod"),
+    (["prop1", "--dom", "mat:2:zmod:2", "--cod", "zmod:2", "--ring", "zmod:2"],
+     "--ring"),
+    (["tensor", "--dom", "zmod:4", "--map", "{id_z4}"], "--map"),
+    (["i-relation", "--dom", "mat:2:zmod:2", "--replay", "{id_z4}"], "--replay"),
+    (["witnesses", "--ring", "zmod:4", "--workers", "2"], "--workers"),
+], ids=["limit-witnesses", "limit-tensor", "dom", "cod", "ring", "map",
+        "replay", "workers"])
+def test_verify_flag_the_suite_does_not_read_exit2(argv, flag, map_files, capsys):
+    """A verify flag the chosen suite ignores is a usage error."""
+    code, out = run_cli("verify", *[a.format(**map_files) for a in argv])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: verify {argv[0]} does not take {flag}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--dom", "zmod:4", "--cod", "zmod:2", "--filter", "corner"],
     ["verify", "prop1", "--dom", "zmod:4", "--cod", "zmod:2"],

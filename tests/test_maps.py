@@ -33,6 +33,7 @@ from matsemi.maps import (
     tensor_id,
     zero_map,
 )
+from matsemi import rings
 from matsemi.rings import make_gaussian, make_matrix_ring, make_zmod
 
 
@@ -119,10 +120,10 @@ def test_witness_order_and_cap():
                                      (is_additive, "add")], ids=["mul", "add"])
 @pytest.mark.parametrize("kind", ["identity", "random"])
 def test_pair_scan_peak_memory(scan, op, kind):
-    """A pair scan of M_2(Z_7) peaks at 6 bytes per pair or less: images
-    gathered in the table dtype, products and the boolean mask, with no
-    int64 gather and no index array over every violation.  Counts and
-    witnesses equal a plain int64 scan's."""
+    """A pair scan of M_2(Z_7) peaks at 3 bytes per pair or less: it runs
+    in row blocks, images gathered in the table dtype, with no int64
+    gather and no index array over every violation.  Counts and witnesses
+    equal a plain int64 scan's."""
     ring = make_matrix_ring(make_zmod(7), 2).ring
     n = ring.size
     img = (np.arange(n) if kind == "identity"
@@ -134,12 +135,36 @@ def test_pair_scan_peak_memory(scan, op, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * n * n
+    assert peak <= 3 * n * n
     table = getattr(ring, op)
     bad = np.argwhere(img[table] != table[img[:, None], img[None, :]])
     assert rep.passed == (kind == "identity")
     assert rep.counts["violations"] == len(bad)
     assert rep.witnesses == [tuple(int(v) for v in w) for w in bad[:16]]
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_pair_scan_across_block_boundary(op):
+    """Full pair scans of M_2(Z_7), whose rows span several blocks, on maps
+    changed at the last row of the first block and the first row of the
+    next: counts and witnesses equal a plain int64 scan's at caps 0, 1 and
+    16, and, for the changed identity map, at a cap taking every witness."""
+    ring = make_matrix_ring(make_zmod(7), 2).ring
+    n = ring.size
+    rows = rings._BLOCK_ENTRIES // n
+    assert 1 < rows < n - 1
+    table = getattr(ring, op)
+    rng = np.random.default_rng(rows)
+    for base in (np.arange(n), rng.integers(0, n, n)):
+        img = base.copy()
+        img[rows - 1] = (img[rows - 1] + 1) % n
+        img[rows] = (img[rows] + 2) % n
+        bad = np.argwhere(img[table] != table[img[:, None], img[None, :]])
+        for cap in (0, 1, 16) + ((len(bad),) if len(bad) < 10**5 else ()):
+            rep = (is_multiplicative if op == "mul" else is_additive)(
+                MapTable(ring, ring, img), witness_cap=cap)
+            assert rep.counts["violations"] == len(bad)
+            assert rep.witnesses == [tuple(int(v) for v in w) for w in bad[:cap]]
 
 
 def test_respects_star_conjugation():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from matsemi import rings
 from matsemi.errors import (
     MissingInvolution,
     RingSpecError,
@@ -388,6 +389,104 @@ def test_validation_against_oracle_on_single_entry_mutants(spec):
                                                  add, mul), (which, x, y, new, c)
                     mutants += 1
     assert mutants >= 2 * n * n
+
+
+@pytest.mark.parametrize("spec", ["zmod:%d" % n for n in range(2, 9)]
+                         + ["gauss:2", "gauss:3", "mat:2:zmod:2"])
+def test_validation_on_single_entry_mutants_in_three_row_blocks(spec, monkeypatch):
+    """The mutation suite again with the dense scans cut into blocks of
+    three rows, so every ring spans several blocks."""
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 3 * parse_ring_spec(spec).size)
+    test_validation_against_oracle_on_single_entry_mutants(spec)
+
+
+def _certified_law_holds(name: str, add, mul, gens) -> bool:
+    """Whether the law of translation check ``name`` holds on every
+    instance the check certifies: all x, y with s in ``gens``."""
+    n = len(add)
+    x, y = np.ix_(range(n), range(n))
+    laws = {
+        "add_associative": lambda s: add[add[x, s], y] == add[x, add[s, y]],
+        "left_distributive": lambda s: mul[x, add[y, s]] == add[mul[x, y], mul[x, s]],
+        "right_distributive": lambda s: mul[add[y, s], x] == add[mul[y, x], mul[s, x]],
+        "mul_associative": lambda s: mul[mul[x, s], y] == mul[x, mul[s, y]],
+    }
+    return all(laws[name](s).all() for s in gens)
+
+
+@pytest.mark.parametrize("spec", ["zmod:%d" % n for n in range(2, 9)]
+                         + ["gauss:2", "gauss:3", "mat:2:zmod:2"])
+def test_reduced_checks_on_one_sided_tables(spec):
+    """Tables x*y = f(x)h(y) over a ring keep its additive group, and are
+    left distributive when h = id.  The seeded f and h are pinned so that
+    the reduced checks can pass where the full laws fail: f fixes the
+    additive generators and their pairwise sums, or h sends the generators
+    to zero.  Each translation check passes exactly when its law holds on
+    every instance it certifies, and each witness breaks its law."""
+    ring = parse_ring_spec(spec)
+    n = ring.size
+    rng = np.random.default_rng(100 + n)
+    gens = np.asarray(validate_ring(ring).info["additive_generators"])
+    sums = ring.add[gens[:, None], gens[None, :]]
+    for trial in range(40):
+        f = rng.integers(0, n, n)
+        h = np.arange(n) if trial % 2 == 0 else rng.integers(0, n, n)
+        f[ring.zero] = h[ring.zero] = ring.zero
+        if trial % 4 < 2:
+            f[gens], f[sums] = gens, sums
+        else:
+            h[gens] = ring.zero
+        mul = ring.mul[f[:, None], h[None, :]]
+        val = validate_ring(RingTable(ring.add, mul, ring.zero, ring.one))
+        assert val.info["mul_assoc_strategy"] == "generator translation scan"
+        for name in ("add_associative", "left_distributive",
+                     "right_distributive", "mul_associative"):
+            kind = "multiplicative" if name == "mul_associative" else "additive"
+            check = val.checks[name]
+            assert check.passed == _certified_law_holds(
+                name, ring.add, mul, val.info[f"{kind}_generators"]), (trial, name)
+            if not check.passed:
+                assert _is_violation(name, check.witness, ring,
+                                     ring.add.tolist(), mul.tolist()), (trial, check)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+@pytest.mark.parametrize("spec", ["gauss:2", "gauss:3", "mat:2:gauss:2"])
+def test_star_checks_on_swapped_star_tables(spec, block_rows, monkeypatch):
+    """Two entries of the involution swapped: the star additivity and
+    antimultiplicativity checks pass exactly when their laws hold on all
+    pairs, and report the first violating pair in row-major order."""
+    ring = parse_ring_spec(spec)
+    n = ring.size
+    if block_rows:
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_rows * n)
+    rng = np.random.default_rng(n)
+    x, y = np.ix_(range(n), range(n))
+    for _ in range(20):
+        star = ring.star.copy()
+        a, b = rng.choice(n, 2, replace=False)
+        star[[a, b]] = star[[b, a]]
+        val = validate_ring(RingTable(ring.add, ring.mul, ring.zero, ring.one, star=star))
+        laws = {"star_additive": star[ring.add] == ring.add[star[x], star[y]],
+                "star_antimultiplicative": star[ring.mul] == ring.mul[star[y], star[x]]}
+        for name, holds in laws.items():
+            check = val.checks[name]
+            assert check.passed == holds.all(), (a, b, name)
+            if not check.passed:
+                assert check.witness == tuple(np.argwhere(~holds)[0].tolist()), (a, b, name)
+
+
+def test_validation_peak_memory():
+    """validate_ring on M_2(Z_7) peaks at 6 bytes per pair or less: the
+    dense scans run in row blocks beside at most one transposed table."""
+    ring = make_matrix_ring(make_zmod(7), 2).ring
+    tracemalloc.start()
+    try:
+        assert validate_ring(ring).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * ring.size ** 2
 
 
 def test_add_inverses_accepts_any_two_sided_inverse():
