@@ -219,13 +219,11 @@ def _load_map(path: str, size_cap) -> MapTable:
 
 # Flags of ``verify`` that only some suites read, as (flag, attribute,
 # suites); any other suite refuses them with exit 2 rather than ignoring
-# them.  The doubling suites run in one process and ignore --workers, which
-# they take so that a worker-count sweep can pass it to every suite.
+# them.  The doubling suites run in one process, so they refuse --workers.
 _SUITE_FLAGS = [
     ("--dom", "dom", ("prop1", "tensor", "i-relation")),
     ("--cod", "cod", ("prop1", "tensor", "i-relation")),
-    ("--workers", "workers", ("prop1", "tensor", "i-relation",
-                              "doubling-unitary", "doubling-gl")),
+    ("--workers", "workers", ("prop1", "tensor", "i-relation")),
     ("--limit", "limit", ("i-relation",)),
     ("--ring", "ring", ("witnesses",)),
     ("--map", "map_path", ("doubling-unitary", "doubling-gl")),

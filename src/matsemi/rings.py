@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._closure import ClosureStages, greedy_closure
+from ._closure import greedy_closure
 from .errors import (
     MissingImaginaryUnit,
     MissingInvolution,
@@ -892,8 +892,3 @@ def validate_matrix_view(view: MatrixRingView) -> MatrixViewValidation:
             "i_is_scalar_identity", ring.i_elem == want, 1,
             None if ring.i_elem == want else (ring.i_elem, want))
     return v
-
-
-def monoid_closure(ring: RingTable) -> ClosureStages:
-    """Greedy generating-set closure of the multiplicative monoid."""
-    return greedy_closure(ring.mul, seed=ring.one)

@@ -25,7 +25,7 @@ import numpy as np
 from ._closure import greedy_closure
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch
 from .maps import MapTable, _relation, corner_relation_holds, is_additive
-from .rings import RingTable, _digits, monoid_closure, parse_ring_spec
+from .rings import RingTable, _digits, parse_ring_spec
 
 BRUTE_FORCE_LIMIT = 2**20
 
@@ -75,7 +75,7 @@ class GeneratorSet:
 def monoid_generators(ring: RingTable) -> GeneratorSet:
     """Greedy generating set of ``(ring, *, 1)``: repeatedly adjoin the
     smallest element outside the current closure and re-saturate."""
-    cl = monoid_closure(ring)
+    cl = greedy_closure(ring.mul, seed=ring.one)
     return GeneratorSet(monoid=ring.label, gens=list(cl.gens), words=cl.words())
 
 
@@ -131,23 +131,19 @@ class _Plan:
     def __init__(self, dom: RingTable, filters: tuple[str, ...]):
         cl = greedy_closure(dom.mul, seed=None)
         self.vars = cl.gens
-        self.rounds = cl.stage_rounds
         self.dx = cl.deriv_x
         self.dy = cl.deriv_y
-
-        stage_of = np.empty(dom.size, dtype=np.int64)
-        for i, rounds in enumerate(self.rounds):
-            for rnd in rounds:
-                stage_of[rnd] = i
-        self.new_elems = [np.concatenate(r) for r in self.rounds]
-        self.prev_elems = []
-        acc: list[np.ndarray] = []
-        for ne in self.new_elems:
-            self.prev_elems.append(
-                np.concatenate(acc) if acc else np.empty(0, dtype=np.int64))
-            acc.append(ne)
-
         nstages = len(self.vars)
+        starts, rs = cl.stage_starts, cl.round_starts
+        self.new_elems = [cl.order[starts[p]:starts[p + 1]] for p in range(nstages)]
+        self.prev_elems = [cl.order[:starts[p]] for p in range(nstages)]
+        stage_of = np.empty(dom.size, dtype=np.int64)
+        stage_of[cl.order] = np.repeat(np.arange(nstages), np.diff(starts))
+        # Per stage: the rounds after the variable's own, whose images are
+        # forced by the products recorded in dx/dy.
+        self.rounds = [[cl.order[a:b] for a, b in zip(rs, rs[1:])
+                        if starts[p] < a < starts[p + 1]]
+                       for p in range(nstages)]
 
         # Per stage: the "ready" pairs (x, g) whose right product x*g it
         # decides first: x new with an earlier variable g, and x anywhere in
@@ -295,7 +291,7 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
                 exhausted = False
                 raise _StopSearch
             img[v] = c
-            for rnd in plan.rounds[p][1:]:
+            for rnd in plan.rounds[p]:
                 img[rnd] = cod.mul[img[plan.dx[rnd]], img[plan.dy[rnd]]]
             ok = check_stage(p)
             if ok and injective:

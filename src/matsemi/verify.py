@@ -32,9 +32,10 @@ from .witness import (
 _CHUNK = 8192
 
 # Default step budget per top-level branch of the capped i-relation search.
-# Deep stages on a 6561-element domain cost tens of milliseconds per step,
-# so the default keeps a cold CLI run under about a minute; callers with
-# more patience pass a larger budget explicitly.
+# With it, the default search M2(Z3[i]) -> M2(Z3[i]) visits 6392 nodes in
+# 4.3-7.9 s of CPU on a shared 2-core x86 host (about 0.7-1.2 ms per node)
+# and is not exhaustive; callers with more patience pass a larger budget
+# explicitly.
 DEFAULT_NODE_BUDGET = 5000
 
 # Default cap on the maps the i-relation search lists.

@@ -207,3 +207,105 @@ def shortest_unit_sum(ring: OracleRing, pool: list[int], x: int,
             if total == x:
                 return list(combo)
     return None
+
+
+def greedy_closure(n: int, op, seed=None) -> dict:
+    """Greedy generating set of the magma ``(range(n), op)``.
+
+    Elements are probed in ascending order; one that is not yet reachable
+    becomes a generator, and the reachable set is then saturated in rounds.
+    A round forms the products frontier x known (rows in frontier order,
+    columns in discovery order), then old x frontier, where old is what was
+    known before the frontier.  The first product to reach an element is
+    its derivation, and the round's new elements, sorted ascending, are the
+    next frontier.  A word expands the derivations down to generators; the
+    seed's word is empty.
+    """
+    order = [] if seed is None else [seed]
+    known = set(order)
+    deriv = {}
+    gens, stage_starts, round_starts = [], [], []
+    for g in range(n):
+        if g in known:
+            continue
+        gens.append(g)
+        stage_starts.append(len(order))
+        order.append(g)
+        known.add(g)
+        lo = len(order) - 1
+        while lo < len(order):
+            end = len(order)
+            round_starts.append(lo)
+            pairs = [(x, y) for x in order[lo:end] for y in order[:end]]
+            pairs += [(x, y) for x in order[:lo] for y in order[lo:end]]
+            new = []
+            for x, y in pairs:
+                z = op(x, y)
+                if z not in known:
+                    known.add(z)
+                    deriv[z] = (x, y)
+                    new.append(z)
+            order += sorted(new)
+            lo = end
+    stage_starts.append(len(order))
+    round_starts.append(len(order))
+
+    memo = {}
+
+    def word(e):
+        if e not in memo:
+            if e == seed:
+                memo[e] = ()
+            elif e not in deriv:
+                memo[e] = (e,)
+            else:
+                x, y = deriv[e]
+                memo[e] = word(x) + word(y)
+        return memo[e]
+
+    return {
+        "gens": gens, "order": order,
+        "stage_starts": stage_starts, "round_starts": round_starts,
+        "deriv_x": [deriv[e][0] if e in deriv else -1 for e in range(n)],
+        "deriv_y": [deriv[e][1] if e in deriv else -1 for e in range(n)],
+        "words": [word(e) for e in range(n)],
+    }
+
+
+def _mat2_product(ring: OracleRing, a, b):
+    """The 2x2 product ``a b`` of nested entry tuples over ``ring``."""
+    return tuple(
+        tuple(ring.add(ring.mul(a[i][0], b[0][j]), ring.mul(a[i][1], b[1][j]))
+              for j in range(2))
+        for i in range(2))
+
+
+def corner_identity_violations(ring: OracleRing) -> list[tuple[int, int]]:
+    """Pairs (a, b), lexicographic, where the block product
+    ``[[1,a],[0,0]] [[b,0],[1,0]]`` differs from ``[[a+b,0],[0,0]]``."""
+    one, zero = ring.one, ring.zero
+    return [(a, b) for a in range(ring.size) for b in range(ring.size)
+            if _mat2_product(ring, ((one, a), (zero, zero)), ((b, zero), (one, zero)))
+            != ((ring.add(a, b), zero), (zero, zero))]
+
+
+def uv_identity_violations(ring: OracleRing) -> list[tuple[int, int]]:
+    """Pairs (a, b), lexicographic, where ``u v`` differs from
+    ``[[a+b, -1+ab*], [1-a*b, a*+b*]]`` for u = [[1, a], [-a*, 1]] and
+    v = [[b, -1], [1, b*]].  ``-x`` is the smallest y with x + y = 0 (0
+    when there is none), which only matters on tables that are not rings."""
+    add, mul, star, one = ring.add, ring.mul, ring.star, ring.one
+
+    def neg(x):
+        return next((y for y in range(ring.size) if add(x, y) == ring.zero), 0)
+
+    out = []
+    for a in range(ring.size):
+        for b in range(ring.size):
+            u = ((one, a), (neg(star(a)), one))
+            v = ((b, neg(one)), (one, star(b)))
+            want = ((add(a, b), add(neg(one), mul(a, star(b)))),
+                    (add(one, neg(mul(star(a), b))), add(star(a), star(b))))
+            if _mat2_product(ring, u, v) != want:
+                out.append((a, b))
+    return out

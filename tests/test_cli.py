@@ -292,8 +292,9 @@ def test_verify_i_relation_limit_below_one_exit2(limit, capsys):
     (["tensor", "--dom", "zmod:4", "--map", "{id_z4}"], "--map"),
     (["i-relation", "--dom", "mat:2:zmod:2", "--replay", "{id_z4}"], "--replay"),
     (["witnesses", "--ring", "zmod:4", "--workers", "2"], "--workers"),
+    (["doubling-gl", "--map", "{id_z4}", "--workers", "2"], "--workers"),
 ], ids=["limit-witnesses", "limit-tensor", "dom", "cod", "ring", "map",
-        "replay", "workers"])
+        "replay", "workers", "workers-doubling"])
 def test_verify_flag_the_suite_does_not_read_exit2(argv, flag, map_files, capsys):
     """A verify flag the chosen suite ignores is a usage error."""
     code, out = run_cli("verify", *[a.format(**map_files) for a in argv])

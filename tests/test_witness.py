@@ -62,6 +62,53 @@ def test_uv_product_identity_everywhere(ring):
     assert uv_product_identity_check(ring).passed
 
 
+IDENTITY_MUTANT_RINGS = [make_zmod(3), Z4, make_gaussian(2), G3]
+
+
+def _identity_mutants(ring, star_swaps):
+    """Single-entry add and mul mutants (each entry to the next value),
+    then, with ``star_swaps``, every swap of two entries of ``star``."""
+    n = ring.size
+    for which in ("add", "mul"):
+        for x in range(n):
+            for y in range(n):
+                tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
+                tables[which][x, y] = (int(tables[which][x, y]) + 1) % n
+                yield RingTable(tables["add"], tables["mul"], ring.zero, ring.one,
+                                star=ring.star)
+    if star_swaps:
+        for x in range(n):
+            for y in range(x + 1, n):
+                star = ring.star.copy()
+                star[[x, y]] = star[[y, x]]
+                yield RingTable(ring.add, ring.mul, ring.zero, ring.one, star=star)
+
+
+def _oracle_ring(ring):
+    add, mul, star = ring.add.tolist(), ring.mul.tolist(), ring.star.tolist()
+    return oracles.OracleRing(ring.size, lambda a, b: add[a][b],
+                              lambda a, b: mul[a][b], ring.zero, ring.one,
+                              star=lambda a: star[a])
+
+
+@pytest.mark.parametrize("ring", IDENTITY_MUTANT_RINGS, ids=lambda r: r.label)
+@pytest.mark.parametrize("check,oracle,star_swaps", [
+    (corner_product_identity_check, oracles.corner_identity_violations, False),
+    (uv_product_identity_check, oracles.uv_identity_violations, True),
+], ids=["corner", "uv"])
+def test_identity_checks_on_corrupted_tables(ring, check, oracle, star_swaps):
+    """On corrupted tables, the verdict, the violation count and the first
+    16 witnesses equal a plain-Python evaluation of each block product."""
+    failing = 0
+    for mutant in _identity_mutants(ring, star_swaps):
+        rep = check(mutant)
+        bad = oracle(_oracle_ring(mutant))
+        assert (rep.passed, rep.counts["violations"], rep.witnesses) == (
+            not bad, len(bad), bad[:16])
+        failing += not rep.passed
+    assert failing
+
+
 def test_uv_pair_z3_scaled_identity():
     p = build_uv_pair(Z3, 1, 1)
     assert p.uv.tolist() == [[2, 0], [0, 2]]
