@@ -510,6 +510,17 @@ def mat_eye(ring: RingTable, k: int) -> np.ndarray:
     return m
 
 
+def _inverse_scan_candidates(ring: RingTable, size_cap: int | None = None) -> int:
+    """|ring|**4, the candidates of a 2x2 inverse scan over ``ring``;
+    raises SizeCapExceeded when they exceed the size cap."""
+    cap = effective_size_cap(size_cap)
+    total = ring.size**4
+    if total > cap:
+        raise SizeCapExceeded(
+            f"inverse scan over {total} candidate matrices exceeds cap {cap}")
+    return total
+
+
 def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
     """Two-sided inverse of a 2x2 index matrix over ``ring`` by exhaustive
     scan of all |ring|**4 candidates.  Returns the inverse matrix or None.
@@ -517,13 +528,8 @@ def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
     Determinant shortcuts are deliberately not used; invertibility over a
     general base is decided by the scan alone.
     """
-    cap = effective_size_cap(size_cap)
-    n = ring.size
-    total = n**4
-    if total > cap:
-        raise SizeCapExceeded(
-            f"inverse scan over {total} candidate matrices exceeds cap {cap}")
-    C = _digits(np.arange(total), 4, n, np.int64).reshape(total, 2, 2)
+    total = _inverse_scan_candidates(ring, size_cap)
+    C = _digits(np.arange(total), 4, ring.size, np.int64).reshape(total, 2, 2)
     M = np.asarray(M, dtype=np.int64)
     eye = mat_eye(ring, 2)
     left = mat_mul(ring, M[None, :, :], C)

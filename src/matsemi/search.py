@@ -164,36 +164,39 @@ class _Plan:
         # Per stage: decided pairs involving the variable whose product is
         # already decided (or the variable itself).  Sound constraints on
         # the candidate value, evaluated vectorized over all candidates.
-        self.pf_left: list[tuple[np.ndarray, np.ndarray]] = []
-        self.pf_right: list[tuple[np.ndarray, np.ndarray]] = []
+        # ``pf_probes[p]`` holds the left probes v*x, then the right probes
+        # x*v, each side read from row v of ``mul`` or of its transpose as
+        # ``(xs, k, ts)``: the k probes whose product is v itself come first,
+        # and ts holds the products of the others.
+        self.pf_probes: list[list[tuple[np.ndarray, int, np.ndarray]]] = []
         self.pf_self: list[int] = []
         for p, v in enumerate(self.vars):
             prev = self.prev_elems[p]
             in_prev = np.zeros(dom.size, dtype=bool)
             in_prev[prev] = True
-            t = dom.mul[v, prev]
-            keep = in_prev[t] | (t == v)
-            xs = prev[keep][:_PREFILTER_PROBES]
-            self.pf_left.append((xs, dom.mul[v, xs].astype(np.int64)))
-            t = dom.mul[prev, v]
-            keep = in_prev[t] | (t == v)
-            xs = prev[keep][:_PREFILTER_PROBES]
-            self.pf_right.append((xs, dom.mul[xs, v].astype(np.int64)))
+            sides = []
+            for mul in (dom.mul, dom.mul.T):
+                t = mul[v, prev]
+                keep = in_prev[t] | (t == v)
+                xs = prev[keep][:_PREFILTER_PROBES]
+                ts = mul[v, xs].astype(np.int64)
+                order = np.argsort(ts != v, kind="stable")
+                k = int(np.count_nonzero(ts == v))
+                sides.append((xs[order], k, ts[order][k:]))
+            self.pf_probes.append(sides)
             tvv = int(dom.mul[v, v])
             self.pf_self.append(tvv if (in_prev[tvv] or tvv == v) else -1)
 
         self.pf_star: list[int] = [-2] * nstages  # -2: no constraint
+        self.star_checks: list[np.ndarray] | None = None
         if "star" in filters:
-            star = dom.star
+            star = dom.require_star()
             for p, v in enumerate(self.vars):
                 sv = int(star[v])
                 if sv == v:
                     self.pf_star[p] = -1  # candidate must be star-fixed
                 elif stage_of[sv] < p:
                     self.pf_star[p] = sv
-        self.star_checks: list[np.ndarray] | None = None
-        if "star" in filters:
-            star = dom.require_star()
             ready = np.maximum(stage_of, stage_of[star])
             self.star_checks = [
                 np.flatnonzero(ready == i) for i in range(nstages)]
@@ -222,30 +225,19 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     nodes = 0
     exhausted = True
     nvars = len(plan.vars)
+    cod_muls = (cod.mul, cod.mul.T)  # left probes v*x, right probes x*v
 
     def candidates(p: int) -> np.ndarray:
         """Candidate values surviving the vectorized probe constraints."""
         v = plan.vars[p]
         cand = np.arange(lo, hi) if p == 0 else np.arange(cod.size)
         mask = np.ones(cand.size, dtype=bool)
-        xs, ts = plan.pf_left[p]
-        if xs.size:
-            prod = cod.mul[cand[:, None], img[xs][None, :]]
-            self_t = ts == v
-            if self_t.any():
-                mask &= (prod[:, self_t] == cand[:, None]).all(axis=1)
-            rest = ~self_t
-            if rest.any():
-                mask &= (prod[:, rest] == img[ts[rest]][None, :]).all(axis=1)
-        xs, ts = plan.pf_right[p]
-        if xs.size:
-            prod = cod.mul[img[xs][None, :], cand[:, None]]
-            self_t = ts == v
-            if self_t.any():
-                mask &= (prod[:, self_t] == cand[:, None]).all(axis=1)
-            rest = ~self_t
-            if rest.any():
-                mask &= (prod[:, rest] == img[ts[rest]][None, :]).all(axis=1)
+        for mul, (xs, k, ts) in zip(cod_muls, plan.pf_probes[p]):
+            prod = mul[cand[:, None], img[xs][None, :]]
+            if k:
+                mask &= (prod[:, :k] == cand[:, None]).all(axis=1)
+            if ts.size:
+                mask &= (prod[:, k:] == img[ts][None, :]).all(axis=1)
         tvv = plan.pf_self[p]
         if tvv >= 0:
             sq = cod.mul[cand, cand]

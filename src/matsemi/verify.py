@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MapFormatError, PreconditionFailed
 from .maps import MapTable, is_multiplicative, tensor_id
-from .rings import RingTable, _digits, units
+from .rings import RingTable, _digits, _inverse_scan_candidates, units
 from .search import (
     _run_ring_tasks,
     enumerate_multiplicative_maps,
@@ -22,6 +22,7 @@ from .search import (
     function_space_size,
 )
 from .witness import (
+    _guard_pair_scan,
     corner_product_identity_check,
     doubling_additivity_closure,
     fourth_power_reduction,
@@ -30,6 +31,9 @@ from .witness import (
 )
 
 _CHUNK = 8192
+
+# The tensor suite lifts maps to 2x2 matrices.
+_TENSOR_K = 2
 
 # Default step budget per top-level branch of the capped i-relation search.
 # With it, the default search M2(Z3[i]) -> M2(Z3[i]) visits 6392 nodes in
@@ -132,7 +136,7 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
 # Suite: matrix lift multiplicativity <-> ring homomorphism
 
 
-def _tensor_task(dom: RingTable, cod: RingTable, k: int, lo: int, hi: int):
+def _tensor_task(dom: RingTable, cod: RingTable, lo: int, hi: int):
     masks = function_space_masks(dom, cod, lo, hi,
                                  want=("multiplicative", "additive"))
     hom = masks["multiplicative"] & masks["additive"]
@@ -141,7 +145,7 @@ def _tensor_task(dom: RingTable, cod: RingTable, k: int, lo: int, hi: int):
     imgs = masks["_imgs"]
     for row in range(ids.size):
         phi = MapTable(dom, cod, imgs[row])
-        lifted_ok[row] = is_multiplicative(tensor_id(phi, k)).passed
+        lifted_ok[row] = is_multiplicative(tensor_id(phi, _TENSOR_K)).passed
     return ids[hom], ids[lifted_ok]
 
 
@@ -149,7 +153,6 @@ def _tensor_task(dom: RingTable, cod: RingTable, k: int, lo: int, hi: int):
 class TensorEquivalenceReport:
     dom: str
     cod: str
-    k: int
     total_functions: int
     ring_homs: int
     lift_multiplicative: int
@@ -162,7 +165,7 @@ class TensorEquivalenceReport:
     def to_json(self) -> dict:
         return {
             "suite": "tensor",
-            "dom": self.dom, "cod": self.cod, "k": self.k,
+            "dom": self.dom, "cod": self.cod, "k": _TENSOR_K,
             "total_functions": self.total_functions,
             "ring_homs": self.ring_homs,
             "lift_multiplicative": self.lift_multiplicative,
@@ -172,17 +175,16 @@ class TensorEquivalenceReport:
 
 
 def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
-                              k: int = 2, workers: int = 1) -> TensorEquivalenceReport:
-    """Over every function dom -> cod: the k-fold matrix lift is
+                              workers: int = 1) -> TensorEquivalenceReport:
+    """Over every function dom -> cod: the 2x2 matrix lift is
     multiplicative exactly for the ring homomorphisms."""
     cod = cod if cod is not None else dom
     total = function_space_size(dom, cod)
-    tasks = [(k, lo, hi) for lo, hi in _chunks(total)]
-    parts = _run_ring_tasks(_tensor_task, dom, cod, tasks, workers)
+    parts = _run_ring_tasks(_tensor_task, dom, cod, _chunks(total), workers)
     hom_ids = np.concatenate([p[0] for p in parts])
     lift_ids = np.concatenate([p[1] for p in parts])
     return TensorEquivalenceReport(
-        dom=dom.label, cod=cod.label, k=k, total_functions=total,
+        dom=dom.label, cod=cod.label, total_functions=total,
         ring_homs=int(hom_ids.size), lift_multiplicative=int(lift_ids.size),
         sets_equal=bool(np.array_equal(hom_ids, lift_ids)))
 
@@ -225,7 +227,9 @@ class WitnessSuiteReport:
 def verify_witness_suite(ring: RingTable) -> WitnessSuiteReport:
     """Corner and u/v product identities over all parameter pairs, plus
     exhaustive invertibility of gamma/alpha/beta for every unit lambda and
-    every parameter value."""
+    every parameter value.  Both size caps are checked before any scan."""
+    _guard_pair_scan(ring, None)
+    _inverse_scan_candidates(ring)
     corner = corner_product_identity_check(ring)
     uv = uv_product_identity_check(ring)
     us = units(ring)

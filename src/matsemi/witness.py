@@ -13,7 +13,11 @@ upgrade multiplicative maps to additive ones:
 
 Matrix computations here run entrywise over the base ring; the 2x2 matrix
 ring is never materialized unless an exhaustive inverse scan needs its
-candidate list.
+candidate list.  The two identity scans evaluate their entrywise formulas
+one row block of a at a time through ``rings._row_scan``, which counts
+violations and lists witnesses for every check here, so no n x n grid is
+built.  The doubling certificate is two arrays indexed by element: the
+certified value and the pair (s, t) that first reached it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .maps import (
     is_multiplicative,
     tensor_id,
 )
-from .rings import RingTable, _pool, mat_mul, mat2_inverse_scan, units
+from .rings import RingTable, _pool, _row_scan, mat_mul, mat2_inverse_scan, units
 
 TRACE_CONFLICT_CAP = 64
 
@@ -63,24 +67,42 @@ def corner_product_identity_check(ring: RingTable,
                                   size_cap: int | None = None) -> CheckReport:
     """Verify ``[[1,a],[0,0]] [[b,0],[1,0]] = [[a+b,0],[0,0]]`` for all a, b.
 
-    Computed entrywise over ``ring`` (the 2x2 matrix ring itself is not
-    materialized).
+    Computed entrywise over ``ring`` one row block of a at a time (the 2x2
+    matrix ring itself is not materialized).
     """
     _guard_pair_scan(ring, size_cap)
     n = ring.size
     add, mul = ring.add, ring.mul
     one, zero = ring.one, ring.zero
-    A = np.arange(n)
-    c00 = add[mul[one, :][None, :], mul[:, one][:, None]]  # 1*b + a*1, grid [a,b]
-    eq00 = c00 == add[A[:, None], A[None, :]]
-    c01 = add[int(mul[one, zero]), mul[:, zero]] == zero   # 1*0 + a*0, per a
-    c10 = add[mul[zero, :], int(mul[zero, one])] == zero   # 0*b + 0*1, per b
-    c11 = int(add[mul[zero, zero], mul[zero, zero]]) == zero
-    ok = eq00 & c01[:, None] & c10[None, :] & c11
-    bad = np.argwhere(~ok)
-    witnesses = [tuple(int(v) for v in row) for row in bad[:witness_cap]]
-    return CheckReport("corner_product_identity", bad.shape[0] == 0, witnesses,
-                       {"checked": n * n, "violations": int(bad.shape[0])})
+    one_b, a_one = mul[one], mul[:, one]               # 1*b per b, a*1 per a
+    c01 = add[mul[one, zero], mul[:, zero]] == zero    # 1*0 + a*0, per a
+    c10 = add[mul[zero], mul[zero, one]] == zero       # 0*b + 0*1, per b
+    c11 = add[mul[zero, zero], mul[zero, zero]] == zero
+
+    def law(lo, hi):  # rows a in lo..hi-1
+        eq00 = add[one_b[None, :], a_one[lo:hi, None]] == add[lo:hi]
+        return eq00 & c01[lo:hi, None] & c10 & c11
+
+    violations, witnesses = _row_scan((n, n), law, witness_cap)
+    return CheckReport("corner_product_identity", violations == 0, witnesses,
+                       {"checked": n * n, "violations": violations})
+
+
+def _at(table: np.ndarray, rows, cols):
+    """``table[x, y]`` for x in ``rows`` and y in ``cols``, each a scalar or
+    a 1-D index array (a row gather, then a take along the rows)."""
+    return np.take(table[rows], cols, axis=-1)
+
+
+def _uv_closed_form(ring: RingTable, a, b):
+    """The entries, row-major, of ``[[a+b, -1+ab*], [1-a*b, a*+b*]]``, the
+    closed form of the doubling product u v, over a x b (each a scalar or
+    a 1-D index array); each entry is computed when it is reached."""
+    add, mul, neg, star, one = ring.add, ring.mul, ring.neg, ring.star, ring.one
+    yield _at(add, a, b)
+    yield add[neg[one]][_at(mul, a, star[b])]
+    yield add[one][neg[_at(mul, star[a], b)]]
+    yield _at(add, star[a], star[b])
 
 
 def uv_product_identity_check(ring: RingTable,
@@ -90,34 +112,29 @@ def uv_product_identity_check(ring: RingTable,
 
     u = [[1, a], [-a*, 1]] and v = [[b, -1], [1, b*]]; the product must be
     [[a+b, -1+ab*], [1-a*b, a*+b*]].  The upper-left corner is the entry
-    the additivity argument reads off.  Requires an involution.
+    the additivity argument reads off.  Requires an involution.  Computed
+    entrywise one row block of a at a time.
     """
     star = ring.require_star()
     _guard_pair_scan(ring, size_cap)
     n = ring.size
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    one = ring.one
-    A = np.arange(n)
-    a_col = A[:, None]
-    b_row = A[None, :]
-    sa_col = star[A][:, None]
-    sb_row = star[A][None, :]
-    # 1*b + a*1
-    c00 = add[mul[one, :][None, :], mul[:, one][:, None]]
-    eq = c00 == add[a_col, b_row]
-    # 1*(-1) + a*b*
-    c01 = add[int(mul[one, neg[one]]), mul[a_col, sb_row]]
-    eq &= c01 == add[neg[one], mul[a_col, sb_row]]
-    # (-a*)*b + 1*1
-    c10 = add[mul[neg[star[A]], :], int(mul[one, one])]
-    eq &= c10 == add[one, neg[mul[star[A], :]]]
-    # (-a*)*(-1) + 1*b*
-    c11 = add[mul[neg[star[A]], neg[one]][:, None], mul[one, star[A]][None, :]]
-    eq &= c11 == add[sa_col, sb_row]
-    bad = np.argwhere(~eq)
-    witnesses = [tuple(int(v) for v in row) for row in bad[:witness_cap]]
-    return CheckReport("uv_product_identity", bad.shape[0] == 0, witnesses,
-                       {"checked": n * n, "violations": int(bad.shape[0])})
+    add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
+    m1 = neg[one]
+    b = np.arange(n)
+
+    def law(lo, hi):  # rows a in lo..hi-1; want yields the closed form's entries
+        a = b[lo:hi]
+        na = neg[star[a]]  # -a*
+        want = _uv_closed_form(ring, a, b)
+        eq = add[mul[one, b][None, :], mul[a, one][:, None]] == next(want)  # 1*b + a*1
+        eq &= add[mul[one, m1]][_at(mul, a, star)] == next(want)  # 1*(-1) + a*b*
+        eq &= add[:, mul[one, one]][mul[na]] == next(want)  # (-a*)*b + 1*1
+        eq &= _at(add, mul[na, m1], mul[one, star]) == next(want)  # (-a*)*(-1) + 1*b*
+        return eq
+
+    violations, witnesses = _row_scan((n, n), law, witness_cap)
+    return CheckReport("uv_product_identity", violations == 0, witnesses,
+                       {"checked": n * n, "violations": violations})
 
 
 @dataclass
@@ -154,17 +171,12 @@ def build_uv_pair(ring: RingTable, a: int, b: int) -> UVPair:
     (``None``); no determinant shortcut is ever taken.
     """
     star = ring.require_star()
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    one = ring.one
+    neg, one = ring.neg, ring.one
     a, b = int(a), int(b)
     u = np.array([[one, a], [int(neg[star[a]]), one]], dtype=np.int64)
     v = np.array([[b, int(neg[one])], [one, int(star[b])]], dtype=np.int64)
     uv = mat_mul(ring, u, v)
-    expected = np.array([
-        [int(add[a, b]), int(add[neg[one], mul[a, star[b]]])],
-        [int(add[one, neg[mul[star[a], b]]]), int(add[star[a], star[b]])],
-    ], dtype=np.int64)
-    identity_holds = bool(np.array_equal(uv, expected))
+    identity_holds = bool(np.array_equal(uv.ravel(), list(_uv_closed_form(ring, a, b))))
     try:
         u_inv = mat2_inverse_scan(ring, u)
         v_inv = mat2_inverse_scan(ring, v)
@@ -299,31 +311,23 @@ def extract_additivity(phi: MapTable) -> CornerCertificate:
     total = img[emb[0][digits[:, 0]]]
     for pos in range(1, 4):
         total = cod.add[total, img[emb[pos][digits[:, pos]]]]
-    eq = total == img
-    bad = np.flatnonzero(~eq)
-    dec_witness = (int(bad[0]),) if bad.size else None
+    dec = _pair_report("", total == img, 1)
 
     corners = []
-    B = base.size
-    for pos, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+    for pos, corner in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
         e = emb[pos]
-        lhs = cod.add[np.ix_(img[e], img[e])]
-        rhs = img[e[base.add]]
-        ceq = lhs == rhs
-        cbad = np.argwhere(~ceq)
-        corners.append(CornerCheck(
-            (i, j), cbad.shape[0] == 0, B * B,
-            tuple(int(v) for v in cbad[0]) if cbad.shape[0] else None))
+        rep = _pair_report("", cod.add[np.ix_(img[e], img[e])] == img[e[base.add]], 1)
+        corners.append(CornerCheck(corner, rep.passed, rep.counts["checked"],
+                                   rep.witnesses[0] if rep.witnesses else None))
 
-    cert = CornerCertificate(
+    return CornerCertificate(
         map=phi,
-        decomposition_passed=bad.size == 0,
-        decomposition_checked=phi.dom.size,
-        decomposition_witness=dec_witness,
+        decomposition_passed=dec.passed,
+        decomposition_checked=dec.counts["checked"],
+        decomposition_witness=dec.witnesses[0] if dec.witnesses else None,
         corners=corners,
         additive_confirmed=is_additive(phi).passed,
     )
-    return cert
 
 
 def fourth_power_reduction(phi: MapTable) -> CheckReport:
@@ -400,6 +404,10 @@ class DoublingTrace:
     element is never split into pool summands); without it, each level
     only combines the previous level's new sums.
 
+    The certificate is two arrays indexed by element: ``value``, the
+    certified value (-1 while uncertified), and ``split``, the pair (s, t)
+    that first reached it (``(u, -1)`` for a pool element u).
+
     ``conflicts`` is empty exactly when the certified extension is a
     well-defined function agreeing with the map.
     """
@@ -412,9 +420,8 @@ class DoublingTrace:
     levels: list[DoublingLevel]
     conflicts: list[DoublingConflict]
     conflicts_total: int
-    extension_elems: np.ndarray
-    extension_values: np.ndarray
-    reps: dict[int, tuple[int, int]]
+    value: np.ndarray
+    split: np.ndarray
 
     @property
     def ok(self) -> bool:
@@ -422,13 +429,14 @@ class DoublingTrace:
 
     def covered(self) -> np.ndarray:
         """Elements certified as sums of at most 2**depth pool elements."""
-        return self.extension_elems
+        return np.flatnonzero(self.value >= 0)
 
     def extension(self) -> dict[int, int]:
-        return {int(e): int(v) for e, v in
-                zip(self.extension_elems, self.extension_values)}
+        covered = self.covered()
+        return dict(zip(covered.tolist(), self.value[covered].tolist()))
 
     def to_json(self) -> dict:
+        covered = self.covered()
         return {
             "map": self.map.to_json(),
             "mode": self.mode,
@@ -442,10 +450,8 @@ class DoublingTrace:
             ],
             "conflicts": [c.to_json() for c in self.conflicts],
             "conflicts_total": self.conflicts_total,
-            "extension": [[int(e), int(v)] for e, v in
-                          zip(self.extension_elems, self.extension_values)],
-            "reps": [[int(e), int(s), int(t)] for e, (s, t) in
-                     sorted(self.reps.items())],
+            "extension": np.column_stack([covered, self.value[covered]]).tolist(),
+            "reps": np.column_stack([covered, self.split[covered]]).tolist(),
         }
 
 
@@ -471,59 +477,50 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     if not rep.passed:
         raise PreconditionFailed("map is not multiplicative on the pool", rep)
 
-    cert_val = {int(u): int(img[u]) for u in pl}
-    reps: dict[int, tuple[int, int]] = {int(u): (int(u), -1) for u in pl}
-    prev_new = np.sort(pl)
+    value = np.full(dom.size, -1, dtype=np.int64)
+    split = np.full((dom.size, 2), -1, dtype=np.int64)
+    value[pl] = img[pl]
+    split[pl, 0] = pl
+    img_t = img.astype(cod.add.dtype)
+    new = pl
     levels: list[DoublingLevel] = []
     conflicts: list[DoublingConflict] = []
     conflicts_total = 0
 
     for level in range(1, depth + 1):
-        if include_zero_padding:
-            base_elems = np.array(sorted(cert_val), dtype=np.int64)
-        else:
-            base_elems = prev_new
-        if base_elems.size == 0:
-            levels.append(DoublingLevel(level, 0, 0, 0))
-            prev_new = base_elems
-            continue
-        vals = np.array([cert_val[int(e)] for e in base_elems], dtype=np.int64)
-        S = dom.add[np.ix_(base_elems, base_elems)]
-        V = cod.add[np.ix_(vals, vals)]
-        target = img[S]
-        bad = np.argwhere(V != target)
-        lv_conflicts = int(bad.shape[0])
-        conflicts_total += lv_conflicts
-        for i, j in bad[:max(0, TRACE_CONFLICT_CAP - len(conflicts))]:
-            conflicts.append(DoublingConflict(
-                level, int(base_elems[i]), int(base_elems[j]),
-                int(S[i, j]), int(V[i, j]), int(target[i, j])))
-        flat = S.ravel()
-        vflat = V.ravel()
-        order = np.arange(flat.size)
-        seen = np.zeros(dom.size, dtype=bool)
-        seen[list(cert_val)] = True
-        fresh_mask = ~seen[flat]
-        new_elems = []
-        if fresh_mask.any():
-            vals_new, first = np.unique(flat[fresh_mask], return_index=True)
-            pos = order[fresh_mask][first]
-            for e, p in zip(vals_new, pos):
-                i, j = divmod(int(p), base_elems.size)
-                cert_val[int(e)] = int(vflat[p])
-                reps[int(e)] = (int(base_elems[i]), int(base_elems[j]))
-            new_elems = [int(e) for e in vals_new]
-        levels.append(DoublingLevel(level, int(S.size), len(new_elems), lv_conflicts))
-        prev_new = np.array(sorted(new_elems), dtype=np.int64)
+        base = np.flatnonzero(value >= 0) if include_zero_padding else new
+        vals = value[base]
+        found = [base[:0]]  # the level's new elements, block by block
 
-    elems = np.array(sorted(cert_val), dtype=np.int64)
-    values = np.array([cert_val[int(e)] for e in elems], dtype=np.int64)
+        def law(lo, hi):
+            """phi(s+t) == cert(s) + cert(t) for s in base[lo:hi], t in
+            base; also certifies each uncertified sum at its first pair."""
+            sums = dom.add[base[lo:hi, None], base]
+            eq = img_t[sums] == cod.add[vals[lo:hi, None], vals]
+            fresh = np.flatnonzero((value < 0)[sums])
+            elems, first = np.unique(sums.ravel()[fresh], return_index=True)
+            i, j = np.divmod(fresh[first], base.size)
+            value[elems] = cod.add[vals[lo + i], vals[j]]
+            split[elems] = np.column_stack([base[lo + i], base[j]])
+            found.append(elems)
+            return eq
+
+        cap = TRACE_CONFLICT_CAP - len(conflicts)
+        total, bad = _row_scan((base.size, base.size), law, cap)
+        conflicts_total += total
+        for i, j in bad:
+            s, t = int(base[i]), int(base[j])
+            e = int(dom.add[s, t])
+            conflicts.append(DoublingConflict(
+                level, s, t, e, int(cod.add[vals[i], vals[j]]), int(img[e])))
+        new = np.sort(np.concatenate(found))
+        levels.append(DoublingLevel(level, base.size * base.size, new.size, total))
+
     return DoublingTrace(
         map=phi, mode=mode, depth=depth,
         zero_padding=include_zero_padding,
         pool=pl, levels=levels, conflicts=conflicts,
-        conflicts_total=conflicts_total,
-        extension_elems=elems, extension_values=values, reps=reps)
+        conflicts_total=conflicts_total, value=value, split=split)
 
 
 # ---------------------------------------------------------------------------

@@ -309,3 +309,78 @@ def uv_identity_violations(ring: OracleRing) -> list[tuple[int, int]]:
             if _mat2_product(ring, u, v) != want:
                 out.append((a, b))
     return out
+
+
+def tabulated(ring: OracleRing) -> OracleRing:
+    """``ring`` with its operations read from tables of its own values."""
+    n = ring.size
+    add = [[ring.add(a, b) for b in range(n)] for a in range(n)]
+    mul = [[ring.mul(a, b) for b in range(n)] for a in range(n)]
+    star = [ring.star(a) for a in range(n)]
+    return OracleRing(n, lambda a, b: add[a][b], lambda a, b: mul[a][b],
+                      ring.zero, ring.one, star=lambda a: star[a],
+                      i_elem=ring.i_elem)
+
+
+def pool(ring: OracleRing, mode: str) -> list[int]:
+    """The units (``mode="units"``) or unitaries of ``ring``, ascending."""
+    if mode == "units":
+        return [x for x in range(ring.size)
+                if any(ring.mul(x, y) == ring.one == ring.mul(y, x)
+                       for y in range(ring.size))]
+    return [x for x in range(ring.size)
+            if ring.mul(x, ring.star(x)) == ring.one == ring.mul(ring.star(x), x)]
+
+
+def doubling_closure(dom: OracleRing, cod: OracleRing, img, pool_elems,
+                     depth: int, zero_padding: bool, cap: int = 64):
+    """The doubling additivity closure of ``img`` over ``pool_elems``, or
+    None when ``img`` is not multiplicative on the pool.
+
+    Pool elements are certified with their images.  Level d takes the base
+    of certified sums (every certified element with zero padding, only the
+    previous level's new ones without), and for each pair (s, t) of the
+    base in lexicographic order asserts img(s+t) = cert(s) + cert(t); the
+    first pair to reach an uncertified element certifies it with that sum.
+    A failed assertion is a conflict ``[level, s, t, s+t, cert(s)+cert(t),
+    img(s+t)]``; all are counted, the first ``cap`` listed.  Returns the
+    trace fields: ``pool``, ``levels``, ``conflicts``, ``conflicts_total``,
+    and ``extension`` ``[e, cert(e)]`` and ``reps`` ``[e, s, t]`` (t = -1
+    for a pool element e = s), ascending in e.
+    """
+    pool_elems = sorted(pool_elems)
+    for x in pool_elems:
+        for y in pool_elems:
+            if img[dom.mul(x, y)] != cod.mul(img[x], img[y]):
+                return None
+    cert = {u: img[u] for u in pool_elems}
+    reps = {u: (u, -1) for u in pool_elems}
+    newest = pool_elems
+    levels, conflicts, total = [], [], 0
+    for level in range(1, depth + 1):
+        base = sorted(cert) if zero_padding else newest
+        found, count = [], 0
+        for s in base:
+            for t in base:
+                e = dom.add(s, t)
+                value = cod.add(cert[s], cert[t])
+                if value != img[e]:
+                    count += 1
+                    if len(conflicts) < cap:
+                        conflicts.append([level, s, t, e, value, img[e]])
+                if e not in cert:
+                    cert[e] = value
+                    reps[e] = (s, t)
+                    found.append(e)
+        total += count
+        levels.append({"level": level, "pairs_checked": len(base) ** 2,
+                       "new_certified": len(found), "conflicts": count})
+        newest = sorted(found)
+    return {
+        "pool": pool_elems,
+        "levels": levels,
+        "conflicts": conflicts,
+        "conflicts_total": total,
+        "extension": [[e, cert[e]] for e in sorted(cert)],
+        "reps": [[e, *reps[e]] for e in sorted(reps)],
+    }

@@ -269,6 +269,29 @@ def _assert_one_line_error(code, out, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec,env_cap,message", [
+    ("mat:2:zmod:7", None,
+     "inverse scan over 33232930569601 candidate matrices exceeds cap 1000000"),
+    ("zmod:11", "10", "pair scan over 11^2 parameter pairs exceeds the cap"),
+], ids=["inverse-scan-cap", "pair-scan-cap"])
+def test_verify_witnesses_checks_size_caps_before_scanning(spec, env_cap, message,
+                                                          monkeypatch, capsys):
+    """Over either size cap the suite exits 2 with the cap's message, and
+    neither identity scan nor the unit computation has run."""
+    import matsemi.verify
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("scan ran before the size caps were checked")
+
+    for name in ("corner_product_identity_check", "uv_product_identity_check", "units"):
+        monkeypatch.setattr(matsemi.verify, name, not_reached)
+    if env_cap is not None:
+        monkeypatch.setenv("MATSEMI_SIZE_CAP", env_cap)
+    code, out = run_cli("verify", "witnesses", "--ring", spec, "--size-cap", "10000")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit2(workers, capsys):
     for argv in (["enumerate", "--dom", "zmod:2", "--cod", "zmod:2"],

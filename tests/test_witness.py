@@ -1,10 +1,16 @@
 """Block-matrix witnesses, additivity certificates, and the doubling closure."""
 
+import functools
+import tracemalloc
+
+import numpy as np
 import pytest
 
 import oracles
 from matsemi.errors import NotAUnit, PreconditionFailed
+from matsemi import rings
 from matsemi.maps import (
+    MapTable,
     constant_map,
     determinant_map,
     from_callable,
@@ -18,6 +24,7 @@ from matsemi.rings import (
     make_gaussian,
     make_matrix_ring,
     make_zmod,
+    parse_ring_spec,
     sum_of_units_decompose,
     units,
 )
@@ -91,14 +98,21 @@ def _oracle_ring(ring):
                               star=lambda a: star[a])
 
 
-@pytest.mark.parametrize("ring", IDENTITY_MUTANT_RINGS, ids=lambda r: r.label)
+@pytest.mark.parametrize("ring,block_rows", [
+    *(pytest.param(r, None, id=r.label) for r in IDENTITY_MUTANT_RINGS),
+    *(pytest.param(r, 3, id=f"{r.label}-3-row-block") for r in IDENTITY_MUTANT_RINGS),
+])
 @pytest.mark.parametrize("check,oracle,star_swaps", [
     (corner_product_identity_check, oracles.corner_identity_violations, False),
     (uv_product_identity_check, oracles.uv_identity_violations, True),
 ], ids=["corner", "uv"])
-def test_identity_checks_on_corrupted_tables(ring, check, oracle, star_swaps):
+def test_identity_checks_on_corrupted_tables(ring, check, oracle, star_swaps,
+                                             block_rows, monkeypatch):
     """On corrupted tables, the verdict, the violation count and the first
-    16 witnesses equal a plain-Python evaluation of each block product."""
+    16 witnesses equal a plain-Python evaluation of each block product,
+    also when the scan runs in blocks of 3 rows of a."""
+    if block_rows is not None:
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_rows * ring.size)
     failing = 0
     for mutant in _identity_mutants(ring, star_swaps):
         rep = check(mutant)
@@ -107,6 +121,22 @@ def test_identity_checks_on_corrupted_tables(ring, check, oracle, star_swaps):
             not bad, len(bad), bad[:16])
         failing += not rep.passed
     assert failing
+
+
+@pytest.mark.parametrize("check", [corner_product_identity_check,
+                                   uv_product_identity_check],
+                         ids=["corner", "uv"])
+def test_identity_checks_scan_in_bounded_memory(check):
+    """Each identity check on M2(Z7) (2401 elements) peaks at no more than
+    3 bytes per (a, b) pair: it scans row blocks of a, never an n x n grid."""
+    ring = parse_ring_spec("mat:2:zmod:7")
+    tracemalloc.start()
+    try:
+        assert check(ring).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ring.size**2
 
 
 def test_uv_pair_z3_scaled_identity():
@@ -320,6 +350,67 @@ def test_doubling_gate_reports_first_pool_violations_in_order():
     assert rep.counts == {"checked": len(pool) ** 2, "violations": len(bad)}
     assert len(bad) == 1920
     assert rep.witnesses == bad[:16]
+
+
+DOUBLING_SPECS = (["zmod:%d" % n for n in range(2, 9)]
+                  + ["gauss:2", "gauss:3", "mat:2:zmod:2", "mat:2:gauss:2"])
+
+
+def _oracle_of(spec):
+    if spec.startswith("mat:2:"):
+        return oracles.oracle_mat2(_oracle_of(spec[len("mat:2:"):]))
+    kind, n = spec.split(":")
+    return {"zmod": oracles.oracle_zmod, "gauss": oracles.oracle_gauss}[kind](int(n))
+
+
+@functools.cache
+def _doubling_cases(spec):
+    """``(phi, mode, depth, zero_padding, oracle trace or None)`` for the
+    identity, the cube and a map that is the identity on the units and
+    random elsewhere, over both pools, depths 1-4, with and without
+    padding."""
+    ring = parse_ring_spec(spec)
+    o = oracles.tabulated(_oracle_of(spec))
+    pools = {mode: oracles.pool(o, mode) for mode in ("units", "unitaries")}
+    img = np.random.default_rng(ring.size).integers(0, ring.size, ring.size)
+    img[pools["units"]] = pools["units"]
+    maps = [identity_map(ring), power_map(ring, 3), MapTable(ring, ring, img)]
+    return [(phi, mode, depth, pad,
+             oracles.doubling_closure(o, o, phi.img.tolist(), pool, depth, pad))
+            for phi in maps for mode, pool in pools.items()
+            for depth in (1, 2, 3, 4) for pad in (True, False)]
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-block", "3-row-block"])
+@pytest.mark.parametrize("spec", DOUBLING_SPECS)
+def test_doubling_closure_matches_oracle(spec, block_rows, monkeypatch):
+    """The trace JSON, coverage and extension equal the plain-Python
+    closure, also when each level scans blocks of at least 3 rows; a map
+    the oracle finds not multiplicative on the pool is refused."""
+    cases = _doubling_cases(spec)
+    if block_rows is not None:
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_rows * cases[0][0].dom.size)
+    for phi, mode, depth, pad, want in cases:
+        if want is None:
+            with pytest.raises(PreconditionFailed):
+                doubling_additivity_closure(phi, mode, depth, pad)
+            continue
+        tr = doubling_additivity_closure(phi, mode, depth, pad)
+        assert tr.to_json() == {"map": phi.to_json(), "mode": mode, "depth": depth,
+                                "zero_padding": pad, **want}
+        assert tr.covered().tolist() == [e for e, _ in want["extension"]]
+        assert tr.extension() == dict(want["extension"])
+
+
+def test_doubling_oracle_cases_reach_conflicts_and_the_cap():
+    """The oracle cases include clean traces, conflicts, traces past the
+    64-conflict cap and maps the pool gate refuses."""
+    totals = [want["conflicts_total"] for spec in DOUBLING_SPECS
+              for *_, want in _doubling_cases(spec) if want is not None]
+    assert 0 in totals
+    assert any(0 < t <= 64 for t in totals)
+    assert any(t > 64 for t in totals)
+    assert len(totals) < sum(len(_doubling_cases(s)) for s in DOUBLING_SPECS)
 
 
 def test_doubling_without_padding_only_even_lengths():
