@@ -12,6 +12,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Every grid of element pairs in the package is evaluated in row blocks of
+# about this many entries, through _row_blocks.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(rows: int, width: int):
+    """Yield ``(lo, hi)`` bounds of the row blocks of a ``rows`` x ``width``
+    grid: about :data:`_BLOCK_ENTRIES` entries each, at least one row."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+def _first_unseen(flat: np.ndarray, seen: np.ndarray):
+    """``(vals, first_pos)``: the values of ``flat`` not marked in
+    ``seen``, ascending, and the first position in ``flat`` holding each
+    (np.unique keeps it), i.e. the first (row, col) of a raveled grid."""
+    fresh = np.flatnonzero(~seen[flat])
+    if not fresh.size:  # np.unique costs microseconds even on nothing
+        return fresh, fresh
+    vals, first = np.unique(flat[fresh], return_index=True)
+    return vals, fresh[first]
+
 
 @dataclass
 class ClosureStages:
@@ -60,9 +83,9 @@ def greedy_closure(table: np.ndarray, seed: int | None) -> ClosureStages:
     becomes a generator, after which the reachable set is saturated under
     the table operation.  Each saturation round takes the products
     frontier * known, then old * frontier (old: known before the frontier),
-    and the first such (row, col) pair wins an element's derivation.  With
-    ``seed`` given (an identity element), the closure starts from it and
-    the seed never becomes a generator.
+    one row block at a time, and the first such (row, col) pair wins an
+    element's derivation.  With ``seed`` given (an identity element), the
+    closure starts from it and the seed never becomes a generator.
     """
     n = table.shape[0]
     known = np.zeros(n, dtype=bool)
@@ -91,19 +114,14 @@ def greedy_closure(table: np.ndarray, seed: int | None) -> ClosureStages:
             new_end = end
             for rows, cols in ((order[lo:end], order[:end]),
                                (order[:lo], order[lo:end])):
-                flat = table[np.ix_(rows, cols)].ravel()
-                fresh = ~known[flat]
-                if not fresh.any():
-                    continue
-                # np.unique(return_index) keeps the first flat position per
-                # value, i.e. the lexicographically first (row, col) pair.
-                vals, first = np.unique(flat[fresh], return_index=True)
-                pos = np.flatnonzero(fresh)[first]
-                deriv_x[vals] = rows[pos // cols.size]
-                deriv_y[vals] = cols[pos % cols.size]
-                known[vals] = True
-                order[new_end:new_end + vals.size] = vals
-                new_end += vals.size
+                for blo, bhi in _row_blocks(rows.size, cols.size):
+                    r = rows[blo:bhi]
+                    vals, pos = _first_unseen(table[r[:, None], cols].ravel(), known)
+                    deriv_x[vals] = r[pos // cols.size]
+                    deriv_y[vals] = cols[pos % cols.size]
+                    known[vals] = True
+                    order[new_end:new_end + vals.size] = vals
+                    new_end += vals.size
             order[end:new_end].sort()
             lo, end = end, new_end
     stage_starts.append(end)

@@ -277,7 +277,7 @@ def _cmd_verify(args) -> int:
         if not args.ring:
             raise MatsemiError("verify witnesses needs --ring")
         ring = parse_ring_spec(args.ring, size_cap=args.size_cap)
-        doc = verify_witness_suite(ring).to_json()
+        doc = verify_witness_suite(ring, args.size_cap).to_json()
     else:  # pragma: no cover - argparse restricts choices
         raise MatsemiError(f"unknown suite {suite}")
 

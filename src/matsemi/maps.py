@@ -21,7 +21,6 @@ use these two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,20 +145,14 @@ class CheckReport:
         }
 
 
-def _pair_report(name: str, eq: np.ndarray, witness_cap: int,
-                 extra_counts: dict | None = None, axes=None) -> CheckReport:
-    """Report over the boolean vector or grid ``eq``: its size, its false
-    entries and the first ``witness_cap`` of them in index order.  ``axes``
-    gives, per axis of ``eq``, the element each position stands for
-    (default: the position itself)."""
-    eq = np.asarray(eq)
-    grid = eq.reshape(len(eq), math.prod(eq.shape[1:]))
-    violations, found = _row_scan(grid.shape, lambda lo, hi: grid[lo:hi], witness_cap)
-    witnesses = [tuple(v if axes is None else int(axes[d][v])
-                       for d, v in enumerate(w[:eq.ndim])) for w in found]
-    return CheckReport(name, violations == 0, witnesses,
-                       {"checked": int(eq.size), "violations": violations,
-                        **(extra_counts or {})})
+def _element_report(name: str, eq: np.ndarray, witness_cap: int, elems=None) -> CheckReport:
+    """Report over the per-element check ``eq``: its size, its false
+    entries and the first ``witness_cap`` of them as 1-tuples of the
+    element each stands for (``elems[i]``, by default i)."""
+    bad = np.flatnonzero(~np.asarray(eq))
+    witnesses = [(int(v if elems is None else elems[v]),) for v in bad[:witness_cap]]
+    return CheckReport(name, bad.size == 0, witnesses,
+                       {"checked": len(eq), "violations": int(bad.size)})
 
 
 def _joint_report(name: str, parts: list[CheckReport], witness_cap: int,
@@ -176,29 +169,32 @@ def _joint_report(name: str, parts: list[CheckReport], witness_cap: int,
 def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
               xs=None, ys=None, extra_counts: dict | None = None) -> CheckReport:
     """The pair law phi(x o y) = phi(x) o phi(y) for ``op`` in {"mul", "add"}
-    over all pairs (x, y) in ``xs`` x ``ys``, by default every element.
+    over all pairs (x, y) in ``xs`` x ``ys``, each by default every element.
 
     Witnesses are element pairs in the order of the grid (lexicographic for
     sorted ``xs`` and ``ys``).  Images are gathered in the codomain table's
-    dtype; the full scan runs in row blocks (:func:`rings._row_scan`), so
-    its temporaries stay at block size.
+    dtype, one row block of x at a time (:func:`rings._row_scan`); omitted
+    ``xs``/``ys`` are read as row slices/whole rows, with no column gather.
     """
     dom_t, cod_t = getattr(phi.dom, op), getattr(phi.cod, op)
     img = phi.img.astype(cod_t.dtype)
-    if xs is None:
-        n = phi.dom.size
+    xs, ys = (None if a is None else np.asarray(a, dtype=np.int64) for a in (xs, ys))
+    img_y = img if ys is None else img[ys]
 
-        def law(lo, hi):  # phi(x o y) == phi(x) o phi(y), rows x in lo..hi-1
-            return np.take(img, dom_t[lo:hi]) == np.take(
-                np.take(cod_t, img[lo:hi], axis=0), img, axis=1)
+    def law(lo, hi):  # rows x in xs[lo:hi]
+        x = slice(lo, hi) if xs is None else xs[lo:hi]
+        prod = dom_t[x] if ys is None else np.take(dom_t[x], ys, axis=1)
+        return np.take(img, prod) == np.take(np.take(cod_t, img[x], axis=0), img_y, axis=1)
 
-        violations, witnesses = _row_scan((n, n), law, witness_cap)
-        return CheckReport(name, violations == 0, witnesses,
-                           {"checked": n * n, "violations": violations,
-                            **(extra_counts or {})})
-    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-    eq = img[dom_t[np.ix_(xs, ys)]] == cod_t[np.ix_(img[xs], img[ys])]
-    return _pair_report(name, eq, witness_cap, extra_counts, axes=(xs, ys))
+    n = phi.dom.size
+    shape = (n if xs is None else xs.size, n if ys is None else ys.size)
+    violations, found = _row_scan(shape, law, witness_cap)
+    if xs is not None or ys is not None:  # grid positions to elements
+        found = [(r if xs is None else int(xs[r]), c if ys is None else int(ys[c]))
+                 for r, c in found]
+    return CheckReport(name, violations == 0, found,
+                       {"checked": shape[0] * shape[1], "violations": violations,
+                        **(extra_counts or {})})
 
 
 def _corner_units(ring: RingTable) -> tuple[int, int]:
@@ -277,7 +273,7 @@ def respects_star(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
     ds = phi.dom.require_star()
     cs = phi.cod.require_star()
     eq = phi.img[ds] == cs[phi.img]
-    return _pair_report("star", eq, witness_cap)
+    return _element_report("star", eq, witness_cap)
 
 
 def corner_relation_holds(phi: MapTable) -> CheckReport:
@@ -317,7 +313,7 @@ def scalar_linearity_holds(phi: MapTable, scalars,
             raise NonCentralScalar(
                 f"scalar {s} does not commute with element {int(diff[0])}")
     # phi(s*x) = phi(s)*phi(x) is the multiplicative pair law on scalars x all.
-    scaled = _pair_law("", phi, "mul", witness_cap, scalars, np.arange(dom.size))
+    scaled = _pair_law("", phi, "mul", witness_cap, scalars)
     sarr = np.asarray(scalars, dtype=np.int64)
     span = np.unique(dom.add[np.ix_(dom.mul[sarr, e11], dom.mul[sarr, e22])])
     summed = _pair_law("", phi, "add", witness_cap, span, span)

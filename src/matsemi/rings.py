@@ -18,8 +18,10 @@ triple loops: the generator-reduced scans cover every triple by an
 induction on derivation words, which keeps even a 6561-element matrix ring
 verifiable in seconds without sampling.
 
-Every dense n x n law runs through one row-blocked kernel, ``_row_scan``,
-which evaluates about ``_BLOCK_ENTRIES`` entries at a time with gathers
+Every grid of element pairs here (the dense n x n laws, the inverse
+search behind ``neg``, ``units`` and ``add_inverses``, and the sums of
+units) is evaluated in the row blocks of ``_closure._row_blocks``; the
+dense laws run through one row-blocked kernel, ``_row_scan``, with gathers
 along one axis (or flat gathers into rows of a transposed table), so
 temporaries stay at block size.  Two checks are decided by exact
 reductions once the laws their proofs use have passed; otherwise the full
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._closure import greedy_closure
+from ._closure import _first_unseen, _row_blocks, greedy_closure
 from .errors import (
     MissingImaginaryUnit,
     MissingInvolution,
@@ -48,14 +50,6 @@ from .errors import (
     SizeCapExceeded,
     effective_size_cap,
 )
-
-# Above this many (pairs x generators), associativity is reported as decided
-# by the additive-generator cube rather than as the generator "translation"
-# scans, which the cube certifies whenever its prerequisites pass.
-_LIGHT_SCAN_BUDGET = 2 * 10**8
-
-# Dense n x n scans evaluate their law this many table entries at a time.
-_BLOCK_ENTRIES = 1 << 20
 
 # Dense n x n tables beyond this many entries per table do not fit desk-scale
 # memory, independently of the element-count cap.
@@ -129,7 +123,7 @@ class RingTable:
         self.i_elem = None if i_elem is None else int(i_elem)
         self.label = label
         # Additive inverse per element; meaningful once the axioms hold.
-        self.neg = np.argmax(self.add == self.zero, axis=1).astype(dt)
+        self.neg, _ = _inverses(self.add, self.zero)
         self._render = render if render is not None else str
         self.matrix_view = None  # set when this ring was built as a matrix ring
         self._views: dict[int, "MatrixRingView"] = {}
@@ -396,12 +390,28 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
 # Units and unitaries
 
 
+def _inverses(table: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per x, the first y with x o y = e in ``table`` (0 if none, as argmax
+    gives) and whether some y is a two-sided inverse; only rows whose
+    first right inverse is one-sided are searched again."""
+    n = table.shape[0]
+    first = np.empty(n, dtype=table.dtype)
+    for lo, hi in _row_blocks(n, n):
+        first[lo:hi] = np.argmax(table[lo:hi] == e, axis=1)
+    x = np.arange(n)
+    right = table[x, first] == e
+    two_sided = right & (table[first, x] == e)
+    redo = np.flatnonzero(right & ~two_sided)
+    for lo, hi in _row_blocks(redo.size, n):
+        r = redo[lo:hi]
+        two_sided[r] = ((table[r] == e) & (table[:, r].T == e)).any(axis=1)
+    return first, two_sided
+
+
 def units(ring: RingTable) -> np.ndarray:
     """All elements with a two-sided multiplicative inverse, ascending."""
     if ring._units is None:
-        right = ring.mul == ring.one
-        two_sided = right & right.T
-        ring._units = np.flatnonzero(two_sided.any(axis=1))
+        ring._units = np.flatnonzero(_inverses(ring.mul, ring.one)[1])
         ring._units.setflags(write=False)
     return ring._units
 
@@ -446,10 +456,11 @@ def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
     frontier = pool
     m = 1
     while m < kmax and frontier.size and dist[x] < 0:
-        sums = np.unique(ring.add[np.ix_(frontier, pool)])
-        new = sums[dist[sums] < 0]
-        dist[new] = m + 1
-        frontier = new
+        for lo, hi in _row_blocks(frontier.size, pool.size):
+            new, _ = _first_unseen(ring.add[frontier[lo:hi, None], pool].ravel(),
+                                   dist >= 0)
+            dist[new] = m + 1
+        frontier = np.flatnonzero(dist == m + 1)
         m += 1
     if dist[x] < 0:
         return None
@@ -601,8 +612,8 @@ class RingValidation:
 
 def _row_scan(shape: tuple[int, int], law, witness_cap: int = 1,
               count: bool = True) -> tuple[int, list[tuple[int, int]]]:
-    """Scan a ``shape`` boolean law in row blocks of about
-    :data:`_BLOCK_ENTRIES` entries; ``law(lo, hi)`` returns its rows
+    """Scan a ``shape`` boolean law in the row blocks of
+    :func:`_closure._row_blocks`; ``law(lo, hi)`` returns its rows
     ``lo..hi-1``, true where the law holds.
 
     Returns the number of false entries and the first ``witness_cap`` of
@@ -611,11 +622,9 @@ def _row_scan(shape: tuple[int, int], law, witness_cap: int = 1,
     only nonzero-or-not.  Blocks keep every temporary at block size, and
     laws gather with ``np.take`` along one axis of a contiguous table.
     """
-    n, width = shape
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
     violations, witnesses = 0, []
-    for lo in range(0, n, step):
-        ok = law(lo, min(lo + step, n))
+    for lo, hi in _row_blocks(*shape):
+        ok = law(lo, hi)
         bad = ok.size - int(np.count_nonzero(ok))
         if not bad:
             continue
@@ -642,24 +651,17 @@ def _first_violation(n: int, law) -> tuple[int, int] | None:
 def _transposed(t: np.ndarray) -> np.ndarray:
     """A contiguous copy of ``t.T``, written one row block at a time."""
     out = np.empty(t.shape[::-1], dtype=t.dtype)
-    step = max(1, _BLOCK_ENTRIES // max(t.shape[1], 1))
-    for lo in range(0, t.shape[0], step):
-        out[:, lo:lo + step] = t[lo:lo + step].T
+    for lo, hi in _row_blocks(*t.shape):
+        out[:, lo:hi] = t[lo:hi].T
     return out
 
 
-def _first_bad(eq: np.ndarray) -> tuple[int, ...] | None:
-    if eq.all():
-        return None
-    return tuple(int(v) for v in np.argwhere(~eq)[0])
-
-
-def _outcome(name, eq, checked, mapper=None, note="") -> CheckOutcome:
-    eq = np.asarray(eq)
-    w = _first_bad(eq)
-    if w is not None and mapper is not None:
-        w = mapper(w)
-    return CheckOutcome(name, w is None, checked, w, note)
+def _outcome(name, eq, checked, mapper=lambda x: (x,)) -> CheckOutcome:
+    """Outcome of the per-element check ``eq``; the witness is ``mapper``
+    of the first element failing it."""
+    bad = np.flatnonzero(~np.asarray(eq))
+    return CheckOutcome(name, bad.size == 0, checked,
+                        mapper(int(bad[0])) if bad.size else None)
 
 
 def _outcome_at(name: str, n: int, law) -> CheckOutcome:
@@ -720,16 +722,10 @@ def validate_ring(ring: RingTable) -> RingValidation:
     ch["add_identity"] = _outcome(
         "add_identity",
         (add[ring.zero, :] == idx) & (add[:, ring.zero] == idx), n,
-        mapper=lambda w: (ring.zero, w[0]))
-    neg_ok = (add[idx, ring.neg] == ring.zero) & (add[ring.neg, idx] == ring.zero)
-    # ring.neg[x] is only the first right inverse in x's row: search the
-    # rows it fails for any two-sided inverse.
-    bad = np.flatnonzero(~neg_ok)
-    neg_ok[bad] = ((add[bad] == ring.zero) & (add[:, bad].T == ring.zero)).any(axis=1)
-    ch["add_inverses"] = _outcome("add_inverses", neg_ok, n)
+        mapper=lambda x: (ring.zero, x))
+    ch["add_inverses"] = _outcome("add_inverses", _inverses(add, ring.zero)[1], n)
 
-    add_cl = greedy_closure(add, seed=ring.zero)
-    gens_add = add_cl.gens
+    gens_add = greedy_closure(add, seed=ring.zero).gens
     v.info["additive_generators"] = list(gens_add)
     G = np.asarray(gens_add, dtype=np.intp)
     per = n * n * len(gens_add)
@@ -747,11 +743,11 @@ def validate_ring(ring: RingTable) -> RingValidation:
     ch["mul_identity"] = _outcome(
         "mul_identity",
         (mul[ring.one, :] == idx) & (mul[:, ring.one] == idx), n,
-        mapper=lambda w: (ring.one, w[0]))
+        mapper=lambda x: (ring.one, x))
     ch["zero_absorbs"] = _outcome(
         "zero_absorbs",
         (mul[ring.zero, :] == ring.zero) & (mul[:, ring.zero] == ring.zero), n,
-        mapper=lambda w: (ring.zero, w[0]))
+        mapper=lambda x: (ring.zero, x))
 
     def left_dist(s, lo, hi):  # x(y + s) == xy + xs
         xs = mul[lo:hi, s].astype(np.intp) * n
@@ -768,9 +764,9 @@ def validate_ring(ring: RingTable) -> RingValidation:
     # With the additive group laws and left distributivity, the defect
     # (y+s)x - yx - sx is additive in x: it vanishes for every x once it
     # vanishes for x in the additive generators.
+    GG = mul[np.ix_(G, G)]
     reduced = group and ch["left_distributive"].passed and bool((
-        mul[add[:, G][:, :, None], G]
-        == add[mul[:, G][:, None, :], mul[np.ix_(G, G)]]).all())
+        mul[add[:, G][:, :, None], G] == add[mul[:, G][:, None, :], GG]).all())
 
     def right_dist(s, lo, hi):  # (y + s)x == yx + sx
         return (np.take(mul, add[lo:hi, s], axis=0)
@@ -781,37 +777,26 @@ def validate_ring(ring: RingTable) -> RingValidation:
         "right_distributive", hit is None, per, _xsy(hit),
         note="additive generator scan")
 
-    mul_cl = greedy_closure(mul, seed=ring.one)
-    gens_mul = mul_cl.gens
+    gens_mul = greedy_closure(mul, seed=ring.one).gens
     v.info["multiplicative_generators"] = list(gens_mul)
     # (xy)z - x(yz) is additive in each argument once distributivity and
     # the additive group laws hold, so vanishing on additive-generator
     # triples is equivalent to vanishing everywhere.
     prereq = (group and ch["left_distributive"].passed
               and ch["right_distributive"].passed and ch["zero_absorbs"].passed)
-    GG = mul[np.ix_(G, G)]
-    cube_w = _first_bad(mul[GG[:, :, None], G] == mul[G[:, None, None], GG[None, :, :]])
-    if n * n * max(len(gens_mul), 1) <= _LIGHT_SCAN_BUDGET:
-        strategy = "generator translation scan"
+    cube = prereq and bool(
+        (mul[GG[:, :, None], G] == mul[G[:, None, None], GG[None, :, :]]).all())
 
-        def mul_assoc(s, lo, hi):  # (x s) y == x (s y)
-            return (np.take(mul, mul[lo:hi, s], axis=0)
-                    == np.take(mul[lo:hi], mul[s], axis=1))
+    def mul_assoc(s, lo, hi):  # (x s) y == x (s y)
+        return (np.take(mul, mul[lo:hi, s], axis=0)
+                == np.take(mul[lo:hi], mul[s], axis=1))
 
-        # The translation scan runs only when the cube cannot decide it.
-        hit = None if prereq and cube_w is None else _generator_scan(n, gens_mul, mul_assoc)
-        massoc_ok, massoc_w = hit is None, _xsy(hit)
-        checked = n * n * len(gens_mul)
-    else:
-        strategy = "additive generator cube"
-        massoc_ok = prereq and cube_w is None
-        massoc_w = None if cube_w is None else tuple(int(G[a]) for a in cube_w)
-        if cube_w is None and not prereq:
-            strategy += " (prerequisite scans failed)"
-        checked = len(gens_add) ** 3
+    # The translation scan runs only when the cube cannot decide it.
+    hit = None if cube else _generator_scan(n, gens_mul, mul_assoc)
     ch["mul_associative"] = CheckOutcome(
-        "mul_associative", massoc_ok, checked, massoc_w, note=strategy)
-    v.info["mul_assoc_strategy"] = strategy
+        "mul_associative", hit is None, n * n * len(gens_mul), _xsy(hit),
+        note="generator translation scan")
+    v.info["mul_assoc_strategy"] = ch["mul_associative"].note
 
     if ring.star is not None:
         star = ring.star

@@ -224,21 +224,22 @@ class WitnessSuiteReport:
         }
 
 
-def verify_witness_suite(ring: RingTable) -> WitnessSuiteReport:
+def verify_witness_suite(ring: RingTable, size_cap: int | None = None) -> WitnessSuiteReport:
     """Corner and u/v product identities over all parameter pairs, plus
     exhaustive invertibility of gamma/alpha/beta for every unit lambda and
-    every parameter value.  Both size caps are checked before any scan."""
-    _guard_pair_scan(ring, None)
-    _inverse_scan_candidates(ring)
-    corner = corner_product_identity_check(ring)
-    uv = uv_product_identity_check(ring)
+    every parameter value.  Every scan applies ``size_cap``, and both caps
+    are checked before any scan."""
+    _guard_pair_scan(ring, size_cap)
+    _inverse_scan_candidates(ring, size_cap)
+    corner = corner_product_identity_check(ring, size_cap=size_cap)
+    uv = uv_product_identity_check(ring, size_cap=size_cap)
     us = units(ring)
     failures: list[tuple[str, int, int]] = []
     checked = 0
     for lam in us:
         for p in range(ring.size):
             gam, alp, bet = invertible_witness_matrices(
-                ring, int(lam), p, p, p)
+                ring, int(lam), p, p, p, size_cap)
             checked += 3
             for w in (gam, alp, bet):
                 if not w.invertible:

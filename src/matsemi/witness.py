@@ -14,10 +14,11 @@ upgrade multiplicative maps to additive ones:
 Matrix computations here run entrywise over the base ring; the 2x2 matrix
 ring is never materialized unless an exhaustive inverse scan needs its
 candidate list.  The two identity scans evaluate their entrywise formulas
-one row block of a at a time through ``rings._row_scan``, which counts
-violations and lists witnesses for every check here, so no n x n grid is
-built.  The doubling certificate is two arrays indexed by element: the
-certified value and the pair (s, t) that first reached it.
+one row block of a at a time through ``rings._row_scan``, as do the pair
+laws behind the corner checks, the pool gate and the group restriction,
+so no n x n or pool x pool grid is built.  The doubling certificate is
+two arrays indexed by element: the certified value and the pair (s, t)
+that first reached it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._closure import _first_unseen
 from .errors import (
     NotAUnit,
     PreconditionFailed,
@@ -36,9 +38,9 @@ from .maps import (
     CheckReport,
     MapTable,
     WITNESS_CAP,
+    _element_report,
     _joint_report,
     _pair_law,
-    _pair_report,
     _relation,
     corner_relation_holds,
     i_relation_holds,
@@ -201,11 +203,11 @@ class WitnessMatrix:
                 "inverse": None if self.inverse is None else self.inverse.tolist()}
 
 
-def invertible_witness_matrices(ring: RingTable, lam: int, a: int, b: int,
-                                c: int) -> tuple[WitnessMatrix, WitnessMatrix, WitnessMatrix]:
+def invertible_witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: int,
+                                size_cap: int | None = None) -> tuple[WitnessMatrix, ...]:
     """The parameter matrices gamma_c = [[c,l],[l,0]], alpha_a = [[1,a],[0,l]],
     beta_b = [[b,l],[1,0]] for a unit ``l``, each verified invertible by
-    exhaustive two-sided inverse scan over all 2x2 matrices.
+    exhaustive two-sided inverse scan over all 2x2 matrices, up to ``size_cap``.
     """
     lam, a, b, c = int(lam), int(a), int(b), int(c)
     if lam not in set(int(u) for u in units(ring)):
@@ -218,7 +220,7 @@ def invertible_witness_matrices(ring: RingTable, lam: int, a: int, b: int,
     ]
     out = []
     for name, m in mats:
-        inv = mat2_inverse_scan(ring, m)
+        inv = mat2_inverse_scan(ring, m, size_cap)
         out.append(WitnessMatrix(name, m, inv is not None, inv))
     return tuple(out)
 
@@ -311,12 +313,11 @@ def extract_additivity(phi: MapTable) -> CornerCertificate:
     total = img[emb[0][digits[:, 0]]]
     for pos in range(1, 4):
         total = cod.add[total, img[emb[pos][digits[:, pos]]]]
-    dec = _pair_report("", total == img, 1)
+    dec = _element_report("", total == img, 1)
 
     corners = []
     for pos, corner in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        e = emb[pos]
-        rep = _pair_report("", cod.add[np.ix_(img[e], img[e])] == img[e[base.add]], 1)
+        rep = _pair_law("", MapTable(base, cod, img[emb[pos]]), "add", 1)
         corners.append(CornerCheck(corner, rep.passed, rep.counts["checked"],
                                    rep.witnesses[0] if rep.witnesses else None))
 
@@ -488,21 +489,19 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     conflicts_total = 0
 
     for level in range(1, depth + 1):
-        base = np.flatnonzero(value >= 0) if include_zero_padding else new
+        certified = value >= 0
+        base = np.flatnonzero(certified) if include_zero_padding else new
         vals = value[base]
-        found = [base[:0]]  # the level's new elements, block by block
 
         def law(lo, hi):
             """phi(s+t) == cert(s) + cert(t) for s in base[lo:hi], t in
             base; also certifies each uncertified sum at its first pair."""
             sums = dom.add[base[lo:hi, None], base]
             eq = img_t[sums] == cod.add[vals[lo:hi, None], vals]
-            fresh = np.flatnonzero((value < 0)[sums])
-            elems, first = np.unique(sums.ravel()[fresh], return_index=True)
-            i, j = np.divmod(fresh[first], base.size)
+            elems, first = _first_unseen(sums.ravel(), value >= 0)
+            i, j = np.divmod(first, base.size)
             value[elems] = cod.add[vals[lo + i], vals[j]]
             split[elems] = np.column_stack([base[lo + i], base[j]])
-            found.append(elems)
             return eq
 
         cap = TRACE_CONFLICT_CAP - len(conflicts)
@@ -513,7 +512,7 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
             e = int(dom.add[s, t])
             conflicts.append(DoublingConflict(
                 level, s, t, e, int(cod.add[vals[i], vals[j]]), int(img[e])))
-        new = np.sort(np.concatenate(found))
+        new = np.flatnonzero((value >= 0) & ~certified)
         levels.append(DoublingLevel(level, base.size * base.size, new.size, total))
 
     return DoublingTrace(
@@ -542,7 +541,7 @@ def group_hom_restriction_check(phi: MapTable, k: int, mode: str = "units",
     cod_pool = _pool(cring, mode)
     member = np.zeros(cring.size, dtype=bool)
     member[cod_pool] = True
-    into = _pair_report("", member[lifted.img[pool]], witness_cap, axes=(pool,))
+    into = _element_report("", member[lifted.img[pool]], witness_cap, pool)
     mult = _pair_law("", lifted, "mul", witness_cap, pool, pool)
     return _joint_report(f"group_restriction_{mode}", [into, mult], witness_cap,
                          {"pool_size": int(pool.size),

@@ -164,6 +164,20 @@ def respects_star(dom, cod, img) -> bool:
     return all(img[dom.star(x)] == cod.star(img[x]) for x in range(dom.size))
 
 
+def star_multiplicative_functions(dom: OracleRing, cod: OracleRing) -> list[tuple]:
+    """All multiplicative, star-preserving image tuples, lexicographic order."""
+    return [img for img in all_functions(dom.size, cod.size)
+            if respects_star(dom, cod, img) and is_multiplicative(dom, cod, img)]
+
+
+def inverses(n: int, op, e: int) -> tuple[list[int], list[bool]]:
+    """Per x in range(n): the first y with op(x, y) = e (0 when there is
+    none), and whether some y has op(x, y) = e = op(y, x)."""
+    first = [next((y for y in range(n) if op(x, y) == e), 0) for x in range(n)]
+    two_sided = [any(op(x, y) == e == op(y, x) for y in range(n)) for x in range(n)]
+    return first, two_sided
+
+
 def multiplicative_functions(dom: OracleRing, cod: OracleRing) -> list[tuple]:
     """All multiplicative image tuples, lexicographic order."""
     return [img for img in all_functions(dom.size, cod.size)

@@ -59,7 +59,7 @@ def _report(num, name, ok, elapsed, budget, detail=""):
 # sha256 of validate_ring(M_2(Z_3[i])).to_json() as sorted compact JSON:
 # the checks, counts, witnesses, notes and generators, pinned byte for byte.
 M2_GAUSS3_VALIDATION_SHA256 = (
-    "b048e3f8a510b3b671d33dd45601cc0242db25620ea58c020d26df3979522219")
+    "03c9df5b91de0894b8d0d2d3a1f4e0112bc96075a55d58cfee1d3184471c6b34")
 
 
 def test_acceptance_1_ring_corpus_validity(corpus):

@@ -271,13 +271,14 @@ def _assert_one_line_error(code, out, capsys):
 
 @pytest.mark.parametrize("spec,env_cap,message", [
     ("mat:2:zmod:7", None,
-     "inverse scan over 33232930569601 candidate matrices exceeds cap 1000000"),
-    ("zmod:11", "10", "pair scan over 11^2 parameter pairs exceeds the cap"),
-], ids=["inverse-scan-cap", "pair-scan-cap"])
+     "inverse scan over 33232930569601 candidate matrices exceeds cap 10000"),
+    ("zmod:11", "10", "inverse scan over 14641 candidate matrices exceeds cap 10000"),
+], ids=["inverse-scan-cap", "flag-over-env-cap"])
 def test_verify_witnesses_checks_size_caps_before_scanning(spec, env_cap, message,
                                                           monkeypatch, capsys):
-    """Over either size cap the suite exits 2 with the cap's message, and
-    neither identity scan nor the unit computation has run."""
+    """Over the size cap the suite exits 2 with the cap's message, and
+    neither identity scan nor the unit computation has run; ``--size-cap``
+    bounds the scans, also over ``MATSEMI_SIZE_CAP``."""
     import matsemi.verify
 
     def not_reached(*args, **kwargs):
@@ -290,6 +291,24 @@ def test_verify_witnesses_checks_size_caps_before_scanning(spec, env_cap, messag
     code, out = run_cli("verify", "witnesses", "--ring", spec, "--size-cap", "10000")
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("env_cap", [None, "100"], ids=["flag", "flag-and-env"])
+def test_verify_witnesses_applies_size_cap_flag_to_the_scans(env_cap, monkeypatch, capsys):
+    """``--size-cap 100`` refuses the 4**4-candidate inverse scan over
+    zmod:4 exactly as ``MATSEMI_SIZE_CAP=100`` does, and a flag above the
+    scan sizes lets the suite run under a smaller environment cap."""
+    monkeypatch.delenv("MATSEMI_SIZE_CAP", raising=False)
+    if env_cap is not None:
+        monkeypatch.setenv("MATSEMI_SIZE_CAP", env_cap)
+        _assert_one_line_error(*run_cli("verify", "witnesses", "--ring", "zmod:4"), capsys)
+        assert run_cli("verify", "witnesses", "--ring", "zmod:4",
+                       "--size-cap", "1000")[0] == 0
+        capsys.readouterr()
+    code, out = run_cli("verify", "witnesses", "--ring", "zmod:4", "--size-cap", "100")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: inverse scan over 256 candidate matrices exceeds cap 100\n")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from matsemi import _closure
 from matsemi.errors import (
     MapFormatError,
     MissingImaginaryUnit,
@@ -17,6 +18,7 @@ from matsemi.errors import (
 )
 from matsemi.maps import (
     MapTable,
+    _pair_law,
     constant_map,
     corner_relation_holds,
     determinant_map,
@@ -33,8 +35,7 @@ from matsemi.maps import (
     tensor_id,
     zero_map,
 )
-from matsemi import rings
-from matsemi.rings import make_gaussian, make_matrix_ring, make_zmod
+from matsemi.rings import _pool, make_gaussian, make_matrix_ring, make_zmod
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,7 @@ def test_pair_scan_across_block_boundary(op):
     16, and, for the changed identity map, at a cap taking every witness."""
     ring = make_matrix_ring(make_zmod(7), 2).ring
     n = ring.size
-    rows = rings._BLOCK_ENTRIES // n
+    rows = _closure._BLOCK_ENTRIES // n
     assert 1 < rows < n - 1
     table = getattr(ring, op)
     rng = np.random.default_rng(rows)
@@ -165,6 +166,63 @@ def test_pair_scan_across_block_boundary(op):
                 MapTable(ring, ring, img), witness_cap=cap)
             assert rep.counts["violations"] == len(bad)
             assert rep.witnesses == [tuple(int(v) for v in w) for w in bad[:cap]]
+
+
+def _subset_maps(ring):
+    """The identity, the identity changed at three elements, and a random
+    map of ``ring``."""
+    rng = np.random.default_rng(ring.size)
+    moved = np.arange(ring.size)
+    moved[rng.choice(ring.size, 3)] = rng.integers(0, ring.size, 3)
+    return [identity_map(ring), MapTable(ring, ring, moved),
+            MapTable(ring, ring, rng.integers(0, ring.size, ring.size))]
+
+
+def _pair_law_subsets():
+    """``(phi, op, xs, ys)`` as the pool gate, the group restriction (k = 2)
+    and scalar linearity pass them to ``_pair_law`` (None: every element)."""
+    for ring in (make_gaussian(3), make_matrix_ring(make_zmod(3), 2).ring,
+                 make_matrix_ring(make_gaussian(2), 2).ring):
+        for phi in _subset_maps(ring):
+            for mode in ("units", "unitaries"):
+                pool = _pool(ring, mode)
+                yield phi, "mul", pool, pool
+    for base in (make_zmod(3), make_gaussian(2)):
+        for phi in _subset_maps(base):
+            lifted = tensor_id(phi, 2)
+            for mode in ("units", "unitaries"):
+                pool = _pool(lifted.dom, mode)
+                yield lifted, "mul", pool, pool
+    for view in (make_matrix_ring(make_zmod(3), 2), make_matrix_ring(make_gaussian(2), 2)):
+        scalars = np.array([view.scalar_matrix(s) for s in range(view.base.size)])
+        e11, e22 = view.diagonal_units
+        ring = view.ring
+        span = np.unique(ring.add[ring.mul[scalars, e11][:, None], ring.mul[scalars, e22]])
+        for phi in _subset_maps(ring):
+            yield phi, "mul", scalars, None
+            yield phi, "add", span, span
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-block", "3-row-block"])
+def test_pair_law_subsets_match_int64_grid(block_rows, monkeypatch):
+    """The pair law over the subsets the pool gate, the group restriction
+    and scalar linearity scan: counts and witnesses equal a plain int64
+    grid's at caps 0, 1 and 16, also in blocks of three rows of xs."""
+    failing = 0
+    for phi, op, xs, ys in _pair_law_subsets():
+        cols = np.arange(phi.dom.size) if ys is None else ys
+        if block_rows is not None:
+            monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * cols.size)
+        dom_t = getattr(phi.dom, op).astype(np.int64)
+        cod_t = getattr(phi.cod, op).astype(np.int64)
+        img = phi.img
+        bad = np.argwhere(img[dom_t[np.ix_(xs, cols)]] != cod_t[np.ix_(img[xs], img[cols])])
+        for cap in (0, 1, 16):
+            rep = _pair_law("law", phi, op, cap, xs, ys)
+            assert rep.counts == {"checked": xs.size * cols.size, "violations": len(bad)}
+            assert rep.witnesses == [(int(xs[i]), int(cols[j])) for i, j in bad[:cap]]
+        failing += len(bad) > 16
+    assert failing
 
 
 def test_respects_star_conjugation():

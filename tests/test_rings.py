@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from matsemi import rings
+from matsemi import _closure
 from matsemi.errors import (
     MissingInvolution,
     RingSpecError,
@@ -312,13 +312,22 @@ def test_validation_catches_broken_associativity():
 
 
 def test_validation_catches_broken_distributivity():
-    z4 = make_zmod(4)
-    add = z4.add.copy()
-    add[2, 3] = 2
-    from matsemi.rings import RingTable
-
-    broken = RingTable(add, z4.mul, 0, 1, label="broken-add")
-    assert not validate_ring(broken).ok
+    """Broken additions fail validation, and each translation check reports
+    exactly whether its law holds on the instances it certifies: zmod:5
+    with add[2, 3] = 1 keeps its multiplication, so multiplicative
+    associativity passes although the cube's prerequisites fail."""
+    for n, (x, y, new) in ((4, (2, 3, 2)), (5, (2, 3, 1))):
+        ring = make_zmod(n)
+        add = ring.add.copy()
+        add[x, y] = new
+        val = validate_ring(RingTable(add, ring.mul, 0, 1, label="broken-add"))
+        assert not val.ok
+        for name in ("add_associative", "left_distributive",
+                     "right_distributive", "mul_associative"):
+            kind = "multiplicative" if name == "mul_associative" else "additive"
+            assert val.checks[name].passed == _certified_law_holds(
+                name, add, ring.mul, val.info[f"{kind}_generators"]), (n, name)
+        assert val.checks["mul_associative"].passed, n
 
 
 def _is_violation(name: str, w: tuple, ring: RingTable, add, mul) -> bool:
@@ -396,7 +405,7 @@ def test_validation_against_oracle_on_single_entry_mutants(spec):
 def test_validation_on_single_entry_mutants_in_three_row_blocks(spec, monkeypatch):
     """The mutation suite again with the dense scans cut into blocks of
     three rows, so every ring spans several blocks."""
-    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 3 * parse_ring_spec(spec).size)
+    monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", 3 * parse_ring_spec(spec).size)
     test_validation_against_oracle_on_single_entry_mutants(spec)
 
 
@@ -459,7 +468,7 @@ def test_star_checks_on_swapped_star_tables(spec, block_rows, monkeypatch):
     ring = parse_ring_spec(spec)
     n = ring.size
     if block_rows:
-        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_rows * n)
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * n)
     rng = np.random.default_rng(n)
     x, y = np.ix_(range(n), range(n))
     for _ in range(20):
@@ -507,6 +516,63 @@ def test_add_inverses_accepts_any_two_sided_inverse():
     add[2, 1] = 2  # 1 and 2 lose each other, their only inverses
     val = validate_ring(RingTable(add, z3.mul, 0, 1))
     assert val.checks["add_inverses"].witness == (1,)
+
+
+def _inverse_tables():
+    """``(add, mul, zero, one)``: corpus rings, a hand-made table whose row 1
+    has a one-sided first right inverse (2) and a later two-sided one (3),
+    and random tables dense in the identity."""
+    for spec in ("zmod:1", "zmod:6", "gauss:3", "mat:2:zmod:2", "mat:2:zmod:3"):
+        ring = parse_ring_spec(spec)
+        yield ring.add, ring.mul, ring.zero, ring.one
+    hand = np.array([[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 1, 0], [3, 0, 1, 2]])
+    yield hand, hand, 0, 0
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        e = int(rng.integers(0, n))
+        a, m = (np.where(rng.random((n, n)) < 0.3, e, rng.integers(0, n, (n, n)))
+                for _ in range(2))
+        yield a, m, e, e
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-block", "3-row-block"])
+def test_inverses_match_two_sided_oracle(block_rows, monkeypatch):
+    """``neg`` (the first right inverse per row), ``units`` and the
+    ``add_inverses`` check equal a plain-Python inverse search, also where
+    a row's first right inverse is one-sided and a later one two-sided."""
+    later_two_sided = 0
+    for add, mul, zero, one in _inverse_tables():
+        n = len(add)
+        if block_rows is not None:
+            monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * n)
+        ring = RingTable(add, mul, zero, one)
+        al, ml = add.tolist(), mul.tolist()
+        first, add_two = oracles.inverses(n, lambda a, b: al[a][b], zero)
+        _, mul_two = oracles.inverses(n, lambda a, b: ml[a][b], one)
+        assert ring.neg.tolist() == first
+        assert units(ring).tolist() == [x for x in range(n) if mul_two[x]]
+        check = validate_ring(ring).checks["add_inverses"]
+        lacking = [x for x in range(n) if not add_two[x]]
+        assert (check.passed, check.witness) == (
+            not lacking, (lacking[0],) if lacking else None)
+        later_two_sided += sum(al[first[x]][x] != zero and add_two[x] for x in range(n))
+    assert later_two_sided
+
+
+def test_units_scan_in_bounded_memory():
+    """units on M2(Z7) (2401 elements) peaks at half a byte per element
+    pair or less: the inverse search runs in row blocks."""
+    m = make_matrix_ring(make_zmod(7), 2).ring
+    ring = RingTable(m.add, m.mul, m.zero, m.one)
+    tracemalloc.start()
+    try:
+        us = units(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert us.size == 2016
+    assert peak <= 0.5 * ring.size ** 2
 
 
 def test_degenerate_ring_vacuously_valid():

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import oracles
 from matsemi.errors import SizeMismatch
 from matsemi.maps import determinant_map, is_additive, is_multiplicative, power_map
-from matsemi.rings import make_gaussian, make_matrix_ring, make_zmod, parse_ring_spec
+from matsemi.rings import (
+    RingTable,
+    make_gaussian,
+    make_matrix_ring,
+    make_zmod,
+    parse_ring_spec,
+)
 from matsemi.search import (
     EnumerationQuery,
     _Plan,
@@ -151,6 +157,53 @@ def test_enumeration_star_filter():
     res = enumerate_multiplicative_maps(G3, Z3, filters=("star",))
     got = [tuple(int(v) for v in m.img) for m in res.maps]
     assert got == want
+
+
+def _oracle_of(spec: str):
+    if spec.startswith("mat:2:"):
+        return oracles.oracle_mat2(_oracle_of(spec[len("mat:2:"):]))
+    kind, n = spec.split(":")
+    return {"zmod": oracles.oracle_zmod, "gauss": oracles.oracle_gauss}[kind](int(n))
+
+
+def _star_swaps(spec: str, swapped: bool, rng):
+    """``(ring, oracle)`` pairs for ``spec``: as built, or with two entries
+    of its involution swapped, three times over."""
+    ring, o = parse_ring_spec(spec), _oracle_of(spec)
+    if not swapped:
+        return [(ring, o)]
+    out = []
+    for _ in range(3):
+        a, b = (int(v) for v in rng.choice(ring.size, 2, replace=False))
+        star = ring.star.copy()
+        star[[a, b]] = star[[b, a]]
+        swap = {a: b, b: a}
+        out.append((RingTable(ring.add, ring.mul, ring.zero, ring.one, star=star),
+                    oracles.OracleRing(o.size, o.add, o.mul, o.zero, o.one,
+                                       star=lambda x, s=o.star, w=swap: s(w.get(x, x)))))
+    return out
+
+
+_STAR_SWAP_PAIRS = [("gauss:2", "gauss:2"), ("zmod:4", "zmod:4"), ("gauss:2", "zmod:4"),
+                    ("zmod:4", "gauss:2"), ("zmod:2", "gauss:2"), ("gauss:2", "zmod:2"),
+                    ("zmod:2", "zmod:2")]
+
+
+@pytest.mark.parametrize("dom,cod,side", [
+    *((d, c, side) for d, c in _STAR_SWAP_PAIRS for side in ("dom", "cod", "both")),
+    ("mat:2:zmod:2", "zmod:2", "cod"), ("mat:2:zmod:2", "zmod:2", "none"),
+], ids=lambda v: v)
+def test_star_prefilter_on_star_swapped_rings(dom, cod, side):
+    """With two entries of the involution swapped on the domain, the
+    codomain or both, the star filter emits exactly the multiplicative
+    star-preserving maps a plain-Python brute force finds, in order."""
+    rng = np.random.default_rng(len(dom) * 7 + len(cod))
+    for d, o_dom in _star_swaps(dom, side in ("dom", "both"), rng):
+        for c, o_cod in _star_swaps(cod, side in ("cod", "both"), rng):
+            res = enumerate_multiplicative_maps(d, c, filters=("star",))
+            assert res.exhaustive
+            assert [tuple(m.img.tolist()) for m in res.maps] == \
+                oracles.star_multiplicative_functions(o_dom, o_cod)
 
 
 def test_enumeration_unital_filter():

@@ -3,9 +3,15 @@ given, at every worker count, whatever the rings' labels say."""
 
 import pytest
 
+import matsemi.verify
+from matsemi.errors import SizeCapExceeded
 from matsemi.rings import RingTable, make_gaussian, make_matrix_ring, make_zmod
 from matsemi.search import enumerate_multiplicative_maps
-from matsemi.verify import verify_corner_equivalence, verify_tensor_equivalence
+from matsemi.verify import (
+    verify_corner_equivalence,
+    verify_tensor_equivalence,
+    verify_witness_suite,
+)
 
 
 def _copy(ring: RingTable, label: str) -> RingTable:
@@ -50,3 +56,16 @@ def test_mislabelled_ring_uses_its_own_tables(workers):
     assert rep.dom == "zmod:4" and rep.ring_homs == 3
     assert _without_labels(rep.to_json()) == _without_labels(
         verify_tensor_equivalence(g2).to_json())
+
+
+def test_witness_suite_checks_pair_scan_cap_first(monkeypatch):
+    """A ring built under a larger cap is refused by the suite's pair-scan
+    cap before any scan or unit computation runs."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("scan ran before the size caps were checked")
+
+    for name in ("corner_product_identity_check", "uv_product_identity_check", "units"):
+        monkeypatch.setattr(matsemi.verify, name, not_reached)
+    with pytest.raises(SizeCapExceeded,
+                       match=r"^pair scan over 11\^2 parameter pairs exceeds the cap$"):
+        verify_witness_suite(make_zmod(11), size_cap=10)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
+from matsemi import _closure
 from matsemi.errors import NotAUnit, PreconditionFailed
-from matsemi import rings
 from matsemi.maps import (
     MapTable,
+    _pair_law,
     constant_map,
     determinant_map,
     from_callable,
@@ -112,7 +113,7 @@ def test_identity_checks_on_corrupted_tables(ring, check, oracle, star_swaps,
     16 witnesses equal a plain-Python evaluation of each block product,
     also when the scan runs in blocks of 3 rows of a."""
     if block_rows is not None:
-        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_rows * ring.size)
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * ring.size)
     failing = 0
     for mutant in _identity_mutants(ring, star_swaps):
         rep = check(mutant)
@@ -137,6 +138,22 @@ def test_identity_checks_scan_in_bounded_memory(check):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * ring.size**2
+
+
+def test_doubling_pool_gate_scans_in_bounded_memory(corpus):
+    """The doubling pool gate on M2(Z3[i]), multiplicativity over its 5760
+    units, peaks under 32 MB: it gathers one row block of units at a
+    time, where a whole pool x pool grid took about 158 MB."""
+    ring = corpus["rings"]["mat:2:gauss:3"]
+    pool = units(ring)
+    tracemalloc.start()
+    try:
+        rep = _pair_law("pool_multiplicative", identity_map(ring), "mul", 16, pool, pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.counts["checked"] == 5760**2
+    assert peak < 32 * 2**20
 
 
 def test_uv_pair_z3_scaled_identity():
@@ -389,7 +406,7 @@ def test_doubling_closure_matches_oracle(spec, block_rows, monkeypatch):
     the oracle finds not multiplicative on the pool is refused."""
     cases = _doubling_cases(spec)
     if block_rows is not None:
-        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", block_rows * cases[0][0].dom.size)
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * cases[0][0].dom.size)
     for phi, mode, depth, pad, want in cases:
         if want is None:
             with pytest.raises(PreconditionFailed):
