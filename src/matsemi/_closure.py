@@ -75,6 +75,35 @@ class ClosureStages:
                 words[e] = (e,)
         return words
 
+    def ready_pairs(self, table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per stage p, the "ready" pairs ``(xs, gs, xgs)`` whose right
+        products ``xgs = table[xs, gs]`` stage p decides first: the stage's
+        new elements times the earlier generators ``gens[:p]``, then the
+        closure so far (``order[:stage_starts[p + 1]]``) times ``gens[p]``.
+        Across the stages every (x, g) with x in ``order`` and g in
+        ``gens`` appears exactly once.
+
+        Reduction lemma: on an associative table, a map phi into an
+        associative operation with phi(x*g) = phi(x)*phi(g) on every ready
+        pair has phi(x*y) = phi(x)*phi(y) for every x in the closure and
+        every y with a nonempty word, i.e. every element of a seedless
+        closure.  By induction on the word of y: a generator is a ready
+        pair, and for y = y'g, phi(x*y'g) = phi(x*y')phi(g) =
+        phi(x)phi(y')phi(g) = phi(x)phi(y'g), as x*y' and y' lie in the
+        closure.
+        """
+        gens = np.asarray(self.gens, dtype=np.int64)
+        starts = self.stage_starts
+        out = []
+        for p in range(len(self.gens)):
+            new = self.order[starts[p]:starts[p + 1]]
+            prev = self.order[:starts[p]]
+            xs = np.concatenate([np.repeat(new, p), prev, new])
+            gs = np.concatenate([np.tile(gens[:p], new.size),
+                                 np.full(prev.size + new.size, gens[p])])
+            out.append((xs, gs, table[xs, gs].astype(np.int64)))
+        return out
+
 
 def greedy_closure(table: np.ndarray, seed: int | None) -> ClosureStages:
     """Greedily pick generators for the magma ``(range(n), table)``.

@@ -264,7 +264,8 @@ def _cmd_verify(args) -> int:
             raise MatsemiError("verify tensor needs --dom")
         dom = parse_ring_spec(args.dom, size_cap=args.size_cap)
         cod = parse_ring_spec(args.cod, size_cap=args.size_cap) if args.cod else None
-        doc = verify_tensor_equivalence(dom, cod, workers=workers).to_json()
+        doc = verify_tensor_equivalence(dom, cod, workers=workers,
+                                        size_cap=args.size_cap).to_json()
     elif suite == "i-relation":
         if not args.dom:
             raise MatsemiError("verify i-relation needs --dom")

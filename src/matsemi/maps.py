@@ -12,11 +12,12 @@ are listed in ascending lexicographic index order, capped at
 :data:`WITNESS_CAP` per report so output stays diffable.
 
 Each law is stated once.  ``_pair_law`` scans phi(x o y) = phi(x) o phi(y)
-for o in {*, +}, over all pairs or over given element sets, and
-``_relation`` gives both sides of the unital, corner and imaginary-unit
-relations for one image array or a stack of them.  The predicates here,
-the search, the witness scans, the verification suites and the CLI all
-use these two.
+for o in {*, +}, over all pairs or over given element sets;
+``_stacked_law`` decides the same law for a stack of image arrays on the
+ready pairs of a generator closure; and ``_relation`` gives both sides of
+the unital, corner and imaginary-unit relations for one image array or a
+stack of them.  The predicates here, the search, the witness scans, the
+verification suites and the CLI all use these three.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._closure import greedy_closure
 from .errors import MapFormatError, NonCentralScalar, NotAMatrixRing
 from .rings import (
     MatrixRingView,
@@ -197,6 +199,27 @@ def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
                         **(extra_counts or {})})
 
 
+def _stacked_law(op: str, dom: RingTable, cod: RingTable, imgs) -> np.ndarray:
+    """One bool per row of the ``(m, |dom|)`` image stack ``imgs``: whether
+    that map satisfies phi(x o y) = phi(x) o phi(y) for ``op`` in
+    {"mul", "add"} over all pairs.
+
+    Decided on the ready pairs (x, g) of the seedless closure of dom's
+    ``op`` table, g a generator (:meth:`ClosureStages.ready_pairs`), which
+    is exact when both op tables are associative, as in every ring
+    :func:`parse_ring_spec` builds.  The stack is copied once, transposed
+    into the codomain table's dtype, and then read one column of images at
+    a time, so the other temporaries stay of size m.
+    """
+    dom_t, cod_t = getattr(dom, op), getattr(cod, op)
+    cols = np.ascontiguousarray(np.asarray(imgs).T, dtype=cod_t.dtype)
+    ok = np.ones(cols.shape[1], dtype=bool)
+    for xs, gs, xgs in greedy_closure(dom_t, seed=None).ready_pairs(dom_t):
+        for x, g, xg in zip(xs.tolist(), gs.tolist(), xgs.tolist()):
+            ok &= cols[xg] == cod_t[cols[x], cols[g]]
+    return ok
+
+
 def _corner_units(ring: RingTable) -> tuple[int, int]:
     """The matrix units e11 and e22 of a ring built as a 2x2 matrix ring."""
     view = ring.matrix_view
@@ -286,13 +309,24 @@ def i_relation_holds(phi: MapTable) -> CheckReport:
     return _relation_report("i_relation", phi)
 
 
+def _lift(imgs, dv: MatrixRingView, cv: MatrixRingView) -> np.ndarray:
+    """Entrywise images of the matrices of ``dv`` under one image array
+    ``imgs`` of a map ``dv.base -> cv.base``, or a stack of them: decode,
+    map each entry, encode in ``cv``.  Encoding adds one digit position at
+    a time, so no temporary holds all k*k digits of a stack."""
+    imgs = np.asarray(imgs, dtype=np.int64)
+    out = np.zeros(imgs.shape[:-1] + dv.digits.shape[:1], dtype=np.int64)
+    for pos, place in enumerate(cv.place.tolist()):
+        out += imgs[..., dv.digits[:, pos]] * place
+    return out
+
+
 def tensor_id(phi: MapTable, k: int, size_cap: int | None = None) -> MapTable:
     """Entrywise application of ``phi`` on k x k matrices: decode, map each
     entry through ``phi``, encode."""
     dv = make_matrix_ring(phi.dom, k, size_cap=size_cap)
     cv = make_matrix_ring(phi.cod, k, size_cap=size_cap)
-    mapped = phi.img[dv.digits].astype(np.int64)
-    return MapTable(dv.ring, cv.ring, mapped @ cv.place)
+    return MapTable(dv.ring, cv.ring, _lift(phi.img, dv, cv))
 
 
 def scalar_linearity_holds(phi: MapTable, scalars,

@@ -521,15 +521,16 @@ def mat_eye(ring: RingTable, k: int) -> np.ndarray:
     return m
 
 
-def _inverse_scan_candidates(ring: RingTable, size_cap: int | None = None) -> int:
-    """|ring|**4, the candidates of a 2x2 inverse scan over ``ring``;
-    raises SizeCapExceeded when they exceed the size cap."""
+def _inverse_scan_candidates(ring: RingTable, size_cap: int | None = None) -> np.ndarray:
+    """The |ring|**4 candidates of a 2x2 inverse scan over ``ring``, as a
+    ``(|ring|**4, 2, 2)`` array in index order; raises SizeCapExceeded,
+    before building them, when they exceed the size cap."""
     cap = effective_size_cap(size_cap)
     total = ring.size**4
     if total > cap:
         raise SizeCapExceeded(
             f"inverse scan over {total} candidate matrices exceeds cap {cap}")
-    return total
+    return _digits(np.arange(total), 4, ring.size, np.int64).reshape(total, 2, 2)
 
 
 def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
@@ -539,8 +540,13 @@ def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
     Determinant shortcuts are deliberately not used; invertibility over a
     general base is decided by the scan alone.
     """
-    total = _inverse_scan_candidates(ring, size_cap)
-    C = _digits(np.arange(total), 4, ring.size, np.int64).reshape(total, 2, 2)
+    return _mat2_inverse(ring, M, _inverse_scan_candidates(ring, size_cap))
+
+
+def _mat2_inverse(ring: RingTable, M, C: np.ndarray):
+    """:func:`mat2_inverse_scan` over the candidates ``C`` of
+    :func:`_inverse_scan_candidates`: the first two-sided inverse of ``M``
+    among them, or None."""
     M = np.asarray(M, dtype=np.int64)
     eye = mat_eye(ring, 2)
     left = mat_mul(ring, M[None, :, :], C)

@@ -24,7 +24,13 @@ import numpy as np
 
 from ._closure import greedy_closure
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch
-from .maps import MapTable, _relation, corner_relation_holds, is_additive
+from .maps import (
+    MapTable,
+    _relation,
+    _stacked_law,
+    corner_relation_holds,
+    is_additive,
+)
 from .rings import RingTable, _digits, parse_ring_spec
 
 BRUTE_FORCE_LIMIT = 2**20
@@ -145,21 +151,9 @@ class _Plan:
                         if starts[p] < a < starts[p + 1]]
                        for p in range(nstages)]
 
-        # Per stage: the "ready" pairs (x, g) whose right product x*g it
-        # decides first: x new with an earlier variable g, and x anywhere in
-        # the closure so far with g = vars[p].  Over stages 0..p these are
-        # all (x, g) with x in the closure and g in vars[:p+1], so the stage
-        # checks together prove phi multiplicative on the closure: by
-        # induction on the word of y, phi(x*y'g) = phi(x*y')phi(g) =
-        # phi(x)phi(y')phi(g) = phi(x)phi(y'g), using associativity of both
-        # multiplications.
-        self.ready: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        gens = np.asarray(self.vars, dtype=np.int64)
-        for p, (new, prev) in enumerate(zip(self.new_elems, self.prev_elems)):
-            xs = np.concatenate([np.repeat(new, p), prev, new])
-            gs = np.concatenate([np.tile(gens[:p], new.size),
-                                 np.full(prev.size + new.size, gens[p])])
-            self.ready.append((xs, gs, dom.mul[xs, gs].astype(np.int64)))
+        # Per stage: the ready pairs it decides; together they prove phi
+        # multiplicative (see ClosureStages.ready_pairs).
+        self.ready = cl.ready_pairs(dom.mul)
 
         # Per stage: decided pairs involving the variable whose product is
         # already decided (or the variable itself).  Sound constraints on
@@ -492,24 +486,19 @@ def function_space_masks(dom: RingTable, cod: RingTable, lo: int, hi: int,
     """Predicate masks over the function ids [lo, hi) in lexicographic order.
 
     Function id ``t`` is the image array given by the base-|cod| digits of
-    ``t`` (most significant digit = image of element 0).
+    ``t`` (most significant digit = image of element 0).  The
+    ``multiplicative`` and ``additive`` masks are decided on ready pairs
+    (:func:`~matsemi.maps._stacked_law`), which is exact when the domain
+    and codomain tables of each operation are associative: every ring
+    :func:`parse_ring_spec` builds is; for a hand-assembled ``RingTable``,
+    run :func:`~matsemi.rings.validate_ring` first.
     """
-    n, c = dom.size, cod.size
     ids = np.arange(lo, hi, dtype=np.int64)
-    imgs = _digits(ids, n, c, np.int64)
+    imgs = _digits(ids, dom.size, cod.size, np.int64)
     masks: dict[str, np.ndarray] = {}
-    if "multiplicative" in want:
-        m = np.ones(ids.size, dtype=bool)
-        for x in range(n):
-            for y in range(n):
-                m &= imgs[:, dom.mul[x, y]] == cod.mul[imgs[:, x], imgs[:, y]]
-        masks["multiplicative"] = m
-    if "additive" in want:
-        a = np.ones(ids.size, dtype=bool)
-        for x in range(n):
-            for y in range(n):
-                a &= imgs[:, dom.add[x, y]] == cod.add[imgs[:, x], imgs[:, y]]
-        masks["additive"] = a
+    for name, op in (("multiplicative", "mul"), ("additive", "add")):
+        if name in want:
+            masks[name] = _stacked_law(op, dom, cod, imgs)
     if "corner" in want:
         _, lhs, rhs = _relation("corner", dom, cod, imgs)
         masks["corner"] = lhs == rhs

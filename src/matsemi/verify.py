@@ -13,8 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MapFormatError, PreconditionFailed
-from .maps import MapTable, is_multiplicative, tensor_id
-from .rings import RingTable, _digits, _inverse_scan_candidates, units
+from .maps import MapTable, _lift, _stacked_law
+from .rings import (
+    RingTable,
+    _digits,
+    _inverse_scan_candidates,
+    make_matrix_ring,
+    units,
+)
 from .search import (
     _run_ring_tasks,
     enumerate_multiplicative_maps,
@@ -23,10 +29,10 @@ from .search import (
 )
 from .witness import (
     _guard_pair_scan,
+    _witness_matrices,
     corner_product_identity_check,
     doubling_additivity_closure,
     fourth_power_reduction,
-    invertible_witness_matrices,
     uv_product_identity_check,
 )
 
@@ -136,16 +142,15 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
 # Suite: matrix lift multiplicativity <-> ring homomorphism
 
 
-def _tensor_task(dom: RingTable, cod: RingTable, lo: int, hi: int):
+def _tensor_task(dom: RingTable, cod: RingTable, lo: int, hi: int,
+                 size_cap: int | None):
     masks = function_space_masks(dom, cod, lo, hi,
                                  want=("multiplicative", "additive"))
     hom = masks["multiplicative"] & masks["additive"]
+    dv = make_matrix_ring(dom, _TENSOR_K, size_cap=size_cap)
+    cv = make_matrix_ring(cod, _TENSOR_K, size_cap=size_cap)
+    lifted_ok = _stacked_law("mul", dv.ring, cv.ring, _lift(masks["_imgs"], dv, cv))
     ids = np.arange(lo, hi, dtype=np.int64)
-    lifted_ok = np.zeros(ids.size, dtype=bool)
-    imgs = masks["_imgs"]
-    for row in range(ids.size):
-        phi = MapTable(dom, cod, imgs[row])
-        lifted_ok[row] = is_multiplicative(tensor_id(phi, _TENSOR_K)).passed
     return ids[hom], ids[lifted_ok]
 
 
@@ -175,12 +180,20 @@ class TensorEquivalenceReport:
 
 
 def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
-                              workers: int = 1) -> TensorEquivalenceReport:
+                              workers: int = 1,
+                              size_cap: int | None = None) -> TensorEquivalenceReport:
     """Over every function dom -> cod: the 2x2 matrix lift is
-    multiplicative exactly for the ring homomorphisms."""
+    multiplicative exactly for the ring homomorphisms.  Both 2x2 matrix
+    rings are built under ``size_cap`` before any function is scanned.
+    Verdicts are decided on ready pairs, exact for associative tables (see
+    :func:`~matsemi.search.function_space_masks`)."""
     cod = cod if cod is not None else dom
     total = function_space_size(dom, cod)
-    parts = _run_ring_tasks(_tensor_task, dom, cod, _chunks(total), workers)
+    for ring in (dom, cod):
+        make_matrix_ring(ring, _TENSOR_K, size_cap=size_cap)
+    parts = _run_ring_tasks(_tensor_task, dom, cod,
+                            [(lo, hi, size_cap) for lo, hi in _chunks(total)],
+                            workers)
     hom_ids = np.concatenate([p[0] for p in parts])
     lift_ids = np.concatenate([p[1] for p in parts])
     return TensorEquivalenceReport(
@@ -228,9 +241,10 @@ def verify_witness_suite(ring: RingTable, size_cap: int | None = None) -> Witnes
     """Corner and u/v product identities over all parameter pairs, plus
     exhaustive invertibility of gamma/alpha/beta for every unit lambda and
     every parameter value.  Every scan applies ``size_cap``, and both caps
-    are checked before any scan."""
+    are checked before any scan.  The |R|**4 candidate matrices of the
+    inverse scans are built once per call."""
     _guard_pair_scan(ring, size_cap)
-    _inverse_scan_candidates(ring, size_cap)
+    cands = _inverse_scan_candidates(ring, size_cap)
     corner = corner_product_identity_check(ring, size_cap=size_cap)
     uv = uv_product_identity_check(ring, size_cap=size_cap)
     us = units(ring)
@@ -238,8 +252,7 @@ def verify_witness_suite(ring: RingTable, size_cap: int | None = None) -> Witnes
     checked = 0
     for lam in us:
         for p in range(ring.size):
-            gam, alp, bet = invertible_witness_matrices(
-                ring, int(lam), p, p, p, size_cap)
+            gam, alp, bet = _witness_matrices(ring, int(lam), p, p, p, cands)
             checked += 3
             for w in (gam, alp, bet):
                 if not w.invertible:

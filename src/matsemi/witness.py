@@ -48,7 +48,16 @@ from .maps import (
     is_multiplicative,
     tensor_id,
 )
-from .rings import RingTable, _pool, _row_scan, mat_mul, mat2_inverse_scan, units
+from .rings import (
+    RingTable,
+    _inverse_scan_candidates,
+    _mat2_inverse,
+    _pool,
+    _row_scan,
+    mat2_inverse_scan,
+    mat_mul,
+    units,
+)
 
 TRACE_CONFLICT_CAP = 64
 
@@ -209,9 +218,19 @@ def invertible_witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: in
     beta_b = [[b,l],[1,0]] for a unit ``l``, each verified invertible by
     exhaustive two-sided inverse scan over all 2x2 matrices, up to ``size_cap``.
     """
-    lam, a, b, c = int(lam), int(a), int(b), int(c)
+    lam = int(lam)
     if lam not in set(int(u) for u in units(ring)):
         raise NotAUnit(f"{lam} is not a unit of {ring.label}")
+    return _witness_matrices(ring, lam, a, b, c,
+                             _inverse_scan_candidates(ring, size_cap))
+
+
+def _witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: int,
+                      cands: np.ndarray) -> tuple[WitnessMatrix, ...]:
+    """:func:`invertible_witness_matrices` for a unit ``lam``, scanning the
+    inverse-scan candidates ``cands`` (see
+    :func:`rings._inverse_scan_candidates`)."""
+    lam, a, b, c = int(lam), int(a), int(b), int(c)
     one, zero = ring.one, ring.zero
     mats = [
         ("gamma", np.array([[c, lam], [lam, zero]], dtype=np.int64)),
@@ -220,7 +239,7 @@ def invertible_witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: in
     ]
     out = []
     for name, m in mats:
-        inv = mat2_inverse_scan(ring, m, size_cap)
+        inv = _mat2_inverse(ring, m, cands)
         out.append(WitnessMatrix(name, m, inv is not None, inv))
     return tuple(out)
 

@@ -311,6 +311,33 @@ def test_verify_witnesses_applies_size_cap_flag_to_the_scans(env_cap, monkeypatc
         "error: inverse scan over 256 candidate matrices exceeds cap 100\n")
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("env_cap", [None, "100"], ids=["flag", "flag-and-env"])
+def test_verify_tensor_applies_size_cap_flag_to_the_lift(env_cap, workers,
+                                                         monkeypatch, capsys):
+    """``--size-cap 100`` refuses the 256-element lift M2(Z4) exactly as
+    ``MATSEMI_SIZE_CAP=100`` does, before any function is scanned, and a
+    flag above the lift size lets the suite run under a smaller
+    environment cap."""
+    import matsemi.verify
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("functions scanned before the lift was capped")
+
+    monkeypatch.delenv("MATSEMI_SIZE_CAP", raising=False)
+    if env_cap is not None:
+        monkeypatch.setenv("MATSEMI_SIZE_CAP", env_cap)
+        assert run_cli("verify", "tensor", "--dom", "zmod:4", "--size-cap", "1000",
+                       "--workers", workers)[0] == 0
+        capsys.readouterr()
+    monkeypatch.setattr(matsemi.verify, "_run_ring_tasks", not_reached)
+    code, out = run_cli("verify", "tensor", "--dom", "zmod:4", "--size-cap", "100",
+                        "--workers", workers)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: matrix ring mat:2:zmod:4 has 256 elements, cap is 100\n")
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit2(workers, capsys):
     for argv in (["enumerate", "--dom", "zmod:2", "--cod", "zmod:2"],

@@ -121,3 +121,33 @@ def test_closure_of_large_table_peaks_under_32_mb(corpus, which):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@settings(max_examples=120)
+@given(drawn=_tables(), seeded=st.booleans())
+def test_ready_pairs_cover_every_element_generator_pair_once(drawn, seeded):
+    """On any table, associative or not, seeded or not: stage p of
+    ``ready_pairs`` holds exactly the pairs (x, g_q), q <= p, with x among
+    the elements known after stage p that were not already paired with
+    g_q at an earlier stage; it reads no element of a later stage, and its
+    products are the table's.  The stages come from the plain-Python
+    oracle closure, the products from the table's rows as lists."""
+    table, seed = drawn
+    seed = seed if seeded else None
+    rows = table.tolist()
+    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b], seed)
+    order, gens, starts = want["order"], want["gens"], want["stage_starts"]
+    stages = greedy_closure(table, seed).ready_pairs(table)
+    assert len(stages) == len(gens)
+    seen = []
+    for p, (xs, gs, xgs) in enumerate(stages):
+        assert xs.dtype == gs.dtype == xgs.dtype == np.int64
+        pairs = list(zip(xs.tolist(), gs.tolist()))
+        known = order[:starts[p + 1]]
+        older = order[:starts[p]]
+        assert sorted(pairs) == sorted(
+            [(x, g) for x in known for g in gens[:p] if x not in older]
+            + [(x, gens[p]) for x in known])
+        assert xgs.tolist() == [rows[x][g] for x, g in pairs]
+        seen += pairs
+    assert sorted(seen) == sorted((x, g) for x in order for g in gens)

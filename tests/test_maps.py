@@ -19,6 +19,7 @@ from matsemi.errors import (
 from matsemi.maps import (
     MapTable,
     _pair_law,
+    _stacked_law,
     constant_map,
     corner_relation_holds,
     determinant_map,
@@ -35,7 +36,15 @@ from matsemi.maps import (
     tensor_id,
     zero_map,
 )
-from matsemi.rings import _pool, make_gaussian, make_matrix_ring, make_zmod
+from matsemi.rings import (
+    _digits,
+    _pool,
+    make_gaussian,
+    make_matrix_ring,
+    make_zmod,
+    parse_ring_spec,
+)
+from matsemi.search import enumerate_multiplicative_maps
 
 
 @pytest.fixture(scope="module")
@@ -410,3 +419,49 @@ def test_predicates_match_oracle_on_random_maps(img):
     assert is_multiplicative(phi).passed == oracles.is_multiplicative(_O_M2Z2, o_cod, t)
     assert is_additive(phi).passed == oracles.is_additive(_O_M2Z2, o_cod, t)
     assert corner_relation_holds(phi).passed == oracles.corner_holds(_O_M2Z2, o_cod, t)
+
+
+def test_stacked_law_matches_oracle_on_every_function_m2z2_to_z2():
+    """Mask for mask over all 2**16 functions M2(Z2) -> Z2, the ready-pair
+    verdicts equal the oracle's full double loops.  The oracle ring's
+    operations are tabulated into plain lists first, which keeps the scan
+    to about a second."""
+    o_cod = oracles.oracle_zmod(2)
+    tab = [[[op(x, y) for y in range(16)] for x in range(16)]
+           for op in (_O_M2Z2.add, _O_M2Z2.mul)]
+    o_dom = oracles.OracleRing(16, lambda x, y: tab[0][x][y],
+                               lambda x, y: tab[1][x][y], _O_M2Z2.zero, _O_M2Z2.one)
+    funcs = list(oracles.all_functions(16, 2))
+    imgs = _digits(np.arange(2**16), 16, 2, np.int64)
+    assert imgs.tolist() == [list(f) for f in funcs]
+    for op, oracle in (("mul", oracles.is_multiplicative), ("add", oracles.is_additive)):
+        got = _stacked_law(op, _M2Z2.ring, _M2Z2.base, imgs)
+        assert got.tolist() == [oracle(o_dom, o_cod, f) for f in funcs]
+
+
+# (dom, cod) pairs whose multiplicative maps enumerate in well under a second.
+_STACK_PAIRS = [*((f"zmod:{n}", f"zmod:{n}") for n in range(1, 9)),
+                ("gauss:2", "gauss:2"), ("gauss:3", "gauss:3"),
+                ("mat:2:zmod:2", "zmod:2"), ("mat:2:zmod:2", "mat:2:zmod:2"),
+                ("mat:2:zmod:3", "mat:2:zmod:3"), ("mat:2:gauss:2", "gauss:2")]
+
+
+@pytest.mark.parametrize("dom_spec,cod_spec", _STACK_PAIRS,
+                         ids=[f"{d}->{c}" for d, c in _STACK_PAIRS])
+def test_stacked_law_matches_full_scans_on_corpus_stacks(dom_spec, cod_spec):
+    """On a stack of every multiplicative map dom -> cod, followed by each
+    map with one entry changed, the ready-pair verdicts equal the full
+    row-blocked scans of is_multiplicative and is_additive, map for map,
+    and both verdicts occur."""
+    dom, cod = parse_ring_spec(dom_spec), parse_ring_spec(cod_spec)
+    mult = np.stack([m.img for m in enumerate_multiplicative_maps(dom, cod).maps])
+    bent = mult.copy()
+    rows = np.arange(len(bent))
+    at = rows % dom.size  # map r changes its image of element r mod |dom|
+    bent[rows, at] = (bent[rows, at] + 1) % cod.size
+    stack = np.concatenate([mult, bent])
+    for op, scan in (("mul", is_multiplicative), ("add", is_additive)):
+        got = _stacked_law(op, dom, cod, stack)
+        assert got.tolist() == [scan(MapTable(dom, cod, img)).passed for img in stack]
+        if op == "mul":
+            assert got[:len(mult)].all() and (cod.size == 1 or not got.all())

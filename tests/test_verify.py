@@ -1,11 +1,20 @@
 """Verification suites and enumeration run on the ring objects they are
 given, at every worker count, whatever the rings' labels say."""
 
+import numpy as np
 import pytest
 
 import matsemi.verify
 from matsemi.errors import SizeCapExceeded
-from matsemi.rings import RingTable, make_gaussian, make_matrix_ring, make_zmod
+from matsemi.maps import MapTable, is_multiplicative, is_ring_hom, tensor_id
+from matsemi.rings import (
+    RingTable,
+    _digits,
+    make_gaussian,
+    make_matrix_ring,
+    make_zmod,
+    parse_ring_spec,
+)
 from matsemi.search import enumerate_multiplicative_maps
 from matsemi.verify import (
     verify_corner_equivalence,
@@ -69,3 +78,41 @@ def test_witness_suite_checks_pair_scan_cap_first(monkeypatch):
     with pytest.raises(SizeCapExceeded,
                        match=r"^pair scan over 11\^2 parameter pairs exceeds the cap$"):
         verify_witness_suite(make_zmod(11), size_cap=10)
+
+
+def _tensor_sets(ring: RingTable):
+    """The ring-hom ids and the lift-multiplicative ids among all self-maps
+    of ``ring``, from one stacked task over the whole function space."""
+    return matsemi.verify._tensor_task(ring, ring, 0, ring.size ** ring.size, None)
+
+
+@pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "gauss:2"])
+def test_stacked_tensor_verdicts_match_per_function_scans(spec):
+    """On every self-map, the stacked ring-hom and lift verdicts equal the
+    per-function path: a MapTable, its tensor_id lift and full pair scans."""
+    ring = parse_ring_spec(spec)
+    hom_ids, lift_ids = _tensor_sets(ring)
+    imgs = _digits(np.arange(ring.size ** ring.size), ring.size, ring.size, np.int64)
+    phis = [MapTable(ring, ring, img) for img in imgs]
+    assert hom_ids.tolist() == [t for t, phi in enumerate(phis)
+                                if is_ring_hom(phi).passed]
+    assert lift_ids.tolist() == [t for t, phi in enumerate(phis)
+                                 if is_multiplicative(tensor_id(phi, 2)).passed]
+
+
+@pytest.mark.parametrize("n,half", [(3, 2), (5, 3)])
+def test_tensor_counterexample_when_two_is_a_unit(n, half):
+    """Over Z_n with 2 a unit, the lift of the constant map onto 1/2 is the
+    constant idempotent (1/2)J, since J**2 = 2J for the all-ones matrix J.
+    It is the one lift-multiplicative self-map that is not a ring hom, so
+    the suite reports the counterexample and fails."""
+    ring = make_zmod(n)
+    assert int(ring.mul[2, half]) == 1
+    assert verify_tensor_equivalence(ring).to_json() == {
+        "suite": "tensor", "dom": f"zmod:{n}", "cod": f"zmod:{n}", "k": 2,
+        "total_functions": n ** n, "ring_homs": 2, "lift_multiplicative": 3,
+        "sets_equal": False, "pass": False}
+    hom_ids, lift_ids = _tensor_sets(ring)
+    extra = np.setdiff1d(lift_ids, hom_ids)
+    assert np.isin(hom_ids, lift_ids).all()
+    assert _digits(extra, n, n, np.int64).tolist() == [[half] * n]
