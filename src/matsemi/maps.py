@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._closure import greedy_closure
 from .errors import MapFormatError, NonCentralScalar, NotAMatrixRing
 from .rings import (
     MatrixRingView,
     RingTable,
     _row_scan,
     make_matrix_ring,
+    op_closure,
     parse_ring_spec,
 )
 
@@ -205,7 +205,8 @@ def _stacked_law(op: str, dom: RingTable, cod: RingTable, imgs) -> np.ndarray:
     {"mul", "add"} over all pairs.
 
     Decided on the ready pairs (x, g) of the seedless closure of dom's
-    ``op`` table, g a generator (:meth:`ClosureStages.ready_pairs`), which
+    ``op`` table (:func:`~matsemi.rings.op_closure`, built once per ring),
+    g a generator (:meth:`ClosureStages.ready_pairs`), which
     is exact when both op tables are associative, as in every ring
     :func:`parse_ring_spec` builds.  The stack is copied once, transposed
     into the codomain table's dtype, and then read one column of images at
@@ -214,7 +215,7 @@ def _stacked_law(op: str, dom: RingTable, cod: RingTable, imgs) -> np.ndarray:
     dom_t, cod_t = getattr(dom, op), getattr(cod, op)
     cols = np.ascontiguousarray(np.asarray(imgs).T, dtype=cod_t.dtype)
     ok = np.ones(cols.shape[1], dtype=bool)
-    for xs, gs, xgs in greedy_closure(dom_t, seed=None).ready_pairs(dom_t):
+    for xs, gs, xgs in op_closure(dom, op).ready_pairs(dom_t):
         for x, g, xg in zip(xs.tolist(), gs.tolist(), xgs.tolist()):
             ok &= cols[xg] == cod_t[cols[x], cols[g]]
     return ok

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._closure import _first_unseen, _row_blocks, greedy_closure
+from ._closure import ClosureStages, _first_unseen, _row_blocks, greedy_closure
 from .errors import (
     MissingImaginaryUnit,
     MissingInvolution,
@@ -129,6 +129,7 @@ class RingTable:
         self._views: dict[int, "MatrixRingView"] = {}
         self._units = None
         self._unitaries = None
+        self._closures: dict[str, ClosureStages] = {}
         for arr in (self.add, self.mul, self.neg):
             arr.setflags(write=False)
         if self.star is not None:
@@ -384,6 +385,20 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
         base = parse_ring_spec(sub[1], size_cap=size_cap)
         return make_matrix_ring(base, k, size_cap=size_cap).ring
     raise RingSpecError(f"unknown ring spec {spec!r}")
+
+
+def op_closure(ring: RingTable, op: str) -> ClosureStages:
+    """The seedless :func:`~matsemi._closure.greedy_closure` of the ring's
+    ``op`` table (``"mul"`` or ``"add"``), built on first use and kept on
+    the ring object, so every search plan and stacked law on the ring
+    shares one.  Its arrays are read-only."""
+    cl = ring._closures.get(op)
+    if cl is None:
+        cl = greedy_closure(getattr(ring, op), seed=None)
+        for arr in (cl.order, cl.deriv_x, cl.deriv_y):
+            arr.setflags(write=False)
+        ring._closures[op] = cl
+    return cl
 
 
 # ---------------------------------------------------------------------------

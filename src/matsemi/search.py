@@ -31,7 +31,7 @@ from .maps import (
     corner_relation_holds,
     is_additive,
 )
-from .rings import RingTable, _digits, parse_ring_spec
+from .rings import RingTable, _digits, op_closure, parse_ring_spec
 
 BRUTE_FORCE_LIMIT = 2**20
 
@@ -129,13 +129,14 @@ class EnumerationResult:
 
 # Candidate prefilters probe at most this many decided pairs per side; the
 # stage checks still decide multiplicativity, the probes only thin the
-# candidate values cheaply.
+# candidate values cheaply.  Only the first probe of each side reads every
+# candidate; the rest are gathered for the survivors (see _candidates).
 _PREFILTER_PROBES = 64
 
 
 class _Plan:
     def __init__(self, dom: RingTable, filters: tuple[str, ...]):
-        cl = greedy_closure(dom.mul, seed=None)
+        cl = op_closure(dom, "mul")
         self.vars = cl.gens
         self.dx = cl.deriv_x
         self.dy = cl.deriv_y
@@ -209,6 +210,38 @@ class _StopSearch(Exception):
     pass
 
 
+def _candidates(plan: _Plan, cod: RingTable, img: np.ndarray, p: int,
+                lo: int, hi: int) -> np.ndarray:
+    """The values for variable ``p`` (in [lo, hi) at p = 0), ascending,
+    that pass the plan's sound constraints given the images ``img`` of the
+    earlier stages.
+
+    The constraints are one conjunction, applied cheapest first so that
+    the dense gather reads few rows: the star and self-square constraints
+    (one entry per candidate), then the first probe of each side (one
+    table row or column), then every probe of each side on the survivors.
+    Returns as soon as no candidate is left.
+    """
+    v = plan.vars[p]
+    cand = np.arange(lo, hi) if p == 0 else np.arange(cod.size)
+    sv, tvv = plan.pf_star[p], plan.pf_self[p]
+    if sv != -2:
+        cand = cand[cod.star[cand] == (cand if sv == -1 else img[sv])]
+    if tvv >= 0 and cand.size:
+        cand = cand[cod.mul[cand, cand] == (cand if tvv == v else img[tvv])]
+    # Left probes v*x, then right probes x*v (see _Plan.pf_probes).
+    sides = list(zip((cod.mul, cod.mul.T), plan.pf_probes[p]))
+    for mul, (xs, k, ts) in sides:
+        if xs.size and cand.size:
+            cand = cand[mul[cand, img[xs[0]]] == (cand if k else img[ts[0]])]
+    for mul, (xs, k, ts) in sides:
+        if xs.size > 1 and cand.size:
+            prod = mul[cand[:, None], img[xs][None, :]]
+            cand = cand[(prod[:, :k] == cand[:, None]).all(axis=1)
+                        & (prod[:, k:] == img[ts][None, :]).all(axis=1)]
+    return cand
+
+
 def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
                   injective: bool, limit: int | None,
                   node_budget: int | None, lo: int, hi: int):
@@ -219,29 +252,6 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     nodes = 0
     exhausted = True
     nvars = len(plan.vars)
-    cod_muls = (cod.mul, cod.mul.T)  # left probes v*x, right probes x*v
-
-    def candidates(p: int) -> np.ndarray:
-        """Candidate values surviving the vectorized probe constraints."""
-        v = plan.vars[p]
-        cand = np.arange(lo, hi) if p == 0 else np.arange(cod.size)
-        mask = np.ones(cand.size, dtype=bool)
-        for mul, (xs, k, ts) in zip(cod_muls, plan.pf_probes[p]):
-            prod = mul[cand[:, None], img[xs][None, :]]
-            if k:
-                mask &= (prod[:, :k] == cand[:, None]).all(axis=1)
-            if ts.size:
-                mask &= (prod[:, k:] == img[ts][None, :]).all(axis=1)
-        tvv = plan.pf_self[p]
-        if tvv >= 0:
-            sq = cod.mul[cand, cand]
-            mask &= sq == (cand if tvv == v else int(img[tvv]))
-        sv = plan.pf_star[p]
-        if sv == -1:
-            mask &= cod.star[cand] == cand
-        elif sv >= 0:
-            mask &= cod.star[cand] == int(img[sv])
-        return cand[mask]
 
     def check_stage(p: int) -> bool:
         xs, gs, xgs = plan.ready[p]
@@ -271,7 +281,7 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
         if node_budget is not None and nodes > node_budget:
             exhausted = False
             raise _StopSearch
-        for c in candidates(p):
+        for c in _candidates(plan, cod, img, p, lo, hi):
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 exhausted = False
@@ -297,6 +307,9 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
         rec(0)
     except _StopSearch:
         pass
+    # rec reaches itself through its closure cell; breaking that cycle
+    # frees the plan and the images on return, not at the next collection.
+    rec = None
     return out, nodes, exhausted
 
 

@@ -43,8 +43,9 @@ _TENSOR_K = 2
 
 # Default step budget per top-level branch of the capped i-relation search.
 # With it, the default search M2(Z3[i]) -> M2(Z3[i]) visits 6392 nodes in
-# 4.3-7.9 s of CPU on a shared 2-core x86 host (about 0.7-1.2 ms per node)
-# and is not exhaustive; callers with more patience pass a larger budget
+# about 3.6 s of CPU on a shared 2-core x86 host (about 0.56 ms per node;
+# the whole command, ring and closure build included, takes 4.7-5.1 s) and
+# is not exhaustive; callers with more patience pass a larger budget
 # explicitly.
 DEFAULT_NODE_BUDGET = 5000
 

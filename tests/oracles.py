@@ -170,6 +170,36 @@ def star_multiplicative_functions(dom: OracleRing, cod: OracleRing) -> list[tupl
             if respects_star(dom, cod, img) and is_multiplicative(dom, cod, img)]
 
 
+def search_candidates(dom: OracleRing, cod: OracleRing, img, v: int, values,
+                      left, right, star: bool = False) -> list[int]:
+    """The values c among ``values``, in order, that pass every constraint
+    a search puts on the image phi(v) = c of a variable v, checked one
+    value at a time.  ``img`` holds the images of the decided elements and
+    -1 for the others.  The constraints: phi(v x) = c phi(x) for each probe
+    x in ``left``, phi(x v) = phi(x) c for each x in ``right``,
+    phi(v v) = c c when v v is v or decided, and, with ``star``,
+    phi(v*) = c* when v* is v or decided."""
+    def decided(e):
+        return e == v or img[e] >= 0
+
+    def image(e, c):
+        assert decided(e), f"constraint reads undecided element {e}"
+        return c if e == v else img[e]
+
+    assert all(img[x] >= 0 for x in [*left, *right])
+    out = []
+    for c in values:
+        sq = dom.mul(v, v)
+        ok = not decided(sq) or image(sq, c) == cod.mul(c, c)
+        if star and decided(dom.star(v)):
+            ok = ok and image(dom.star(v), c) == cod.star(c)
+        ok = ok and all(image(dom.mul(v, x), c) == cod.mul(c, img[x]) for x in left)
+        ok = ok and all(image(dom.mul(x, v), c) == cod.mul(img[x], c) for x in right)
+        if ok:
+            out.append(c)
+    return out
+
+
 def inverses(n: int, op, e: int) -> tuple[list[int], list[bool]]:
     """Per x in range(n): the first y with op(x, y) = e (0 when there is
     none), and whether some y has op(x, y) = e = op(y, x)."""

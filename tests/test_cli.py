@@ -9,7 +9,13 @@ import pytest
 
 from matsemi.cli import main
 from matsemi.maps import constant_map, determinant_map, identity_map, power_map
-from matsemi.rings import make_gaussian, make_matrix_ring, make_zmod
+from matsemi.rings import (
+    make_gaussian,
+    make_matrix_ring,
+    make_zmod,
+    op_closure,
+    parse_ring_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -451,3 +457,27 @@ def test_enumerate_workers_byte_identical():
                             "--cod", "zmod:2", "--workers", w).stdout
             for w in ("1", "3")]
     assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "i-relation", "--dom", "mat:2:gauss:2", "--cod", "mat:2:gauss:2"),
+    ("enumerate", "--dom", "mat:2:zmod:3", "--cod", "mat:2:zmod:3", "--filter", "star"),
+], ids=["verify-i-relation", "enumerate-star"])
+def test_search_commands_byte_identical_across_workers_and_closure_cache(argv):
+    """A search command prints the same bytes at --workers 1 and 2, both
+    in a fresh process, where no closure is cached yet, and in this one
+    after its rings' closures have been built."""
+    outs = []
+    for workers in ("1", "2"):
+        r = _run_subprocess(*argv, "--workers", workers)
+        assert r.returncode == 0
+        outs.append(r.stdout.decode())
+    for flag in ("--dom", "--cod"):
+        ring = parse_ring_spec(argv[argv.index(flag) + 1])
+        for op in ("mul", "add"):
+            op_closure(ring, op)
+    for workers in ("1", "2"):
+        code, out = run_cli(*argv, "--workers", workers)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] and outs == [outs[0]] * 4

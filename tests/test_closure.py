@@ -108,19 +108,23 @@ def test_first_unseen_takes_the_first_position_per_value():
     assert vals.tolist() == [1, 2, 4] and pos.tolist() == [3, 1, 0]
 
 
+@pytest.mark.parametrize("spec", ["mat:2:gauss:3", "mat:2:zmod:7"])
 @pytest.mark.parametrize("which", ["add", "mul"])
-def test_closure_of_large_table_peaks_under_32_mb(corpus, which):
-    """Each M2(Z3[i]) closure (6561 elements) gathers its products one row
-    block at a time: under 32 MB under tracemalloc, where whole-grid
-    gathers took about 75 MB (mul) and 100 MB (add)."""
-    ring = corpus["rings"]["mat:2:gauss:3"]
+def test_closure_of_large_table_peaks_under_10_mb(spec, which):
+    """The M2(Z3[i]) and M2(Z7) closures (6561 and 2401 elements) gather
+    their products one row block at a time and sort nothing of block size:
+    under 10 MB under tracemalloc (measured: at most 7.6 MB, for the add
+    closures), where sorting each block's fresh positions took about
+    14 MB (add) and whole-grid gathers about 75 MB (mul) and 100 MB
+    (add) on M2(Z3[i])."""
+    ring = parse_ring_spec(spec)
     tracemalloc.start()
     try:
         greedy_closure(getattr(ring, which), ring.zero if which == "add" else ring.one)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 10 * 2**20
 
 
 @settings(max_examples=120)
@@ -151,3 +155,79 @@ def test_ready_pairs_cover_every_element_generator_pair_once(drawn, seeded):
         assert xgs.tolist() == [rows[x][g] for x, g in pairs]
         seen += pairs
     assert sorted(seen) == sorted((x, g) for x in order for g in gens)
+
+
+def _closure_fields(cl) -> dict:
+    return {"seed": cl.seed, "gens": cl.gens, "order": cl.order.tolist(),
+            "stage_starts": cl.stage_starts, "round_starts": cl.round_starts,
+            "deriv_x": cl.deriv_x.tolist(), "deriv_y": cl.deriv_y.tolist()}
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_op_closure_is_built_once_read_only_and_fresh(corpus, op):
+    """On every corpus ring, the cached seedless closure of each table is
+    one object per ring, its arrays are read-only, and it equals a closure
+    built afresh from the table."""
+    for spec, ring in corpus["rings"].items():
+        cl = rings.op_closure(ring, op)
+        assert rings.op_closure(ring, op) is cl, spec
+        for arr in (cl.order, cl.deriv_x, cl.deriv_y):
+            assert not arr.flags.writeable, spec
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        assert _closure_fields(cl) == _closure_fields(
+            greedy_closure(getattr(ring, op), seed=None)), spec
+
+
+def _mutants(spec: str, count: int):
+    """``count`` rings labelled ``spec`` whose mul table differs from the
+    spec-built ring's in one entry, built after that ring's closures."""
+    ring = parse_ring_spec(spec)
+    rng = np.random.default_rng(ring.size)
+    out = []
+    for _ in range(count):
+        x, y = (int(v) for v in rng.integers(0, ring.size, 2))
+        mul = ring.mul.copy()
+        mul[x, y] = (int(mul[x, y]) + int(rng.integers(1, ring.size))) % ring.size
+        out.append(rings.RingTable(ring.add, mul, ring.zero, ring.one,
+                                   star=ring.star, label=ring.label))
+    return ring, out
+
+
+@pytest.mark.parametrize("spec", ["mat:2:zmod:2", "mat:2:zmod:3", "gauss:3"])
+def test_op_closure_is_kept_per_ring_object(spec):
+    """A single-entry mutant with the label of a corpus ring, built after
+    that ring's closure is cached, gets the closure of its own table."""
+    ring, mutants = _mutants(spec, 8)
+    valid = rings.op_closure(ring, "mul")
+    differs = 0
+    for m in mutants:
+        cl = rings.op_closure(m, "mul")
+        assert cl is not valid
+        assert _closure_fields(cl) == _closure_fields(greedy_closure(m.mul, seed=None))
+        differs += _closure_fields(cl) != _closure_fields(valid)
+    assert differs
+
+
+def test_warm_closure_cache_gives_cold_results_on_mutants():
+    """On single-entry mutants of M2(Z2), a search and the stacked law over
+    every function into Z2 give the same results with the mutant's
+    closure cached as with an empty cache."""
+    from matsemi.maps import _stacked_law
+    from matsemi.search import enumerate_multiplicative_maps, function_space_masks
+
+    z2 = parse_ring_spec("zmod:2")
+    imgs = function_space_masks(parse_ring_spec("mat:2:zmod:2"), z2, 0, 2**16,
+                                want=())["_imgs"]
+
+    def outcome(m):
+        res = enumerate_multiplicative_maps(m, z2)
+        return ([r.img.tolist() for r in res.maps], res.nodes,
+                _stacked_law("mul", m, z2, imgs).tolist())
+
+    _, mutants = _mutants("mat:2:zmod:2", 4)
+    for m in mutants:
+        assert m._closures == {}
+        cold = outcome(m)
+        assert "mul" in m._closures
+        assert outcome(m) == cold

@@ -486,8 +486,9 @@ def test_star_checks_on_swapped_star_tables(spec, block_rows, monkeypatch):
 
 
 def test_validation_peak_memory():
-    """validate_ring on M_2(Z_7) peaks at 6 bytes per pair or less: the
-    dense scans run in row blocks beside at most one transposed table."""
+    """validate_ring on M_2(Z_7) peaks at 5 bytes per pair or less
+    (measured: 4.4): the dense scans run in row blocks beside at most one
+    transposed table, and the closures sort nothing of block size."""
     ring = make_matrix_ring(make_zmod(7), 2).ring
     tracemalloc.start()
     try:
@@ -495,7 +496,7 @@ def test_validation_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * ring.size ** 2
+    assert peak <= 5 * ring.size ** 2
 
 
 def test_add_inverses_accepts_any_two_sided_inverse():

@@ -1,8 +1,10 @@
 """Generator sets, enumeration completeness against the oracle, mining."""
 
 import functools
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from matsemi import search
 from matsemi.errors import SizeMismatch
 from matsemi.maps import determinant_map, is_additive, is_multiplicative, power_map
 from matsemi.rings import (
@@ -235,6 +238,27 @@ def test_enumeration_worker_partition_identical():
     assert a.nodes == b.nodes and a.exhaustive == b.exhaustive
 
 
+@pytest.mark.parametrize("limit", [None, 1], ids=["exhaustive", "limit"])
+def test_search_frees_its_plan_on_return(limit, monkeypatch):
+    """The search leaves no reference cycle behind: its plan (on M2(Z3[i])
+    about 4 MB of ready pairs) is freed when the search returns, with the
+    garbage collector off."""
+    plans = []
+
+    class RecordedPlan(search._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(weakref.ref(self))
+
+    monkeypatch.setattr(search, "_Plan", RecordedPlan)
+    gc.disable()
+    try:
+        enumerate_multiplicative_maps(Z4, Z4, limit=limit)
+        assert len(plans) == 1 and plans[0]() is None
+    finally:
+        gc.enable()
+
+
 def test_query_roundtrip():
     q = EnumerationQuery(dom="zmod:4", cod="zmod:2",
                          filters=("corner_relation", "unital"), limit=5)
@@ -306,6 +330,42 @@ def test_mid_size_search_node_counts_and_maps_pinned(
                                         filters=filters, limit=limit,
                                         node_budget=budget)
     assert (res.nodes, len(res.maps), _digest(res.maps)) == (nodes, count, digest)
+
+
+@pytest.mark.parametrize("dom,cod,filters,run", [
+    ("mat:2:gauss:2", "mat:2:gauss:2", ("star", "i_relation"),
+     lambda d, c: enumerate_multiplicative_maps(d, c, ("star", "i_relation"),
+                                                node_budget=2000)),
+    ("mat:2:zmod:3", "mat:2:zmod:3", ("star",),
+     lambda d, c: enumerate_multiplicative_maps(d, c, ("star",))),
+    ("mat:2:zmod:4", "mat:2:zmod:4", (),
+     lambda d, c: enumerate_multiplicative_maps(d, c, node_budget=1000)),
+    ("gauss:3", "gauss:3", (), unique_addition_probe),
+    ("gauss:2", "mat:2:zmod:3", (), enumerate_multiplicative_maps),
+], ids=["m2g2-star-irel", "m2z3-star", "m2z4-budget", "g3-injective", "g2-into-m2z3"])
+def test_candidates_match_oracle_at_every_node(dom, cod, filters, run, monkeypatch):
+    """At every node of these searches, the thinned candidate array equals
+    the values a plain-Python oracle accepts when it checks the plan's
+    probes, the self-square and the star constraint value by value on the
+    independent oracle rings.  Into M2(Z3), probes whose product is the
+    variable itself prune beyond the first such probe of a side."""
+    d, c = parse_ring_spec(dom), parse_ring_spec(cod)
+    od, oc = (oracles.tabulated(_oracle_of(s)) for s in (dom, cod))
+    real, calls = search._candidates, []
+
+    def checked(plan, cod_ring, img, p, lo, hi):
+        got = real(plan, cod_ring, img, p, lo, hi)
+        (left, _, _), (right, _, _) = plan.pf_probes[p]
+        want = oracles.search_candidates(
+            od, oc, img.tolist(), plan.vars[p], range(lo, hi) if p == 0 else range(c.size),
+            left.tolist(), right.tolist(), star="star" in filters)
+        assert got.tolist() == want, (p, img.tolist())
+        calls.append(p)
+        return got
+
+    monkeypatch.setattr(search, "_candidates", checked)
+    run(d, c)
+    assert len(calls) > len(search._partition(c.size))
 
 
 # ---------------------------------------------------------------------------
