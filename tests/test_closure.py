@@ -1,5 +1,6 @@
-"""The greedy closure against the plain-Python oracle in ``oracles``, and
-the row-block policy it shares with every pair grid."""
+"""The greedy closure against the plain-Python oracle in ``oracles``, the
+row-block policy it shares with every pair grid, and the closures each
+ring keeps through ``rings.op_closure``."""
 
 import tracemalloc
 from unittest import mock
@@ -13,7 +14,9 @@ import oracles
 from conftest import CORPUS_SPECS
 from matsemi import _closure, rings
 from matsemi._closure import greedy_closure
+from matsemi.maps import _stacked_law
 from matsemi.rings import parse_ring_spec
+from matsemi.search import enumerate_multiplicative_maps, function_space_masks
 
 # M2(Z3[i]) has 6561 elements, too many for the plain-Python oracle.
 ORACLE_SPECS = [s for s in CORPUS_SPECS if s != "mat:2:gauss:3"]
@@ -213,9 +216,6 @@ def test_warm_closure_cache_gives_cold_results_on_mutants():
     """On single-entry mutants of M2(Z2), a search and the stacked law over
     every function into Z2 give the same results with the mutant's
     closure cached as with an empty cache."""
-    from matsemi.maps import _stacked_law
-    from matsemi.search import enumerate_multiplicative_maps, function_space_masks
-
     z2 = parse_ring_spec("zmod:2")
     imgs = function_space_masks(parse_ring_spec("mat:2:zmod:2"), z2, 0, 2**16,
                                 want=())["_imgs"]
