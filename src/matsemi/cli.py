@@ -26,7 +26,7 @@ from .maps import (
     respects_star,
 )
 from .rings import parse_ring_spec, unitaries, units, validate_matrix_view, validate_ring
-from .search import EnumerationQuery, run_query
+from .search import enumerate_multiplicative_maps
 from .verify import (
     DEFAULT_MAP_LIMIT,
     replay_doubling_trace,
@@ -243,7 +243,7 @@ def _cmd_verify(args) -> int:
         if args.replay:
             with open(args.replay, "r", encoding="utf-8") as fh:
                 stored = json.load(fh)
-            identical, recomputed = replay_doubling_trace(stored)
+            identical, recomputed = replay_doubling_trace(stored, args.size_cap)
             doc = {"suite": suite, "replay": args.replay,
                    "identical": identical,
                    "pass": identical and recomputed["conflicts_total"] == 0}
@@ -292,10 +292,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    query = EnumerationQuery(dom=args.dom, cod=args.cod,
-                             filters=tuple(args.filter), limit=args.limit)
-    result = run_query(query, workers=args.workers, size_cap=args.size_cap)
-    summary = {"query": query.to_json(), **result.summary()}
+    dom = parse_ring_spec(args.dom, size_cap=args.size_cap)
+    cod = parse_ring_spec(args.cod, size_cap=args.size_cap)
+    result = enumerate_multiplicative_maps(dom, cod, filters=args.filter,
+                                           limit=args.limit, workers=args.workers)
+    query = {"dom": args.dom, "cod": args.cod,
+             "filters": list(result.filters), "limit": args.limit}
+    summary = {"query": query, **result.summary()}
     json_lines = [_dump(m.to_json()) for m in result.maps]
     json_lines.append(_dump({"summary": summary}))
     imgs = [" ".join(str(int(v)) for v in m.img) for m in result.maps]

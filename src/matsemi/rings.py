@@ -320,6 +320,20 @@ class MatrixRingView:
         return f"MatrixRingView(k={self.k}, base={self.base.label}, size={self._n})"
 
 
+def _check_size(name: str, n: int, size_cap: int | None):
+    """Refuse the ring ``name`` of ``n`` elements with
+    :class:`SizeCapExceeded` when ``n`` exceeds the element-count cap, or
+    when its dense Cayley tables would not fit in memory at desk scale.
+    :func:`parse_ring_spec` and :func:`make_matrix_ring` run it on every
+    call, before any cache lookup."""
+    cap = effective_size_cap(size_cap)
+    if n > cap:
+        raise SizeCapExceeded(f"{name} has {n} elements, cap is {cap}")
+    if n * n > _DENSE_TABLE_ENTRY_LIMIT:
+        raise SizeCapExceeded(
+            f"{name} needs {n}x{n} tables, beyond the dense-table limit")
+
+
 def make_matrix_ring(base: RingTable, k: int,
                      size_cap: int | None = None) -> MatrixRingView:
     """The k x k matrix ring over ``base``, built once per base ring and
@@ -332,15 +346,8 @@ def make_matrix_ring(base: RingTable, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    cap = effective_size_cap(size_cap)
-    n = base.size ** (k * k)
-    if n > cap:
-        raise SizeCapExceeded(
-            f"matrix ring mat:{k}:{base.label} has {n} elements, cap is {cap}")
-    if n * n > _DENSE_TABLE_ENTRY_LIMIT:
-        raise SizeCapExceeded(
-            f"matrix ring mat:{k}:{base.label} needs {n}x{n} tables, "
-            f"beyond the dense-table limit")
+    _check_size(f"matrix ring mat:{k}:{base.label}", base.size ** (k * k),
+                size_cap)
     view = base._views.get(k)
     if view is None:
         view = base._views[k] = MatrixRingView(base, k)
@@ -350,9 +357,10 @@ def make_matrix_ring(base: RingTable, k: int,
 def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
     """Parse a ring spec string: ``zmod:<n>``, ``gauss:<n>``, ``mat:<k>:<spec>``.
 
-    ``mat`` specs nest, e.g. ``mat:2:gauss:3``.  The size cap is checked on
-    every call; within a process each spec yields one shared ring object,
-    the one its constructor returns.
+    ``mat`` specs nest, e.g. ``mat:2:gauss:3``.  The element cap and the
+    dense-table limit are checked on every call (see :func:`_check_size`);
+    within a process each spec yields one shared ring object, the one its
+    constructor returns.
     """
     spec = spec.strip()
     parts = spec.split(":", 1)
@@ -366,10 +374,7 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
             raise RingSpecError(f"bad modulus in ring spec {spec!r}") from None
         if n < 1:
             raise RingSpecError(f"modulus must be >= 1 in {spec!r}")
-        cap = effective_size_cap(size_cap)
-        size = n if kind == "zmod" else n * n
-        if size > cap:
-            raise SizeCapExceeded(f"ring {spec} has {size} elements, cap is {cap}")
+        _check_size(f"ring {spec}", n if kind == "zmod" else n * n, size_cap)
         return make_zmod(n) if kind == "zmod" else make_gaussian(n)
     if kind == "mat":
         rest = parts[1] if len(parts) == 2 else ""
@@ -847,17 +852,7 @@ def validate_ring(ring: RingTable) -> RingValidation:
     return v
 
 
-@dataclass
-class MatrixViewValidation:
-    label: str
-    checks: dict[str, CheckOutcome] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-
-def validate_matrix_view(view: MatrixRingView) -> MatrixViewValidation:
+def validate_matrix_view(view: MatrixRingView) -> RingValidation:
     """Scan the matrix-ring structure: encode/decode bijection, the matrix
     unit relations ``e_ij e_kl = delta_jk e_il``, the diagonal-sum identity,
     and the conjugate-transpose involution.
@@ -865,7 +860,7 @@ def validate_matrix_view(view: MatrixRingView) -> MatrixViewValidation:
     ring = view.ring
     k = view.k
     n = ring.size
-    v = MatrixViewValidation(label=ring.label)
+    v = RingValidation(label=ring.label)
     ch = v.checks
 
     idx = np.arange(n)

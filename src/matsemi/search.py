@@ -86,30 +86,7 @@ def monoid_generators(ring: RingTable) -> GeneratorSet:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration queries
-
-
-@dataclass
-class EnumerationQuery:
-    dom: str
-    cod: str
-    filters: tuple[str, ...] = ()
-    limit: int | None = None
-
-    def __post_init__(self):
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("limit must be >= 1")
-        self.filters = canonical_filters(self.filters)
-
-    def to_json(self) -> dict:
-        return {"dom": self.dom, "cod": self.cod,
-                "filters": list(self.filters), "limit": self.limit}
-
-    @classmethod
-    def from_json(cls, obj) -> "EnumerationQuery":
-        return cls(dom=obj["dom"], cod=obj["cod"],
-                   filters=tuple(obj.get("filters", ())),
-                   limit=obj.get("limit"))
+# Enumeration results
 
 
 @dataclass
@@ -243,11 +220,9 @@ def _candidates(plan: _Plan, cod: RingTable, img: np.ndarray, p: int,
 
 
 def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
-                  injective: bool, limit: int | None,
-                  node_budget: int | None, lo: int, hi: int):
+                  limit: int | None, node_budget: int | None, lo: int, hi: int):
     """Depth-first search with the first variable restricted to [lo, hi)."""
     img = np.full(dom.size, -1, dtype=np.int64)
-    used = np.zeros(cod.size, dtype=bool) if injective else None
     out: list[np.ndarray] = []
     nodes = 0
     exhausted = True
@@ -289,18 +264,8 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
             img[v] = c
             for rnd in plan.rounds[p]:
                 img[rnd] = cod.mul[img[plan.dx[rnd]], img[plan.dy[rnd]]]
-            ok = check_stage(p)
-            if ok and injective:
-                vals = img[plan.new_elems[p]]
-                uniq = np.unique(vals)
-                if uniq.size != vals.size or used[uniq].any():
-                    ok = False
-                else:
-                    used[uniq] = True
-            if ok:
+            if check_stage(p):
                 rec(p + 1)
-                if injective:
-                    used[np.unique(img[plan.new_elems[p]])] = False
             img[plan.new_elems[p]] = -1
 
     try:
@@ -322,14 +287,14 @@ def _run_ring_tasks(fn, dom: RingTable, cod: RingTable, argss: list[tuple],
                     workers: int) -> list:
     """``[fn(dom, cod, *args) for args in argss]``, in order.
 
-    A process pool runs the tasks only when ``workers > 1``, there is more
-    than one task, and both rings are the objects :func:`parse_ring_spec`
-    returns for their labels: workers resolve the labels to the same rings
-    (under ``fork``, from the constructor caches they inherit).  Any other
-    ring, hand-assembled or labelled with a spec it was not built from,
-    runs in this process.  ``fn`` must be a private module-level function,
-    so a pickled reference resolves to it even when public names are
-    wrapped.
+    A process pool of at most one process per task runs the tasks only
+    when ``workers > 1``, there is more than one task, and both rings are
+    the objects :func:`parse_ring_spec` returns for their labels: the
+    processes resolve the labels to the same rings (under ``fork``, from
+    the constructor caches they inherit).  Any other ring, hand-assembled
+    or labelled with a spec it was not built from, runs in this process.
+    ``fn`` must be a private module-level function, so a pickled reference
+    resolves to it even when public names are wrapped.
     """
     def built_from_spec(ring: RingTable) -> bool:
         try:
@@ -339,16 +304,20 @@ def _run_ring_tasks(fn, dom: RingTable, cod: RingTable, argss: list[tuple],
 
     if (workers > 1 and len(argss) > 1
             and built_from_spec(dom) and built_from_spec(cod)):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(argss))) as pool:
             futs = [pool.submit(_on_spec_rings, fn, dom.label, cod.label, args)
                     for args in argss]
             return [f.result() for f in futs]
     return [fn(dom, cod, *args) for args in argss]
 
 
-def _partition(total: int, max_tasks: int = 16) -> list[tuple[int, int]]:
+# The top-level branches are split into at most this many search tasks.
+_MAX_TASKS = 16
+
+
+def _partition(total: int) -> list[tuple[int, int]]:
     """Fixed partition of [0, total) used regardless of worker count."""
-    ntasks = min(total, max_tasks)
+    ntasks = min(total, _MAX_TASKS)
     if ntasks == 0:
         return [(0, 0)]
     bounds = np.linspace(0, total, ntasks + 1).astype(int)
@@ -359,8 +328,7 @@ def _partition(total: int, max_tasks: int = 16) -> list[tuple[int, int]]:
 def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
                                   filters=(), limit: int | None = None,
                                   node_budget: int | None = None,
-                                  workers: int = 1,
-                                  injective: bool = False) -> EnumerationResult:
+                                  workers: int = 1) -> EnumerationResult:
     """Enumerate all multiplicative maps ``dom -> cod`` passing the filters.
 
     Emission is in lexicographic order of the full image arrays and equals
@@ -390,7 +358,7 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     plan = _Plan(dom, filters)  # validates filter applicability eagerly
     results = _run_ring_tasks(
         _search_range, dom, cod,
-        [(plan, injective, limit, node_budget, lo, hi)
+        [(plan, limit, node_budget, lo, hi)
          for lo, hi in _partition(cod.size)],
         workers)
 
@@ -407,16 +375,6 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
                 exhaustive = False
     return EnumerationResult(maps=maps, nodes=nodes,
                              exhaustive=exhaustive, filters=filters)
-
-
-def run_query(query: EnumerationQuery, workers: int = 1,
-              node_budget: int | None = None,
-              size_cap: int | None = None) -> EnumerationResult:
-    dom = parse_ring_spec(query.dom, size_cap=size_cap)
-    cod = parse_ring_spec(query.cod, size_cap=size_cap)
-    return enumerate_multiplicative_maps(
-        dom, cod, filters=query.filters, limit=query.limit,
-        node_budget=node_budget, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +436,18 @@ def unique_addition_probe(dom: RingTable, cod: RingTable,
                           node_budget: int | None = None,
                           workers: int = 1) -> UniqueAdditionReport:
     """Enumerate multiplicative monoid isomorphisms ``dom -> cod`` and flag
-    which are additive.  Requires equal sizes (only bijections qualify)."""
+    which are additive.  Requires equal sizes (only bijections qualify):
+    the isomorphisms are the bijective maps of the plain enumeration, in
+    its lexicographic order."""
     if dom.size != cod.size:
         raise SizeMismatch(
             f"|{dom.label}| = {dom.size} but |{cod.label}| = {cod.size}")
     res = enumerate_multiplicative_maps(dom, cod, node_budget=node_budget,
-                                        workers=workers, injective=True)
-    flags = [is_additive(m).passed for m in res.maps]
+                                        workers=workers)
+    isos = [m for m in res.maps if np.unique(m.img).size == cod.size]
+    flags = [is_additive(m).passed for m in isos]
     return UniqueAdditionReport(dom=dom.label, cod=cod.label,
-                                isomorphisms=res.maps, additive_flags=flags,
+                                isomorphisms=isos, additive_flags=flags,
                                 exhaustive=res.exhaustive)
 
 

@@ -28,11 +28,11 @@ from .search import (
     function_space_size,
 )
 from .witness import (
+    _fourth_power_report,
     _guard_pair_scan,
     _witness_matrices,
     corner_product_identity_check,
     doubling_additivity_closure,
-    fourth_power_reduction,
     uv_product_identity_check,
 )
 
@@ -311,7 +311,16 @@ def verify_fourth_power_search(dom: RingTable, cod: RingTable | None = None,
     map annihilating zero must satisfy the corner relation.  Maps with
     phi(0) != 0 breaking the implication are surfaced as flagged findings,
     not failures.  The report states whether the capped search was
-    exhaustive."""
+    exhaustive.
+
+    Each map goes to the fourth-power reduction without its gates: the
+    search's ``i_relation`` checkpoint has decided the imaginary-unit
+    relation, and its stage checks multiplicativity.  Multiplicativity is
+    decided on right products by the search variables only (the "ready"
+    pairs of each stage), which is exact when both multiplications are
+    associative.  Every ring :func:`~matsemi.rings.parse_ring_spec` builds
+    is; for a hand-assembled ``RingTable``, run
+    :func:`~matsemi.rings.validate_ring` first."""
     cod = cod if cod is not None else dom
     res = enumerate_multiplicative_maps(
         dom, cod, filters=("star", "i_relation"), limit=limit,
@@ -321,7 +330,7 @@ def verify_fourth_power_search(dom: RingTable, cod: RingTable | None = None,
     zero_annihilating = 0
     for phi in res.maps:
         z = int(phi.img[dom.zero])
-        rep = fourth_power_reduction(phi)
+        rep = _fourth_power_report(phi)
         if z == cod.zero:
             zero_annihilating += 1
             if not rep.passed:
@@ -362,12 +371,11 @@ class DoublingReport:
         }
 
 
-def verify_doubling(phi: MapTable, mode: str, depth: int = 4,
-                    include_zero_padding: bool = True) -> DoublingReport:
+def verify_doubling(phi: MapTable, mode: str) -> DoublingReport:
+    """The doubling closure of ``phi`` over the ``mode`` pool at depth 4,
+    with zero padding."""
     try:
-        trace = doubling_additivity_closure(
-            phi, mode=mode, depth=depth,
-            include_zero_padding=include_zero_padding)
+        trace = doubling_additivity_closure(phi, mode=mode)
     except PreconditionFailed as exc:
         return DoublingReport(mode=mode, ok=False, precondition_failed=True,
                               trace_json=None, reason=str(exc))
@@ -376,9 +384,11 @@ def verify_doubling(phi: MapTable, mode: str, depth: int = 4,
                           reason="" if trace.ok else "conflicts found")
 
 
-def replay_doubling_trace(stored: dict) -> tuple[bool, dict]:
+def replay_doubling_trace(stored: dict,
+                          size_cap: int | None = None) -> tuple[bool, dict]:
     """Re-run a serialized doubling trace and compare against the stored
-    outcome.  Returns (identical, recomputed_trace_json).
+    outcome.  Returns (identical, recomputed_trace_json).  The map's rings
+    are built under ``size_cap``.
 
     Raises :class:`MapFormatError` unless ``stored`` is an object carrying
     ``map``, ``mode``, an integer ``depth`` and a boolean ``zero_padding``.
@@ -392,7 +402,7 @@ def replay_doubling_trace(stored: dict) -> tuple[bool, dict]:
             or not isinstance(stored["zero_padding"], bool)):
         raise MapFormatError(
             "doubling trace needs an integer depth and a boolean zero_padding")
-    phi = MapTable.from_json(stored["map"])
+    phi = MapTable.from_json(stored["map"], size_cap=size_cap)
     trace = doubling_additivity_closure(
         phi, mode=stored["mode"], depth=stored["depth"],
         include_zero_padding=stored["zero_padding"])

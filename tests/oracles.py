@@ -214,6 +214,44 @@ def multiplicative_functions(dom: OracleRing, cod: OracleRing) -> list[tuple]:
             if is_multiplicative(dom, cod, img)]
 
 
+def multiplicative_bijections(dom: OracleRing, cod: OracleRing) -> list[tuple]:
+    """All multiplicative bijections as image tuples, lexicographic order.
+
+    Images are assigned element by element in index order, each new image
+    an unused value in ascending order; a branch dies at the first pair
+    x, y with x, y and xy assigned and phi(xy) != phi(x)phi(y).
+    """
+    n = dom.size
+    out = []
+    img = [-1] * n
+
+    def consistent(e):
+        for x in range(e + 1):
+            for y in range(e + 1):
+                if e not in (x, y) and dom.mul(x, y) != e:
+                    continue
+                xy = dom.mul(x, y)
+                if xy <= e and img[xy] != cod.mul(img[x], img[y]):
+                    return False
+        return True
+
+    def rec(e):
+        if e == n:
+            out.append(tuple(img))
+            return
+        for c in range(cod.size):
+            if c in img[:e]:
+                continue
+            img[e] = c
+            if consistent(e):
+                rec(e + 1)
+        img[e] = -1
+
+    if n == cod.size:
+        rec(0)
+    return out
+
+
 def ring_axioms_hold(ring: OracleRing) -> bool:
     """Raw triple-loop check of every ring axiom.  Small rings only."""
     n = ring.size

@@ -401,6 +401,31 @@ def test_verify_replay_malformed_trace_exit2(trace, tmp_path, capsys):
         *run_cli("verify", "doubling-gl", "--replay", str(path)), capsys)
 
 
+def test_verify_replay_applies_size_cap(map_files, tmp_path, capsys):
+    """``--size-cap`` bounds the replayed map's rings as it bounds ``--map``."""
+    code, out = run_cli("verify", "doubling-gl", "--map", map_files["id_z4"])
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(json.loads(out)["trace"]))
+    for source in (["--map", map_files["id_z4"]], ["--replay", str(path)]):
+        _assert_one_line_error(
+            *run_cli("verify", "doubling-gl", *source, "--size-cap", "2"), capsys)
+
+
+@pytest.mark.parametrize("flags", [["--limit", "0"], ["--filter", "bogus"]],
+                         ids=["limit-0", "unknown-filter"])
+def test_enumerate_bad_query_exit2(flags, capsys):
+    _assert_one_line_error(
+        *run_cli("enumerate", "--dom", "zmod:4", "--cod", "zmod:4", *flags), capsys)
+
+
+def test_ring_info_beyond_dense_table_limit_exit2(monkeypatch, capsys):
+    """A spec within the element cap whose tables exceed the dense-table
+    limit (here patched down to 100 entries) is a usage error."""
+    monkeypatch.setattr("matsemi.rings._DENSE_TABLE_ENTRY_LIMIT", 100)
+    for spec in ("zmod:11", "gauss:4"):
+        _assert_one_line_error(*run_cli("ring", "info", spec), capsys)
+
+
 @pytest.mark.parametrize("img", [[0, 1.7], [0, True], [0, "1"]])
 def test_map_check_non_integer_img_exit2(img, tmp_path, capsys):
     path = tmp_path / "map.json"

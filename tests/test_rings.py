@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from matsemi import _closure
+from matsemi import _closure, rings
 from matsemi.errors import (
     MissingInvolution,
     RingSpecError,
@@ -263,6 +263,19 @@ def test_parse_rejects_bad_specs(bad):
 def test_parse_respects_size_cap():
     with pytest.raises(SizeCapExceeded):
         parse_ring_spec("mat:2:zmod:40", size_cap=100)
+
+
+def test_dense_table_limit_applies_to_every_spec(monkeypatch):
+    """Under a 100-entry table limit, zmod:10 builds while zmod:11, gauss:4
+    and mat:2:zmod:2 are refused, also when already built, before any
+    table is allocated."""
+    parse_ring_spec("gauss:4")
+    monkeypatch.setattr(rings, "_DENSE_TABLE_ENTRY_LIMIT", 100)
+    assert parse_ring_spec("zmod:10").size == 10
+    for spec, n in [("zmod:11", 11), ("gauss:4", 16), ("mat:2:zmod:2", 16)]:
+        with pytest.raises(SizeCapExceeded,
+                           match=f"needs {n}x{n} tables, beyond the dense-table limit"):
+            parse_ring_spec(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from matsemi.rings import (
     parse_ring_spec,
 )
 from matsemi.search import (
-    EnumerationQuery,
     _Plan,
     canonical_filters,
     enumerate_multiplicative_maps,
@@ -259,15 +258,6 @@ def test_search_frees_its_plan_on_return(limit, monkeypatch):
         gc.enable()
 
 
-def test_query_roundtrip():
-    q = EnumerationQuery(dom="zmod:4", cod="zmod:2",
-                         filters=("corner_relation", "unital"), limit=5)
-    doc = q.to_json()
-    assert doc["filters"] == ["corner", "unital"]
-    q2 = EnumerationQuery.from_json(doc)
-    assert q2 == q
-
-
 def test_canonical_filters_rejects_unknown():
     with pytest.raises(ValueError):
         canonical_filters(("frobnicate",))
@@ -342,7 +332,7 @@ def test_mid_size_search_node_counts_and_maps_pinned(
      lambda d, c: enumerate_multiplicative_maps(d, c, node_budget=1000)),
     ("gauss:3", "gauss:3", (), unique_addition_probe),
     ("gauss:2", "mat:2:zmod:3", (), enumerate_multiplicative_maps),
-], ids=["m2g2-star-irel", "m2z3-star", "m2z4-budget", "g3-injective", "g2-into-m2z3"])
+], ids=["m2g2-star-irel", "m2z3-star", "m2z4-budget", "g3-probe", "g2-into-m2z3"])
 def test_candidates_match_oracle_at_every_node(dom, cod, filters, run, monkeypatch):
     """At every node of these searches, the thinned candidate array equals
     the values a plain-Python oracle accepts when it checks the plan's
@@ -428,6 +418,52 @@ def test_unique_addition_gauss3():
 def test_unique_addition_size_mismatch():
     with pytest.raises(SizeMismatch):
         unique_addition_probe(Z2, Z4)
+
+
+@pytest.mark.parametrize("spec,count", [
+    ("zmod:4", 1), ("zmod:8", 4), ("gauss:3", 4), ("mat:2:zmod:2", 6)])
+def test_unique_addition_matches_bijection_oracle(spec, count):
+    """The probe's isomorphisms are the oracle's multiplicative bijections,
+    in lexicographic order, each with the oracle's additivity flag."""
+    o = oracles.tabulated(_oracle_of(spec))
+    isos = oracles.multiplicative_bijections(o, o)
+    flags = [oracles.is_additive(o, o, img) for img in isos]
+    assert len(isos) == count
+    ring = parse_ring_spec(spec)
+    assert unique_addition_probe(ring, ring).to_json() == {
+        "dom": spec, "cod": spec,
+        "isomorphisms": [{"dom": spec, "cod": spec, "img": list(img)} for img in isos],
+        "additive": flags, "unique_addition": all(flags), "exhaustive": True,
+    }
+
+
+def test_process_pool_has_at_most_one_process_per_task(monkeypatch):
+    """``workers`` beyond the task count starts no idle processes.  A fake
+    executor records the pool size and runs each task in this process."""
+    from concurrent.futures import Future
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    res = enumerate_multiplicative_maps(Z4, Z4, workers=5000)
+    assert sizes == [len(search._partition(Z4.size))] == [4]
+    assert [m.img.tolist() for m in res.maps] == [
+        m.img.tolist() for m in enumerate_multiplicative_maps(Z4, Z4).maps]
 
 
 # ---------------------------------------------------------------------------

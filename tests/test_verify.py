@@ -6,7 +6,13 @@ import pytest
 
 import matsemi.verify
 from matsemi.errors import SizeCapExceeded
-from matsemi.maps import MapTable, is_multiplicative, is_ring_hom, tensor_id
+from matsemi.maps import (
+    MapTable,
+    i_relation_holds,
+    is_multiplicative,
+    is_ring_hom,
+    tensor_id,
+)
 from matsemi.rings import (
     RingTable,
     _digits,
@@ -18,9 +24,11 @@ from matsemi.rings import (
 from matsemi.search import enumerate_multiplicative_maps
 from matsemi.verify import (
     verify_corner_equivalence,
+    verify_fourth_power_search,
     verify_tensor_equivalence,
     verify_witness_suite,
 )
+from matsemi.witness import fourth_power_reduction
 
 
 def _copy(ring: RingTable, label: str) -> RingTable:
@@ -116,3 +124,29 @@ def test_tensor_counterexample_when_two_is_a_unit(n, half):
     extra = np.setdiff1d(lift_ids, hom_ids)
     assert np.isin(hom_ids, lift_ids).all()
     assert _digits(extra, n, n, np.int64).tolist() == [[half] * n]
+
+
+@pytest.mark.parametrize("spec,limit,budget", [
+    ("mat:2:gauss:2", None, None),
+    ("mat:2:gauss:3", 4, 60),
+], ids=["m2g2-exhaustive", "m2g3-budget"])
+def test_fourth_power_search_needs_no_gates(spec, limit, budget, monkeypatch):
+    """The i-relation suite skips the fourth-power reduction's gates, as
+    the search decided both.  Every map it reports on passes the full
+    multiplicativity and imaginary-unit scans, and the report equals one
+    built with the gated reduction on each map."""
+    ring = parse_ring_spec(spec)
+    got = verify_fourth_power_search(ring, ring, limit=limit, node_budget=budget)
+    seen = []
+
+    def gated(phi):
+        seen.append(phi)
+        return fourth_power_reduction(phi)
+
+    monkeypatch.setattr(matsemi.verify, "_fourth_power_report", gated)
+    assert verify_fourth_power_search(
+        ring, ring, limit=limit, node_budget=budget).to_json() == got.to_json()
+    assert len(seen) == got.enumerated > 0
+    assert got.exhaustive == (limit is None)
+    for phi in seen:
+        assert is_multiplicative(phi).passed and i_relation_holds(phi).passed
