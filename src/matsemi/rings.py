@@ -160,16 +160,22 @@ class RingTable:
         return f"RingTable({self.label}, size={self.size})"
 
 
-@functools.cache
 def make_zmod(n: int, /) -> RingTable:
     """The ring of integers mod ``n``, with the identity involution.
 
     The imaginary-unit slot is filled with the smallest ``x`` satisfying
     ``x*x = n-1`` when one exists.  ``n = 1`` yields the one-element ring.
-    Every call with the same ``n`` returns the same shared object.
+    Every call checks the size limits under the environment or default cap
+    (see :func:`_check_size`), then returns the shared object for ``n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_size(f"ring zmod:{n}", n, None)
+    return _zmod(n)
+
+
+@functools.cache
+def _zmod(n: int) -> RingTable:
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -192,16 +198,22 @@ def _gauss_render(n):
     return fmt
 
 
-@functools.cache
 def make_gaussian(n: int, /) -> RingTable:
     """The ring Z_n[x]/(x^2+1): pairs a+bi with conjugation involution.
 
     Element ``a + b*i`` has index ``a + n*b``, so 0 and 1 land on indices
     0 and 1 and the class of ``x`` (the imaginary unit) on index ``n``.
-    Every call with the same ``n`` returns the same shared object.
+    Every call checks the size limits under the environment or default cap
+    (see :func:`_check_size`), then returns the shared object for ``n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_size(f"ring gauss:{n}", n * n, None)
+    return _gaussian(n)
+
+
+@functools.cache
+def _gaussian(n: int) -> RingTable:
     size = n * n
     idx = np.arange(size)
     a, b = idx % n, idx // n
@@ -324,8 +336,8 @@ def _check_size(name: str, n: int, size_cap: int | None):
     """Refuse the ring ``name`` of ``n`` elements with
     :class:`SizeCapExceeded` when ``n`` exceeds the element-count cap, or
     when its dense Cayley tables would not fit in memory at desk scale.
-    :func:`parse_ring_spec` and :func:`make_matrix_ring` run it on every
-    call, before any cache lookup."""
+    Every public ring constructor runs it on every call, before any cache
+    lookup."""
     cap = effective_size_cap(size_cap)
     if n > cap:
         raise SizeCapExceeded(f"{name} has {n} elements, cap is {cap}")
@@ -375,7 +387,7 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
         if n < 1:
             raise RingSpecError(f"modulus must be >= 1 in {spec!r}")
         _check_size(f"ring {spec}", n if kind == "zmod" else n * n, size_cap)
-        return make_zmod(n) if kind == "zmod" else make_gaussian(n)
+        return _zmod(n) if kind == "zmod" else _gaussian(n)
     if kind == "mat":
         rest = parts[1] if len(parts) == 2 else ""
         sub = rest.split(":", 1)
@@ -541,43 +553,37 @@ def mat_eye(ring: RingTable, k: int) -> np.ndarray:
     return m
 
 
-def _inverse_scan_candidates(ring: RingTable, size_cap: int | None = None) -> np.ndarray:
-    """The |ring|**4 candidates of a 2x2 inverse scan over ``ring``, as a
-    ``(|ring|**4, 2, 2)`` array in index order; raises SizeCapExceeded,
-    before building them, when they exceed the size cap."""
+def _check_inverse_scan_cap(ring: RingTable, size_cap: int | None = None):
+    """Raise SizeCapExceeded when the |ring|**4 candidates of a 2x2
+    inverse scan over ``ring`` exceed the size cap."""
     cap = effective_size_cap(size_cap)
     total = ring.size**4
     if total > cap:
         raise SizeCapExceeded(
             f"inverse scan over {total} candidate matrices exceeds cap {cap}")
-    return _digits(np.arange(total), 4, ring.size, np.int64).reshape(total, 2, 2)
 
 
 def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
     """Two-sided inverse of a 2x2 index matrix over ``ring`` by exhaustive
-    scan of all |ring|**4 candidates.  Returns the inverse matrix or None.
+    scan of all |ring|**4 candidates: the first in index order, or None.
 
-    Determinant shortcuts are deliberately not used; invertibility over a
-    general base is decided by the scan alone.
-    """
-    return _mat2_inverse(ring, M, _inverse_scan_candidates(ring, size_cap))
-
-
-def _mat2_inverse(ring: RingTable, M, C: np.ndarray):
-    """:func:`mat2_inverse_scan` over the candidates ``C`` of
-    :func:`_inverse_scan_candidates`: the first two-sided inverse of ``M``
-    among them, or None."""
-    M = np.asarray(M, dtype=np.int64)
-    eye = mat_eye(ring, 2)
-    left = mat_mul(ring, M[None, :, :], C)
-    ok = (left == eye).all(axis=(1, 2))
-    if ok.any():
-        cand = C[ok]
-        right = mat_mul(ring, cand, M[None, :, :])
-        both = (right == eye).all(axis=(1, 2))
-        if both.any():
-            return cand[np.argmax(both)].copy()
-    return None
+    Row i of L·M reads only row i of L (:func:`_mat_entries`), so each of
+    the |ring|**2 rows r is decided once: the left inverses pair a row with
+    r·M = e_0 and one with r·M = e_1, in index order, and the first with
+    M·L = 1 is returned.  No determinant shortcut is taken.  Raises
+    ValueError unless ``M`` is a 2x2 matrix of element indices."""
+    M = _index_array("M", M, ring.size, np.int64)
+    if M.shape != (2, 2):
+        raise ValueError(f"M must be a 2x2 matrix, not of shape {M.shape}")
+    _check_inverse_scan_cap(ring, size_cap)
+    rows = _digits(np.arange(ring.size**2), 2, ring.size, np.int64)
+    p0, p1 = (e for _, _, e in _mat_entries(ring, rows[:, None, :], M))
+    first = rows[(p0 == ring.one) & (p1 == ring.zero)]
+    second = rows[(p0 == ring.zero) & (p1 == ring.one)]
+    L = np.hstack([np.repeat(first, len(second), axis=0),
+                   np.tile(second, (len(first), 1))]).reshape(-1, 2, 2)
+    both = (mat_mul(ring, M, L) == mat_eye(ring, 2)).all(axis=(1, 2))
+    return L[np.argmax(both)].copy() if both.any() else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from .errors import MapFormatError, PreconditionFailed
 from .maps import MapTable, _lift, _stacked_law
 from .rings import (
     RingTable,
+    _check_inverse_scan_cap,
     _digits,
-    _inverse_scan_candidates,
     make_matrix_ring,
     units,
 )
@@ -30,9 +30,9 @@ from .search import (
 from .witness import (
     _fourth_power_report,
     _guard_pair_scan,
-    _witness_matrices,
     corner_product_identity_check,
     doubling_additivity_closure,
+    invertible_witness_matrices,
     uv_product_identity_check,
 )
 
@@ -242,10 +242,9 @@ def verify_witness_suite(ring: RingTable, size_cap: int | None = None) -> Witnes
     """Corner and u/v product identities over all parameter pairs, plus
     exhaustive invertibility of gamma/alpha/beta for every unit lambda and
     every parameter value.  Every scan applies ``size_cap``, and both caps
-    are checked before any scan.  The |R|**4 candidate matrices of the
-    inverse scans are built once per call."""
+    are checked before any scan."""
     _guard_pair_scan(ring, size_cap)
-    cands = _inverse_scan_candidates(ring, size_cap)
+    _check_inverse_scan_cap(ring, size_cap)
     corner = corner_product_identity_check(ring, size_cap=size_cap)
     uv = uv_product_identity_check(ring, size_cap=size_cap)
     us = units(ring)
@@ -253,7 +252,7 @@ def verify_witness_suite(ring: RingTable, size_cap: int | None = None) -> Witnes
     checked = 0
     for lam in us:
         for p in range(ring.size):
-            gam, alp, bet = _witness_matrices(ring, int(lam), p, p, p, cands)
+            gam, alp, bet = invertible_witness_matrices(ring, int(lam), p, p, p, size_cap)
             checked += 3
             for w in (gam, alp, bet):
                 if not w.invertible:

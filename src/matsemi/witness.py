@@ -11,9 +11,9 @@ upgrade multiplicative maps to additive ones:
 * the u/v doubling pair and the recursive additivity closure over pools of
   units or unitaries (with the zero-padding rule for short sums).
 
-Matrix computations here run entrywise over the base ring; the 2x2 matrix
-ring is never materialized unless an exhaustive inverse scan needs its
-candidate list.  The two identity scans evaluate their entrywise formulas
+Matrix computations here run entrywise over the base ring, and the 2x2
+matrix ring is never materialized (``rings.mat2_inverse_scan`` decides
+candidate rows).  The two identity scans evaluate their entrywise formulas
 one row block of a at a time through ``rings._row_scan``, as do the pair
 laws behind the corner checks, the pool gate and the group restriction,
 so no n x n or pool x pool grid is built.  The doubling certificate is
@@ -50,8 +50,7 @@ from .maps import (
 )
 from .rings import (
     RingTable,
-    _inverse_scan_candidates,
-    _mat2_inverse,
+    _index_array,
     _pool,
     _row_scan,
     mat2_inverse_scan,
@@ -179,11 +178,12 @@ def build_uv_pair(ring: RingTable, a: int, b: int) -> UVPair:
     The product is checked against its closed form (upper-left ``a+b``).
     Invertibility of u and v is decided by exhaustive two-sided inverse
     scan when the candidate space fits the size cap, else left undecided
-    (``None``); no determinant shortcut is ever taken.
+    (``None``); no determinant shortcut is ever taken.  Raises ValueError
+    unless ``a`` and ``b`` are element indices.
     """
     star = ring.require_star()
     neg, one = ring.neg, ring.one
-    a, b = int(a), int(b)
+    a, b = _index_array("a and b", [a, b], ring.size, np.int64).tolist()
     u = np.array([[one, a], [int(neg[star[a]]), one]], dtype=np.int64)
     v = np.array([[b, int(neg[one])], [one, int(star[b])]], dtype=np.int64)
     uv = mat_mul(ring, u, v)
@@ -217,20 +217,12 @@ def invertible_witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: in
     """The parameter matrices gamma_c = [[c,l],[l,0]], alpha_a = [[1,a],[0,l]],
     beta_b = [[b,l],[1,0]] for a unit ``l``, each verified invertible by
     exhaustive two-sided inverse scan over all 2x2 matrices, up to ``size_cap``.
+    Raises ValueError unless ``lam``, ``a``, ``b`` and ``c`` are element indices.
     """
-    lam = int(lam)
+    lam, a, b, c = _index_array("lam, a, b and c", [lam, a, b, c], ring.size,
+                                np.int64).tolist()
     if lam not in set(int(u) for u in units(ring)):
         raise NotAUnit(f"{lam} is not a unit of {ring.label}")
-    return _witness_matrices(ring, lam, a, b, c,
-                             _inverse_scan_candidates(ring, size_cap))
-
-
-def _witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: int,
-                      cands: np.ndarray) -> tuple[WitnessMatrix, ...]:
-    """:func:`invertible_witness_matrices` for a unit ``lam``, scanning the
-    inverse-scan candidates ``cands`` (see
-    :func:`rings._inverse_scan_candidates`)."""
-    lam, a, b, c = int(lam), int(a), int(b), int(c)
     one, zero = ring.one, ring.zero
     mats = [
         ("gamma", np.array([[c, lam], [lam, zero]], dtype=np.int64)),
@@ -239,7 +231,7 @@ def _witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: int,
     ]
     out = []
     for name, m in mats:
-        inv = _mat2_inverse(ring, m, cands)
+        inv = mat2_inverse_scan(ring, m, size_cap)
         out.append(WitnessMatrix(name, m, inv is not None, inv))
     return tuple(out)
 

@@ -362,6 +362,18 @@ def _mat2_product(ring: OracleRing, a, b):
         for i in range(2))
 
 
+def mat2_inverse(ring: OracleRing, m):
+    """The first two-sided inverse of the 2x2 matrix ``m`` (nested entry
+    tuples) among all |R|**4 matrices over ``ring`` in index order (entries
+    row-major, the first most significant), or None."""
+    eye = ((ring.one, ring.zero), (ring.zero, ring.one))
+    for e in itertools.product(range(ring.size), repeat=4):
+        c = (e[:2], e[2:])
+        if _mat2_product(ring, m, c) == eye and _mat2_product(ring, c, m) == eye:
+            return c
+    return None
+
+
 def corner_identity_violations(ring: OracleRing) -> list[tuple[int, int]]:
     """Pairs (a, b), lexicographic, where the block product
     ``[[1,a],[0,0]] [[b,0],[1,0]]`` differs from ``[[a+b,0],[0,0]]``."""

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism, replay."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -297,6 +298,25 @@ def test_verify_witnesses_checks_size_caps_before_scanning(spec, env_cap, messag
     code, out = run_cli("verify", "witnesses", "--ring", spec, "--size-cap", "10000")
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec,digest", [
+    ("zmod:1", "208245712430c590e9b68c4b0f48bc8e4fb8c872d3870a55879836516a87c7ad"),
+    ("zmod:2", "d04a0f30aa2e5e098735a83cd4e56bc377a1ab1946f2eb9a9719796e63465e22"),
+    ("zmod:3", "d80208624203753a28841a15ad8e7ef437c171510839d5abe6b78b503b2c7aee"),
+    ("zmod:4", "43a36fe7b47ec60fe42947264895134854e2f583cd71bd8232226488e4fa6cc1"),
+    ("zmod:5", "fc0aa39771d80c8921c1a9e2ddbd7ed5fdd31c164dbe25d15b09b94b658660c5"),
+    ("zmod:6", "14ec2bd5ea3f4049657acbff0352b38983313c1e7d2e38e23bd8b9adf6771150"),
+    ("zmod:7", "5ccb3c7ee4f1980ab1181fc70a7aaaf91c82b534f081b49e893a6f04b2257f2c"),
+    ("zmod:8", "d29ed6e62d7384c26656b3fb0013654e0c8bc33cf7e6985d326f6060eaec126d"),
+    ("gauss:1", "50ec9b9fe3a786fa00724f1ea59792e1a1c6a07892619e72a022a05095f905af"),
+    ("gauss:2", "dbaeb088bed717e94417c630f39a4ce1c0544b8dc5cfa03468f41455b5df147e"),
+    ("gauss:3", "19f05bbe6a90c27ed5b8fc35c09b46afd758b38d8d117c8c5187ffccd46da3ad"),
+])
+def test_verify_witnesses_stdout_pinned(spec, digest):
+    """The json report of ``verify witnesses`` is pinned byte for byte."""
+    code, out = run_cli("verify", "witnesses", "--ring", spec)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 @pytest.mark.parametrize("env_cap", [None, "100"], ids=["flag", "flag-and-env"])

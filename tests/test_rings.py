@@ -5,6 +5,7 @@ triple-loop oracle on every small ring, so the fast path and the
 definitional path must agree before anything else is trusted.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -276,6 +277,30 @@ def test_dense_table_limit_applies_to_every_spec(monkeypatch):
         with pytest.raises(SizeCapExceeded,
                            match=f"needs {n}x{n} tables, beyond the dense-table limit"):
             parse_ring_spec(spec)
+
+
+def test_public_constructors_check_size_limits(monkeypatch):
+    """``make_zmod`` and ``make_gaussian`` refuse, on every call and before
+    their cache, a ring over the environment cap or the dense-table limit
+    (here patched down), as ``parse_ring_spec`` does; an explicit cap
+    still beats the environment and reaches the same shared ring."""
+    monkeypatch.setattr(rings, "_DENSE_TABLE_ENTRY_LIMIT", 100)
+    assert make_zmod(10) is parse_ring_spec("zmod:10")
+    for make, n, message in [(make_zmod, 11, "ring zmod:11 needs 11x11 tables"),
+                             (make_gaussian, 4, "ring gauss:4 needs 16x16 tables")]:
+        with pytest.raises(SizeCapExceeded, match=f"^{message}, beyond"):
+            make(n)
+    monkeypatch.undo()
+    monkeypatch.setenv("MATSEMI_SIZE_CAP", "5")
+    for make, n, spec, size in [(make_zmod, 7, "zmod:7", 7), (make_gaussian, 3, "gauss:3", 9)]:
+        with pytest.raises(SizeCapExceeded,
+                           match=f"^ring {spec} has {size} elements, cap is 5$"):
+            make(n)
+        with pytest.raises(SizeCapExceeded, match=f"^ring {spec} has {size} elements"):
+            parse_ring_spec(spec)
+    assert parse_ring_spec("zmod:7", size_cap=10).size == 7
+    assert make_zmod(4) is parse_ring_spec("zmod:4")
+    assert make_gaussian(2) is parse_ring_spec("gauss:2", size_cap=10)
 
 
 # ---------------------------------------------------------------------------
@@ -740,3 +765,83 @@ def test_mat2_inverse_scan_finds_inverse():
 def test_mat2_inverse_scan_rejects_singular():
     z3 = make_zmod(3)
     assert mat2_inverse_scan(z3, np.array([[1, 1], [1, 1]])) is None
+
+
+def _all_mat2(n: int) -> np.ndarray:
+    """Every 2x2 matrix over an n-element ring, in index order."""
+    return np.array(list(itertools.product(range(n), repeat=4))).reshape(-1, 2, 2)
+
+
+def _as_tuples(m):
+    return None if m is None else tuple(tuple(int(e) for e in row) for row in m)
+
+
+@pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "gauss:2"])
+def test_mat2_inverse_scan_matches_oracle_on_every_matrix(spec):
+    """On every 2x2 matrix, the row-by-row scan returns the first two-sided
+    inverse of the plain-Python scan over all |R|**4 candidates."""
+    ring = parse_ring_spec(spec)
+    kind, n = spec.split(":")
+    oring = (oracles.oracle_zmod if kind == "zmod" else oracles.oracle_gauss)(int(n))
+    for m in _all_mat2(ring.size):
+        assert _as_tuples(mat2_inverse_scan(ring, m)) == oracles.mat2_inverse(
+            oring, _as_tuples(m)), m.tolist()
+
+
+@pytest.mark.parametrize("spec,sample", [("zmod:3", None), ("zmod:4", 12),
+                                         ("gauss:2", 12)])
+def test_mat2_inverse_scan_matches_oracle_on_single_entry_mutants(spec, sample):
+    """On every single-entry add and mul mutant (each entry to the next
+    value), the scan equals the oracle on every matrix (zmod:3) or on a
+    seeded sample of them.  The corpus includes matrices whose left
+    inverses are not unique, and left inverses that are not two-sided."""
+    ring = parse_ring_spec(spec)
+    n = ring.size
+    mats = _all_mat2(n)
+    eye = np.array([[ring.one, ring.zero], [ring.zero, ring.one]])
+    rng = np.random.default_rng(n)
+    several_left = one_sided_left = 0
+    for which in ("add", "mul"):
+        for x in range(n):
+            for y in range(n):
+                tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
+                tables[which][x, y] = (int(tables[which][x, y]) + 1) % n
+                mutant = RingTable(tables["add"], tables["mul"], ring.zero, ring.one)
+                add, mul = tables["add"].tolist(), tables["mul"].tolist()
+                oring = oracles.OracleRing(n, lambda a, b: add[a][b],
+                                           lambda a, b: mul[a][b], ring.zero, ring.one)
+                picked = mats if sample is None else mats[rng.choice(len(mats), sample)]
+                for m in picked:
+                    assert _as_tuples(mat2_inverse_scan(mutant, m)) == oracles.mat2_inverse(
+                        oring, _as_tuples(m)), (which, x, y, m.tolist())
+                    left = (mat_mul(mutant, mats, m) == eye).all(axis=(1, 2))
+                    right = (mat_mul(mutant, m, mats) == eye).all(axis=(1, 2))
+                    several_left += int(left.sum()) > 1
+                    one_sided_left += bool((left & ~right).any())
+    assert several_left and one_sided_left
+
+
+def test_mat2_inverse_scan_runs_in_row_memory():
+    """A scan over Z_31 (923 521 candidates) decides the 961 candidate rows
+    and peaks under 1 MB; a candidate array alone would take 29 MB."""
+    ring = parse_ring_spec("zmod:31")
+    for m, want in [([[2, 3], [5, 7]], [[24, 3], [5, 29]]), ([[2, 4], [1, 2]], None)]:
+        tracemalloc.start()
+        try:
+            inv = mat2_inverse_scan(ring, np.array(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (None if inv is None else inv.tolist()) == want
+        assert peak < 2**20
+
+
+@pytest.mark.parametrize("m", [[[-1, 0], [0, 1]], [[3, 0], [0, 1]], [[1.0, 0], [0, 1]],
+                               [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                         ids=["negative", "too-large", "float", "3x3"])
+def test_mat2_inverse_scan_rejects_non_index_matrices(m):
+    """``M`` must be a 2x2 matrix of element indices: a negative entry no
+    longer wraps around, and one past the ring no longer ends in an
+    IndexError."""
+    with pytest.raises(ValueError, match="^M "):
+        mat2_inverse_scan(make_zmod(3), np.array(m))

@@ -229,6 +229,26 @@ def test_witness_matrices_reject_non_unit():
         invertible_witness_matrices(Z4, 2, 0, 0, 0)
 
 
+@pytest.mark.parametrize("params", [(1, -1, -1, -1), (1, 0, 0, 3), (1, 0, 1.0, 0),
+                                    (1.5, 0, 0, 0)],
+                         ids=["negative", "too-large", "float", "float-unit"])
+def test_witness_matrices_reject_non_index_parameters(params):
+    """lam, a, b and c must be element indices: -1 no longer wraps around to
+    the last element, 3 no longer ends in an IndexError, and lam = 1.5 is
+    no longer read as the unit 1."""
+    with pytest.raises(ValueError, match="^lam, a, b and c "):
+        invertible_witness_matrices(Z3, *params)
+
+
+@pytest.mark.parametrize("ab", [(-1, 0), (0, 4), (2.0, 0)],
+                         ids=["negative", "too-large", "float"])
+def test_uv_pair_rejects_non_index_parameters(ab):
+    """a and b must be element indices of the ring: ``build_uv_pair(gauss:2,
+    -1, 0)`` no longer builds u from the wrapped-around last element."""
+    with pytest.raises(ValueError, match="^a and b "):
+        build_uv_pair(make_gaussian(2), *ab)
+
+
 def test_witness_matrices_exhaustive_over_small_rings():
     for ring in (Z2, Z3, Z4):
         for lam in units(ring):
