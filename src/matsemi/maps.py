@@ -40,14 +40,17 @@ WITNESS_CAP = 16
 
 
 class MapTable:
-    """A total function between two rings, as an image array of cod indices."""
+    """A total function between two rings, as an image array of cod indices.
+
+    Raises :class:`MapFormatError` unless ``img`` is an integer array of
+    one codomain index per domain element; booleans, floats and strings
+    are refused rather than cast."""
 
     def __init__(self, dom: RingTable, cod: RingTable, img):
-        try:
-            img = np.asarray(img, dtype=np.int64)
-        except OverflowError:
+        img = np.asarray(img)
+        if not np.issubdtype(img.dtype, np.integer):
             raise MapFormatError(
-                "image array contains out-of-range codomain indices") from None
+                f"image array must hold integer indices, not {img.dtype}")
         if img.shape != (dom.size,):
             raise MapFormatError(
                 f"image array has length {img.shape}, domain has {dom.size} elements")
@@ -55,7 +58,7 @@ class MapTable:
             raise MapFormatError("image array contains out-of-range codomain indices")
         self.dom = dom
         self.cod = cod
-        self.img = img
+        self.img = np.asarray(img, dtype=np.int64)
         self.img.setflags(write=False)
 
     def __call__(self, x: int) -> int:

@@ -7,10 +7,14 @@ Constructors arrange ``zero`` at index 0 and, where the encoding permits,
 so their identity sits wherever that encoding puts it).  A table entry
 outside ``0..size-1`` is refused when the ring is built.
 
-A matrix ring's tables are built without n x n gathers: its sum table is
-the base addition broadcast over each digit position, and its product
-table is one |base|**k x |base|**k table of row-by-column sums broadcast
-onto the digit axes of each row of X and each column of Y.
+A matrix ring's tables are built without n x n gathers, and each is
+written once (``_place_table``): by halves over its digits, the table over
+the high half scaled by the place of the low half plus the table over the
+low half, in one broadcast add.  The sum table is built so from the base
+addition over the k*k entry digits; the product table from the
+|base|**k x n table of each row times each matrix over the k row digits
+of X, which comes from one |base|**k x |base|**k table of row-by-column
+sums.
 
 The module also houses the exhaustive axiom scans.  Associativity and
 distributivity are verified through greedy generating sets rather than raw
@@ -75,6 +79,29 @@ def _digits(ids, width: int, base: int, dtype) -> np.ndarray:
     return out
 
 
+def _place_table(digit: np.ndarray, width: int, dt, split: bool) -> np.ndarray:
+    """The ``dt`` table over ``width``-digit base-``B`` numbers x, most
+    significant digit first, with ``B = len(digit)``: entry (x, c) is the
+    number whose digit p is ``digit[x_p, c_p]``, where c_p is digit p of c
+    when ``split`` and all of c otherwise.  ``digit`` entries lie below B.
+
+    Built by halves: the table over the high ceil(width/2) digits, scaled
+    by B**floor(width/2), plus the table over the low digits in one
+    broadcast ``np.add``, which writes the result once.  Every entry stays
+    below B**width, so a ``dt`` that holds the result holds each step."""
+    if width == 1:
+        return digit.astype(dt)
+    lo = width // 2
+    high = _place_table(digit, width - lo, dt, split)
+    low = _place_table(digit, lo, dt, split)
+    high *= dt(len(digit) ** lo)
+    if split:
+        out = np.add(high[:, None, :, None], low[None, :, None, :])
+    else:
+        out = np.add(high[:, None, :], low[None, :, :])
+    return out.reshape(len(high) * len(low), -1)
+
+
 def _index_array(name: str, a, n: int, dt) -> np.ndarray:
     """``a`` as a contiguous ``dt`` array of element indices.  Raises
     ValueError unless it holds integers in ``0..n-1``: the cast to ``dt``
@@ -84,7 +111,16 @@ def _index_array(name: str, a, n: int, dt) -> np.ndarray:
         raise ValueError(f"{name} must hold integer indices, not {a.dtype}")
     if a.size and (a.min() < 0 or a.max() >= n):
         raise ValueError(f"{name} entries must lie in 0..{n - 1}")
-    return np.ascontiguousarray(a, dtype=dt)
+    # ascontiguousarray turns a 0-d array into shape (1,); keep a's shape.
+    return np.ascontiguousarray(a, dtype=dt).reshape(a.shape)
+
+
+def _index(name: str, x, n: int) -> int:
+    """``x`` as one element index in ``0..n-1``; ValueError otherwise."""
+    a = _index_array(name, x, n, np.int64)
+    if a.ndim:
+        raise ValueError(f"{name} must be a single index, not of shape {a.shape}")
+    return int(a)
 
 
 class RingTable:
@@ -232,48 +268,45 @@ class MatrixRingView:
 
     ``ring`` is the induced :class:`RingTable` of size ``|base|**(k*k)``;
     ``encode``/``decode`` translate between ring indices and row-major
-    ``(k, k)`` arrays of base indices.  Build views through
-    :func:`make_matrix_ring`, which checks the size limits and shares one
-    view per base ring and ``k``.
+    ``(k, k)`` arrays of base indices, and refuse anything that is not an
+    array of element indices with ValueError.  Build views through
+    :func:`make_matrix_ring`, which also checks the element-count cap and
+    shares one view per base ring and ``k``.
+
+    Raises ValueError when ``k < 1`` and :class:`SizeCapExceeded` when the
+    dense tables would pass the dense-table limit, before allocating.
     """
 
     def __init__(self, base: RingTable, k: int):
+        name, n = _matrix_ring_size(base, k)
+        _check_dense_tables(name, n)
         self.base = base
         self.k = k
         k2 = k * k
         B = base.size
-        n = B ** k2
         self.digits = digits = _digits(np.arange(n), k2, B, _min_dtype(B))
         self.place = place = B ** np.arange(k2 - 1, -1, -1, dtype=np.int64)
         self._n = n
 
-        # Both tables are built in their final (X digits, Y digits) layout.
-        # Each step adds digit * place terms, so every partial sum stays
+        # Digit p of entry (X, Y) of the sum table is x_p + y_p; digit i of
+        # the product table is row i of X times Y, P[row i of X, Y].  P[r, Y]
+        # is r·Y as a k-digit number: entry j is T[r, column j of Y], with
+        # T[r, c] = sum_t r_t c_t over rows r and columns c of k base
+        # entries, broadcast onto the digit axes (t, j) of Y, which are in
+        # increasing order, so without a transpose.  Every partial sum stays
         # below n and fits the table dtype; the ``dt(...)`` scalars keep the
         # arithmetic in that dtype under NumPy 1.x and 2.x casting rules.
         dt = _min_dtype(n)
-        add = np.zeros((B,) * (2 * k2), dtype=dt)
-        for pos in range(k2):
-            shape = [1] * (2 * k2)
-            shape[pos] = shape[k2 + pos] = B
-            add += (base.add.astype(dt) * dt(place[pos])).reshape(shape)
-
-        # T[r, c] = sum_t r_t c_t over rows r and columns c of k base
-        # entries; entry (i, j) of XY is T[row i of X, column j of Y].  With
-        # X's rows as k axes of size B**k and Y's k*k digits as axes after
-        # them, the axes of row i and of column j's digits (t, j) are in
-        # increasing order, so T broadcasts in without a transpose.
-        vecs = _digits(np.arange(B ** k), k, B, _min_dtype(B))
+        R = B ** k  # rows (and columns) of k base entries
+        vecs = _digits(np.arange(R), k, B, _min_dtype(B))
         _, _, T = next(_mat_entries(base, vecs[:, None, None, :], vecs[None, :, :, None]))
         T = T.astype(dt, copy=False)
-        mul = np.zeros((B ** k,) * k + (B,) * k2, dtype=dt)
-        for i in range(k):
-            for j in range(k):
-                shape = [1] * (k + k2)
-                shape[i] = B ** k
-                for t in range(k):
-                    shape[k + t * k + j] = B
-                mul += (T * dt(place[i * k + j])).reshape(shape)
+        P = np.zeros((R,) + (B,) * k2, dtype=dt)
+        for j in range(k):
+            shape = [R] + [1] * k2
+            for t in range(k):
+                shape[1 + t * k + j] = B
+            P += (T * dt(B ** (k - 1 - j))).reshape(shape)
 
         star = None
         if base.star is not None:
@@ -281,7 +314,8 @@ class MatrixRingView:
             star = base.star[td].astype(np.int64) @ place
 
         self.ring = RingTable(
-            add.reshape(n, n), mul.reshape(n, n),
+            _place_table(base.add, k2, dt, split=True),
+            _place_table(P.reshape(R, n), k, dt, split=False),
             zero=self.scalar_matrix(base.zero),
             one=self.scalar_matrix(base.one),
             star=star,
@@ -293,21 +327,25 @@ class MatrixRingView:
 
     def encode(self, mats) -> np.ndarray | int:
         """Row-major (…, k, k) arrays of base indices -> ring indices."""
-        mats = np.asarray(mats, dtype=np.int64)
+        mats = _index_array("matrix", mats, self.base.size, np.int64)
+        if mats.shape[-2:] != (self.k, self.k):
+            raise ValueError(f"matrices must have shape (..., {self.k}, {self.k}),"
+                             f" not {mats.shape}")
         flat = mats.reshape(*mats.shape[:-2], self.k * self.k)
         out = flat @ self.place
         return int(out) if out.ndim == 0 else out
 
     def decode(self, idx) -> np.ndarray:
         """Ring indices -> row-major (…, k, k) arrays of base indices."""
-        idx = np.asarray(idx)
+        idx = _index_array("ring index", idx, self._n, np.intp)
         d = self.digits[idx]
         return d.reshape(*idx.shape, self.k, self.k).astype(np.int64)
 
     def matrix_unit(self, i: int, j: int, scalar: int | None = None) -> int:
         """Index of ``s * e_ij`` (entry ``s`` at row i, col j, zeros elsewhere)."""
         m = np.full((self.k, self.k), self.base.zero, dtype=np.int64)
-        m[i, j] = self.base.one if scalar is None else scalar
+        m[_index("i", i, self.k), _index("j", j, self.k)] = (
+            self.base.one if scalar is None else _index("scalar", scalar, self.base.size))
         return int(self.encode(m))
 
     @functools.cached_property
@@ -318,7 +356,7 @@ class MatrixRingView:
     def scalar_matrix(self, s: int) -> int:
         """Index of ``s`` times the identity matrix."""
         m = np.full((self.k, self.k), self.base.zero, dtype=np.int64)
-        m[np.arange(self.k), np.arange(self.k)] = s
+        m[np.arange(self.k), np.arange(self.k)] = _index("scalar", s, self.base.size)
         return int(self.encode(m))
 
     def _render_matrix(self, idx: int) -> str:
@@ -341,9 +379,24 @@ def _check_size(name: str, n: int, size_cap: int | None):
     cap = effective_size_cap(size_cap)
     if n > cap:
         raise SizeCapExceeded(f"{name} has {n} elements, cap is {cap}")
+    _check_dense_tables(name, n)
+
+
+def _check_dense_tables(name: str, n: int):
+    """Refuse the ring ``name`` of ``n`` elements with
+    :class:`SizeCapExceeded` when its dense Cayley tables would not fit in
+    memory at desk scale."""
     if n * n > _DENSE_TABLE_ENTRY_LIMIT:
         raise SizeCapExceeded(
             f"{name} needs {n}x{n} tables, beyond the dense-table limit")
+
+
+def _matrix_ring_size(base: RingTable, k: int) -> tuple[str, int]:
+    """The name and element count of the k x k matrix ring over ``base``;
+    ValueError unless ``k >= 1``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return f"matrix ring mat:{k}:{base.label}", base.size ** (k * k)
 
 
 def make_matrix_ring(base: RingTable, k: int,
@@ -356,10 +409,7 @@ def make_matrix_ring(base: RingTable, k: int,
     memory at desk scale.  Both limits are checked on every call, so an
     already-built view is still refused under a smaller cap.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_size(f"matrix ring mat:{k}:{base.label}", base.size ** (k * k),
-                size_cap)
+    _check_size(*_matrix_ring_size(base, k), size_cap)
     view = base._views.get(k)
     if view is None:
         view = base._views[k] = MatrixRingView(base, k)

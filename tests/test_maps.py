@@ -388,6 +388,20 @@ def test_map_json_rejects_malformed(doc):
         MapTable.from_json(doc)
 
 
+@pytest.mark.parametrize("img", [[0.9, 1.7, 2.2], np.array([0.0, 1.0, 2.0]),
+                                 [False, True, True], ["0", "1", "2"],
+                                 [0, 1, 2**64]],
+                         ids=["float", "integral-float", "bool", "str", "huge"])
+def test_map_table_refuses_non_integer_images(img):
+    """Images are never truncated or coerced: an image array whose dtype is
+    not an integer dtype is refused, and so is one past the codomain."""
+    z3 = make_zmod(3)
+    with pytest.raises(MapFormatError, match="^image array "):
+        MapTable(z3, z3, img)
+    phi = MapTable(z3, z3, np.array([0, 1, 2], dtype=np.uint8))
+    assert phi.img.dtype == np.int64 and phi.img.tolist() == [0, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # Properties over random maps (rings built once; hypothesis re-runs the body)
 

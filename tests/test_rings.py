@@ -5,6 +5,7 @@ triple-loop oracle on every small ring, so the fast path and the
 definitional path must agree before anything else is trusted.
 """
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -230,6 +231,124 @@ def test_matrix_ring_over_noncommutative_base():
     want = entry.reshape(512, n, 4).astype(np.int64) @ (8 ** np.arange(3, -1, -1))
     assert np.array_equal(v.ring.mul[rows], want)
     assert validate_matrix_view(v).ok
+
+
+# One sha256 per matrix ring over the bytes and dtype of ``add``, ``mul``,
+# ``neg`` and ``star`` and over (zero, one, i_elem), recorded from the
+# tables as they were built one digit position at a time.  Every matrix
+# ring with k = 1..3 over zmod:1..8 and gauss:1..3 of at most 7000
+# elements, and one over a matrix-ring base.
+_TABLE_DIGESTS = {
+    "mat:1:zmod:1": "46ca5ca6c36e9392321eed3c3457b50167f3a8f97f7f6ec3da9d7dc8fe121b2a",
+    "mat:1:zmod:2": "6c937491c9019aab80237d54a1e4bb6982c50390103740b8cfad4bc2daf6e18b",
+    "mat:1:zmod:3": "dd6dbe1115da018e4a5aebf06efec9e12806f1bf05eb06fdff06c9b06780f57e",
+    "mat:1:zmod:4": "b408e442523e8c9434bfe666ddeda9b1739ae20a1cb1a5d46093a03db373428d",
+    "mat:1:zmod:5": "7ebbab6b1bad7af197b32b2ed3d19d51aa234ab3f156231bcc88a817c7e874e8",
+    "mat:1:zmod:6": "bc8b538d2ae53d8b169152922a68059e4ab5bfd9329a6ebf75c4a16a0e05a60a",
+    "mat:1:zmod:7": "90e43f0a4086b5ec30ceacc6d6da3b0602784d2683a61095ab5a95198eefb332",
+    "mat:1:zmod:8": "19d2947bfb0cc72d54f445900f810936d0d9a4213339d3226ff328cc8a3951fa",
+    "mat:1:gauss:1": "46ca5ca6c36e9392321eed3c3457b50167f3a8f97f7f6ec3da9d7dc8fe121b2a",
+    "mat:1:gauss:2": "b2714a113db8337eab97f5bb1301d87f7687730ea351e822a7f7bfaa201bd190",
+    "mat:1:gauss:3": "e4cb15d6d7917257429e84b4c116208408cc200fd0c7f8a65839f7ad7b666b06",
+    "mat:2:zmod:1": "46ca5ca6c36e9392321eed3c3457b50167f3a8f97f7f6ec3da9d7dc8fe121b2a",
+    "mat:2:zmod:2": "d1848434700e40dffac29f797f0b46c96310f8316cfd6c30ec5c128b18b1107c",
+    "mat:2:zmod:3": "709ecc8cb9ea8052cadb1a1cc1f86574029b3aa4dafbd43c22036cc25050101e",
+    "mat:2:zmod:4": "23ff80fff799a21572cc2ba8cfd6c75f009f2909bf1a5aea1fc5e96e1fbc1401",
+    "mat:2:zmod:5": "6cdd77274dc330a57cf51273826dc35cda1c7dd3718451a1db7073ad7531b4e5",
+    "mat:2:zmod:6": "ede62aab233b1c95512b7c655fa3cffd59226ceffa2a7706b4149559925e9b17",
+    "mat:2:zmod:7": "ac0374ef168421f81b5260c916b869f8f1f681bd9643ece38634cccd7ff937fe",
+    "mat:2:zmod:8": "88a2d81d4c250045ebc87a2ea9a64197ea303da2a7b68f07d4548cc6a4f1e1ba",
+    "mat:2:gauss:1": "46ca5ca6c36e9392321eed3c3457b50167f3a8f97f7f6ec3da9d7dc8fe121b2a",
+    "mat:2:gauss:2": "f2016f0b032f21bda97613f88475b833e048914fc6d88b2fc6ab736e8dbf13b4",
+    "mat:2:gauss:3": "71309fddfbcd6af7e1133cefbc86ab2965d811a43e290169ea5fa43526131b52",
+    "mat:3:zmod:1": "46ca5ca6c36e9392321eed3c3457b50167f3a8f97f7f6ec3da9d7dc8fe121b2a",
+    "mat:3:zmod:2": "2070ea2e5f71dbca298f8faed76f99fbbb4c10cbf75a98ab6a587c03a11a33d6",
+    "mat:3:gauss:1": "46ca5ca6c36e9392321eed3c3457b50167f3a8f97f7f6ec3da9d7dc8fe121b2a",
+    "mat:2:mat:1:zmod:3": "709ecc8cb9ea8052cadb1a1cc1f86574029b3aa4dafbd43c22036cc25050101e",
+}
+
+
+@pytest.mark.parametrize("spec", list(_TABLE_DIGESTS))
+def test_matrix_ring_tables_match_pinned_digests(spec):
+    """Each view is built afresh (not through the shared cache, so its
+    tables are freed after the test) and must reproduce the pinned bytes,
+    dtypes and distinguished elements, with every table read-only."""
+    _, k, base_spec = spec.split(":", 2)
+    ring = MatrixRingView(parse_ring_spec(base_spec), int(k)).ring
+    h = hashlib.sha256()
+    for name in ("add", "mul", "neg", "star"):
+        table = getattr(ring, name)
+        assert not table.flags.writeable, name
+        h.update(table.dtype.str.encode())
+        h.update(table.tobytes())
+    h.update(repr((ring.zero, ring.one, ring.i_elem)).encode())
+    assert h.hexdigest() == _TABLE_DIGESTS[spec]
+
+
+def test_matrix_view_checks_dimension_and_table_limit(monkeypatch):
+    """``MatrixRingView`` itself refuses k < 1, and dense tables past the
+    limit with the message of ``make_matrix_ring``, before it allocates;
+    the element cap stays with ``make_matrix_ring``."""
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            MatrixRingView(make_zmod(3), k)
+    monkeypatch.setattr(rings, "_DENSE_TABLE_ENTRY_LIMIT", 100)
+    message = "^matrix ring mat:2:zmod:8 needs 4096x4096 tables, beyond the dense-table limit$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match=message):
+            MatrixRingView(make_zmod(8), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # the tables would take 2 x 32 MiB
+    with pytest.raises(SizeCapExceeded, match=message):
+        make_matrix_ring(make_zmod(8), 2)
+    monkeypatch.undo()
+    monkeypatch.setenv("MATSEMI_SIZE_CAP", "5")
+    assert MatrixRingView(make_zmod(2), 2).ring.size == 16
+    with pytest.raises(SizeCapExceeded, match="has 16 elements, cap is 5$"):
+        make_matrix_ring(make_zmod(2), 2)
+    assert make_matrix_ring(make_zmod(2), 2, size_cap=16).ring.size == 16
+
+
+_M2Z3 = make_matrix_ring(make_zmod(3), 2)
+
+
+@pytest.mark.parametrize("mats", [[[5, 0], [0, 0]], [[-1, 0], [0, 0]],
+                                  [[1.7, 0], [0, 2]], [[True, False], [False, True]],
+                                  [0, 1, 2, 0], [[[0, 1, 2]]]],
+                         ids=["too-large", "negative", "float", "bool", "flat", "1x3"])
+def test_view_encode_refuses_non_index_matrices(mats):
+    with pytest.raises(ValueError, match="^matri"):
+        _M2Z3.encode(mats)
+    assert _M2Z3.encode([[2, 0], [0, 1]]) == 2 * 27 + 1
+
+
+@pytest.mark.parametrize("idx", [-1, 81, 1.0, [0, 81], True],
+                         ids=["negative", "too-large", "float", "list", "bool"])
+def test_view_decode_refuses_non_indices(idx):
+    with pytest.raises(ValueError, match="^ring index "):
+        _M2Z3.decode(idx)
+    assert _M2Z3.decode(80).tolist() == [[2, 2], [2, 2]]
+
+
+@pytest.mark.parametrize("args", [(0, 1, 7), (0, 1, -1), (0, 1, 1.5), (-1, 0),
+                                  (2, 0), (0, 1.0), (True, 0)],
+                         ids=["scalar-too-large", "scalar-negative", "scalar-float",
+                              "i-negative", "i-too-large", "j-float", "i-bool"])
+def test_view_matrix_unit_refuses_non_indices(args):
+    with pytest.raises(ValueError, match="^(i|j|scalar) "):
+        _M2Z3.matrix_unit(*args)
+    assert _M2Z3.matrix_unit(0, 1, 2) == 2 * 9
+
+
+@pytest.mark.parametrize("s", [-1, 3, 1.0, True, [1, 2]],
+                         ids=["negative", "too-large", "float", "bool", "list"])
+def test_view_scalar_matrix_refuses_non_indices(s):
+    with pytest.raises(ValueError, match="^scalar "):
+        _M2Z3.scalar_matrix(s)
+    assert _M2Z3.scalar_matrix(2) == 2 * 27 + 2
 
 
 # ---------------------------------------------------------------------------
