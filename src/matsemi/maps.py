@@ -58,7 +58,8 @@ class MapTable:
             raise MapFormatError("image array contains out-of-range codomain indices")
         self.dom = dom
         self.cod = cod
-        self.img = np.asarray(img, dtype=np.int64)
+        # A copy: freezing the caller's own array would make it read-only.
+        self.img = np.array(img, dtype=np.int64)
         self.img.setflags(write=False)
 
     def __call__(self, x: int) -> int:

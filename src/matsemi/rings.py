@@ -139,7 +139,8 @@ class RingTable:
     render : optional element formatter ``idx -> str``.
 
     Raises ValueError when ``add``, ``mul`` or ``star`` is not an integer
-    array or has an entry outside ``0..size-1``.
+    array or has an entry outside ``0..size-1``, or when ``zero``, ``one``
+    or ``i_elem`` is not one integer index in that range.
     """
 
     def __init__(self, add, mul, zero, one, star=None, i_elem=None,
@@ -153,10 +154,10 @@ class RingTable:
         self.size = n
         self.add = _index_array("add", add, n, dt)
         self.mul = _index_array("mul", mul, n, dt)
-        self.zero = int(zero)
-        self.one = int(one)
+        self.zero = _index("zero", zero, n)
+        self.one = _index("one", one, n)
         self.star = None if star is None else _index_array("star", star, n, dt)
-        self.i_elem = None if i_elem is None else int(i_elem)
+        self.i_elem = None if i_elem is None else _index("i_elem", i_elem, n)
         self.label = label
         # Additive inverse per element; meaningful once the axioms hold.
         self.neg, _ = _inverses(self.add, self.zero)
@@ -785,16 +786,11 @@ def validate_ring(ring: RingTable) -> RingValidation:
     v = RingValidation(label=ring.label)
     ch = v.checks
 
-    in_range = (
-        int(add.min(initial=0)) >= 0 and int(add.max(initial=0)) < n
-        and int(mul.min(initial=0)) >= 0 and int(mul.max(initial=0)) < n
-        and 0 <= ring.zero < n and 0 <= ring.one < n
-    )
-    if ring.star is not None:
-        in_range = in_range and bool(np.array_equal(np.sort(ring.star), idx))
-    if ring.i_elem is not None:
-        in_range = in_range and 0 <= ring.i_elem < n
-    ch["tables_well_formed"] = CheckOutcome("tables_well_formed", in_range, 2 * n * n)
+    # The constructor has refused every index outside 0..n-1; what is left
+    # to check is that the involution is a permutation.
+    well_formed = ring.star is None or bool(np.array_equal(np.sort(ring.star), idx))
+    ch["tables_well_formed"] = CheckOutcome("tables_well_formed", well_formed,
+                                            2 * n * n)
 
     # add's transpose serves commutativity and, as xy + xs = entry
     # (xs, xy) of it, the left distributivity scan: one row of it per x.

@@ -37,26 +37,15 @@ BRUTE_FORCE_LIMIT = 2**20
 
 KNOWN_FILTERS = ("unital", "star", "corner", "i_relation")
 
-_FILTER_ALIASES = {
-    "unital": "unital",
-    "star": "star",
-    "corner": "corner",
-    "corner_relation": "corner",
-    "i_relation": "i_relation",
-    "i-relation": "i_relation",
-    "multiplicative": None,  # always on
-}
-
 
 def canonical_filters(filters) -> tuple[str, ...]:
-    out = []
+    """``filters`` without repeats, in first-seen order.  Raises ValueError
+    for a name not in :data:`KNOWN_FILTERS`."""
+    filters = tuple(dict.fromkeys(filters))
     for f in filters:
-        if f not in _FILTER_ALIASES:
+        if f not in KNOWN_FILTERS:
             raise ValueError(f"unknown filter {f!r}; known: {KNOWN_FILTERS}")
-        c = _FILTER_ALIASES[f]
-        if c is not None and c not in out:
-            out.append(c)
-    return tuple(out)
+    return filters
 
 
 # ---------------------------------------------------------------------------
@@ -69,20 +58,15 @@ class GeneratorSet:
     expression (word over the generators) per element.  The identity has
     the empty word."""
 
-    monoid: str
     gens: list[int]
     words: list[tuple[int, ...]]
-
-    def to_json(self) -> dict:
-        return {"monoid": self.monoid, "gens": list(self.gens),
-                "words": [list(w) for w in self.words]}
 
 
 def monoid_generators(ring: RingTable) -> GeneratorSet:
     """Greedy generating set of ``(ring, *, 1)``: repeatedly adjoin the
     smallest element outside the current closure and re-saturate."""
     cl = greedy_closure(ring.mul, seed=ring.one)
-    return GeneratorSet(monoid=ring.label, gens=list(cl.gens), words=cl.words())
+    return GeneratorSet(gens=list(cl.gens), words=cl.words())
 
 
 # ---------------------------------------------------------------------------

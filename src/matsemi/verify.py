@@ -8,7 +8,8 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,18 +44,39 @@ _TENSOR_K = 2
 
 # Default step budget per top-level branch of the capped i-relation search.
 # With it, the default search M2(Z3[i]) -> M2(Z3[i]) visits 6392 nodes in
-# about 3.6 s of CPU on a shared 2-core x86 host (about 0.56 ms per node;
-# the whole command, ring and closure build included, takes 4.7-5.1 s) and
-# is not exhaustive; callers with more patience pass a larger budget
-# explicitly.
+# about 2.9 s of CPU on a shared 2-core x86 Xeon host, the multiplication's
+# closure built beforehand (about 0.46 ms per node; the whole command, ring
+# and closure build included, takes 3.5-3.9 s) and is not exhaustive;
+# callers with more patience pass a larger budget explicitly.
 DEFAULT_NODE_BUDGET = 5000
 
 # Default cap on the maps the i-relation search lists.
 DEFAULT_MAP_LIMIT = 40
 
 
-def _chunks(total: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+def _scan_functions(task, dom: RingTable, cod: RingTable, total: int,
+                    workers: int, *args) -> list[np.ndarray]:
+    """Run ``task(dom, cod, lo, hi, *args)`` over the function ids
+    ``0..total-1`` in fixed chunks of ``_CHUNK`` and join each of its
+    outputs in chunk order, so the result is the same for any ``workers``."""
+    parts = _run_ring_tasks(
+        task, dom, cod,
+        [(lo, min(lo + _CHUNK, total), *args) for lo in range(0, total, _CHUNK)],
+        workers)
+    return [np.concatenate(out) for out in zip(*parts)]
+
+
+class _SuiteReport:
+    """A suite's report.  Its JSON is ``{"suite": <id>}``, then every field
+    in declaration order, then ``"pass"``.  The fields are read as they are,
+    not copied as :func:`dataclasses.asdict` would copy them."""
+
+    suite: ClassVar[str]
+
+    def to_json(self) -> dict:
+        return {"suite": self.suite,
+                **{f.name: getattr(self, f.name) for f in fields(self)},
+                "pass": self.passed}
 
 
 def _enumeration_matches(res, ids: np.ndarray, dom: RingTable,
@@ -82,7 +104,9 @@ def _corner_task(dom: RingTable, cod: RingTable, lo: int, hi: int):
 
 
 @dataclass
-class CornerEquivalenceReport:
+class CornerEquivalenceReport(_SuiteReport):
+    suite = "prop1"
+
     dom: str
     cod: str
     total_functions: int
@@ -97,20 +121,6 @@ class CornerEquivalenceReport:
     def passed(self) -> bool:
         return self.sets_equal and self.enumeration_matches
 
-    def to_json(self) -> dict:
-        return {
-            "suite": "prop1",
-            "dom": self.dom, "cod": self.cod,
-            "total_functions": self.total_functions,
-            "multiplicative": self.multiplicative,
-            "with_corner": self.with_corner,
-            "additive": self.additive,
-            "sets_equal": self.sets_equal,
-            "enumeration_matches": self.enumeration_matches,
-            "enumeration_nodes": self.enumeration_nodes,
-            "pass": self.passed,
-        }
-
 
 def verify_corner_equivalence(dom: RingTable, cod: RingTable,
                               workers: int = 1) -> CornerEquivalenceReport:
@@ -119,10 +129,8 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     the generator-based enumeration reproduces the multiplicative set
     element for element."""
     total = function_space_size(dom, cod)
-    parts = _run_ring_tasks(_corner_task, dom, cod, _chunks(total), workers)
-    mult_ids = np.concatenate([p[0] for p in parts])
-    corner_ids = np.concatenate([p[1] for p in parts])
-    add_ids = np.concatenate([p[2] for p in parts])
+    mult_ids, corner_ids, add_ids = _scan_functions(_corner_task, dom, cod,
+                                                    total, workers)
     sets_equal = bool(np.array_equal(corner_ids, add_ids))
 
     res = enumerate_multiplicative_maps(dom, cod, workers=workers)
@@ -156,9 +164,12 @@ def _tensor_task(dom: RingTable, cod: RingTable, lo: int, hi: int,
 
 
 @dataclass
-class TensorEquivalenceReport:
+class TensorEquivalenceReport(_SuiteReport):
+    suite = "tensor"
+
     dom: str
     cod: str
+    k: int
     total_functions: int
     ring_homs: int
     lift_multiplicative: int
@@ -167,17 +178,6 @@ class TensorEquivalenceReport:
     @property
     def passed(self) -> bool:
         return self.sets_equal
-
-    def to_json(self) -> dict:
-        return {
-            "suite": "tensor",
-            "dom": self.dom, "cod": self.cod, "k": _TENSOR_K,
-            "total_functions": self.total_functions,
-            "ring_homs": self.ring_homs,
-            "lift_multiplicative": self.lift_multiplicative,
-            "sets_equal": self.sets_equal,
-            "pass": self.passed,
-        }
 
 
 def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
@@ -192,13 +192,10 @@ def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
     total = function_space_size(dom, cod)
     for ring in (dom, cod):
         make_matrix_ring(ring, _TENSOR_K, size_cap=size_cap)
-    parts = _run_ring_tasks(_tensor_task, dom, cod,
-                            [(lo, hi, size_cap) for lo, hi in _chunks(total)],
-                            workers)
-    hom_ids = np.concatenate([p[0] for p in parts])
-    lift_ids = np.concatenate([p[1] for p in parts])
+    hom_ids, lift_ids = _scan_functions(_tensor_task, dom, cod, total, workers,
+                                        size_cap)
     return TensorEquivalenceReport(
-        dom=dom.label, cod=cod.label, total_functions=total,
+        dom=dom.label, cod=cod.label, k=_TENSOR_K, total_functions=total,
         ring_homs=int(hom_ids.size), lift_multiplicative=int(lift_ids.size),
         sets_equal=bool(np.array_equal(hom_ids, lift_ids)))
 
@@ -208,7 +205,9 @@ def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
 
 
 @dataclass
-class WitnessSuiteReport:
+class WitnessSuiteReport(_SuiteReport):
+    suite = "witnesses"
+
     ring: str
     corner_identity_pass: bool
     uv_identity_pass: bool
@@ -222,20 +221,6 @@ class WitnessSuiteReport:
     def passed(self) -> bool:
         return (self.corner_identity_pass and self.uv_identity_pass
                 and self.all_invertible)
-
-    def to_json(self) -> dict:
-        return {
-            "suite": "witnesses",
-            "ring": self.ring,
-            "corner_identity_pass": self.corner_identity_pass,
-            "uv_identity_pass": self.uv_identity_pass,
-            "pairs_checked": self.pairs_checked,
-            "units_count": self.units_count,
-            "matrices_checked": self.matrices_checked,
-            "all_invertible": self.all_invertible,
-            "failures": [list(f) for f in self.failures],
-            "pass": self.passed,
-        }
 
 
 def verify_witness_suite(ring: RingTable, size_cap: int | None = None) -> WitnessSuiteReport:
@@ -273,7 +258,9 @@ def verify_witness_suite(ring: RingTable, size_cap: int | None = None) -> Witnes
 
 
 @dataclass
-class FourthPowerSearchReport:
+class FourthPowerSearchReport(_SuiteReport):
+    suite = "i-relation"
+
     dom: str
     cod: str
     enumerated: int
@@ -286,19 +273,6 @@ class FourthPowerSearchReport:
     @property
     def passed(self) -> bool:
         return not self.implication_violations
-
-    def to_json(self) -> dict:
-        return {
-            "suite": "i-relation",
-            "dom": self.dom, "cod": self.cod,
-            "enumerated": self.enumerated,
-            "nodes": self.nodes,
-            "exhaustive": self.exhaustive,
-            "zero_annihilating": self.zero_annihilating,
-            "implication_violations": self.implication_violations,
-            "flagged_findings": self.flagged_findings,
-            "pass": self.passed,
-        }
 
 
 def verify_fourth_power_search(dom: RingTable, cod: RingTable | None = None,

@@ -23,7 +23,7 @@ that first reached it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,15 +162,6 @@ class UVPair:
     u_inverse: np.ndarray | None
     v_inverse: np.ndarray | None
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.a, "b": self.b,
-            "u": self.u.tolist(), "v": self.v.tolist(), "uv": self.uv.tolist(),
-            "identity_holds": self.identity_holds,
-            "u_invertible": self.u_invertible,
-            "v_invertible": self.v_invertible,
-        }
-
 
 def build_uv_pair(ring: RingTable, a: int, b: int) -> UVPair:
     """Build u = [[1,a],[-a*,1]], v = [[b,-1],[1,b*]] and their product.
@@ -205,11 +196,6 @@ class WitnessMatrix:
     matrix: np.ndarray
     invertible: bool
     inverse: np.ndarray | None
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "matrix": self.matrix.tolist(),
-                "invertible": self.invertible,
-                "inverse": None if self.inverse is None else self.inverse.tolist()}
 
 
 def invertible_witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: int,
@@ -269,24 +255,6 @@ class CornerCertificate:
     @property
     def passed(self) -> bool:
         return self.decomposition_passed and all(c.passed for c in self.corners)
-
-    def to_json(self) -> dict:
-        return {
-            "map": self.map.to_json(),
-            "pass": self.passed,
-            "decomposition": {
-                "pass": self.decomposition_passed,
-                "checked": self.decomposition_checked,
-                "witness": list(self.decomposition_witness)
-                if self.decomposition_witness else None,
-            },
-            "corners": [
-                {"corner": list(c.corner), "pass": c.passed, "checked": c.checked,
-                 "witness": list(c.witness) if c.witness else None}
-                for c in self.corners
-            ],
-            "additive_confirmed": self.additive_confirmed,
-        }
 
 
 def _embedding_tables(view):

@@ -319,6 +319,34 @@ def test_verify_witnesses_stdout_pinned(spec, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
+@pytest.mark.parametrize("argv,code,digests", [
+    (("prop1", "--dom", "mat:2:zmod:2", "--cod", "zmod:2"), 0, (
+        "35fc80397ca1ece4ef1a258fae441c58204b2e52dbba4d839ef22bf94588d655",
+        "d6ecf1986104b2f512e907ffe7f1e6a738448b62162ba41ceb6affa2cab1f37a",
+        "612d6e826cbf5beb98b44a83666e306f38eb8ec16731076a497d30a667c09b20")),
+    (("tensor", "--dom", "zmod:3"), 1, (
+        "9d266e49960f579394c39a03f7e01022df3546344495ec09d26166e8bbe7a16d",
+        "ce6e7a0e72a9e2a83553266aa0cb5d3bc8938f697e96298bedf2125f5af2b1b1",
+        "3d77984c8dca7c677c6a4a0e950e46fcfd22705396ade80be35ed8f9f49a7258")),
+    (("tensor", "--dom", "gauss:2"), 0, (
+        "3cf874d07f4804a87798c5a5ec94cf7d3afd64a893ec33c2843a84d419d998c2",
+        "69f55c2d855fa9bf15f9f150fdbb2d5cdedec783f3c4b91abed885009640a12a",
+        "86069390a5526aff9ee7555abcd25236961554fdf954e0c745ba00310fa77e8f")),
+    (("i-relation", "--dom", "mat:2:gauss:2", "--cod", "mat:2:gauss:2"), 0, (
+        "50c8bf54194e23db6af4d697ff2d31d3fcc8e71cb98da2e8ee64d72add497e0f",
+        "5113ec1e73580f2f9cdcd6bb8f5e458c31247c1b95710a19f727f92dc123d05c",
+        "1af92a0b7643c932a29d9bbbde364edeea5b8b0d5da499b6c042f3ad67c4fb21")),
+], ids=["prop1", "tensor-zmod3", "tensor-gauss2", "i-relation"])
+def test_verify_suite_stdout_pinned(argv, code, digests):
+    """The json, csv and text reports of the function-space and search
+    suites are pinned byte for byte, with their exit codes."""
+    got = []
+    for fmt in ("json", "csv", "text"):
+        rc, out = run_cli("verify", *argv, "--format", fmt)
+        got.append((rc, hashlib.sha256(out.encode()).hexdigest()))
+    assert got == [(code, d) for d in digests]
+
+
 @pytest.mark.parametrize("env_cap", [None, "100"], ids=["flag", "flag-and-env"])
 def test_verify_witnesses_applies_size_cap_flag_to_the_scans(env_cap, monkeypatch, capsys):
     """``--size-cap 100`` refuses the 4**4-candidate inverse scan over
@@ -436,6 +464,18 @@ def test_verify_replay_applies_size_cap(map_files, tmp_path, capsys):
 def test_enumerate_bad_query_exit2(flags, capsys):
     _assert_one_line_error(
         *run_cli("enumerate", "--dom", "zmod:4", "--cod", "zmod:4", *flags), capsys)
+
+
+@pytest.mark.parametrize("name", ["corner_relation", "i-relation", "multiplicative"])
+def test_enumerate_refuses_filter_spellings_outside_the_known_names(name, capsys):
+    """Only the names in KNOWN_FILTERS select a filter; other spellings of
+    them are unknown filters, a usage error."""
+    code, out = run_cli("enumerate", "--dom", "zmod:4", "--cod", "zmod:4",
+                        "--filter", name)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unknown filter {name!r}; known: ")
+    assert err.count("\n") == 1
 
 
 def test_ring_info_beyond_dense_table_limit_exit2(monkeypatch, capsys):

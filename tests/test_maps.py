@@ -402,6 +402,16 @@ def test_map_table_refuses_non_integer_images(img):
     assert phi.img.dtype == np.int64 and phi.img.tolist() == [0, 1, 2]
 
 
+def test_map_table_leaves_the_callers_array_writable():
+    """The map keeps a frozen copy of an int64 image array: the caller's
+    array stays writable, and writing to it leaves the map unchanged."""
+    z3 = make_zmod(3)
+    img = np.arange(3, dtype=np.int64)
+    phi = MapTable(z3, z3, img)
+    img[0] = 1
+    assert phi.img.tolist() == [0, 1, 2] and not phi.img.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Properties over random maps (rings built once; hypothesis re-runs the body)
 

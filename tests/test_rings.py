@@ -457,6 +457,30 @@ def test_ring_table_rejects_entries_it_cannot_store(bad):
         RingTable(tables["add"], tables["mul"], 0, 1, star=tables["star"])
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"one": 1.7}, "^one must hold integer indices"),
+    ({"one": True}, "^one must hold integer indices"),
+    ({"zero": -1}, r"^zero entries must lie in 0\.\.3$"),
+    ({"zero": 5}, r"^zero entries must lie in 0\.\.3$"),
+    ({"zero": [0, 1]}, "^zero must be a single index"),
+    ({"i_elem": 4}, r"^i_elem entries must lie in 0\.\.3$"),
+    ({"i_elem": "3"}, "^i_elem must hold integer indices"),
+], ids=["one-float", "one-bool", "zero-negative", "zero-past-end", "zero-array",
+        "i-past-end", "i-str"])
+def test_ring_table_refuses_identities_that_are_not_indices(bad, message):
+    """``zero``, ``one`` and ``i_elem`` are checked as strictly as the
+    tables: a float is not truncated, -1 does not index the last element,
+    and an index past the end is refused at construction, not when a scan
+    reads it."""
+    z4 = make_zmod(4)
+    elems = {"zero": 0, "one": 1, "i_elem": None, **bad}
+    with pytest.raises(ValueError, match=message):
+        RingTable(z4.add, z4.mul, elems["zero"], elems["one"], i_elem=elems["i_elem"])
+    ring = RingTable(z4.add, z4.mul, np.int64(0), np.uint8(1), i_elem=np.int32(3))
+    assert (ring.zero, ring.one, ring.i_elem) == (0, 1, 3)
+    assert all(type(v) is int for v in (ring.zero, ring.one, ring.i_elem))
+
+
 def test_validation_catches_broken_associativity():
     z4 = make_zmod(4)
     mul = z4.mul.copy()

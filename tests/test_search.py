@@ -263,6 +263,12 @@ def test_canonical_filters_rejects_unknown():
         canonical_filters(("frobnicate",))
 
 
+def test_canonical_filters_drops_repeats_in_first_seen_order():
+    assert canonical_filters(["star", "corner", "star", "unital", "corner"]) == (
+        "star", "corner", "unital")
+    assert canonical_filters(iter(["i_relation", "i_relation"])) == ("i_relation",)
+
+
 # ---------------------------------------------------------------------------
 # Stage checks: ready pairs against full grids
 

@@ -1,6 +1,8 @@
 """Verification suites and enumeration run on the ring objects they are
 given, at every worker count, whatever the rings' labels say."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,20 @@ def test_fourth_power_search_needs_no_gates(spec, limit, budget, monkeypatch):
     assert got.exhaustive == (limit is None)
     for phi in seen:
         assert is_multiplicative(phi).passed and i_relation_holds(phi).passed
+
+
+@pytest.mark.parametrize("suite,run", [
+    ("prop1", lambda m2: verify_corner_equivalence(m2, make_zmod(2))),
+    ("tensor", lambda m2: verify_tensor_equivalence(make_zmod(3))),
+    ("witnesses", lambda m2: verify_witness_suite(make_zmod(2))),
+    ("i-relation", lambda m2: verify_fourth_power_search(m2)),
+], ids=["prop1", "tensor", "witnesses", "i-relation"])
+def test_suite_report_json_is_its_fields_between_suite_and_pass(suite, run):
+    """A suite report's JSON holds the suite id, then every field in
+    declaration order as the report holds it, then the verdict."""
+    rep = run(parse_ring_spec("mat:2:zmod:2"))
+    doc = rep.to_json()
+    names = [f.name for f in dataclasses.fields(rep)]
+    assert list(doc) == ["suite", *names, "pass"]
+    assert doc["suite"] == suite and doc["pass"] is rep.passed
+    assert all(doc[name] is getattr(rep, name) for name in names)
