@@ -1,9 +1,9 @@
 """Greedy generating-set closure for a finite magma given by a Cayley table.
 
-Shared by ring validation (generator-reduced exhaustive axiom scans) and by
-the map enumerator (stage structure of forced images).  Everything here is
+Built once per ring and table by ``rings.op_closure``, which every
+generator reduction of the package reads.  Everything here is
 deterministic: generators are picked in ascending element order and each
-reachable element records the first derivation that produced it.
+element records the first derivation that produced it.
 """
 
 from __future__ import annotations
@@ -46,18 +46,16 @@ def _first_unseen(flat: np.ndarray, seen: np.ndarray):
 class ClosureStages:
     """Result of a greedy closure over a Cayley table.
 
-    ``order`` lists every element once, in discovery order: the seed (when
-    given) first, then the stage of each generator in ``gens`` (ascending),
-    which starts with the generator itself.  Stage ``i`` is
-    ``order[stage_starts[i]:stage_starts[i + 1]]``, and each stage is split
-    into saturation rounds ``order[round_starts[j]:round_starts[j + 1]]``,
-    each sorted ascending, whose derivations only reference elements of
-    earlier rounds.  Both boundary lists end with ``order.size``.
-    ``deriv_x``/``deriv_y`` give one product ``x * y`` per derived element;
-    generators and the seed carry ``-1``.
+    ``order`` lists every element once, in discovery order: the stage of
+    each generator in ``gens`` (ascending), which starts with the generator
+    itself.  Stage ``i`` is ``order[stage_starts[i]:stage_starts[i + 1]]``,
+    and each stage is split into saturation rounds
+    ``order[round_starts[j]:round_starts[j + 1]]``, each sorted ascending,
+    whose derivations only reference elements of earlier rounds.  Both
+    boundary lists end with ``order.size``.  ``deriv_x``/``deriv_y`` give
+    one product ``x * y`` per derived element; generators carry ``-1``.
     """
 
-    seed: int | None
     gens: list[int]
     order: np.ndarray
     stage_starts: list[int]
@@ -68,17 +66,13 @@ class ClosureStages:
     def words(self) -> list[tuple[int, ...]]:
         """One product expression per element as a sequence of generators.
 
-        The seed (when present) has the empty word.  Derivations only
-        reference earlier rounds, so one pass in discovery order expands
-        them all.
+        Derivations only reference earlier rounds, so one pass in discovery
+        order expands them all.
         """
         words: list[tuple[int, ...]] = [()] * self.order.size
         dx, dy = self.deriv_x.tolist(), self.deriv_y.tolist()
         for e in self.order.tolist():
-            if dx[e] >= 0:
-                words[e] = words[dx[e]] + words[dy[e]]
-            elif e != self.seed:
-                words[e] = (e,)
+            words[e] = words[dx[e]] + words[dy[e]] if dx[e] >= 0 else (e,)
         return words
 
     def ready_pairs(self, table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -91,12 +85,10 @@ class ClosureStages:
 
         Reduction lemma: on an associative table, a map phi into an
         associative operation with phi(x*g) = phi(x)*phi(g) on every ready
-        pair has phi(x*y) = phi(x)*phi(y) for every x in the closure and
-        every y with a nonempty word, i.e. every element of a seedless
-        closure.  By induction on the word of y: a generator is a ready
+        pair has phi(x*y) = phi(x)*phi(y) for all x and y.  By induction
+        on the word of y, which every element has: a generator is a ready
         pair, and for y = y'g, phi(x*y'g) = phi(x*y')phi(g) =
-        phi(x)phi(y')phi(g) = phi(x)phi(y'g), as x*y' and y' lie in the
-        closure.
+        phi(x)phi(y')phi(g) = phi(x)phi(y'g).
         """
         gens = np.asarray(self.gens, dtype=np.int64)
         starts = self.stage_starts
@@ -111,7 +103,7 @@ class ClosureStages:
         return out
 
 
-def greedy_closure(table: np.ndarray, seed: int | None) -> ClosureStages:
+def greedy_closure(table: np.ndarray) -> ClosureStages:
     """Greedily pick generators for the magma ``(range(n), table)``.
 
     Scans element indices in ascending order; any element not yet reachable
@@ -119,8 +111,7 @@ def greedy_closure(table: np.ndarray, seed: int | None) -> ClosureStages:
     the table operation.  Each saturation round takes the products
     frontier * known, then old * frontier (old: known before the frontier),
     one row block at a time, and the first such (row, col) pair wins an
-    element's derivation.  With ``seed`` given (an identity element), the
-    closure starts from it and the seed never becomes a generator.
+    element's derivation.
     """
     n = table.shape[0]
     known = np.zeros(n, dtype=bool)
@@ -128,10 +119,6 @@ def greedy_closure(table: np.ndarray, seed: int | None) -> ClosureStages:
     deriv_y = np.full(n, -1, dtype=np.int64)
     order = np.empty(n, dtype=np.int64)
     end = 0  # order[:end] is known
-    if seed is not None:
-        known[seed] = True
-        order[0] = seed
-        end = 1
 
     gens: list[int] = []
     stage_starts: list[int] = []
@@ -162,7 +149,6 @@ def greedy_closure(table: np.ndarray, seed: int | None) -> ClosureStages:
     stage_starts.append(end)
     round_starts.append(end)
     return ClosureStages(
-        seed=seed,
         gens=gens,
         order=order,
         stage_starts=stage_starts,

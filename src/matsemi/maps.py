@@ -208,7 +208,7 @@ def _stacked_law(op: str, dom: RingTable, cod: RingTable, imgs) -> np.ndarray:
     that map satisfies phi(x o y) = phi(x) o phi(y) for ``op`` in
     {"mul", "add"} over all pairs.
 
-    Decided on the ready pairs (x, g) of the seedless closure of dom's
+    Decided on the ready pairs (x, g) of the closure of dom's
     ``op`` table (:func:`~matsemi.rings.op_closure`, built once per ring),
     g a generator (:meth:`ClosureStages.ready_pairs`), which
     is exact when both op tables are associative, as in every ring

@@ -20,7 +20,8 @@ The module also houses the exhaustive axiom scans.  Associativity and
 distributivity are verified through greedy generating sets rather than raw
 triple loops: the generator-reduced scans cover every triple by an
 induction on derivation words, which keeps even a 6561-element matrix ring
-verifiable in seconds without sampling.
+verifiable in seconds without sampling.  The generating sets are those of
+the closures ``op_closure`` keeps, less an identity whose law has passed.
 
 Every grid of element pairs here (the dense n x n laws, the inverse
 search behind ``neg``, ``units`` and ``add_inverses``, and the sums of
@@ -456,13 +457,13 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
 
 
 def op_closure(ring: RingTable, op: str) -> ClosureStages:
-    """The seedless :func:`~matsemi._closure.greedy_closure` of the ring's
-    ``op`` table (``"mul"`` or ``"add"``), built on first use and kept on
-    the ring object, so every search plan and stacked law on the ring
-    shares one.  Its arrays are read-only."""
+    """The :func:`~matsemi._closure.greedy_closure` of the ring's ``op``
+    table (``"mul"`` or ``"add"``), built on first use and kept on the ring
+    object, so its validation, generating sets, search plans and stacked
+    laws share one.  Its arrays are read-only."""
     cl = ring._closures.get(op)
     if cl is None:
-        cl = greedy_closure(getattr(ring, op), seed=None)
+        cl = greedy_closure(getattr(ring, op))
         for arr in (cl.order, cl.deriv_x, cl.deriv_y):
             arr.setflags(write=False)
         ring._closures[op] = cl
@@ -527,8 +528,10 @@ def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
 
     Breadth-first over sum lengths; the returned sequence is rebuilt
     greedily (smallest usable pool element first), so output is
-    deterministic.  The sum is re-evaluated before returning.
+    deterministic.  The sum is re-evaluated before returning.  Raises
+    ValueError unless ``x`` is one element index.
     """
+    x = _index("x", x, ring.size)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     pool = _pool(ring, mode)
@@ -548,7 +551,7 @@ def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
     if dist[x] < 0:
         return None
     out: list[int] = []
-    cur = int(x)
+    cur = x
     for remaining in range(int(dist[x]), 1, -1):
         rest = ring.add[cur, ring.neg[pool]]  # cur - u for each pool element
         ok = np.flatnonzero(dist[rest] == remaining - 1)
@@ -559,7 +562,7 @@ def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
     total = out[0]
     for u in out[1:]:
         total = int(ring.add[total, u])
-    assert total == int(x), "decomposition failed to re-evaluate"
+    assert total == x, "decomposition failed to re-evaluate"
     return out
 
 
@@ -803,8 +806,12 @@ def validate_ring(ring: RingTable) -> RingValidation:
         mapper=lambda x: (ring.zero, x))
     ch["add_inverses"] = _outcome("add_inverses", _inverses(add, ring.zero)[1], n)
 
-    gens_add = greedy_closure(add, seed=ring.zero).gens
-    v.info["additive_generators"] = list(gens_add)
+    # The scans run over the closure's generators.  A two-sided identity's
+    # translations hold and no product with it is new, so it is left out
+    # once its law has passed; otherwise it is scanned like the others.
+    gens_add = [g for g in op_closure(ring, "add").gens
+                if g != ring.zero or not ch["add_identity"].passed]
+    v.info["additive_generators"] = gens_add
     G = np.asarray(gens_add, dtype=np.intp)
     per = n * n * len(gens_add)
 
@@ -855,8 +862,9 @@ def validate_ring(ring: RingTable) -> RingValidation:
         "right_distributive", hit is None, per, _xsy(hit),
         note="additive generator scan")
 
-    gens_mul = greedy_closure(mul, seed=ring.one).gens
-    v.info["multiplicative_generators"] = list(gens_mul)
+    gens_mul = [g for g in op_closure(ring, "mul").gens
+                if g != ring.one or not ch["mul_identity"].passed]
+    v.info["multiplicative_generators"] = gens_mul
     # (xy)z - x(yz) is additive in each argument once distributivity and
     # the additive group laws hold, so vanishing on additive-generator
     # triples is equivalent to vanishing everywhere.

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._closure import greedy_closure
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch
 from .maps import (
     MapTable,
@@ -40,7 +39,10 @@ KNOWN_FILTERS = ("unital", "star", "corner", "i_relation")
 
 def canonical_filters(filters) -> tuple[str, ...]:
     """``filters`` without repeats, in first-seen order.  Raises ValueError
-    for a name not in :data:`KNOWN_FILTERS`."""
+    for a plain string (which would read as its characters) and for a name
+    not in :data:`KNOWN_FILTERS`."""
+    if isinstance(filters, str):
+        raise ValueError(f"filters must be a sequence of names, not the string {filters!r}")
     filters = tuple(dict.fromkeys(filters))
     for f in filters:
         if f not in KNOWN_FILTERS:
@@ -63,10 +65,12 @@ class GeneratorSet:
 
 
 def monoid_generators(ring: RingTable) -> GeneratorSet:
-    """Greedy generating set of ``(ring, *, 1)``: repeatedly adjoin the
-    smallest element outside the current closure and re-saturate."""
-    cl = greedy_closure(ring.mul, seed=ring.one)
-    return GeneratorSet(gens=list(cl.gens), words=cl.words())
+    """The greedy generating set of ``(ring, *, 1)`` from the ring's
+    :func:`~matsemi.rings.op_closure`, less the identity, whose word is ()."""
+    cl = op_closure(ring, "mul")
+    words = cl.words()
+    words[ring.one] = ()
+    return GeneratorSet(gens=[g for g in cl.gens if g != ring.one], words=words)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ from matsemi.search import enumerate_multiplicative_maps, function_space_masks
 ORACLE_SPECS = [s for s in CORPUS_SPECS if s != "mat:2:gauss:3"]
 
 
-def _assert_matches_oracle(table, seed):
-    cl = greedy_closure(table, seed)
+def _assert_matches_oracle(table):
+    cl = greedy_closure(table)
     rows = table.tolist()
-    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b], seed)
+    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b])
     got = {
         "gens": cl.gens, "order": cl.order.tolist(),
         "stage_starts": cl.stage_starts, "round_starts": cl.round_starts,
@@ -49,42 +49,39 @@ def test_closure_matches_oracle_on_corpus_tables(spec, block_rows, monkeypatch):
     ring = parse_ring_spec(spec)
     if block_rows is not None:
         monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * ring.size)
-    for table, identity in ((ring.add, ring.zero), (ring.mul, ring.one)):
-        for seed in (None, identity):
-            _assert_matches_oracle(table, seed)
+    for table in (ring.add, ring.mul):
+        _assert_matches_oracle(table)
 
 
 @st.composite
 def _tables(draw):
     """A corpus add or mul table, a single-entry mutant of one, or a random
-    magma, with the element that seeds it when a seed is drawn."""
+    magma."""
     kind = draw(st.sampled_from(["corpus", "mutant", "magma"]))
     if kind == "magma":
         n = draw(st.integers(1, 24))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        return rng.integers(0, n, size=(n, n)), draw(st.integers(0, n - 1))
+        return rng.integers(0, n, size=(n, n))
     ring = parse_ring_spec(draw(st.sampled_from(ORACLE_SPECS)))
-    which = draw(st.sampled_from(["add", "mul"]))
-    table = getattr(ring, which).copy()
+    table = getattr(ring, draw(st.sampled_from(["add", "mul"]))).copy()
     n = ring.size
     if kind == "mutant" and n > 1:
         x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         table[x, y] = (int(table[x, y]) + draw(st.integers(1, n - 1))) % n
-    return table, ring.zero if which == "add" else ring.one
+    return table
 
 
 @settings(max_examples=120)
-@given(drawn=_tables(), seeded=st.booleans(), three_rows=st.booleans())
-def test_closure_matches_oracle(drawn, seeded, three_rows):
+@given(table=_tables(), three_rows=st.booleans())
+def test_closure_matches_oracle(table, three_rows):
     """Generators, discovery order, stage and round boundaries, derivations
-    and words all equal the oracle's, seeded or not, with the products
-    gathered in blocks of the default size or of three rows."""
-    table, seed = drawn
+    and words all equal the oracle's, with the products gathered in blocks
+    of the default size or of three rows."""
     if three_rows:
         with _three_row_blocks(len(table)):
-            _assert_matches_oracle(table, seed if seeded else None)
+            _assert_matches_oracle(table)
     else:
-        _assert_matches_oracle(table, seed if seeded else None)
+        _assert_matches_oracle(table)
 
 
 def test_block_size_patch_reaches_row_blocks(monkeypatch):
@@ -123,7 +120,7 @@ def test_closure_of_large_table_peaks_under_10_mb(spec, which):
     ring = parse_ring_spec(spec)
     tracemalloc.start()
     try:
-        greedy_closure(getattr(ring, which), ring.zero if which == "add" else ring.one)
+        greedy_closure(getattr(ring, which))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -131,20 +128,18 @@ def test_closure_of_large_table_peaks_under_10_mb(spec, which):
 
 
 @settings(max_examples=120)
-@given(drawn=_tables(), seeded=st.booleans())
-def test_ready_pairs_cover_every_element_generator_pair_once(drawn, seeded):
-    """On any table, associative or not, seeded or not: stage p of
+@given(table=_tables())
+def test_ready_pairs_cover_every_element_generator_pair_once(table):
+    """On any table, associative or not: stage p of
     ``ready_pairs`` holds exactly the pairs (x, g_q), q <= p, with x among
     the elements known after stage p that were not already paired with
     g_q at an earlier stage; it reads no element of a later stage, and its
     products are the table's.  The stages come from the plain-Python
     oracle closure, the products from the table's rows as lists."""
-    table, seed = drawn
-    seed = seed if seeded else None
     rows = table.tolist()
-    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b], seed)
+    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b])
     order, gens, starts = want["order"], want["gens"], want["stage_starts"]
-    stages = greedy_closure(table, seed).ready_pairs(table)
+    stages = greedy_closure(table).ready_pairs(table)
     assert len(stages) == len(gens)
     seen = []
     for p, (xs, gs, xgs) in enumerate(stages):
@@ -161,14 +156,14 @@ def test_ready_pairs_cover_every_element_generator_pair_once(drawn, seeded):
 
 
 def _closure_fields(cl) -> dict:
-    return {"seed": cl.seed, "gens": cl.gens, "order": cl.order.tolist(),
+    return {"gens": cl.gens, "order": cl.order.tolist(),
             "stage_starts": cl.stage_starts, "round_starts": cl.round_starts,
             "deriv_x": cl.deriv_x.tolist(), "deriv_y": cl.deriv_y.tolist()}
 
 
 @pytest.mark.parametrize("op", ["mul", "add"])
 def test_op_closure_is_built_once_read_only_and_fresh(corpus, op):
-    """On every corpus ring, the cached seedless closure of each table is
+    """On every corpus ring, the cached closure of each table is
     one object per ring, its arrays are read-only, and it equals a closure
     built afresh from the table."""
     for spec, ring in corpus["rings"].items():
@@ -179,7 +174,7 @@ def test_op_closure_is_built_once_read_only_and_fresh(corpus, op):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
         assert _closure_fields(cl) == _closure_fields(
-            greedy_closure(getattr(ring, op), seed=None)), spec
+            greedy_closure(getattr(ring, op))), spec
 
 
 def _mutants(spec: str, count: int):
@@ -207,7 +202,7 @@ def test_op_closure_is_kept_per_ring_object(spec):
     for m in mutants:
         cl = rings.op_closure(m, "mul")
         assert cl is not valid
-        assert _closure_fields(cl) == _closure_fields(greedy_closure(m.mul, seed=None))
+        assert _closure_fields(cl) == _closure_fields(greedy_closure(m.mul))
         differs += _closure_fields(cl) != _closure_fields(valid)
     assert differs
 

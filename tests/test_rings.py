@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import CORPUS_SPECS
 from matsemi import _closure, rings
 from matsemi.errors import (
     MissingInvolution,
@@ -34,6 +35,7 @@ from matsemi.rings import (
     validate_matrix_view,
     validate_ring,
 )
+from matsemi.search import enumerate_multiplicative_maps, monoid_generators
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +642,74 @@ def test_reduced_checks_on_one_sided_tables(spec):
                                      ring.add.tolist(), mul.tolist()), (trial, check)
 
 
+@pytest.mark.parametrize("spec", CORPUS_SPECS)
+def test_validation_generators_are_the_closure_generators_but_the_identity(corpus, spec):
+    """On every corpus ring, ``validate_ring`` scans the generators of the
+    ring's cached closures with the identity left out.  Where the
+    plain-Python oracle is fast enough, these are the generators of the
+    closure started from the identity."""
+    ring = corpus["rings"][spec]
+    info = validate_ring(ring).info
+    for op, identity in (("add", ring.zero), ("mul", ring.one)):
+        kind = "additive" if op == "add" else "multiplicative"
+        gens = [g for g in rings.op_closure(ring, op).gens if g != identity]
+        assert info[f"{kind}_generators"] == gens, (spec, op)
+        if spec != "mat:2:gauss:3":
+            rows = getattr(ring, op).tolist()
+            want = oracles.greedy_closure(ring.size, lambda a, b: rows[a][b], identity)
+            assert gens == want["gens"], (spec, op)
+
+
+def test_search_after_validation_builds_no_closure(monkeypatch):
+    """``validate_ring`` builds the two closures of a fresh ring; the
+    generating sets and a search on that ring then build none."""
+    calls = []
+    build = rings.greedy_closure
+    monkeypatch.setattr(rings, "greedy_closure", lambda t: calls.append(t) or build(t))
+    m2z2 = parse_ring_spec("mat:2:zmod:2")
+    ring = RingTable(m2z2.add, m2z2.mul, m2z2.zero, m2z2.one, star=m2z2.star)
+    validate_ring(ring)
+    assert len(calls) == 2
+    monoid_generators(ring)
+    assert enumerate_multiplicative_maps(ring, parse_ring_spec("zmod:2")).maps
+    assert len(calls) == 2
+
+
+def test_mul_associativity_scans_the_identity_when_its_law_fails():
+    """Z3 with mul = [[0,0,0],[0,2,2],[0,2,0]] is not associative and 1 is
+    no identity of it.  Generators taken without 1 ([0, 2]) passed the
+    translation scan; 1 is a generator of the closure and is scanned."""
+    z3 = parse_ring_spec("zmod:3")
+    mul = [[0, 0, 0], [0, 2, 2], [0, 2, 0]]
+    val = validate_ring(RingTable(z3.add, mul, z3.zero, z3.one))
+    assert not val.checks["mul_identity"].passed
+    assert val.info["multiplicative_generators"] == [0, 1]
+    check = val.checks["mul_associative"]
+    assert not check.passed
+    x, s, y = check.witness
+    assert mul[mul[x][s]][y] != mul[x][mul[s][y]]
+
+
+@pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "zmod:5", "gauss:2"])
+def test_associativity_checks_are_exact_on_random_mutants(spec):
+    """200 mutants with one to three add or mul entries changed: each
+    associativity check passes exactly when its law holds on all triples,
+    whether or not the identity laws hold."""
+    ring = parse_ring_spec(spec)
+    n = ring.size
+    rng = np.random.default_rng([7, n])
+    for trial in range(200):
+        tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
+        for _ in range(int(rng.integers(1, 4))):
+            t = tables[("add", "mul")[int(rng.integers(2))]]
+            x, y = (int(v) for v in rng.integers(0, n, 2))
+            t[x, y] = (int(t[x, y]) + int(rng.integers(1, n))) % n
+        val = validate_ring(RingTable(tables["add"], tables["mul"], ring.zero, ring.one))
+        for name in ("add_associative", "mul_associative"):
+            assert val.checks[name].passed == _certified_law_holds(
+                name, tables["add"], tables["mul"], range(n)), (trial, name)
+
+
 @pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
 @pytest.mark.parametrize("spec", ["gauss:2", "gauss:3", "mat:2:gauss:2"])
 def test_star_checks_on_swapped_star_tables(spec, block_rows, monkeypatch):
@@ -870,6 +940,16 @@ def test_decompose_none_when_unreachable():
     assert sum_of_units_decompose(z4, 1, 1) == [1]
     # 0 needs two units in Z4 (1+3); kmax=1 cannot reach it
     assert sum_of_units_decompose(z4, 0, 1) is None
+
+
+@pytest.mark.parametrize("x", [-1, 5, 2.0, True, np.array([2]), "2"],
+                         ids=["negative", "past-the-end", "float", "bool", "array", "str"])
+def test_decompose_refuses_what_is_not_an_element_index(x):
+    """On Z5, -1 returned [-1] and 5 or 2.0 raised IndexError: x is read
+    through ``rings._index``, like a ring's identities."""
+    with pytest.raises(ValueError):
+        sum_of_units_decompose(make_zmod(5), x, 2)
+    assert sum_of_units_decompose(make_zmod(5), np.int64(2), 2) == [2]
 
 
 def test_decompose_unitaries_mode():

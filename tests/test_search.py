@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import CORPUS_SPECS
 from matsemi import search
 from matsemi.errors import SizeMismatch
 from matsemi.maps import determinant_map, is_additive, is_multiplicative, power_map
@@ -73,6 +74,20 @@ def test_generators_m2z2():
         for g in gs.words[e]:
             acc = int(M2Z2.ring.mul[acc, g])
         assert acc == e
+
+
+def test_generators_and_words_match_the_closure_started_at_the_identity():
+    """On every corpus ring the oracle handles, the generators and words
+    read from the ring's cached closure equal those of the plain-Python
+    closure started from the identity."""
+    for spec in CORPUS_SPECS:
+        if spec == "mat:2:gauss:3":
+            continue
+        ring = parse_ring_spec(spec)
+        rows = ring.mul.tolist()
+        want = oracles.greedy_closure(ring.size, lambda a, b: rows[a][b], ring.one)
+        gs = monoid_generators(ring)
+        assert (gs.gens, gs.words) == (want["gens"], want["words"]), spec
 
 
 def test_generator_closure_covers_monoid():
@@ -267,6 +282,16 @@ def test_canonical_filters_drops_repeats_in_first_seen_order():
     assert canonical_filters(["star", "corner", "star", "unital", "corner"]) == (
         "star", "corner", "unital")
     assert canonical_filters(iter(["i_relation", "i_relation"])) == ("i_relation",)
+
+
+def test_canonical_filters_refuses_a_plain_string():
+    """``filters="corner"`` read as the names "c", "o", ...; a string is
+    refused as a whole, whether or not it names a filter."""
+    for filters in ("corner", "c", ""):
+        with pytest.raises(ValueError, match="not the string"):
+            canonical_filters(filters)
+    with pytest.raises(ValueError, match="not the string"):
+        enumerate_multiplicative_maps(M2Z2.ring, Z2, filters="corner")
 
 
 # ---------------------------------------------------------------------------
