@@ -42,6 +42,6 @@ print("corner relation and additivity select the same maps.")
 passing = enumerate_multiplicative_maps(m2, z2, filters=("corner",)).maps
 cert = extract_additivity(passing[0])
 print("\ncertificate for", passing[0].img.tolist())
-print("  decomposition over matrix units:", cert.decomposition_passed)
+print("  decomposition over matrix units:", cert.decomposition.passed)
 print("  per-corner additivity:", [c.passed for c in cert.corners])
 print("  plain additivity confirmed:", cert.additive_confirmed)

@@ -241,8 +241,13 @@ def _cmd_verify(args) -> int:
     if suite in ("doubling-unitary", "doubling-gl"):
         mode = "unitaries" if suite == "doubling-unitary" else "units"
         if args.replay:
+            if args.map_path:
+                raise MatsemiError(f"verify {suite} takes --map or --replay, not both")
             with open(args.replay, "r", encoding="utf-8") as fh:
                 stored = json.load(fh)
+            if isinstance(stored, dict) and stored.get("mode", mode) != mode:
+                raise MatsemiError(f"verify {suite} replays {mode!r} traces, "
+                                   f"not {stored['mode']!r}")
             identical, recomputed = replay_doubling_trace(stored, args.size_cap)
             doc = {"suite": suite, "replay": args.replay,
                    "identical": identical,

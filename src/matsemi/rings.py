@@ -575,8 +575,9 @@ def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
 def _mat_entries(ring: RingTable, X, Y):
     """Yield ``(i, j, entry)`` for the row-by-column product of (…, p, q)
     and (…, q, r) index matrices over ``ring``; ``entry`` is the broadcast
-    of X's and Y's leading axes.  The one matrix product formula in the
-    package."""
+    of X's and Y's leading axes.  The matrix-ring tables, ``mat_mul`` and
+    the inverse scan use it; the two identity scans of :mod:`matsemi.witness`
+    write their block products' entries out by hand for speed."""
     for i in range(X.shape[-2]):
         for j in range(Y.shape[-1]):
             acc = ring.mul[X[..., i, 0], Y[..., 0, j]]
@@ -648,8 +649,8 @@ def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
 class CheckOutcome:
     """One axiom check.  ``checked`` counts the law instances the check
     certifies: for a generator translation scan, all (x, s, y) with s a
-    generator, also when a reduced check on fewer instances decided it
-    exactly (see :func:`validate_ring`)."""
+    generator (every element for an all-element scan), also when a reduced
+    check on fewer instances decided it exactly (see :func:`validate_ring`)."""
 
     name: str
     passed: bool
@@ -776,7 +777,9 @@ def validate_ring(ring: RingTable) -> RingValidation:
     multiplicative monoid, distributivity, involution and imaginary-unit
     laws.  Every law is verified for all elements, with associativity and
     distributivity reduced to greedy generating sets (complete by the
-    derivation-word induction; no sampling involved).
+    derivation-word induction; no sampling involved).  Distributivity is
+    reduced only when addition has passed its associativity scan, which
+    the induction uses; otherwise every element is scanned.
 
     The involution/imaginary-unit compatibility ``(i)* = -i`` is reported
     in ``info`` rather than gating validity: integer rings carry the
@@ -839,12 +842,17 @@ def validate_ring(ring: RingTable) -> RingValidation:
         return (np.take(mul[lo:hi], add[:, s], axis=1)
                 == np.take(addT, xs[:, None] + mul[lo:hi]))
 
-    hit = _generator_scan(n, gens_add, left_dist)
+    # The generator scans reach every s through associativity of add;
+    # without it, every element is scanned as s.
+    dist_gens, dist_note = ((gens_add, "additive generator scan")
+                            if ch["add_associative"].passed
+                            else (range(n), "all-element scan"))
+    dist_per = n * n * len(dist_gens)
+    hit = _generator_scan(n, dist_gens, left_dist)
     del addT
     ch["left_distributive"] = CheckOutcome(
-        "left_distributive", hit is None, per,
-        None if hit is None else (hit[1], hit[2], hit[0]),
-        note="additive generator scan")
+        "left_distributive", hit is None, dist_per,
+        None if hit is None else (hit[1], hit[2], hit[0]), note=dist_note)
 
     # With the additive group laws and left distributivity, the defect
     # (y+s)x - yx - sx is additive in x: it vanishes for every x once it
@@ -857,10 +865,9 @@ def validate_ring(ring: RingTable) -> RingValidation:
         return (np.take(mul, add[lo:hi, s], axis=0)
                 == np.take(add, mul[lo:hi].astype(np.intp) * n + mul[s]))
 
-    hit = None if reduced else _generator_scan(n, gens_add, right_dist)
+    hit = None if reduced else _generator_scan(n, dist_gens, right_dist)
     ch["right_distributive"] = CheckOutcome(
-        "right_distributive", hit is None, per, _xsy(hit),
-        note="additive generator scan")
+        "right_distributive", hit is None, dist_per, _xsy(hit), note=dist_note)
 
     gens_mul = [g for g in op_closure(ring, "mul").gens
                 if g != ring.one or not ch["mul_identity"].passed]

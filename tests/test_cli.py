@@ -449,6 +449,37 @@ def test_verify_replay_malformed_trace_exit2(trace, tmp_path, capsys):
         *run_cli("verify", "doubling-gl", "--replay", str(path)), capsys)
 
 
+@pytest.mark.parametrize("made,replayed", [
+    ("doubling-gl", "doubling-unitary"), ("doubling-unitary", "doubling-gl")])
+def test_verify_replay_under_the_other_suite_exit2(made, replayed, map_files,
+                                                   tmp_path, capsys):
+    """A trace replays only under the suite whose pool made it."""
+    code, out = run_cli("verify", made, "--map", map_files["id_z4"])
+    trace = json.loads(out)["trace"]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    assert run_cli("verify", made, "--replay", str(path))[0] == code == 0
+    code, out = run_cli("verify", replayed, "--replay", str(path))
+    mode = "unitaries" if replayed == "doubling-unitary" else "units"
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: verify {replayed} replays {mode!r} traces, not {trace['mode']!r}\n")
+
+
+def test_verify_replay_refuses_map_exit2(map_files, tmp_path, capsys):
+    """``--map`` and ``--replay`` together are a usage error, whether or
+    not the map file exists."""
+    code, out = run_cli("verify", "doubling-gl", "--map", map_files["id_z4"])
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(json.loads(out)["trace"]))
+    for map_path in (map_files["id_z4"], str(tmp_path / "missing.json")):
+        code, out = run_cli("verify", "doubling-gl", "--replay", str(path),
+                            "--map", map_path)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: verify doubling-gl takes --map or --replay, not both\n")
+
+
 def test_verify_replay_applies_size_cap(map_files, tmp_path, capsys):
     """``--size-cap`` bounds the replayed map's rings as it bounds ``--map``."""
     code, out = run_cli("verify", "doubling-gl", "--map", map_files["id_z4"])

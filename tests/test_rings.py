@@ -697,17 +697,50 @@ def test_associativity_checks_are_exact_on_random_mutants(spec):
     whether or not the identity laws hold."""
     ring = parse_ring_spec(spec)
     n = ring.size
-    rng = np.random.default_rng([7, n])
-    for trial in range(200):
+    for trial, add, mul in _random_mutants(ring, [7, n], 200):
+        val = validate_ring(RingTable(add, mul, ring.zero, ring.one))
+        for name in ("add_associative", "mul_associative"):
+            assert val.checks[name].passed == _certified_law_holds(
+                name, add, mul, range(n)), (trial, name)
+
+
+def _random_mutants(ring: RingTable, seed, count: int):
+    """``count`` pairs of ``ring``'s add and mul tables with one to three
+    entries changed among them, each as ``(trial, add, mul)``."""
+    n = ring.size
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
         tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
         for _ in range(int(rng.integers(1, 4))):
             t = tables[("add", "mul")[int(rng.integers(2))]]
             x, y = (int(v) for v in rng.integers(0, n, 2))
             t[x, y] = (int(t[x, y]) + int(rng.integers(1, n))) % n
-        val = validate_ring(RingTable(tables["add"], tables["mul"], ring.zero, ring.one))
-        for name in ("add_associative", "mul_associative"):
-            assert val.checks[name].passed == _certified_law_holds(
-                name, tables["add"], tables["mul"], range(n)), (trial, name)
+        yield trial, tables["add"], tables["mul"]
+
+
+@pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "zmod:5", "gauss:2"])
+def test_distributivity_checks_are_exact_on_random_mutants(spec):
+    """1000 mutants with one to three add or mul entries changed: each
+    distributivity check passes exactly when its law holds on all triples,
+    and its witness breaks the law.  Where addition fails its
+    associativity scan, every element is scanned (n^3 instances)."""
+    ring = parse_ring_spec(spec)
+    n = ring.size
+    scanned_all = 0
+    for trial, add, mul in _random_mutants(ring, [5, n], 1000):
+        val = validate_ring(RingTable(add, mul, ring.zero, ring.one))
+        add_assoc = val.checks["add_associative"].passed
+        scanned_all += not add_assoc
+        for name in ("left_distributive", "right_distributive"):
+            check = val.checks[name]
+            assert check.passed == _certified_law_holds(name, add, mul, range(n)), (
+                trial, name)
+            if not check.passed:
+                assert _is_violation(name, check.witness, ring,
+                                     add.tolist(), mul.tolist()), (trial, check)
+            if not add_assoc:
+                assert check.checked == n**3, (trial, name)
+    assert scanned_all
 
 
 @pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])

@@ -78,15 +78,16 @@ def test_mislabelled_ring_uses_its_own_tables(workers):
 
 
 def test_witness_suite_checks_pair_scan_cap_first(monkeypatch):
-    """A ring built under a larger cap is refused by the suite's pair-scan
-    cap before any scan or unit computation runs."""
+    """A ring built under a larger cap is refused by the suite's
+    inverse-scan cap before either identity scan or the unit computation
+    runs."""
     def not_reached(*args, **kwargs):
         raise AssertionError("scan ran before the size caps were checked")
 
     for name in ("corner_product_identity_check", "uv_product_identity_check", "units"):
         monkeypatch.setattr(matsemi.verify, name, not_reached)
     with pytest.raises(SizeCapExceeded,
-                       match=r"^pair scan over 11\^2 parameter pairs exceeds the cap$"):
+                       match=r"^inverse scan over 14641 candidate matrices exceeds cap 10$"):
         verify_witness_suite(make_zmod(11), size_cap=10)
 
 

@@ -13,10 +13,13 @@ from matsemi.maps import (
     MapTable,
     _pair_law,
     constant_map,
+    corner_relation_holds,
     determinant_map,
     from_callable,
+    i_relation_holds,
     identity_map,
     is_additive,
+    is_multiplicative,
     power_map,
     zero_map,
 )
@@ -283,6 +286,39 @@ def test_extract_additivity_gates_on_multiplicativity():
                           lambda x: (x + 1) % M2Z2.ring.size)
     with pytest.raises(PreconditionFailed):
         extract_additivity(shift)
+
+
+@pytest.mark.parametrize("phi", [identity_map(M2Z2.ring), zero_map(M2Z2.ring, Z2)],
+                         ids=["identity", "zero"])
+def test_certificate_reports(phi):
+    """The decomposition report checks every element of M2(Z2); the k^2
+    corner reports, in row-major order of the corners, each check every
+    pair of base values."""
+    cert = extract_additivity(phi)
+    assert cert.decomposition.to_json() == {
+        "predicate": "decomposition", "pass": True, "witnesses": [],
+        "counts": {"checked": M2Z2.ring.size, "violations": 0}}
+    assert [c.predicate for c in cert.corners] == [
+        "corner_00", "corner_01", "corner_10", "corner_11"]
+    assert all(c.passed and c.counts == {"checked": Z2.size**2, "violations": 0}
+               for c in cert.corners)
+
+
+@pytest.mark.parametrize("gated,phi,message,check", [
+    (extract_additivity, from_callable(M2Z2.ring, M2Z2.ring,
+                                       lambda x: (x + 1) % M2Z2.ring.size),
+     "map is not multiplicative", is_multiplicative),
+    (extract_additivity, determinant_map(M2Z2), "map fails the corner relation",
+     corner_relation_holds),
+    (fourth_power_reduction, determinant_map(M2G3),
+     "map fails the imaginary-unit relation", i_relation_holds),
+], ids=["multiplicative", "corner", "i-relation"])
+def test_gates_raise_with_the_failing_report(gated, phi, message, check):
+    """Each gate names the law that failed and carries its report."""
+    with pytest.raises(PreconditionFailed) as exc:
+        gated(phi)
+    assert str(exc.value) == message
+    assert exc.value.report == check(phi) and not exc.value.report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +588,6 @@ def test_group_restriction_passes_for_unital_ring_homs():
 def test_additive_implies_corner_over_enumerated_maps():
     """Additivity applied to 1 = e11 + e22 forces the corner relation, so
     over every enumerated multiplicative map the implication is exact."""
-    from matsemi.maps import corner_relation_holds
     from matsemi.search import enumerate_multiplicative_maps
 
     for cod in (Z2, Z4):
