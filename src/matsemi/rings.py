@@ -106,11 +106,12 @@ def _place_table(digit: np.ndarray, width: int, dt, split: bool) -> np.ndarray:
 def _index_array(name: str, a, n: int, dt) -> np.ndarray:
     """``a`` as a contiguous ``dt`` array of element indices.  Raises
     ValueError unless it holds integers in ``0..n-1``: the cast to ``dt``
-    would silently wrap or truncate anything else."""
+    would silently wrap or truncate anything else.  An unsigned ``a``
+    cannot hold a negative, so only its maximum is scanned."""
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"{name} must hold integer indices, not {a.dtype}")
-    if a.size and (a.min() < 0 or a.max() >= n):
+    if a.size and ((a.dtype.kind == "i" and a.min() < 0) or a.max() >= n):
         raise ValueError(f"{name} entries must lie in 0..{n - 1}")
     # ascontiguousarray turns a 0-d array into shape (1,); keep a's shape.
     return np.ascontiguousarray(a, dtype=dt).reshape(a.shape)

@@ -23,7 +23,7 @@ that first reached it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -350,6 +350,13 @@ class DoublingTrace:
     element is never split into pool summands); without it, each level
     only combines the previous level's new sums.
 
+    ``levels[d - 1].pairs_checked`` counts the pairs level d reports on,
+    its whole base x base grid.  With zero padding some of them are
+    carried over from level d-1 rather than asserted again (see
+    :func:`doubling_additivity_closure`); a conflicting pair counts once in
+    every level whose grid holds it, in ``conflicts`` per level and in
+    ``conflicts_total``.
+
     The certificate is two arrays indexed by element: ``value``, the
     certified value (-1 while uncertified), and ``split``, the pair (s, t)
     that first reached it (``(u, -1)`` for a pool element u).
@@ -401,6 +408,15 @@ class DoublingTrace:
         }
 
 
+def _take2(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``table[rows[:, None], cols]`` by one ``np.take`` along each axis.
+    The shorter index is gathered first, so the temporary is at most
+    ``min(rows.size, cols.size)`` full table rows or columns."""
+    if rows.size <= cols.size:
+        return np.take(np.take(table, rows, axis=0), cols, axis=1)
+    return np.take(np.take(table, cols, axis=1), rows, axis=0)
+
+
 def doubling_additivity_closure(phi: MapTable, mode: str = "units",
                                 depth: int = 4,
                                 include_zero_padding: bool = True) -> DoublingTrace:
@@ -412,6 +428,18 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     conflict pinpoints the exact pair whose asserted sum disagrees with the
     map table.  Pairs are processed in ascending lexicographic order and
     the first decomposition reaching an element is the one recorded.
+
+    With zero padding the levels are semi-naive.  Level d >= 2 reports on
+    the grid base x base of every certified element, but asserts only the
+    pairs with a summand certified during level d-1 (``fresh``): first
+    fresh x base, then old x fresh, where ``old`` is level d-1's base.  The
+    old x old pairs are level d-1's whole grid: a certified value never
+    changes, so they keep their verdicts, and level d carries over level
+    d-1's conflict count and listed conflicts, relabelled.  Each sum is
+    certified at its lexicographically first pair over both regions, each
+    region finding its first hits against the certified set as the level
+    started.  At level 1, ``old`` is empty and ``fresh`` is the pool, so
+    the level scans its whole grid, as does every level without padding.
     """
     if not 1 <= depth <= 4:
         raise ValueError("depth must be in 1..4")
@@ -423,42 +451,67 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     if not rep.passed:
         raise PreconditionFailed("map is not multiplicative on the pool", rep)
 
-    value = np.full(dom.size, -1, dtype=np.int64)
-    split = np.full((dom.size, 2), -1, dtype=np.int64)
+    n = dom.size
+    value = np.full(n, -1, dtype=np.int64)
+    split = np.full((n, 2), -1, dtype=np.int64)
     value[pl] = img[pl]
     split[pl, 0] = pl
     img_t = img.astype(cod.add.dtype)
-    new = pl
+
+    def scan(rows, cols, first, cap):
+        """Assert phi(s+t) == cert(s) + cert(t) for s in ``rows``, t in
+        ``cols`` (ascending certified elements); lower ``first[e]`` to the
+        key s * n + t of the first pair reaching each uncertified sum e.
+        Returns the number of failed pairs and the first ``cap`` of them."""
+        seen = value >= 0
+        vals = value[cols]
+
+        def law(lo, hi):
+            r = rows[lo:hi]
+            sums = _take2(dom.add, r, cols)
+            eq = img_t[sums] == _take2(cod.add, value[r], vals)
+            elems, pos = _first_unseen(sums.ravel(), seen)
+            seen[elems] = True
+            i, j = np.divmod(pos, cols.size)
+            first[elems] = np.minimum(first[elems], r[i] * n + cols[j])
+            return eq
+
+        total, bad = _row_scan((rows.size, cols.size), law, cap)
+        return total, [(int(rows[i]), int(cols[j])) for i, j in bad]
+
+    fresh = pl  # certified during the previous level; the pool before level 1
+    old = fresh[:0]  # the previous level's base
     levels: list[DoublingLevel] = []
     conflicts: list[DoublingConflict] = []
     conflicts_total = 0
 
     for level in range(1, depth + 1):
-        certified = value >= 0
-        base = np.flatnonzero(certified) if include_zero_padding else new
-        vals = value[base]
-
-        def law(lo, hi):
-            """phi(s+t) == cert(s) + cert(t) for s in base[lo:hi], t in
-            base; also certifies each uncertified sum at its first pair."""
-            sums = dom.add[base[lo:hi, None], base]
-            eq = img_t[sums] == cod.add[vals[lo:hi, None], vals]
-            elems, first = _first_unseen(sums.ravel(), value >= 0)
-            i, j = np.divmod(first, base.size)
-            value[elems] = cod.add[vals[lo + i], vals[j]]
-            split[elems] = np.column_stack([base[lo + i], base[j]])
-            return eq
-
         cap = TRACE_CONFLICT_CAP - len(conflicts)
-        total, bad = _row_scan((base.size, base.size), law, cap)
+        if include_zero_padding:
+            base = np.flatnonzero(value >= 0)
+            regions = [(fresh, base), (old, fresh)]
+            total = levels[-1].conflicts if levels else 0
+            listed = [replace(c, level=level) for c in conflicts
+                      if c.level == level - 1]
+        else:
+            base, regions, total, listed = fresh, [(fresh, fresh)], 0, []
+        first = np.full(n, n * n, dtype=np.int64)
+        for rows, cols in regions:
+            count, bad = scan(rows, cols, first, cap)
+            total += count
+            for s, t in bad:
+                e = int(dom.add[s, t])
+                listed.append(DoublingConflict(
+                    level, s, t, e, int(cod.add[value[s], value[t]]), int(img[e])))
+        listed.sort(key=lambda c: (c.a, c.b))
+        conflicts += listed[:cap]
         conflicts_total += total
-        for i, j in bad:
-            s, t = int(base[i]), int(base[j])
-            e = int(dom.add[s, t])
-            conflicts.append(DoublingConflict(
-                level, s, t, e, int(cod.add[vals[i], vals[j]]), int(img[e])))
-        new = np.flatnonzero((value >= 0) & ~certified)
+        new = np.flatnonzero(first < n * n)
+        s, t = np.divmod(first[new], n)
+        value[new] = cod.add[value[s], value[t]]
+        split[new] = np.column_stack([s, t])
         levels.append(DoublingLevel(level, base.size * base.size, new.size, total))
+        old, fresh = base, new
 
     return DoublingTrace(
         map=phi, mode=mode, depth=depth,

@@ -29,6 +29,7 @@ def map_files(tmp_path_factory):
         ("det", determinant_map(m)),
         ("identity", identity_map(m.ring)),
         ("cube", power_map(make_zmod(4), 3)),
+        ("cube_z9", power_map(make_zmod(9), 3)),
         ("id_z4", identity_map(make_zmod(4))),
         ("id_mg2", identity_map(mg)),
         ("idem_mg2", constant_map(mg, mg, 5)),  # 5 is idempotent, not 1
@@ -345,6 +346,27 @@ def test_verify_suite_stdout_pinned(argv, code, digests):
         rc, out = run_cli("verify", *argv, "--format", fmt)
         got.append((rc, hashlib.sha256(out.encode()).hexdigest()))
     assert got == [(code, d) for d in digests]
+
+
+def test_verify_doubling_stdout_pinned(map_files):
+    """The doubling reports of the zmod:9 cube are pinned byte for byte.
+    Under doubling-unitary the map certifies new elements at levels 1 and
+    2 and lists the first 64 of its 122 conflicts, so the pins cover the
+    levels that carry over conflicts and the cap."""
+    got = []
+    for suite, fmt in (("doubling-unitary", "json"), ("doubling-unitary", "csv"),
+                       ("doubling-unitary", "text"), ("doubling-gl", "json")):
+        rc, out = run_cli("verify", suite, "--map", map_files["cube_z9"], "--format", fmt)
+        got.append((rc, hashlib.sha256(out.encode()).hexdigest()))
+    assert got == [(1, d) for d in (
+        "584ccddb27670f55a4861393be4f59682d6017d14621c37945285c73ddae96b3",
+        "d8ba264579bdf5313ddd7e016774a5f5f3d5282354bb4d22eedc2862258e1b87",
+        "4ea770b7b4eeec11d158c02c434238c27d40dc9927e29725c2af9b55d0c5faf1",
+        "d9d4d97db5f7fce0604bfb32098c9a1993a840d23bed94a4fea8f12452ff9244")]
+    _, out = run_cli("verify", "doubling-unitary", "--map", map_files["cube_z9"])
+    trace = json.loads(out)["trace"]
+    assert [lv["new_certified"] > 0 for lv in trace["levels"]] == [True, True, False, False]
+    assert (trace["conflicts_total"], len(trace["conflicts"])) == (122, 64)
 
 
 @pytest.mark.parametrize("env_cap", [None, "100"], ids=["flag", "flag-and-env"])

@@ -459,6 +459,18 @@ def test_ring_table_rejects_entries_it_cannot_store(bad):
         RingTable(tables["add"], tables["mul"], 0, 1, star=tables["star"])
 
 
+@pytest.mark.parametrize("table", [
+    np.array([[0, 2], [1, 0]], dtype=np.uint16),
+    np.array([[0, 1], [1, -1]], dtype=np.int8),
+], ids=["uint16-holding-n", "int8-holding-minus-1"])
+def test_index_array_range_check_by_signedness(table):
+    """An unsigned table skips the scan for negatives, which it cannot
+    hold, and keeps the one past its end; a signed table keeps both."""
+    with pytest.raises(ValueError, match=r"^add entries must lie in 0\.\.1$"):
+        rings._index_array("add", table, 2, np.uint8)
+    assert rings._index_array("add", table % 2, 2, np.uint8).tolist() == (table % 2).tolist()
+
+
 @pytest.mark.parametrize("bad,message", [
     ({"one": 1.7}, "^one must hold integer indices"),
     ({"one": True}, "^one must hold integer indices"),

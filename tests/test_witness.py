@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from matsemi import _closure
+from matsemi import _closure, witness
 from matsemi.errors import NotAUnit, PreconditionFailed
 from matsemi.maps import (
     MapTable,
@@ -30,6 +30,7 @@ from matsemi.rings import (
     make_zmod,
     parse_ring_spec,
     sum_of_units_decompose,
+    unitaries,
     units,
 )
 from matsemi.witness import (
@@ -484,6 +485,43 @@ def test_doubling_oracle_cases_reach_conflicts_and_the_cap():
     assert any(0 < t <= 64 for t in totals)
     assert any(t > 64 for t in totals)
     assert len(totals) < sum(len(_doubling_cases(s)) for s in DOUBLING_SPECS)
+
+
+def test_doubling_levels_assert_each_pair_once(monkeypatch):
+    """With zero padding on the M2(Z7) identity map over its 2016 units,
+    level 2 asserts only the pairs with a summand new at level 1 (fresh x
+    base, then old x fresh), and levels 3 and 4, which have no new summand,
+    assert nothing: 2401**2 pairs in all instead of 21,358,659.  Each level
+    still reports on its whole grid."""
+    shapes = []
+    real = witness._row_scan
+    monkeypatch.setattr(witness, "_row_scan",
+                        lambda shape, *args: shapes.append(shape) or real(shape, *args))
+    tr = doubling_additivity_closure(identity_map(parse_ring_spec("mat:2:zmod:7")), "units")
+    assert tr.ok
+    # Per level, fresh x base then old x fresh: at level 1 the pool and no
+    # old elements, at levels 3 and 4 no fresh ones.
+    assert shapes == [(2016, 2016), (0, 2016), (385, 2401), (2016, 385),
+                      (0, 2401), (2401, 0), (0, 2401), (2401, 0)]
+    assert sum(r * c for r, c in shapes) == 4064256 + 924385 + 776160 == 2401**2
+    assert [lv.pairs_checked for lv in tr.levels] == [4064256] + [2401**2] * 3
+
+
+@pytest.mark.parametrize("mode", ["units", "unitaries"])
+def test_doubling_closure_runs_in_bounded_memory(mode):
+    """The whole closure of the M2(Z7) identity map peaks under 32 MB:
+    every region is gathered one row block at a time, the shorter index
+    first."""
+    phi = identity_map(parse_ring_spec("mat:2:zmod:7"))
+    units(phi.dom), unitaries(phi.dom)  # cached pools, outside the measurement
+    tracemalloc.start()
+    try:
+        tr = doubling_additivity_closure(phi, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.ok and tr.covered().size == 2401
+    assert peak < 32 * 2**20
 
 
 def test_doubling_without_padding_only_even_lengths():
