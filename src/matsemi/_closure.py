@@ -17,10 +17,16 @@ import numpy as np
 _BLOCK_ENTRIES = 1 << 20
 
 
+def _block_rows(width: int) -> int:
+    """Rows of a ``width``-wide grid in one block: about
+    :data:`_BLOCK_ENTRIES` entries, at least one row."""
+    return max(1, _BLOCK_ENTRIES // max(width, 1))
+
+
 def _row_blocks(rows: int, width: int):
     """Yield ``(lo, hi)`` bounds of the row blocks of a ``rows`` x ``width``
-    grid: about :data:`_BLOCK_ENTRIES` entries each, at least one row."""
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    grid (see :func:`_block_rows`)."""
+    step = _block_rows(width)
     for lo in range(0, rows, step):
         yield lo, min(lo + step, rows)
 

@@ -450,7 +450,8 @@ def function_space_masks(dom: RingTable, cod: RingTable, lo: int, hi: int,
     Function id ``t`` is the image array given by the base-|cod| digits of
     ``t`` (most significant digit = image of element 0).  The
     ``multiplicative`` and ``additive`` masks are decided on ready pairs
-    (:func:`~matsemi.maps._stacked_law`), which is exact when the domain
+    by :func:`~matsemi.maps._stacked_law`, each map only until its first
+    failed block of pairs, which is exact when the domain
     and codomain tables of each operation are associative: every ring
     :func:`parse_ring_spec` builds is; for a hand-assembled ``RingTable``,
     run :func:`~matsemi.rings.validate_ring` first.

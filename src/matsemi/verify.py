@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import MapFormatError, PreconditionFailed
-from .maps import MapTable, _lift, _stacked_law
+from .maps import MapTable, _law_kernel, _lift
 from .rings import (
     RingTable,
     _check_inverse_scan_cap,
@@ -157,7 +157,9 @@ def _tensor_task(dom: RingTable, cod: RingTable, lo: int, hi: int,
     hom = masks["multiplicative"] & masks["additive"]
     dv = make_matrix_ring(dom, _TENSOR_K, size_cap=size_cap)
     cv = make_matrix_ring(cod, _TENSOR_K, size_cap=size_cap)
-    lifted_ok = _stacked_law("mul", dv.ring, cv.ring, _lift(masks["_imgs"], dv, cv))
+    imgs = masks["_imgs"]
+    lifted_ok = _law_kernel("mul", dv.ring, cv.ring, len(imgs),
+                            lambda elems, live: _lift(imgs[live], dv, cv, elems))
     ids = np.arange(lo, hi, dtype=np.int64)
     return ids[hom], ids[lifted_ok]
 
@@ -186,7 +188,10 @@ def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
     multiplicative exactly for the ring homomorphisms.  Both 2x2 matrix
     rings are built under ``size_cap`` before any function is scanned.
     Verdicts are decided on ready pairs, exact for associative tables (see
-    :func:`~matsemi.search.function_space_masks`)."""
+    :func:`~matsemi.search.function_space_masks`).  The lift's verdicts
+    come from :func:`~matsemi.maps._law_kernel`, which lifts the images of
+    each closure stage's new matrices for the maps still alive only, so no
+    chunk's lift is ever materialised."""
     cod = cod if cod is not None else dom
     total = function_space_size(dom, cod)
     for ring in (dom, cod):

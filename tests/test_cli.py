@@ -348,6 +348,17 @@ def test_verify_suite_stdout_pinned(argv, code, digests):
     assert got == [(code, d) for d in digests]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_tensor_zmod6_stdout_pinned(workers):
+    """``verify tensor --dom zmod:6`` scans 6**6 functions in 6 chunks and
+    exits 1: 4 ring homs, 6 lift-multiplicative maps."""
+    code, out = run_cli("verify", "tensor", "--dom", "zmod:6", "--workers", workers)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        1, "07eeaebc65069ab4a0603aceff4c3894a078418997b2aa92d4437e3bc71192d6")
+    doc = json.loads(out)
+    assert (doc["ring_homs"], doc["lift_multiplicative"]) == (4, 6)
+
+
 def test_verify_doubling_stdout_pinned(map_files):
     """The doubling reports of the zmod:9 cube are pinned byte for byte.
     Under doubling-unitary the map certifies new elements at levels 1 and

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from matsemi import _closure
+from matsemi import _closure, maps
 from matsemi.errors import (
     MapFormatError,
     MissingImaginaryUnit,
@@ -18,6 +18,7 @@ from matsemi.errors import (
 )
 from matsemi.maps import (
     MapTable,
+    _law_kernel,
     _pair_law,
     _stacked_law,
     constant_map,
@@ -42,6 +43,7 @@ from matsemi.rings import (
     make_gaussian,
     make_matrix_ring,
     make_zmod,
+    op_closure,
     parse_ring_spec,
 )
 from matsemi.search import enumerate_multiplicative_maps
@@ -489,3 +491,90 @@ def test_stacked_law_matches_full_scans_on_corpus_stacks(dom_spec, cod_spec):
         assert got.tolist() == [scan(MapTable(dom, cod, img)).passed for img in stack]
         if op == "mul":
             assert got[:len(mult)].all() and (cod.size == 1 or not got.all())
+
+
+def _scan_verdicts(op, dom, cod, stack):
+    scan = is_multiplicative if op == "mul" else is_additive
+    return [scan(MapTable(dom, cod, img)).passed for img in stack]
+
+
+def _recorded_kernel(op, dom, cod, stack, monkeypatch):
+    """``_law_kernel`` on ``stack`` with its column fetches and block widths
+    logged, in order, as ``("column", elements, live maps)`` and
+    ``("block", live maps)``."""
+    log = []
+    block_rows = maps._block_rows
+
+    def logged_block_rows(width):
+        log.append(("block", width))
+        return block_rows(width)
+
+    def column(elems, live):
+        log.append(("column", elems.size, live.size))
+        return stack[np.ix_(live, elems)]
+
+    monkeypatch.setattr(maps, "_block_rows", logged_block_rows)
+    return _law_kernel(op, dom, cod, len(stack), column), log
+
+
+_KERNEL_PAIRS = [("zmod:6", "zmod:5"), ("mat:2:zmod:2", "zmod:2"),
+                 ("gauss:3", "gauss:3"), ("mat:2:zmod:2", "mat:2:zmod:2")]
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+@pytest.mark.parametrize("dom_spec,cod_spec", _KERNEL_PAIRS,
+                         ids=[f"{d}->{c}" for d, c in _KERNEL_PAIRS])
+def test_law_kernel_drops_maps_inside_a_stage(dom_spec, cod_spec, op, monkeypatch):
+    """With blocks of 64 pair x map entries, so that a stage's pairs span
+    several blocks, the kernel's verdicts equal the full scans on a stack
+    of every multiplicative map dom -> cod (the ring homs among them pass
+    both laws), each changed at three elements, and 32 random functions.
+    Some stage splits into blocks and drops maps after one of them, and
+    each stage fetches its columns for the maps still alive."""
+    monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", 64)
+    dom, cod = parse_ring_spec(dom_spec), parse_ring_spec(cod_spec)
+    rng = np.random.default_rng(dom.size * cod.size)
+    mult = np.stack([m.img for m in enumerate_multiplicative_maps(dom, cod).maps])
+    bent = np.repeat(mult, 3, axis=0)
+    rows = np.arange(len(bent))
+    at = rng.integers(0, dom.size, len(bent))
+    bent[rows, at] = (bent[rows, at] + rng.integers(1, cod.size, len(bent))) % cod.size
+    stack = np.concatenate([mult, bent, rng.integers(0, cod.size, (32, dom.size))])
+    got, log = _recorded_kernel(op, dom, cod, stack, monkeypatch)
+    want = _scan_verdicts(op, dom, cod, stack)
+    assert got.tolist() == want
+    assert any(want) and not all(want)
+    stages, live = [], len(stack)
+    for event in log:
+        if event[0] == "column":
+            assert event[2] <= live  # fetched for the maps alive on entry
+            stages.append([])
+        else:
+            assert event[1] <= live
+            stages[-1].append(event[1])
+        live = event[-1]
+    assert len(stages) == len(op_closure(dom, op).gens)  # some map passes
+    assert live >= sum(want)
+    assert any(len(widths) > 1 and widths[-1] < widths[0] for widths in stages)
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_law_kernel_edge_cases(op, monkeypatch):
+    """An empty stack fetches nothing; maps that all fail at stage 0 fetch
+    stage 0 only; zmod:1 as domain or codomain matches the full scans."""
+    z6, z5 = parse_ring_spec("zmod:6"), parse_ring_spec("zmod:5")
+    got, log = _recorded_kernel(op, z6, z5, np.empty((0, 6), dtype=np.int64), monkeypatch)
+    assert (got.shape, log) == ((0,), [])
+    # Stage 0 of both closures is {0}, and 2 o 2 = 4 != 2 in Z5 for o in {*, +}.
+    got, log = _recorded_kernel(op, z6, z5, np.full((5, 6), 2), monkeypatch)
+    assert got.tolist() == [False] * 5
+    assert log == [("column", 1, 5), ("block", 5)]
+    z1, z3 = parse_ring_spec("zmod:1"), parse_ring_spec("zmod:3")
+    for dom, cod, stack in ((z1, z3, np.arange(3)[:, None]),
+                            (z3, z1, np.zeros((1, 3), dtype=np.int64)),
+                            (z1, z1, np.zeros((1, 1), dtype=np.int64))):
+        got = _stacked_law(op, dom, cod, stack)
+        assert got.tolist() == _scan_verdicts(op, dom, cod, stack)
+        if cod is z3:  # 0 and 1 are idempotent in Z3, only 0 is additive
+            assert got.tolist() == ([True, True, False] if op == "mul"
+                                    else [True, False, False])

@@ -2,6 +2,7 @@
 given, at every worker count, whatever the rings' labels say."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import matsemi.verify
 from matsemi.errors import SizeCapExceeded
 from matsemi.maps import (
     MapTable,
+    _lift,
+    _stacked_law,
     i_relation_holds,
     is_multiplicative,
     is_ring_hom,
@@ -170,3 +173,37 @@ def test_suite_report_json_is_its_fields_between_suite_and_pass(suite, run):
     assert list(doc) == ["suite", *names, "pass"]
     assert doc["suite"] == suite and doc["pass"] is rep.passed
     assert all(doc[name] is getattr(rep, name) for name in names)
+
+
+@pytest.mark.parametrize("dom_spec,cod_spec,lo,hi", [
+    ("zmod:4", "zmod:4", 0, 4**4), ("gauss:2", "gauss:2", 0, 4**4),
+    ("zmod:6", "zmod:5", 8192, 5**6)], ids=["zmod:4", "gauss:2", "zmod:6->zmod:5"])
+def test_tensor_task_lifts_like_the_materialised_lift(dom_spec, cod_spec, lo, hi):
+    """The tensor task's lifting column source gives the ids that
+    ``_stacked_law`` gives on the materialised lift of the chunk (lifted
+    1024 maps at a time), and some map passes and some fails."""
+    dom, cod = parse_ring_spec(dom_spec), parse_ring_spec(cod_spec)
+    dv, cv = make_matrix_ring(dom, 2), make_matrix_ring(cod, 2)
+    _, lift_ids = matsemi.verify._tensor_task(dom, cod, lo, hi, None)
+    ids = np.arange(lo, hi)
+    imgs = _digits(ids, dom.size, cod.size, np.int64)
+    want = np.concatenate([_stacked_law("mul", dv.ring, cv.ring, _lift(imgs[i:i + 1024], dv, cv))
+                           for i in range(0, len(imgs), 1024)])
+    assert lift_ids.tolist() == ids[want].tolist()
+    assert 0 < lift_ids.size < ids.size
+
+
+def test_tensor_chunk_runs_in_bounded_memory():
+    """One zmod:6 chunk of the tensor suite (8192 functions, whose lifts
+    would take 8192 x 1296 images) peaks under 32 MB, the rings and their
+    closures built beforehand; it holds the 4 ring homs, all lifted."""
+    z6 = parse_ring_spec("zmod:6")
+    matsemi.verify._tensor_task(z6, z6, 8192, 2 * 8192, None)
+    tracemalloc.start()
+    try:
+        hom_ids, lift_ids = matsemi.verify._tensor_task(z6, z6, 0, 8192, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert hom_ids.size == 4 and lift_ids.tolist() == hom_ids.tolist()
