@@ -12,7 +12,6 @@ from .errors import (
     MatsemiError,
     MissingImaginaryUnit,
     MissingInvolution,
-    NonCentralScalar,
     NotAMatrixRing,
     NotAUnit,
     PreconditionFailed,
@@ -42,7 +41,6 @@ __all__ = [
     "MatrixRingView",
     "MissingImaginaryUnit",
     "MissingInvolution",
-    "NonCentralScalar",
     "NotAMatrixRing",
     "NotAUnit",
     "PreconditionFailed",

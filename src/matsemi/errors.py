@@ -48,10 +48,6 @@ class NotAUnit(MatsemiError):
     """The supplied element has no two-sided multiplicative inverse."""
 
 
-class NonCentralScalar(MatsemiError):
-    """A designated scalar fails to commute with some ring element."""
-
-
 class PreconditionFailed(MatsemiError):
     """A gated operation was called on a map that fails its gate checks."""
 

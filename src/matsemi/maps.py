@@ -12,7 +12,7 @@ are listed in ascending lexicographic index order, capped at
 :data:`WITNESS_CAP` per report so output stays diffable.
 
 Each law is stated once.  ``_pair_law`` scans phi(x o y) = phi(x) o phi(y)
-for o in {*, +}, over all pairs or over given element sets;
+for o in {*, +}, over all pairs or over the pairs of one element set;
 ``_law_kernel`` decides the same law for a stack of maps on the ready
 pairs of a generator closure, reading images through a column source and
 dropping each map at its first failed block of pairs (``_stacked_law``
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._closure import _block_rows
-from .errors import MapFormatError, NonCentralScalar, NotAMatrixRing
+from .errors import MapFormatError, NotAMatrixRing
 from .rings import (
     MatrixRingView,
     RingTable,
@@ -155,12 +155,12 @@ class CheckReport:
         }
 
 
-def _element_report(name: str, eq: np.ndarray, witness_cap: int, elems=None) -> CheckReport:
+def _element_report(name: str, eq: np.ndarray, witness_cap: int) -> CheckReport:
     """Report over the per-element check ``eq``: its size, its false
-    entries and the first ``witness_cap`` of them as 1-tuples of the
-    element each stands for (``elems[i]``, by default i)."""
+    entries and the first ``witness_cap`` of them as 1-tuples of their
+    element indices."""
     bad = np.flatnonzero(~np.asarray(eq))
-    witnesses = [(int(v if elems is None else elems[v]),) for v in bad[:witness_cap]]
+    witnesses = [(int(v),) for v in bad[:witness_cap]]
     return CheckReport(name, bad.size == 0, witnesses,
                        {"checked": len(eq), "violations": int(bad.size)})
 
@@ -177,33 +177,32 @@ def _joint_report(name: str, parts: list[CheckReport], witness_cap: int,
 
 
 def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
-              xs=None, ys=None, extra_counts: dict | None = None) -> CheckReport:
+              elems=None, extra_counts: dict | None = None) -> CheckReport:
     """The pair law phi(x o y) = phi(x) o phi(y) for ``op`` in {"mul", "add"}
-    over all pairs (x, y) in ``xs`` x ``ys``, each by default every element.
+    over all pairs (x, y) in ``elems`` x ``elems``, by default every element.
 
     Witnesses are element pairs in the order of the grid (lexicographic for
-    sorted ``xs`` and ``ys``).  Images are gathered in the codomain table's
-    dtype, one row block of x at a time (:func:`rings._row_scan`); omitted
-    ``xs``/``ys`` are read as row slices/whole rows, with no column gather.
+    sorted ``elems``).  Images are gathered in the codomain table's dtype,
+    one row block of x at a time (:func:`rings._row_scan`); without
+    ``elems`` the grid is read as row slices and whole rows, with no column
+    gather.
     """
     dom_t, cod_t = getattr(phi.dom, op), getattr(phi.cod, op)
     img = phi.img.astype(cod_t.dtype)
-    xs, ys = (None if a is None else np.asarray(a, dtype=np.int64) for a in (xs, ys))
-    img_y = img if ys is None else img[ys]
+    xs = None if elems is None else np.asarray(elems, dtype=np.int64)
+    img_y = img if xs is None else img[xs]
 
     def law(lo, hi):  # rows x in xs[lo:hi]
         x = slice(lo, hi) if xs is None else xs[lo:hi]
-        prod = dom_t[x] if ys is None else np.take(dom_t[x], ys, axis=1)
+        prod = dom_t[x] if xs is None else np.take(dom_t[x], xs, axis=1)
         return np.take(img, prod) == np.take(np.take(cod_t, img[x], axis=0), img_y, axis=1)
 
-    n = phi.dom.size
-    shape = (n if xs is None else xs.size, n if ys is None else ys.size)
-    violations, found = _row_scan(shape, law, witness_cap)
-    if xs is not None or ys is not None:  # grid positions to elements
-        found = [(r if xs is None else int(xs[r]), c if ys is None else int(ys[c]))
-                 for r, c in found]
+    n = phi.dom.size if xs is None else xs.size
+    violations, found = _row_scan((n, n), law, witness_cap)
+    if xs is not None:  # grid positions to elements
+        found = [(int(xs[r]), int(xs[c])) for r, c in found]
     return CheckReport(name, violations == 0, found,
-                       {"checked": shape[0] * shape[1], "violations": violations,
+                       {"checked": n * n, "violations": violations,
                         **(extra_counts or {})})
 
 
@@ -377,29 +376,3 @@ def tensor_id(phi: MapTable, k: int, size_cap: int | None = None) -> MapTable:
     dv = make_matrix_ring(phi.dom, k, size_cap=size_cap)
     cv = make_matrix_ring(phi.cod, k, size_cap=size_cap)
     return MapTable(dv.ring, cv.ring, _lift(phi.img, dv, cv))
-
-
-def scalar_linearity_holds(phi: MapTable, scalars,
-                           witness_cap: int = WITNESS_CAP) -> CheckReport:
-    """Linearity of ``phi`` over a designated central scalar set.
-
-    Checks phi(s·x) = phi(s·1)·phi(x) for every scalar s and element x,
-    and additivity of ``phi`` on the span {s·e11 + t·e22 : s, t scalars}.
-    Raises :class:`NonCentralScalar` when a scalar fails to commute with
-    some domain element.
-    """
-    dom = phi.dom
-    e11, e22 = _corner_units(dom)
-    scalars = [int(s) for s in scalars]
-    for s in scalars:
-        diff = np.flatnonzero(dom.mul[s, :] != dom.mul[:, s])
-        if diff.size:
-            raise NonCentralScalar(
-                f"scalar {s} does not commute with element {int(diff[0])}")
-    # phi(s*x) = phi(s)*phi(x) is the multiplicative pair law on scalars x all.
-    scaled = _pair_law("", phi, "mul", witness_cap, scalars)
-    sarr = np.asarray(scalars, dtype=np.int64)
-    span = np.unique(dom.add[np.ix_(dom.mul[sarr, e11], dom.mul[sarr, e22])])
-    summed = _pair_law("", phi, "add", witness_cap, span, span)
-    return _joint_report("scalar_linearity", [scaled, summed], witness_cap,
-                         {"scalars": len(scalars), "span_size": int(span.size)})

@@ -379,6 +379,8 @@ def find_counterexamples(dom: RingTable, cod: RingTable,
     also fail the corner relation; a violation would disprove the
     additivity equivalence and raises :class:`MatsemiError`.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     res = enumerate_multiplicative_maps(dom, cod, node_budget=node_budget,
                                         workers=workers)
     out = []
@@ -443,30 +445,26 @@ def unique_addition_probe(dom: RingTable, cod: RingTable,
 # Full function-space scan (production side of the oracle cross-checks)
 
 
-def function_space_masks(dom: RingTable, cod: RingTable, lo: int, hi: int,
-                         want=("multiplicative", "additive")) -> dict:
-    """Predicate masks over the function ids [lo, hi) in lexicographic order.
+def function_space_masks(dom: RingTable, cod: RingTable, lo: int, hi: int):
+    """``(imgs, mult, hom)`` over the function ids [lo, hi) in lexicographic
+    order.
 
     Function id ``t`` is the image array given by the base-|cod| digits of
-    ``t`` (most significant digit = image of element 0).  The
-    ``multiplicative`` and ``additive`` masks are decided on ready pairs
-    by :func:`~matsemi.maps._stacked_law`, each map only until its first
+    ``t`` (most significant digit = image of element 0); ``imgs`` holds
+    one row per id.  ``mult`` marks the multiplicative maps and ``hom``
+    those that are also additive; additivity is decided for the
+    multiplicative maps only.  Both laws are decided on ready pairs by
+    :func:`~matsemi.maps._stacked_law`, each map only until its first
     failed block of pairs, which is exact when the domain
     and codomain tables of each operation are associative: every ring
     :func:`parse_ring_spec` builds is; for a hand-assembled ``RingTable``,
     run :func:`~matsemi.rings.validate_ring` first.
     """
-    ids = np.arange(lo, hi, dtype=np.int64)
-    imgs = _digits(ids, dom.size, cod.size, np.int64)
-    masks: dict[str, np.ndarray] = {}
-    for name, op in (("multiplicative", "mul"), ("additive", "add")):
-        if name in want:
-            masks[name] = _stacked_law(op, dom, cod, imgs)
-    if "corner" in want:
-        _, lhs, rhs = _relation("corner", dom, cod, imgs)
-        masks["corner"] = lhs == rhs
-    masks["_imgs"] = imgs
-    return masks
+    imgs = _digits(np.arange(lo, hi, dtype=np.int64), dom.size, cod.size, np.int64)
+    mult = _stacked_law("mul", dom, cod, imgs)
+    hom = mult.copy()
+    hom[mult] = _stacked_law("add", dom, cod, imgs[mult])
+    return imgs, mult, hom
 
 
 def function_space_size(dom: RingTable, cod: RingTable) -> int:

@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import MapFormatError, PreconditionFailed
-from .maps import MapTable, _law_kernel, _lift
+from .maps import MapTable, _corner_units, _law_kernel, _lift, _relation
 from .rings import (
     RingTable,
     _check_inverse_scan_cap,
@@ -93,13 +93,11 @@ def _enumeration_matches(res, ids: np.ndarray, dom: RingTable,
 
 
 def _corner_task(dom: RingTable, cod: RingTable, lo: int, hi: int):
-    masks = function_space_masks(dom, cod, lo, hi,
-                                 want=("multiplicative", "additive", "corner"))
-    m = masks["multiplicative"]
+    imgs, mult, hom = function_space_masks(dom, cod, lo, hi)
     ids = np.arange(lo, hi, dtype=np.int64)
-    return (ids[m],
-            ids[m & masks["corner"]],
-            ids[m & masks["additive"]])
+    mult_ids = ids[mult]
+    _, lhs, rhs = _relation("corner", dom, cod, imgs[mult])
+    return mult_ids, mult_ids[lhs == rhs], ids[hom]
 
 
 @dataclass
@@ -126,8 +124,11 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     """Over every function dom -> cod: the multiplicative maps satisfying
     the corner relation are exactly the multiplicative additive maps, and
     the generator-based enumeration reproduces the multiplicative set
-    element for element."""
+    element for element.  A domain not built as a 2x2 matrix ring is
+    refused (:class:`~matsemi.errors.NotAMatrixRing`) before any function
+    is scanned."""
     total = function_space_size(dom, cod)
+    _corner_units(dom)
     mult_ids, corner_ids, add_ids = _scan_functions(_corner_task, dom, cod,
                                                     total, workers)
     sets_equal = bool(np.array_equal(corner_ids, add_ids))
@@ -152,12 +153,9 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
 
 def _tensor_task(dom: RingTable, cod: RingTable, lo: int, hi: int,
                  size_cap: int | None):
-    masks = function_space_masks(dom, cod, lo, hi,
-                                 want=("multiplicative", "additive"))
-    hom = masks["multiplicative"] & masks["additive"]
+    imgs, _, hom = function_space_masks(dom, cod, lo, hi)
     dv = make_matrix_ring(dom, _TENSOR_K, size_cap=size_cap)
     cv = make_matrix_ring(cod, _TENSOR_K, size_cap=size_cap)
-    imgs = masks["_imgs"]
     lifted_ok = _law_kernel("mul", dv.ring, cv.ring, len(imgs),
                             lambda elems, live: _lift(imgs[live], dv, cv, elems))
     ids = np.arange(lo, hi, dtype=np.int64)

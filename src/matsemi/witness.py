@@ -15,8 +15,8 @@ Matrix computations here run entrywise over the base ring, and the 2x2
 matrix ring is never materialized (``rings.mat2_inverse_scan`` decides
 candidate rows).  The two identity scans evaluate their entrywise formulas
 one row block of a at a time through ``rings._row_scan``, as do the pair
-laws behind the corner checks, the pool gate and the group restriction,
-so no n x n or pool x pool grid is built.  The doubling certificate is
+laws behind the corner checks and the pool gate, so no n x n or
+pool x pool grid is built.  The doubling certificate is
 two arrays indexed by element: the certified value and the pair (s, t)
 that first reached it.
 """
@@ -34,13 +34,11 @@ from .maps import (
     MapTable,
     WITNESS_CAP,
     _element_report,
-    _joint_report,
     _pair_law,
     _relation,
     _relation_report,
     is_additive,
     is_multiplicative,
-    tensor_id,
 )
 from .rings import (
     RingTable,
@@ -447,7 +445,7 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     pool = _pool(dom, mode)
     img = phi.img
     pl = np.asarray(pool, dtype=np.int64)
-    rep = _pair_law("pool_multiplicative", phi, "mul", WITNESS_CAP, pl, pl)
+    rep = _pair_law("pool_multiplicative", phi, "mul", WITNESS_CAP, pl)
     if not rep.passed:
         raise PreconditionFailed("map is not multiplicative on the pool", rep)
 
@@ -518,29 +516,3 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
         zero_padding=include_zero_padding,
         pool=pl, levels=levels, conflicts=conflicts,
         conflicts_total=conflicts_total, value=value, split=split)
-
-
-# ---------------------------------------------------------------------------
-# Group restriction
-
-
-def group_hom_restriction_check(phi: MapTable, k: int, mode: str = "units",
-                                witness_cap: int = WITNESS_CAP,
-                                size_cap: int | None = None) -> CheckReport:
-    """Check that the k-fold matrix lift of ``phi`` maps the chosen pool
-    (units or unitaries) of the lifted domain into the codomain pool and is
-    multiplicative on it.  ``k = 1`` checks ``phi`` itself.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lifted = phi if k == 1 else tensor_id(phi, k, size_cap=size_cap)
-    dring, cring = lifted.dom, lifted.cod
-    pool = _pool(dring, mode)
-    cod_pool = _pool(cring, mode)
-    member = np.zeros(cring.size, dtype=bool)
-    member[cod_pool] = True
-    into = _element_report("", member[lifted.img[pool]], witness_cap, pool)
-    mult = _pair_law("", lifted, "mul", witness_cap, pool, pool)
-    return _joint_report(f"group_restriction_{mode}", [into, mult], witness_cap,
-                         {"pool_size": int(pool.size),
-                          "cod_pool_size": int(cod_pool.size), "k": k})

@@ -466,6 +466,24 @@ def test_corner_relation_on_non_matrix_domain_exit2(argv, capsys):
     _assert_one_line_error(*run_cli(*argv), capsys)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_prop1_refuses_non_matrix_domain_before_scanning(workers, monkeypatch,
+                                                                 capsys):
+    """A prop1 domain not built as a 2x2 matrix ring exits 2 before any
+    function is scanned, so no process pool is started."""
+    import matsemi.verify
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("functions scanned before the domain was checked")
+
+    monkeypatch.setattr(matsemi.verify, "_run_ring_tasks", not_reached)
+    code, out = run_cli("verify", "prop1", "--dom", "zmod:6", "--cod", "zmod:6",
+                        "--workers", workers)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: ring zmod:6 was not built as a 2x2 matrix ring\n")
+
+
 @pytest.mark.parametrize("trace", [
     [1, 2],
     "trace",

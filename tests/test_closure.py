@@ -212,8 +212,7 @@ def test_warm_closure_cache_gives_cold_results_on_mutants():
     every function into Z2 give the same results with the mutant's
     closure cached as with an empty cache."""
     z2 = parse_ring_spec("zmod:2")
-    imgs = function_space_masks(parse_ring_spec("mat:2:zmod:2"), z2, 0, 2**16,
-                                want=())["_imgs"]
+    imgs, _, _ = function_space_masks(parse_ring_spec("mat:2:zmod:2"), z2, 0, 2**16)
 
     def outcome(m):
         res = enumerate_multiplicative_maps(m, z2)

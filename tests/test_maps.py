@@ -13,7 +13,6 @@ from matsemi import _closure, maps
 from matsemi.errors import (
     MapFormatError,
     MissingImaginaryUnit,
-    NonCentralScalar,
     NotAMatrixRing,
 )
 from matsemi.maps import (
@@ -33,7 +32,6 @@ from matsemi.maps import (
     is_unital,
     power_map,
     respects_star,
-    scalar_linearity_holds,
     tensor_id,
     zero_map,
 )
@@ -190,48 +188,37 @@ def _subset_maps(ring):
 
 
 def _pair_law_subsets():
-    """``(phi, op, xs, ys)`` as the pool gate, the group restriction (k = 2)
-    and scalar linearity pass them to ``_pair_law`` (None: every element)."""
+    """``(phi, op, pool)`` as the doubling pool gate passes them to
+    ``_pair_law``, on rings and on lifted (k = 2) maps."""
     for ring in (make_gaussian(3), make_matrix_ring(make_zmod(3), 2).ring,
                  make_matrix_ring(make_gaussian(2), 2).ring):
         for phi in _subset_maps(ring):
             for mode in ("units", "unitaries"):
-                pool = _pool(ring, mode)
-                yield phi, "mul", pool, pool
+                yield phi, "mul", _pool(ring, mode)
     for base in (make_zmod(3), make_gaussian(2)):
         for phi in _subset_maps(base):
             lifted = tensor_id(phi, 2)
             for mode in ("units", "unitaries"):
-                pool = _pool(lifted.dom, mode)
-                yield lifted, "mul", pool, pool
-    for view in (make_matrix_ring(make_zmod(3), 2), make_matrix_ring(make_gaussian(2), 2)):
-        scalars = np.array([view.scalar_matrix(s) for s in range(view.base.size)])
-        e11, e22 = view.diagonal_units
-        ring = view.ring
-        span = np.unique(ring.add[ring.mul[scalars, e11][:, None], ring.mul[scalars, e22]])
-        for phi in _subset_maps(ring):
-            yield phi, "mul", scalars, None
-            yield phi, "add", span, span
+                yield lifted, "mul", _pool(lifted.dom, mode)
 
 
 @pytest.mark.parametrize("block_rows", [None, 3], ids=["default-block", "3-row-block"])
 def test_pair_law_subsets_match_int64_grid(block_rows, monkeypatch):
-    """The pair law over the subsets the pool gate, the group restriction
-    and scalar linearity scan: counts and witnesses equal a plain int64
-    grid's at caps 0, 1 and 16, also in blocks of three rows of xs."""
+    """The pair law over the pools the doubling gate scans: counts and
+    witnesses equal a plain int64 grid's at caps 0, 1 and 16, also in
+    blocks of three rows of the pool."""
     failing = 0
-    for phi, op, xs, ys in _pair_law_subsets():
-        cols = np.arange(phi.dom.size) if ys is None else ys
+    for phi, op, pool in _pair_law_subsets():
         if block_rows is not None:
-            monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * cols.size)
+            monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * pool.size)
         dom_t = getattr(phi.dom, op).astype(np.int64)
         cod_t = getattr(phi.cod, op).astype(np.int64)
         img = phi.img
-        bad = np.argwhere(img[dom_t[np.ix_(xs, cols)]] != cod_t[np.ix_(img[xs], img[cols])])
+        bad = np.argwhere(img[dom_t[np.ix_(pool, pool)]] != cod_t[np.ix_(img[pool], img[pool])])
         for cap in (0, 1, 16):
-            rep = _pair_law("law", phi, op, cap, xs, ys)
-            assert rep.counts == {"checked": xs.size * cols.size, "violations": len(bad)}
-            assert rep.witnesses == [(int(xs[i]), int(cols[j])) for i, j in bad[:cap]]
+            rep = _pair_law("law", phi, op, cap, pool)
+            assert rep.counts == {"checked": pool.size ** 2, "violations": len(bad)}
+            assert rep.witnesses == [(int(pool[i]), int(pool[j])) for i, j in bad[:cap]]
         failing += len(bad) > 16
     assert failing
 
@@ -304,53 +291,6 @@ def test_tensor_preserves_star_exactly_when_base_does():
     collapse = from_callable(g3, g3, lambda x: (x % 3 + x // 3) % 3)
     assert respects_star(tensor_id(conj, 2)).passed
     assert not respects_star(tensor_id(collapse, 2)).passed
-
-
-def test_scalar_linearity_identity():
-    m = make_matrix_ring(make_zmod(3), 2)
-    scalars = [m.scalar_matrix(s) for s in range(3)]
-    assert scalar_linearity_holds(identity_map(m.ring), scalars).passed
-
-
-def test_scalar_linearity_det_fails(m2z2):
-    det = determinant_map(m2z2)
-    rep = scalar_linearity_holds(det, [m2z2.ring.zero, m2z2.ring.one])
-    assert not rep.passed
-
-
-def test_scalar_linearity_zero_map(m2z2):
-    z = zero_map(m2z2.ring, m2z2.ring)
-    assert scalar_linearity_holds(z, [m2z2.ring.zero, m2z2.ring.one]).passed
-
-
-def test_scalar_linearity_reports_pinned(m2z2):
-    """Counts and witnesses, in order: the scalar pairs (s, x) first, in
-    the order the scalars are given, then the span pairs; the cap applies
-    to both parts together."""
-    m = make_matrix_ring(make_zmod(3), 2)
-    scalars = [m.scalar_matrix(s) for s in range(3)]
-    rep = scalar_linearity_holds(power_map(m.ring, 2), scalars, witness_cap=5)
-    assert rep.to_json() == {
-        "predicate": "scalar_linearity", "pass": False,
-        "witnesses": [[1, 1], [1, 2], [1, 28], [1, 29], [1, 55]],
-        "counts": {"checked": 324, "violations": 56, "scalars": 3, "span_size": 9}}
-    assert scalar_linearity_holds(power_map(m.ring, 3), scalars).counts == {
-        "checked": 324, "violations": 0, "scalars": 3, "span_size": 9}
-    shift = from_callable(m.ring, m.ring, lambda x: int(m.ring.add[x, m.ring.one]))
-    rep = scalar_linearity_holds(shift, scalars[::-1], witness_cap=6)
-    assert rep.witnesses == [(56, 0), (56, 1), (56, 2), (56, 3), (56, 4), (56, 5)]
-    assert rep.counts["violations"] == 321
-    rep = scalar_linearity_holds(determinant_map(m2z2),
-                                 [m2z2.ring.zero, m2z2.ring.one])
-    assert rep.witnesses == [(1, 8), (1, 9), (8, 1), (8, 9), (9, 1), (9, 8)]
-    assert rep.counts == {"checked": 48, "violations": 6, "scalars": 2,
-                          "span_size": 4}
-
-
-def test_scalar_linearity_rejects_noncentral(m2z2):
-    e12 = m2z2.matrix_unit(0, 1)
-    with pytest.raises(NonCentralScalar):
-        scalar_linearity_holds(identity_map(m2z2.ring), [e12])
 
 
 # ---------------------------------------------------------------------------

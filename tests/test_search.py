@@ -13,9 +13,15 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import CORPUS_SPECS
-from matsemi import search
+from matsemi import maps, search
 from matsemi.errors import SizeMismatch
-from matsemi.maps import determinant_map, is_additive, is_multiplicative, power_map
+from matsemi.maps import (
+    MapTable,
+    determinant_map,
+    is_additive,
+    is_multiplicative,
+    power_map,
+)
 from matsemi.rings import (
     RingTable,
     make_gaussian,
@@ -418,6 +424,12 @@ def test_counterexamples_limit():
     assert len(ce) == 1
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_counterexamples_limit_below_one_rejected(limit):
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        find_counterexamples(Z4, Z4, limit=limit)
+
+
 # ---------------------------------------------------------------------------
 # Unique addition probe
 
@@ -510,9 +522,27 @@ def test_function_space_size_guard():
 
 def test_function_space_masks_lex_order():
     total = function_space_size(Z2, Z3)
-    masks = function_space_masks(Z2, Z3, 0, total)
-    imgs = masks["_imgs"]
+    imgs, _, _ = function_space_masks(Z2, Z3, 0, total)
     assert imgs.shape == (9, 2)
     assert imgs[0].tolist() == [0, 0]
     assert imgs[1].tolist() == [0, 1]
     assert imgs[-1].tolist() == [2, 2]
+
+
+def test_function_space_masks_decide_additivity_for_multiplicative_maps_only(monkeypatch):
+    """The additive law runs on the multiplicative maps of a chunk alone,
+    and ``hom`` is ``mult`` and a full additivity scan combined."""
+    dom, cod = parse_ring_spec("mat:2:zmod:2"), parse_ring_spec("zmod:2")
+    calls = []
+    kernel = maps._law_kernel
+
+    def recording(op, d, c, m, column):
+        calls.append((op, m))
+        return kernel(op, d, c, m, column)
+
+    monkeypatch.setattr(maps, "_law_kernel", recording)
+    imgs, mult, hom = function_space_masks(dom, cod, 0, 8192)
+    assert calls == [("mul", 8192), ("add", int(mult.sum()))]
+    additive = np.array([is_additive(MapTable(dom, cod, img)).passed for img in imgs])
+    assert np.array_equal(hom, mult & additive)
+    assert hom.any() and (mult & ~hom).any() and (additive & ~mult).any()

@@ -39,7 +39,6 @@ from matsemi.witness import (
     doubling_additivity_closure,
     extract_additivity,
     fourth_power_reduction,
-    group_hom_restriction_check,
     invertible_witness_matrices,
     uv_product_identity_check,
 )
@@ -152,7 +151,7 @@ def test_doubling_pool_gate_scans_in_bounded_memory(corpus):
     pool = units(ring)
     tracemalloc.start()
     try:
-        rep = _pair_law("pool_multiplicative", identity_map(ring), "mul", 16, pool, pool)
+        rep = _pair_law("pool_multiplicative", identity_map(ring), "mul", 16, pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -187,14 +186,6 @@ def test_uv_pair_needs_involution():
     bare = RingTable(Z4.add, Z4.mul, 0, 1, label="bare")
     with pytest.raises(MissingInvolution):
         build_uv_pair(bare, 1, 1)
-
-
-def test_group_restriction_lift_respects_size_cap():
-    from matsemi.errors import SizeCapExceeded
-
-    # lifting a 16-element matrix ring would need 65536^2 dense tables
-    with pytest.raises(SizeCapExceeded):
-        group_hom_restriction_check(identity_map(M2Z2.ring), 2)
 
 
 def test_uv_pair_agrees_with_oracle_product():
@@ -547,76 +538,7 @@ def test_unknown_pool_mode_rejected_before_work():
     with pytest.raises(ValueError, match="unknown mode"):
         doubling_additivity_closure(identity_map(no_star), "bogus")
     with pytest.raises(ValueError, match="unknown mode"):
-        group_hom_restriction_check(identity_map(Z4), 1, mode="bogus")
-    with pytest.raises(ValueError, match="unknown mode"):
         sum_of_units_decompose(Z4, 1, 2, mode="bogus")
-
-
-# ---------------------------------------------------------------------------
-# Group restriction
-
-
-def test_group_restriction_identity_z2():
-    rep = group_hom_restriction_check(identity_map(Z2), 2)
-    assert rep.passed
-    assert rep.counts["pool_size"] == 6
-    assert rep.counts["checked"] == 6 + 36
-
-
-def test_group_restriction_cube_k1_passes():
-    rep = group_hom_restriction_check(power_map(Z4, 3), 1)
-    assert rep.passed
-
-
-def test_group_restriction_cube_k2_fails():
-    rep = group_hom_restriction_check(power_map(Z4, 3), 2)
-    assert not rep.passed
-    assert rep.counts["violations"] > 0
-
-
-def test_group_restriction_reports_pinned():
-    """Counts and witnesses, in order: pool elements mapped outside the
-    codomain pool first, then violating pairs; the cap covers both."""
-    rep = group_hom_restriction_check(power_map(Z4, 3), 2)
-    assert rep.witnesses == [
-        (21, 21), (21, 22), (21, 29), (21, 30), (21, 54), (21, 55), (21, 62),
-        (21, 63), (21, 69), (21, 71), (21, 73), (21, 75), (21, 81), (21, 84),
-        (21, 86), (21, 89)]
-    assert rep.counts == {"checked": 9312, "violations": 6656, "pool_size": 96,
-                          "cod_pool_size": 96, "k": 2}
-    rep = group_hom_restriction_check(constant_map(Z4, Z4, 2), 1)
-    assert rep.witnesses == [(1,), (3,), (1, 1), (1, 3), (3, 1), (3, 3)]
-    assert rep.counts["violations"] == rep.counts["checked"] == 6
-    rep = group_hom_restriction_check(constant_map(Z4, Z4, 2), 2, witness_cap=5)
-    assert rep.witnesses == [(20,), (21,), (22,), (23,), (28,)]
-    assert rep.counts["violations"] == rep.counts["checked"] == 9312
-
-
-def test_group_restriction_unitaries_mode():
-    rep = group_hom_restriction_check(identity_map(G3), 2, mode="unitaries")
-    assert rep.passed
-
-
-def test_group_restriction_failure_implies_not_unital_ring_hom():
-    """Contrapositive over all 256 self-maps of Z4.
-
-    The equivalence concerns unital ring homomorphisms: the zero map is a
-    ring homomorphism whose lift sends every unit to the zero matrix, so
-    unitality is part of the claim being refuted.
-    """
-    from matsemi.maps import MapTable, is_ring_hom, is_unital
-
-    for t in range(256):
-        img = [(t >> (2 * k)) & 3 for k in range(4)]
-        phi = MapTable(Z4, Z4, img)
-        rep = group_hom_restriction_check(phi, 2)
-        if not rep.passed:
-            assert not (is_ring_hom(phi).passed and is_unital(phi))
-
-
-def test_group_restriction_passes_for_unital_ring_homs():
-    assert group_hom_restriction_check(identity_map(Z4), 2).passed
-    assert group_hom_restriction_check(identity_map(G3), 2).passed
 
 
 # ---------------------------------------------------------------------------
