@@ -8,7 +8,8 @@ element records the first derivation that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def _first_unseen(flat: np.ndarray, seen: np.ndarray):
 
 @dataclass
 class ClosureStages:
-    """Result of a greedy closure over a Cayley table.
+    """Result of a greedy closure over the Cayley table ``table``.
 
     ``order`` lists every element once, in discovery order: the stage of
     each generator in ``gens`` (ascending), which starts with the generator
@@ -68,6 +69,7 @@ class ClosureStages:
     round_starts: list[int]
     deriv_x: np.ndarray
     deriv_y: np.ndarray
+    table: np.ndarray = field(repr=False)
 
     def words(self) -> list[tuple[int, ...]]:
         """One product expression per element as a sequence of generators.
@@ -81,13 +83,18 @@ class ClosureStages:
             words[e] = words[dx[e]] + words[dy[e]] if dx[e] >= 0 else (e,)
         return words
 
-    def ready_pairs(self, table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    @functools.cached_property
+    def ready_pairs(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per stage p, the "ready" pairs ``(xs, gs, xgs)`` whose right
         products ``xgs = table[xs, gs]`` stage p decides first: the stage's
         new elements times the earlier generators ``gens[:p]``, then the
         closure so far (``order[:stage_starts[p + 1]]``) times ``gens[p]``.
         Across the stages every (x, g) with x in ``order`` and g in
         ``gens`` appears exactly once.
+
+        Built on first use as three flat read-only arrays of the narrowest
+        unsigned dtype holding an element index; each stage's triple is a
+        view of them.
 
         Reduction lemma: on an associative table, a map phi into an
         associative operation with phi(x*g) = phi(x)*phi(g) on every ready
@@ -98,15 +105,20 @@ class ClosureStages:
         """
         gens = np.asarray(self.gens, dtype=np.int64)
         starts = self.stage_starts
-        out = []
+        xs, gs = [], []
         for p in range(len(self.gens)):
             new = self.order[starts[p]:starts[p + 1]]
-            prev = self.order[:starts[p]]
-            xs = np.concatenate([np.repeat(new, p), prev, new])
-            gs = np.concatenate([np.tile(gens[:p], new.size),
-                                 np.full(prev.size + new.size, gens[p])])
-            out.append((xs, gs, table[xs, gs].astype(np.int64)))
-        return out
+            xs += [np.repeat(new, p), self.order[:starts[p + 1]]]
+            gs += [np.tile(gens[:p], new.size), np.full(starts[p + 1], gens[p])]
+        dt = np.min_scalar_type(max(self.order.size - 1, 0))
+        flat_x = np.concatenate(xs).astype(dt)
+        flat_g = np.concatenate(gs).astype(dt)
+        flat_xg = self.table[flat_x, flat_g].astype(dt)
+        for arr in (flat_x, flat_g, flat_xg):
+            arr.setflags(write=False)
+        ends = np.cumsum([a.size for a in xs])[1::2].tolist()  # two parts per stage
+        return [(flat_x[lo:hi], flat_g[lo:hi], flat_xg[lo:hi])
+                for lo, hi in zip([0] + ends, ends)]
 
 
 def greedy_closure(table: np.ndarray) -> ClosureStages:
@@ -117,7 +129,9 @@ def greedy_closure(table: np.ndarray) -> ClosureStages:
     the table operation.  Each saturation round takes the products
     frontier * known, then old * frontier (old: known before the frontier),
     one row block at a time, and the first such (row, col) pair wins an
-    element's derivation.
+    element's derivation.  Once every element is known no further product
+    is read: the rest of the round's blocks and later rounds would find
+    nothing new.
     """
     n = table.shape[0]
     known = np.zeros(n, dtype=bool)
@@ -139,10 +153,14 @@ def greedy_closure(table: np.ndarray) -> ClosureStages:
         lo, end = end, end + 1  # the frontier is order[lo:end]
         while lo < end:
             round_starts.append(lo)
+            if end == n:
+                break
             new_end = end
             for rows, cols in ((order[lo:end], order[:end]),
                                (order[:lo], order[lo:end])):
                 for blo, bhi in _row_blocks(rows.size, cols.size):
+                    if new_end == n:
+                        break
                     r = rows[blo:bhi]
                     vals, pos = _first_unseen(table[r[:, None], cols].ravel(), known)
                     deriv_x[vals] = r[pos // cols.size]
@@ -161,4 +179,5 @@ def greedy_closure(table: np.ndarray) -> ClosureStages:
         round_starts=round_starts,
         deriv_x=deriv_x,
         deriv_y=deriv_y,
+        table=table,
     )

@@ -1,26 +1,30 @@
 """Total maps between finite rings and the relation predicates on them.
 
 A :class:`MapTable` is an arbitrary function between two rings, stored as
-an image array over element indices.  The predicates decide, by full pair
-scans, whether a map is multiplicative, additive, involution-preserving,
-whether it satisfies the corner relation ``phi(1) = phi(e11) + phi(e22)``
-on a 2x2 matrix ring, and the imaginary-unit analogue
-``phi(i) = i phi(e11) + i phi(e22)``.
+an image array over element indices.  The predicates decide whether a map
+is multiplicative, additive, involution-preserving, whether it satisfies
+the corner relation ``phi(1) = phi(e11) + phi(e22)`` on a 2x2 matrix
+ring, and the imaginary-unit analogue ``phi(i) = i phi(e11) + i phi(e22)``.
+The element laws are read on every element.  The pair laws read the
+first row block of the pair grid; when it holds on rings associative by
+construction, the rest is decided on the ready pairs of the domain's
+closure, and any failure runs the full scan.
 
 Every predicate returns a :class:`CheckReport` whose violating witnesses
 are listed in ascending lexicographic index order, capped at
-:data:`WITNESS_CAP` per report so output stays diffable.
+:data:`WITNESS_CAP` per report so output stays diffable.  Its counts and
+witnesses are those of the full scan, whichever way it was decided.
 
-Each law is stated once.  ``_pair_law`` scans phi(x o y) = phi(x) o phi(y)
-for o in {*, +}, over all pairs or over the pairs of one element set;
-``_law_kernel`` decides the same law for a stack of maps on the ready
+Each law is stated once.  ``_pair_law`` decides phi(x o y) = phi(x) o
+phi(y) for o in {*, +}, over all pairs or over the pairs of one element
+set; ``_law_kernel`` decides the same law for a stack of maps on the ready
 pairs of a generator closure, reading images through a column source and
 dropping each map at its first failed block of pairs (``_stacked_law``
-feeds it an image stack, the tensor suite lifted images); and
-``_relation`` gives both sides of the unital, corner and imaginary-unit
-relations for one image array or a stack of them.  The predicates here,
-the search, the witness scans, the verification suites and the CLI all
-use these three.
+feeds it an image stack, the tensor suite lifted images, ``_pair_law``
+one map that passed its first block); and ``_relation`` gives both sides
+of the unital, corner and imaginary-unit relations for one image array or
+a stack of them.  The predicates here, the search, the witness scans, the
+verification suites and the CLI all use these three.
 """
 
 from __future__ import annotations
@@ -176,29 +180,63 @@ def _joint_report(name: str, parts: list[CheckReport], witness_cap: int,
     return CheckReport(name, violations == 0, witnesses, counts)
 
 
+def _pair_rows(op: str, dom: RingTable, cod: RingTable, img, xs=None):
+    """``law(lo, hi)`` for :func:`rings._row_scan`: phi(x o y) = phi(x) o
+    phi(y) for the map with image array ``img``, on rows x in
+    ``xs[lo:hi]`` (by default ``lo..hi-1``) and columns y in ``xs`` (by
+    default every element).  Images are gathered in the codomain table's
+    dtype; without ``xs`` the grid is read as row slices and whole rows,
+    with no column gather."""
+    dom_t, cod_t = getattr(dom, op), getattr(cod, op)
+    img = np.asarray(img).astype(cod_t.dtype)
+    img_y = img if xs is None else img[xs]
+
+    def law(lo, hi):
+        x = slice(lo, hi) if xs is None else xs[lo:hi]
+        prod = dom_t[x] if xs is None else np.take(dom_t[x], xs, axis=1)
+        return np.take(img, prod) == np.take(np.take(cod_t, img[x], axis=0), img_y, axis=1)
+    return law
+
+
+def _holds(op: str, dom: RingTable, cod: RingTable, img) -> bool:
+    """Whether the map with image array ``img`` satisfies the ``op`` pair
+    law on every pair, by a full scan that stops at its first failed row
+    block."""
+    return _row_scan((dom.size, dom.size), _pair_rows(op, dom, cod, img),
+                     count=False)[0] == 0
+
+
 def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
               elems=None, extra_counts: dict | None = None) -> CheckReport:
     """The pair law phi(x o y) = phi(x) o phi(y) for ``op`` in {"mul", "add"}
     over all pairs (x, y) in ``elems`` x ``elems``, by default every element.
 
     Witnesses are element pairs in the order of the grid (lexicographic for
-    sorted ``elems``).  Images are gathered in the codomain table's dtype,
-    one row block of x at a time (:func:`rings._row_scan`); without
-    ``elems`` the grid is read as row slices and whole rows, with no column
-    gather.
+    sorted ``elems``), read one row block of x at a time
+    (:func:`rings._row_scan`, :func:`_pair_rows`).
+
+    Over all pairs of a grid of several row blocks, with both rings marked
+    associative by construction (:func:`rings._built_ring`), the first
+    row block is scanned, and when it holds, the law is decided on the
+    ready pairs of ``op_closure(dom, op)`` (:func:`_law_kernel`; the
+    closure is built on first use).  A map failing either runs the full
+    scan, which takes a failed first block as read, so counts and
+    witnesses are those of the full scan.
     """
-    dom_t, cod_t = getattr(phi.dom, op), getattr(phi.cod, op)
-    img = phi.img.astype(cod_t.dtype)
+    dom, cod = phi.dom, phi.cod
     xs = None if elems is None else np.asarray(elems, dtype=np.int64)
-    img_y = img if xs is None else img[xs]
-
-    def law(lo, hi):  # rows x in xs[lo:hi]
-        x = slice(lo, hi) if xs is None else xs[lo:hi]
-        prod = dom_t[x] if xs is None else np.take(dom_t[x], xs, axis=1)
-        return np.take(img, prod) == np.take(np.take(cod_t, img[x], axis=0), img_y, axis=1)
-
-    n = phi.dom.size if xs is None else xs.size
-    violations, found = _row_scan((n, n), law, witness_cap)
+    law = _pair_rows(op, dom, cod, phi.img, xs)
+    n = dom.size if xs is None else xs.size
+    rows = _block_rows(n)
+    passed = False
+    first = []  # a failed first block, handed to the full scan as read
+    if xs is None and n > rows and dom._associative and cod._associative:
+        first.append(law(0, rows))
+        if first[0].all():
+            first.clear()
+            passed = _law_kernel(op, dom, cod, 1, lambda es, live: phi.img[None, es])[0]
+    violations, found = (0, []) if passed else _row_scan(
+        (n, n), lambda lo, hi: first.pop() if first else law(lo, hi), witness_cap)
     if xs is not None:  # grid positions to elements
         found = [(int(xs[r]), int(xs[c])) for r, c in found]
     return CheckReport(name, violations == 0, found,
@@ -214,14 +252,17 @@ def _law_kernel(op: str, dom: RingTable, cod: RingTable, m: int, column) -> np.n
     ``column(elems, live)`` returns the images of the elements ``elems``
     under the maps ``live`` (ascending map numbers), one row per map.  The
     kernel walks the ready pairs (x, g) of the closure of dom's ``op`` table
-    (:func:`~matsemi.rings.op_closure`) one stage at a time, which is exact
-    when both op tables are associative, as in every ring
-    :func:`parse_ring_spec` builds (:meth:`ClosureStages.ready_pairs`).  On
-    entering a stage it fetches the images of the stage's new elements for
-    the live maps only; each stage is saturated, so every x, g and x o g of
-    the stage has its images by then.  The stage's pairs are checked in row
+    (:func:`~matsemi.rings.op_closure`) one stage at a time.  On entering a
+    stage it fetches the images of the stage's new elements for the live
+    maps only; each stage is saturated, so every x, g and x o g of the
+    stage has its images by then.  The stage's pairs are checked in row
     blocks of about :data:`_closure._BLOCK_ENTRIES` pairs x live maps, and
     after each block every map that failed a pair is dropped.
+
+    The ready pairs decide the law when both op tables are associative
+    (:meth:`ClosureStages.ready_pairs`), which the rings marked so by
+    construction are (:func:`rings._built_ring`).  Otherwise each map that
+    passed them is re-decided over all pairs (:func:`_holds`).
     """
     cod_t = getattr(cod, op)
     flat = cod_t.ravel()
@@ -231,7 +272,7 @@ def _law_kernel(op: str, dom: RingTable, cod: RingTable, m: int, column) -> np.n
     rank[cl.order] = np.arange(dom.size)
     live = np.arange(m)
     cols = np.empty((0, m), dtype=cod_t.dtype)  # row r: order[r]'s images by live map
-    for p, (xs, gs, xgs) in enumerate(cl.ready_pairs(getattr(dom, op))):
+    for p, (xs, gs, xgs) in enumerate(cl.ready_pairs):
         if not live.size:
             break
         lo, hi = starts[p], starts[p + 1]
@@ -252,6 +293,10 @@ def _law_kernel(op: str, dom: RingTable, cod: RingTable, m: int, column) -> np.n
             if not ok.all():
                 live, cols = live[ok], cols[:, ok]
             i = j
+    if not (dom._associative and cod._associative):
+        every = np.arange(dom.size)
+        live = [i for i in live.tolist()
+                if _holds(op, dom, cod, column(every, np.array([i]))[0])]
     out = np.zeros(m, dtype=bool)
     out[live] = True
     return out

@@ -5,7 +5,9 @@ multiplicative structure is carried by two ``size x size`` index tables.
 Constructors arrange ``zero`` at index 0 and, where the encoding permits,
 ``one`` at index 1 (matrix rings keep the row-major entry encoding instead,
 so their identity sits wherever that encoding puts it).  A table entry
-outside ``0..size-1`` is refused when the ring is built.
+outside ``0..size-1`` is refused when the ring is built; the spec
+constructors build their tables in range and skip that scan, and mark
+both tables associative by construction (``_built_ring``).
 
 A matrix ring's tables are built without n x n gathers, and each is
 written once (``_place_table``): by halves over its digits, the table over
@@ -28,16 +30,19 @@ search behind ``neg``, ``units`` and ``add_inverses``, and the sums of
 units) is evaluated in the row blocks of ``_closure._row_blocks``; the
 dense laws run through one row-blocked kernel, ``_row_scan``, with gathers
 along one axis (or flat gathers into rows of a transposed table), so
-temporaries stay at block size.  Two checks are decided by exact
+temporaries stay at block size.  Four checks are decided by exact
 reductions once the laws their proofs use have passed; otherwise the full
-translation scan runs and reports the same first witness:
+scan runs and reports the same first witness:
 
 * right distributivity on (y, s, t) with s, t additive generators: given
   the additive group laws and left distributivity, (y+s)x - yx - sx is
   additive in x;
 * multiplicative associativity on the additive-generator cube: given the
   group laws and both distributive laws, (xy)z - x(yz) is additive in
-  each argument.
+  each argument;
+* star additivity on x times the additive generators, given the group
+  laws, and star antimultiplicativity on x times the multiplicative
+  generators, given multiplicative associativity: by induction on words.
 """
 
 from __future__ import annotations
@@ -103,15 +108,17 @@ def _place_table(digit: np.ndarray, width: int, dt, split: bool) -> np.ndarray:
     return out.reshape(len(high) * len(low), -1)
 
 
-def _index_array(name: str, a, n: int, dt) -> np.ndarray:
+def _index_array(name: str, a, n: int, dt, in_range: bool = False) -> np.ndarray:
     """``a`` as a contiguous ``dt`` array of element indices.  Raises
     ValueError unless it holds integers in ``0..n-1``: the cast to ``dt``
     would silently wrap or truncate anything else.  An unsigned ``a``
-    cannot hold a negative, so only its maximum is scanned."""
+    cannot hold a negative, so only its maximum is scanned, and nothing is
+    scanned when the caller built ``a`` in range (``in_range``)."""
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"{name} must hold integer indices, not {a.dtype}")
-    if a.size and ((a.dtype.kind == "i" and a.min() < 0) or a.max() >= n):
+    if a.size and not in_range and (
+            (a.dtype.kind == "i" and a.min() < 0) or a.max() >= n):
         raise ValueError(f"{name} entries must lie in 0..{n - 1}")
     # ascontiguousarray turns a 0-d array into shape (1,); keep a's shape.
     return np.ascontiguousarray(a, dtype=dt).reshape(a.shape)
@@ -143,10 +150,16 @@ class RingTable:
     Raises ValueError when ``add``, ``mul`` or ``star`` is not an integer
     array or has an entry outside ``0..size-1``, or when ``zero``, ``one``
     or ``i_elem`` is not one integer index in that range.
+
+    A table given here is never assumed to satisfy any law.  Only the spec
+    constructors (:func:`_built_ring`) mark a ring whose tables are
+    associative by construction, so that the ready-pair reductions of
+    ``maps`` and ``search`` may decide on it; on any other ring they are
+    re-decided, or not used, and stay exact.
     """
 
     def __init__(self, add, mul, zero, one, star=None, i_elem=None,
-                 label="ring", render=None):
+                 label="ring", render=None, *, _in_range=False):
         add = np.asarray(add)
         mul = np.asarray(mul)
         if add.ndim != 2 or add.shape[0] != add.shape[1] or add.shape != mul.shape:
@@ -154,8 +167,8 @@ class RingTable:
         n = add.shape[0]
         dt = _min_dtype(n)
         self.size = n
-        self.add = _index_array("add", add, n, dt)
-        self.mul = _index_array("mul", mul, n, dt)
+        self.add = _index_array("add", add, n, dt, _in_range)
+        self.mul = _index_array("mul", mul, n, dt, _in_range)
         self.zero = _index("zero", zero, n)
         self.one = _index("one", one, n)
         self.star = None if star is None else _index_array("star", star, n, dt)
@@ -169,6 +182,7 @@ class RingTable:
         self._units = None
         self._unitaries = None
         self._closures: dict[str, ClosureStages] = {}
+        self._associative = False  # see _built_ring
         for arr in (self.add, self.mul, self.neg):
             arr.setflags(write=False)
         if self.star is not None:
@@ -199,6 +213,16 @@ class RingTable:
         return f"RingTable({self.label}, size={self.size})"
 
 
+def _built_ring(add, mul, *, associative: bool, **kw) -> RingTable:
+    """A ring whose ``add`` and ``mul`` a constructor built from in-range
+    base data, so its table range scans are skipped.  ``associative``
+    marks both tables as associative by construction: true for the integer
+    and Gaussian rings, and for a matrix ring over a marked base."""
+    ring = RingTable(add, mul, _in_range=True, **kw)
+    ring._associative = associative
+    return ring
+
+
 def make_zmod(n: int, /) -> RingTable:
     """The ring of integers mod ``n``, with the identity involution.
 
@@ -223,8 +247,8 @@ def _zmod(n: int) -> RingTable:
         if (x * x) % n == (n - 1) % n:
             i_elem = x
             break
-    return RingTable(add, mul, zero=0, one=1 % n, star=idx.copy(),
-                     i_elem=i_elem, label=f"zmod:{n}")
+    return _built_ring(add, mul, associative=True, zero=0, one=1 % n,
+                       star=idx.copy(), i_elem=i_elem, label=f"zmod:{n}")
 
 
 def _gauss_render(n):
@@ -261,9 +285,9 @@ def _gaussian(n: int) -> RingTable:
         (a[:, None] * b[None, :] + b[:, None] * a[None, :]) % n)
     star = a + n * ((n - b) % n)
     i_elem = n % size  # class of x; collapses to 0 in the degenerate ring
-    return RingTable(add, mul, zero=0, one=1 % size, star=star,
-                     i_elem=i_elem, label=f"gauss:{n}",
-                     render=_gauss_render(n))
+    return _built_ring(add, mul, associative=True, zero=0, one=1 % size,
+                       star=star, i_elem=i_elem, label=f"gauss:{n}",
+                       render=_gauss_render(n))
 
 
 class MatrixRingView:
@@ -316,9 +340,10 @@ class MatrixRingView:
             td = digits.reshape(n, k, k).transpose(0, 2, 1).reshape(n, k2)
             star = base.star[td].astype(np.int64) @ place
 
-        self.ring = RingTable(
+        self.ring = _built_ring(
             _place_table(base.add, k2, dt, split=True),
             _place_table(P.reshape(R, n), k, dt, split=False),
+            associative=base._associative,
             zero=self.scalar_matrix(base.zero),
             one=self.scalar_matrix(base.one),
             star=star,
@@ -773,14 +798,23 @@ def _xsy(hit):
     return None if hit is None else (hit[1], hit[0], hit[2])
 
 
+def _star_law_on(table: np.ndarray, star: np.ndarray, gens, swap: bool) -> bool:
+    """Whether (x o g)* = x* o g*, or g* o x* with ``swap``, for every
+    element x and every g in ``gens``."""
+    G = np.asarray(gens, dtype=np.intp)
+    sx, sg = star[:, None], star[G][None, :]
+    return bool((star[table[:, G]] == (table[sg, sx] if swap else table[sx, sg])).all())
+
+
 def validate_ring(ring: RingTable) -> RingValidation:
     """Run the full ring-axiom scan: additive commutative group,
     multiplicative monoid, distributivity, involution and imaginary-unit
-    laws.  Every law is verified for all elements, with associativity and
-    distributivity reduced to greedy generating sets (complete by the
-    derivation-word induction; no sampling involved).  Distributivity is
-    reduced only when addition has passed its associativity scan, which
-    the induction uses; otherwise every element is scanned.
+    laws.  Every law is verified for all elements, with associativity,
+    distributivity and the star laws reduced to greedy generating sets
+    (complete by the derivation-word induction; no sampling involved).
+    Distributivity is reduced only when addition has passed its
+    associativity scan, which the induction uses; otherwise every element
+    is scanned.
 
     The involution/imaginary-unit compatibility ``(i)* = -i`` is reported
     in ``info`` rather than gating validity: integer rings carry the
@@ -898,14 +932,38 @@ def validate_ring(ring: RingTable) -> RingValidation:
         ch["star_fixes_one"] = CheckOutcome(
             "star_fixes_one", int(star[ring.one]) == ring.one, 1,
             None if int(star[ring.one]) == ring.one else (ring.one,))
-        ch["star_additive"] = _outcome_at(
-            "star_additive", n, lambda lo, hi: np.take(star, add[lo:hi]) == np.take(
-                np.take(add, star[lo:hi], axis=0), star, axis=1))
-        mulT = _transposed(mul)
-        ch["star_antimultiplicative"] = _outcome_at(
-            "star_antimultiplicative", n, lambda lo, hi: np.take(star, mul[lo:hi]) == np.take(
-                np.take(mulT, star[lo:hi], axis=0), star, axis=1))
-        del mulT
+        # On an associative table, (x o y)* = x* o y* (additive) or
+        # y* o x* (antimultiplicative) holds for every x and y once it
+        # holds for every x and every y in a set S of which each element
+        # is a nonempty word, by induction on the word of y: for
+        # y = y' o g, x o y = (x o y') o g, and the law on the pairs
+        # (x o y', g), (x, y') and (y', g), with associativity on the
+        # starred side, gives it on (x, y).  The closure's generators less
+        # an identity are such a set: no derivation uses a passed
+        # identity, and 0 is a multiple of any other additive generator
+        # in a finite group.  The multiplicative identity may be no
+        # product of the others, so it stays in S unless (x 1)* = 1* x*
+        # follows from the identity law and 1* = 1.  When the reduced
+        # check fails or cannot apply, the full scan runs and reports the
+        # first witness.
+        if group and _star_law_on(add, star, gens_add, swap=False):
+            ch["star_additive"] = CheckOutcome("star_additive", True, n * n)
+        else:
+            ch["star_additive"] = _outcome_at(
+                "star_additive", n, lambda lo, hi: np.take(star, add[lo:hi]) == np.take(
+                    np.take(add, star[lo:hi], axis=0), star, axis=1))
+        one_law = ch["mul_identity"].passed and ch["star_fixes_one"].passed
+        star_gens = [g for g in op_closure(ring, "mul").gens
+                     if g != ring.one or not one_law]
+        if ch["mul_associative"].passed and _star_law_on(mul, star, star_gens, swap=True):
+            ch["star_antimultiplicative"] = CheckOutcome(
+                "star_antimultiplicative", True, n * n)
+        else:
+            mulT = _transposed(mul)
+            ch["star_antimultiplicative"] = _outcome_at(
+                "star_antimultiplicative", n, lambda lo, hi: np.take(star, mul[lo:hi]) == np.take(
+                    np.take(mulT, star[lo:hi], axis=0), star, axis=1))
+            del mulT
 
     if ring.i_elem is not None:
         i = ring.i_elem

@@ -7,8 +7,10 @@ the precomputed derivation stages.  Each stage then checks only the right
 products by a variable that it decides (its "ready" pairs), which is
 equivalent to checking every decided pair when both multiplications are
 associative.  Branches die as soon as the stage check or an active filter
-fails, so the emitted stream is exactly the brute-force-filtered set, in
-lexicographic order of the full image arrays.
+fails.  On rings not marked associative by construction each complete map
+is then re-decided over all pairs, so the emitted stream is exactly the
+brute-force-filtered set on every table, in lexicographic order of the
+full image arrays.
 
 Top-level branches are partitioned into a fixed number of tasks (a
 function of the codomain size only), so results merge in the same order
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch
 from .maps import (
     MapTable,
+    _holds,
     _relation,
     _stacked_law,
     corner_relation_holds,
@@ -118,8 +121,10 @@ class _Plan:
                        for p in range(nstages)]
 
         # Per stage: the ready pairs it decides; together they prove phi
-        # multiplicative (see ClosureStages.ready_pairs).
-        self.ready = cl.ready_pairs(dom.mul)
+        # multiplicative (see ClosureStages.ready_pairs).  Widened to intp
+        # once here, so no node converts its index arrays.
+        self.ready = [tuple(a.astype(np.intp) for a in stage)
+                      for stage in cl.ready_pairs]
 
         # Per stage: decided pairs involving the variable whose product is
         # already decided (or the variable itself).  Sound constraints on
@@ -209,8 +214,12 @@ def _candidates(plan: _Plan, cod: RingTable, img: np.ndarray, p: int,
 
 def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
                   limit: int | None, node_budget: int | None, lo: int, hi: int):
-    """Depth-first search with the first variable restricted to [lo, hi)."""
+    """Depth-first search with the first variable restricted to [lo, hi).
+    A complete map counts only once it is multiplicative on every pair:
+    the stage checks decide that on rings marked associative by
+    construction, and a full scan re-decides it on any other."""
     img = np.full(dom.size, -1, dtype=np.int64)
+    exact = dom._associative and cod._associative
     out: list[np.ndarray] = []
     nodes = 0
     exhausted = True
@@ -234,10 +243,11 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     def rec(p: int):
         nonlocal nodes, exhausted
         if p == nvars:
-            out.append(img.copy())
-            if limit is not None and len(out) >= limit:
-                exhausted = False
-                raise _StopSearch
+            if exact or _holds("mul", dom, cod, img):
+                out.append(img.copy())
+                if limit is not None and len(out) >= limit:
+                    exhausted = False
+                    raise _StopSearch
             return
         v = plan.vars[p]
         nodes += 1
@@ -330,10 +340,9 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     partition order, so results are byte-identical for every worker count.
 
     Multiplicativity is decided on right products by the search variables
-    only (the "ready" pairs of each stage), which is exact when both
-    multiplications are associative.  Every ring :func:`parse_ring_spec`
-    builds is; for a hand-assembled ``RingTable``, run
-    :func:`~matsemi.rings.validate_ring` first.
+    (the "ready" pairs of each stage), and on every pair for each complete
+    map when a ring is not marked associative by construction (see
+    :func:`_search_range`).
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -453,12 +462,9 @@ def function_space_masks(dom: RingTable, cod: RingTable, lo: int, hi: int):
     ``t`` (most significant digit = image of element 0); ``imgs`` holds
     one row per id.  ``mult`` marks the multiplicative maps and ``hom``
     those that are also additive; additivity is decided for the
-    multiplicative maps only.  Both laws are decided on ready pairs by
+    multiplicative maps only.  Both laws are decided by
     :func:`~matsemi.maps._stacked_law`, each map only until its first
-    failed block of pairs, which is exact when the domain
-    and codomain tables of each operation are associative: every ring
-    :func:`parse_ring_spec` builds is; for a hand-assembled ``RingTable``,
-    run :func:`~matsemi.rings.validate_ring` first.
+    failed block of pairs.
     """
     imgs = _digits(np.arange(lo, hi, dtype=np.int64), dom.size, cod.size, np.int64)
     mult = _stacked_law("mul", dom, cod, imgs)

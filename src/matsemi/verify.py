@@ -185,11 +185,9 @@ def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
     """Over every function dom -> cod: the 2x2 matrix lift is
     multiplicative exactly for the ring homomorphisms.  Both 2x2 matrix
     rings are built under ``size_cap`` before any function is scanned.
-    Verdicts are decided on ready pairs, exact for associative tables (see
-    :func:`~matsemi.search.function_space_masks`).  The lift's verdicts
-    come from :func:`~matsemi.maps._law_kernel`, which lifts the images of
-    each closure stage's new matrices for the maps still alive only, so no
-    chunk's lift is ever materialised."""
+    The lift's verdicts come from :func:`~matsemi.maps._law_kernel`, which
+    lifts the images of each closure stage's new matrices for the maps
+    still alive only, so no chunk's lift is ever materialised."""
     cod = cod if cod is not None else dom
     total = function_space_size(dom, cod)
     for ring in (dom, cod):
@@ -289,12 +287,7 @@ def verify_fourth_power_search(dom: RingTable, cod: RingTable | None = None,
 
     Each map goes to the fourth-power reduction without its gates: the
     search's ``i_relation`` checkpoint has decided the imaginary-unit
-    relation, and its stage checks multiplicativity.  Multiplicativity is
-    decided on right products by the search variables only (the "ready"
-    pairs of each stage), which is exact when both multiplications are
-    associative.  Every ring :func:`~matsemi.rings.parse_ring_spec` builds
-    is; for a hand-assembled ``RingTable``, run
-    :func:`~matsemi.rings.validate_ring` first."""
+    relation, and the search has decided multiplicativity."""
     cod = cod if cod is not None else dom
     res = enumerate_multiplicative_maps(
         dom, cod, filters=("star", "i_relation"), limit=limit,

@@ -2,6 +2,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -13,6 +14,29 @@ settings.register_profile(
              suppress_health_check=[HealthCheck.too_slow]),
 )
 settings.load_profile("deterministic")
+
+def whole_grid_law(op, dom, cod, imgs):
+    """One bool per row of the image stack ``imgs`` (maps dom -> cod):
+    whether phi(x o y) = phi(x) o phi(y) for ``op`` on every pair, read
+    from whole grids of the two tables."""
+    imgs = np.asarray(imgs)
+    d, c = getattr(dom, op), getattr(cod, op)
+    return (imgs[:, d] == c[imgs[:, :, None], imgs[:, None, :]]).all(axis=(1, 2))
+
+
+def random_mutants(ring, seed, count: int):
+    """``count`` pairs of ``ring``'s add and mul tables with one to three
+    entries changed among them, each as ``(trial, add, mul)``."""
+    n = ring.size
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
+        for _ in range(int(rng.integers(1, 4))):
+            t = tables[("add", "mul")[int(rng.integers(2))]]
+            x, y = (int(v) for v in rng.integers(0, n, 2))
+            t[x, y] = (int(t[x, y]) + int(rng.integers(1, n))) % n
+        yield trial, tables["add"], tables["mul"]
+
 
 CORPUS_SPECS = (
     ["zmod:%d" % n for n in range(1, 9)]

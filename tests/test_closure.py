@@ -2,6 +2,8 @@
 row-block policy it shares with every pair grid, and the closures each
 ring keeps through ``rings.op_closure``."""
 
+import hashlib
+import json
 import tracemalloc
 from unittest import mock
 
@@ -139,11 +141,12 @@ def test_ready_pairs_cover_every_element_generator_pair_once(table):
     rows = table.tolist()
     want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b])
     order, gens, starts = want["order"], want["gens"], want["stage_starts"]
-    stages = greedy_closure(table).ready_pairs(table)
+    stages = greedy_closure(table).ready_pairs
     assert len(stages) == len(gens)
     seen = []
     for p, (xs, gs, xgs) in enumerate(stages):
-        assert xs.dtype == gs.dtype == xgs.dtype == np.int64
+        assert xs.dtype == gs.dtype == xgs.dtype == np.min_scalar_type(len(rows) - 1)
+        assert not (xs.flags.writeable or gs.flags.writeable or xgs.flags.writeable)
         pairs = list(zip(xs.tolist(), gs.tolist()))
         known = order[:starts[p + 1]]
         older = order[:starts[p]]
@@ -225,3 +228,35 @@ def test_warm_closure_cache_gives_cold_results_on_mutants():
         cold = outcome(m)
         assert "mul" in m._closures
         assert outcome(m) == cold
+
+
+# sha256 of the JSON list [gens, order, stage_starts, round_starts, deriv_x,
+# deriv_y] of each M2(Z7) closure, as built with every product read.
+_M2Z7_CLOSURES = {
+    "add": "be8f840c0d853c13c853a9eacbe6dbda605a4af87cf52fe0c1d0247ada96862d",
+    "mul": "c82ffcab2b3499c5bdb8040b12106f4063f901ddd1d183672f3f8cad96a39322",
+}
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_closure_reads_no_product_once_complete(op, monkeypatch):
+    """The M2(Z7) closures stop once every element is known: no block of
+    products reaches ``_first_unseen`` with every element seen, and fewer
+    than n^2 products are read in all, where saturating every round reads
+    each of the n^2 pairs once.  The closure is the one every read gives."""
+    ring = parse_ring_spec("mat:2:zmod:7")
+    first_unseen = _closure._first_unseen
+    read = []
+
+    def counted(flat, seen):
+        assert not seen.all()
+        read.append(flat.size)
+        return first_unseen(flat, seen)
+
+    monkeypatch.setattr(_closure, "_first_unseen", counted)
+    cl = greedy_closure(getattr(ring, op))
+    assert sum(read) < ring.size ** 2
+    fields = _closure_fields(cl)
+    digest = hashlib.sha256(json.dumps([fields[k] for k in (
+        "gens", "order", "stage_starts", "round_starts", "deriv_x", "deriv_y")]).encode())
+    assert digest.hexdigest() == _M2Z7_CLOSURES[op]

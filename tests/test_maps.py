@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import CORPUS_SPECS, whole_grid_law
 from matsemi import _closure, maps
 from matsemi.errors import (
     MapFormatError,
@@ -36,6 +37,7 @@ from matsemi.maps import (
     zero_map,
 )
 from matsemi.rings import (
+    RingTable,
     _digits,
     _pool,
     make_gaussian,
@@ -434,8 +436,7 @@ def test_stacked_law_matches_full_scans_on_corpus_stacks(dom_spec, cod_spec):
 
 
 def _scan_verdicts(op, dom, cod, stack):
-    scan = is_multiplicative if op == "mul" else is_additive
-    return [scan(MapTable(dom, cod, img)).passed for img in stack]
+    return whole_grid_law(op, dom, cod, stack).tolist()
 
 
 def _recorded_kernel(op, dom, cod, stack, monkeypatch):
@@ -480,8 +481,8 @@ def test_law_kernel_drops_maps_inside_a_stage(dom_spec, cod_spec, op, monkeypatc
     at = rng.integers(0, dom.size, len(bent))
     bent[rows, at] = (bent[rows, at] + rng.integers(1, cod.size, len(bent))) % cod.size
     stack = np.concatenate([mult, bent, rng.integers(0, cod.size, (32, dom.size))])
-    got, log = _recorded_kernel(op, dom, cod, stack, monkeypatch)
     want = _scan_verdicts(op, dom, cod, stack)
+    got, log = _recorded_kernel(op, dom, cod, stack, monkeypatch)
     assert got.tolist() == want
     assert any(want) and not all(want)
     stages, live = [], len(stack)
@@ -518,3 +519,110 @@ def test_law_kernel_edge_cases(op, monkeypatch):
         if cod is z3:  # 0 and 1 are idempotent in Z3, only 0 is additive
             assert got.tolist() == ([True, True, False] if op == "mul"
                                     else [True, False, False])
+
+
+# ---------------------------------------------------------------------------
+# Map laws decided on ready pairs once the first row block holds
+
+FAST_PATH_SPECS = [*CORPUS_SPECS, "mat:2:zmod:7"]
+
+
+def _grid_holds(op, ring, img, rows=None):
+    """The ``op`` law of the self-map ``img`` on the first ``rows`` rows of
+    the pair grid (all rows by default), 64 rows at a time."""
+    t = getattr(ring, op)
+    return all(np.array_equal(img[t[lo:hi]], t[np.ix_(img[lo:hi], img)])
+               for lo in range(0, rows or ring.size, 64)
+               for hi in [min(lo + 64, rows or ring.size)])
+
+
+def _late_failures(ring, rows):
+    """Per op, at most one self-map whose law holds on the first ``rows``
+    rows of the pair grid and fails on a later row.  ``mul``: the identity
+    with the image of n - 1 moved by a fraction of n (for a matrix ring,
+    its top entry changed); ``add``: n - s <= x < n mapped to x + 1."""
+    n = ring.size
+    steps = sorted({n // d for d in (2, 3, 4, 7, 9)} - {0})
+    found = {}
+    for s in steps:
+        moved = np.arange(n)
+        moved[n - 1] = (n - 1 + s) % n
+        shifted = np.arange(n)
+        shifted[n - s:] = ring.add[n - s:, ring.one]
+        for op, img in (("mul", moved), ("add", shifted)):
+            if (op not in found and _grid_holds(op, ring, img, rows)
+                    and not _grid_holds(op, ring, img)):
+                found[op] = img
+    return found
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+def test_ready_pair_map_laws_report_as_full_scans(block_rows, monkeypatch):
+    """On every corpus ring and M2(Z7), ``is_multiplicative`` and
+    ``is_additive`` report byte for byte as the full scans do (the ring
+    marked as not associative) on passing maps, on maps failing in the
+    first row block, which build no closure, and on maps failing only past
+    it.  A passing map on a grid of several blocks is decided by the
+    kernel."""
+    kernel_ops = []
+    kernel = maps._law_kernel
+
+    def counted(op, *args):
+        kernel_ops.append(op)
+        return kernel(op, *args)
+
+    monkeypatch.setattr(maps, "_law_kernel", counted)
+    default = _closure._BLOCK_ENTRIES
+    late = set()
+    for spec in FAST_PATH_SPECS:
+        ring = parse_ring_spec(spec)
+        n = ring.size
+        for op in ("mul", "add"):
+            op_closure(ring, op)
+        rows = block_rows or _closure._block_rows(n)
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", rows * n if block_rows else default)
+        first_block_fails = np.arange(n)
+        first_block_fails[0] = 1 % n
+        cases = [("pass", np.arange(n)), ("pass", np.full(n, ring.zero)),
+                 ("first", first_block_fails)]
+        for op, img in _late_failures(ring, rows).items():
+            cases.append(("late", img))
+            late.add(op)
+        for kind, img in cases:
+            phi = MapTable(ring, ring, img)
+            kernel_ops.clear()
+            fast = [is_multiplicative(phi).to_json(), is_additive(phi).to_json()]
+            if kind == "pass" and n > rows:
+                assert kernel_ops == ["mul", "add"], spec
+            if kind == "first" and n > 2:  # on Z2 it is the constant 1
+                assert kernel_ops == [], spec
+                assert not (fast[0]["pass"] or fast[1]["pass"]), spec
+            monkeypatch.setattr(ring, "_associative", False)
+            full = [is_multiplicative(phi).to_json(), is_additive(phi).to_json()]
+            monkeypatch.setattr(ring, "_associative", True)
+            assert fast == full, (spec, kind, img.tolist()[:8])
+    if block_rows:
+        assert late == {"mul", "add"}
+
+
+def test_unmarked_rings_never_build_a_closure_in_a_predicate(monkeypatch):
+    """A hand-assembled copy of Z7 and its 2x2 matrix ring are not marked
+    associative, so the map laws on them run the full scan, also on grids
+    of several row blocks, and never ask for a closure."""
+    z7 = parse_ring_spec("zmod:7")
+    copy = RingTable(z7.add, z7.mul, z7.zero, z7.one, star=z7.star, label="zmod:7")
+    m2 = make_matrix_ring(copy, 2).ring
+    assert z7._associative and parse_ring_spec("mat:2:zmod:7")._associative
+    assert not (copy._associative or m2._associative)
+
+    def refused(ring, op):
+        raise AssertionError(f"closure of {op} built from a predicate")
+
+    monkeypatch.setattr(maps, "op_closure", refused)
+    for block_rows in (None, 3):
+        if block_rows:
+            monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * 7)
+        for ring in (copy, m2):
+            hom = is_ring_hom(identity_map(ring))
+            assert hom.passed and hom.counts["checked"] == 2 * ring.size ** 2
+            assert not is_ring_hom(power_map(ring, 2)).passed

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import CORPUS_SPECS
+from conftest import CORPUS_SPECS, random_mutants
 from matsemi import _closure, rings
 from matsemi.errors import (
     MissingInvolution,
@@ -471,6 +471,36 @@ def test_index_array_range_check_by_signedness(table):
     assert rings._index_array("add", table % 2, 2, np.uint8).tolist() == (table % 2).tolist()
 
 
+def test_only_constructor_rings_skip_the_range_scan_and_are_marked(monkeypatch):
+    """The spec constructors build their tables in range and mark them
+    associative without scanning them; a matrix ring over a hand-assembled
+    base is built without the scan too, but not marked.  Every table given
+    to ``RingTable`` is still scanned: an entry past the end or below zero
+    raises ValueError."""
+    scans = []
+    index_array = rings._index_array
+
+    def logged(name, a, n, dt, in_range=False):
+        scans.append((name, in_range))
+        return index_array(name, a, n, dt, in_range)
+
+    monkeypatch.setattr(rings, "_index_array", logged)
+    z3 = rings._zmod.__wrapped__(3)
+    m2 = rings.MatrixRingView(z3, 2).ring
+    hand = RingTable(z3.add, z3.mul, z3.zero, z3.one, star=z3.star)
+    m2_hand = rings.MatrixRingView(hand, 2).ring
+    assert [s for s in scans if s[0] in ("add", "mul")] == [
+        ("add", True), ("mul", True), ("add", True), ("mul", True),
+        ("add", False), ("mul", False), ("add", True), ("mul", True)]
+    assert [r._associative for r in (z3, m2, hand, m2_hand)] == [True, True, False, False]
+    assert np.array_equal(m2_hand.mul, m2.mul) and np.array_equal(m2_hand.add, m2.add)
+    for name, value in (("add", 3), ("mul", -1)):
+        tables = {"add": z3.add.astype(np.int64), "mul": z3.mul.astype(np.int64)}
+        tables[name][2, 1] = value
+        with pytest.raises(ValueError, match=rf"^{name} entries must lie in 0\.\.2$"):
+            RingTable(tables["add"], tables["mul"], 0, 1)
+
+
 @pytest.mark.parametrize("bad,message", [
     ({"one": 1.7}, "^one must hold integer indices"),
     ({"one": True}, "^one must hold integer indices"),
@@ -709,25 +739,11 @@ def test_associativity_checks_are_exact_on_random_mutants(spec):
     whether or not the identity laws hold."""
     ring = parse_ring_spec(spec)
     n = ring.size
-    for trial, add, mul in _random_mutants(ring, [7, n], 200):
+    for trial, add, mul in random_mutants(ring, [7, n], 200):
         val = validate_ring(RingTable(add, mul, ring.zero, ring.one))
         for name in ("add_associative", "mul_associative"):
             assert val.checks[name].passed == _certified_law_holds(
                 name, add, mul, range(n)), (trial, name)
-
-
-def _random_mutants(ring: RingTable, seed, count: int):
-    """``count`` pairs of ``ring``'s add and mul tables with one to three
-    entries changed among them, each as ``(trial, add, mul)``."""
-    n = ring.size
-    rng = np.random.default_rng(seed)
-    for trial in range(count):
-        tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
-        for _ in range(int(rng.integers(1, 4))):
-            t = tables[("add", "mul")[int(rng.integers(2))]]
-            x, y = (int(v) for v in rng.integers(0, n, 2))
-            t[x, y] = (int(t[x, y]) + int(rng.integers(1, n))) % n
-        yield trial, tables["add"], tables["mul"]
 
 
 @pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "zmod:5", "gauss:2"])
@@ -739,7 +755,7 @@ def test_distributivity_checks_are_exact_on_random_mutants(spec):
     ring = parse_ring_spec(spec)
     n = ring.size
     scanned_all = 0
-    for trial, add, mul in _random_mutants(ring, [5, n], 1000):
+    for trial, add, mul in random_mutants(ring, [5, n], 1000):
         val = validate_ring(RingTable(add, mul, ring.zero, ring.one))
         add_assoc = val.checks["add_associative"].passed
         scanned_all += not add_assoc
@@ -758,27 +774,48 @@ def test_distributivity_checks_are_exact_on_random_mutants(spec):
 @pytest.mark.parametrize("block_rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
 @pytest.mark.parametrize("spec", ["gauss:2", "gauss:3", "mat:2:gauss:2"])
 def test_star_checks_on_swapped_star_tables(spec, block_rows, monkeypatch):
-    """Two entries of the involution swapped: the star additivity and
-    antimultiplicativity checks pass exactly when their laws hold on all
-    pairs, and report the first violating pair in row-major order."""
+    """The involution as built, the identity, two of its entries swapped,
+    1* swapped with another element (breaking ``star_fixes_one``), or an
+    add entry changed (breaking additive associativity), as built or
+    swapped: the star additivity and antimultiplicativity checks pass
+    exactly when their laws hold on all pairs, and report the first
+    violating pair in row-major order."""
     ring = parse_ring_spec(spec)
     n = ring.size
     if block_rows:
         monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * n)
     rng = np.random.default_rng(n)
     x, y = np.ix_(range(n), range(n))
-    for _ in range(20):
+
+    def swapped(a, b):
         star = ring.star.copy()
-        a, b = rng.choice(n, 2, replace=False)
         star[[a, b]] = star[[b, a]]
-        val = validate_ring(RingTable(ring.add, ring.mul, ring.zero, ring.one, star=star))
-        laws = {"star_additive": star[ring.add] == ring.add[star[x], star[y]],
+        return star
+
+    cases = [(ring.add, ring.star), (ring.add, np.arange(n))]
+    cases += [(ring.add, swapped(*rng.choice(n, 2, replace=False))) for _ in range(20)]
+    others = np.delete(np.arange(n), ring.one)
+    cases += [(ring.add, swapped(ring.one, b))
+              for b in rng.choice(others, min(5, others.size), replace=False)]
+    for star in (ring.star, swapped(*rng.choice(n, 2, replace=False))):
+        add = ring.add.copy()
+        a, b = rng.choice(n, 2)
+        add[a, b] = (int(add[a, b]) + int(rng.integers(1, n))) % n
+        cases.append((add, star))
+    fixes_one = add_assoc = 0
+    for trial, (add, star) in enumerate(cases):
+        val = validate_ring(RingTable(add, ring.mul, ring.zero, ring.one, star=star))
+        fixes_one += val.checks["star_fixes_one"].passed
+        add_assoc += val.checks["add_associative"].passed
+        laws = {"star_additive": star[add] == add[star[x], star[y]],
                 "star_antimultiplicative": star[ring.mul] == ring.mul[star[y], star[x]]}
         for name, holds in laws.items():
             check = val.checks[name]
-            assert check.passed == holds.all(), (a, b, name)
+            assert check.passed == holds.all(), (trial, name)
+            assert check.checked == n * n
             if not check.passed:
-                assert check.witness == tuple(np.argwhere(~holds)[0].tolist()), (a, b, name)
+                assert check.witness == tuple(np.argwhere(~holds)[0].tolist()), (trial, name)
+    assert fixes_one < len(cases) and add_assoc < len(cases)
 
 
 def test_validation_peak_memory():

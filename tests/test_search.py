@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import CORPUS_SPECS
+from conftest import CORPUS_SPECS, random_mutants, whole_grid_law
 from matsemi import maps, search
 from matsemi.errors import SizeMismatch
 from matsemi.maps import (
@@ -24,6 +24,7 @@ from matsemi.maps import (
 )
 from matsemi.rings import (
     RingTable,
+    _digits,
     make_gaussian,
     make_matrix_ring,
     make_zmod,
@@ -546,3 +547,59 @@ def test_function_space_masks_decide_additivity_for_multiplicative_maps_only(mon
     additive = np.array([is_additive(MapTable(dom, cod, img)).passed for img in imgs])
     assert np.array_equal(hom, mult & additive)
     assert hom.any() and (mult & ~hom).any() and (additive & ~mult).any()
+
+
+# ---------------------------------------------------------------------------
+# Exact on tables not marked associative
+
+
+def _brute_force(dom, cod):
+    """The image arrays of the multiplicative maps dom -> cod and of the
+    ring homomorphisms among them, in lexicographic order, by whole grids
+    over every function."""
+    imgs = _digits(np.arange(cod.size ** dom.size), dom.size, cod.size, np.int64)
+    mult = whole_grid_law("mul", dom, cod, imgs)
+    return imgs[mult], imgs[mult & whole_grid_law("add", dom, cod, imgs)]
+
+
+def test_search_is_exact_on_a_nonassociative_domain():
+    """Z3 with mul = [[0,0,0],[0,2,2],[0,2,0]] is not associative.  The
+    search into Z3 visits the same 11 nodes as the stage checks alone and
+    emits the 2 multiplicative maps: (0, 1, 1) passes every stage check
+    and is refused by the full scan of the complete map."""
+    z3 = parse_ring_spec("zmod:3")
+    mutant = RingTable(z3.add, [[0, 0, 0], [0, 2, 2], [0, 2, 0]], z3.zero, z3.one)
+    res = enumerate_multiplicative_maps(mutant, z3)
+    assert res.exhaustive and res.nodes == 11
+    assert [m.img.tolist() for m in res.maps] == [[0, 0, 0], [1, 1, 1]]
+    assert _brute_force(mutant, z3)[0].tolist() == [[0, 0, 0], [1, 1, 1]]
+
+
+@pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "zmod:5", "gauss:2"])
+def test_search_and_masks_are_exact_on_random_mutants(spec, monkeypatch):
+    """Mutants with one to three add or mul entries changed, as domain and
+    as codomain of maps to or from the spec ring: the search and the
+    function-space masks give exactly the brute-force sets, in order.
+    Beyond Z2, whose mutants' stage checks here refuse every
+    non-multiplicative map themselves, some complete map passes the stage
+    checks and is refused by the full scan."""
+    refused = []
+    holds = search._holds
+
+    def counted(*args):
+        ok = holds(*args)
+        refused.append(not ok)
+        return ok
+
+    monkeypatch.setattr(search, "_holds", counted)
+    ring = parse_ring_spec(spec)
+    for trial, add, mul in random_mutants(ring, [13, ring.size], 12):
+        mutant = RingTable(add, mul, ring.zero, ring.one)
+        for dom, cod in ((mutant, ring), (ring, mutant)):
+            mult, hom = _brute_force(dom, cod)
+            res = enumerate_multiplicative_maps(dom, cod)
+            got = np.array([m.img for m in res.maps], dtype=np.int64).reshape(-1, dom.size)
+            assert res.exhaustive and np.array_equal(got, mult), trial
+            imgs, m, h = function_space_masks(dom, cod, 0, cod.size ** dom.size)
+            assert np.array_equal(imgs[m], mult) and np.array_equal(imgs[h], hom), trial
+    assert any(refused) or spec == "zmod:2"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import matsemi.verify
+from conftest import random_mutants, whole_grid_law
 from matsemi.errors import SizeCapExceeded
 from matsemi.maps import (
     MapTable,
@@ -207,3 +208,23 @@ def test_tensor_chunk_runs_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert hom_ids.size == 4 and lift_ids.tolist() == hom_ids.tolist()
+
+
+@pytest.mark.parametrize("spec", ["zmod:2", "zmod:3"])
+def test_tensor_counts_are_exact_on_random_mutants(spec):
+    """A mutant with one to three add or mul entries changed as the domain
+    and the spec ring as the codomain: the ring homomorphisms and the maps
+    whose 2x2 lift is multiplicative are the sets whole-grid scans over
+    every function find."""
+    ring = parse_ring_spec(spec)
+    cv = make_matrix_ring(ring, 2)
+    for trial, add, mul in random_mutants(ring, [17, ring.size], 8):
+        mutant = RingTable(add, mul, ring.zero, ring.one, label="mutant")
+        dv = make_matrix_ring(mutant, 2)
+        imgs = _digits(np.arange(ring.size ** ring.size), ring.size, ring.size, np.int64)
+        homs = (whole_grid_law("mul", mutant, ring, imgs)
+                & whole_grid_law("add", mutant, ring, imgs))
+        lifted = whole_grid_law("mul", dv.ring, cv.ring, _lift(imgs, dv, cv))
+        rep = verify_tensor_equivalence(mutant, ring)
+        assert (rep.ring_homs, rep.lift_multiplicative, rep.sets_equal) == (
+            int(homs.sum()), int(lifted.sum()), bool(np.array_equal(homs, lifted))), trial
