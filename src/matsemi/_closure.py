@@ -1,9 +1,13 @@
 """Greedy generating-set closure for a finite magma given by a Cayley table.
 
 Built once per ring and table by ``rings.op_closure``, which every
-generator reduction of the package reads.  Everything here is
-deterministic: generators are picked in ascending element order and each
-element records the first derivation that produced it.
+generator reduction of the package reads.  The closure is taken under
+right multiplication by the generators, which is all the reduction lemma
+of ``ClosureStages.ready_pairs`` needs: each element is derived as x * g
+with g a generator, and building it reads at most n * len(gens)
+products.  Everything here is deterministic: generators are picked in
+ascending element order and each element records the first derivation
+that produced it.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class ClosureStages:
     ``order[round_starts[j]:round_starts[j + 1]]``, each sorted ascending,
     whose derivations only reference elements of earlier rounds.  Both
     boundary lists end with ``order.size``.  ``deriv_x``/``deriv_y`` give
-    one product ``x * y`` per derived element; generators carry ``-1``.
+    one product ``x * g`` per derived element, with ``g`` a generator of
+    its stage or an earlier one; generators carry ``-1``.
     """
 
     gens: list[int]
@@ -90,7 +95,10 @@ class ClosureStages:
         new elements times the earlier generators ``gens[:p]``, then the
         closure so far (``order[:stage_starts[p + 1]]``) times ``gens[p]``.
         Across the stages every (x, g) with x in ``order`` and g in
-        ``gens`` appears exactly once.
+        ``gens`` appears exactly once.  These are the products the rounds
+        of stage p read (see :func:`greedy_closure`), together with those
+        skipped once every element is known, so every derivation is a
+        ready pair.
 
         Built on first use as three flat read-only arrays of the narrowest
         unsigned dtype holding an element index; each stage's triple is a
@@ -125,13 +133,19 @@ def greedy_closure(table: np.ndarray) -> ClosureStages:
     """Greedily pick generators for the magma ``(range(n), table)``.
 
     Scans element indices in ascending order; any element not yet reachable
-    becomes a generator, after which the reachable set is saturated under
-    the table operation.  Each saturation round takes the products
-    frontier * known, then old * frontier (old: known before the frontier),
-    one row block at a time, and the first such (row, col) pair wins an
-    element's derivation.  Once every element is known no further product
-    is read: the rest of the round's blocks and later rounds would find
-    nothing new.
+    becomes a generator, after which the reachable set is closed under
+    right multiplication by the generators so far.  Each round takes the
+    products frontier * (generators so far), and the first round of a
+    stage also old * (new generator) (old: known before the stage), one
+    row block at a time; the first such (row, col) pair wins an element's
+    derivation.  Once every element is known no further product is read:
+    the rest of the round's blocks and later rounds would find nothing new.
+
+    So at most n * len(gens) products are read.  On an associative table
+    the subsemigroup generated by a set is the set of its left-nested words
+    (((g1 g2) g3) ...), so the generators and each stage's elements are
+    those of the closure under every product; on any other table the
+    closure may pick more generators.
     """
     n = table.shape[0]
     known = np.zeros(n, dtype=bool)
@@ -147,17 +161,18 @@ def greedy_closure(table: np.ndarray) -> ClosureStages:
         if known[g]:
             continue
         gens.append(g)
+        gen_arr = np.array(gens, dtype=np.int64)
         stage_starts.append(end)
         known[g] = True
         order[end] = g
+        old = order[:end]
         lo, end = end, end + 1  # the frontier is order[lo:end]
         while lo < end:
             round_starts.append(lo)
             if end == n:
                 break
             new_end = end
-            for rows, cols in ((order[lo:end], order[:end]),
-                               (order[:lo], order[lo:end])):
+            for rows, cols in ((order[lo:end], gen_arr), (old, gen_arr[-1:])):
                 for blo, bhi in _row_blocks(rows.size, cols.size):
                     if new_end == n:
                         break
@@ -169,6 +184,7 @@ def greedy_closure(table: np.ndarray) -> ClosureStages:
                     order[new_end:new_end + vals.size] = vals
                     new_end += vals.size
             order[end:new_end].sort()
+            old = order[:0]  # only a stage's first round reads old * g
             lo, end = end, new_end
     stage_starts.append(end)
     round_starts.append(end)

@@ -254,10 +254,11 @@ def _law_kernel(op: str, dom: RingTable, cod: RingTable, m: int, column) -> np.n
     kernel walks the ready pairs (x, g) of the closure of dom's ``op`` table
     (:func:`~matsemi.rings.op_closure`) one stage at a time.  On entering a
     stage it fetches the images of the stage's new elements for the live
-    maps only; each stage is saturated, so every x, g and x o g of the
-    stage has its images by then.  The stage's pairs are checked in row
-    blocks of about :data:`_closure._BLOCK_ENTRIES` pairs x live maps, and
-    after each block every map that failed a pair is dropped.
+    maps only; each stage is closed under right multiplication by the
+    generators so far, so every x, g and x o g of the stage has its images
+    by then.  The stage's pairs are checked in row blocks of about
+    :data:`_closure._BLOCK_ENTRIES` pairs x live maps, and after each
+    block every map that failed a pair is dropped.
 
     The ready pairs decide the law when both op tables are associative
     (:meth:`ClosureStages.ready_pairs`), which the rings marked so by

@@ -106,8 +106,6 @@ class _Plan:
     def __init__(self, dom: RingTable, filters: tuple[str, ...]):
         cl = op_closure(dom, "mul")
         self.vars = cl.gens
-        self.dx = cl.deriv_x
-        self.dy = cl.deriv_y
         nstages = len(self.vars)
         starts, rs = cl.stage_starts, cl.round_starts
         self.new_elems = [cl.order[starts[p]:starts[p + 1]] for p in range(nstages)]
@@ -115,9 +113,12 @@ class _Plan:
         stage_of = np.empty(dom.size, dtype=np.int64)
         stage_of[cl.order] = np.repeat(np.arange(nstages), np.diff(starts))
         # Per stage: the rounds after the variable's own, whose images are
-        # forced by the products recorded in dx/dy.
-        self.rounds = [[cl.order[a:b] for a, b in zip(rs, rs[1:])
-                        if starts[p] < a < starts[p + 1]]
+        # forced by their derivations, as ``(elems, xs, ys)`` intp arrays
+        # with elems = xs * ys.
+        dx, dy = cl.deriv_x, cl.deriv_y
+        self.rounds = [[tuple(a.astype(np.intp) for a in (rnd, dx[rnd], dy[rnd]))
+                        for rnd in (cl.order[a:b] for a, b in zip(rs, rs[1:])
+                                    if starts[p] < a < starts[p + 1])]
                        for p in range(nstages)]
 
         # Per stage: the ready pairs it decides; together they prove phi
@@ -219,6 +220,10 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     the stage checks decide that on rings marked associative by
     construction, and a full scan re-decides it on any other."""
     img = np.full(dom.size, -1, dtype=np.int64)
+    # The ready pairs gather their products from the flat table,
+    # flat[a * m + b] = a * b; the rounds, mostly a few elements each, from
+    # the 2-D table, which costs fewer NumPy calls per small gather.
+    flat, m = cod.mul.ravel(), cod.size
     exact = dom._associative and cod._associative
     out: list[np.ndarray] = []
     nodes = 0
@@ -227,7 +232,7 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
 
     def check_stage(p: int) -> bool:
         xs, gs, xgs = plan.ready[p]
-        if not np.array_equal(img[xgs], cod.mul[img[xs], img[gs]]):
+        if not (img[xgs] == flat[img[xs] * m + img[gs]]).all():
             return False
         if plan.star_checks is not None:
             xs = plan.star_checks[p]
@@ -260,8 +265,8 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
                 exhausted = False
                 raise _StopSearch
             img[v] = c
-            for rnd in plan.rounds[p]:
-                img[rnd] = cod.mul[img[plan.dx[rnd]], img[plan.dy[rnd]]]
+            for rnd, xs, ys in plan.rounds[p]:
+                img[rnd] = cod.mul[img[xs], img[ys]]
             if check_stage(p):
                 rec(p + 1)
             img[plan.new_elems[p]] = -1

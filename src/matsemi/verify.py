@@ -43,10 +43,11 @@ _TENSOR_K = 2
 
 # Default step budget per top-level branch of the capped i-relation search.
 # With it, the default search M2(Z3[i]) -> M2(Z3[i]) visits 6392 nodes in
-# about 2.9 s of CPU on a shared 2-core x86 Xeon host, the multiplication's
-# closure built beforehand (about 0.46 ms per node; the whole command, ring
-# and closure build included, takes 3.5-3.9 s) and is not exhaustive;
-# callers with more patience pass a larger budget explicitly.
+# about 1.3-2.3 s of CPU on a shared 2-core x86 Xeon host, the
+# multiplication's closure built beforehand (0.20-0.35 ms per node; the
+# whole command, ring and closure build included, takes 2.1-2.5 s) and is
+# not exhaustive; callers with more patience pass a larger budget
+# explicitly.
 DEFAULT_NODE_BUDGET = 5000
 
 # Default cap on the maps the i-relation search lists.

@@ -291,17 +291,16 @@ def shortest_unit_sum(ring: OracleRing, pool: list[int], x: int,
     return None
 
 
-def greedy_closure(n: int, op, seed=None) -> dict:
-    """Greedy generating set of the magma ``(range(n), op)``.
+def _greedy(n: int, op, seed, round_pairs) -> dict:
+    """The greedy closure of the magma ``(range(n), op)`` whose rounds form
+    the products ``round_pairs(order, start, lo, gens)`` lists, the frontier
+    being ``order[lo:]`` and the stage starting at ``order[start]``.
 
     Elements are probed in ascending order; one that is not yet reachable
     becomes a generator, and the reachable set is then saturated in rounds.
-    A round forms the products frontier x known (rows in frontier order,
-    columns in discovery order), then old x frontier, where old is what was
-    known before the frontier.  The first product to reach an element is
-    its derivation, and the round's new elements, sorted ascending, are the
-    next frontier.  A word expands the derivations down to generators; the
-    seed's word is empty.
+    The first product to reach an element is its derivation, and the
+    round's new elements, sorted ascending, are the next frontier.  A word
+    expands the derivations down to generators; the seed's word is empty.
     """
     order = [] if seed is None else [seed]
     known = set(order)
@@ -311,17 +310,16 @@ def greedy_closure(n: int, op, seed=None) -> dict:
         if g in known:
             continue
         gens.append(g)
-        stage_starts.append(len(order))
+        start = len(order)
+        stage_starts.append(start)
         order.append(g)
         known.add(g)
-        lo = len(order) - 1
+        lo = start
         while lo < len(order):
             end = len(order)
             round_starts.append(lo)
-            pairs = [(x, y) for x in order[lo:end] for y in order[:end]]
-            pairs += [(x, y) for x in order[:lo] for y in order[lo:end]]
             new = []
-            for x, y in pairs:
+            for x, y in round_pairs(order, start, lo, gens):
                 z = op(x, y)
                 if z not in known:
                     known.add(z)
@@ -352,6 +350,39 @@ def greedy_closure(n: int, op, seed=None) -> dict:
         "deriv_y": [deriv[e][1] if e in deriv else -1 for e in range(n)],
         "words": [word(e) for e in range(n)],
     }
+
+
+def greedy_closure(n: int, op, seed=None) -> dict:
+    """Greedy generating set of the magma ``(range(n), op)``, saturated
+    under every product (see :func:`_greedy`).
+
+    A round forms the products frontier x known (rows in frontier order,
+    columns in discovery order), then old x frontier, where old is what was
+    known before the frontier.
+    """
+    def pairs(order, start, lo, gens):
+        return ([(x, y) for x in order[lo:] for y in order]
+                + [(x, y) for x in order[:lo] for y in order[lo:]])
+
+    return _greedy(n, op, seed, pairs)
+
+
+def right_closure(n: int, op, seed=None) -> dict:
+    """Greedy generating set of the magma ``(range(n), op)``, closed under
+    right multiplication by the generators (see :func:`_greedy`).
+
+    A round forms the products frontier x gens (rows in frontier order,
+    the generators so far ascending); the first round of a stage then
+    forms old x g, with g the stage's generator and old, in discovery
+    order, what was known before the stage.
+    """
+    def pairs(order, start, lo, gens):
+        out = [(x, g) for x in order[lo:] for g in gens]
+        if lo == start:
+            out += [(x, gens[-1]) for x in order[:start]]
+        return out
+
+    return _greedy(n, op, seed, pairs)
 
 
 def _mat2_product(ring: OracleRing, a, b):

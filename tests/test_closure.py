@@ -1,8 +1,11 @@
-"""The greedy closure against the plain-Python oracle in ``oracles``, the
+"""The greedy closure against the plain-Python oracles in ``oracles``
+(the right-generator closure it builds, and the closure under every
+product whose generators and stages it keeps on associative tables), the
 row-block policy it shares with every pair grid, and the closures each
 ring keeps through ``rings.op_closure``."""
 
 import hashlib
+import itertools
 import json
 import tracemalloc
 from unittest import mock
@@ -27,7 +30,7 @@ ORACLE_SPECS = [s for s in CORPUS_SPECS if s != "mat:2:gauss:3"]
 def _assert_matches_oracle(table):
     cl = greedy_closure(table)
     rows = table.tolist()
-    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b])
+    want = oracles.right_closure(len(rows), lambda a, b: rows[a][b])
     got = {
         "gens": cl.gens, "order": cl.order.tolist(),
         "stage_starts": cl.stage_starts, "round_starts": cl.round_starts,
@@ -115,10 +118,11 @@ def test_first_unseen_takes_the_first_position_per_value():
 def test_closure_of_large_table_peaks_under_10_mb(spec, which):
     """The M2(Z3[i]) and M2(Z7) closures (6561 and 2401 elements) gather
     their products one row block at a time and sort nothing of block size:
-    under 10 MB under tracemalloc (measured: at most 7.6 MB, for the add
-    closures), where sorting each block's fresh positions took about
-    14 MB (add) and whole-grid gathers about 75 MB (mul) and 100 MB
-    (add) on M2(Z3[i])."""
+    under 10 MB under tracemalloc (measured: under 0.4 MB, reading at most
+    n * len(gens) products; closing under every product peaked at 7.6 MB
+    for the add closures), where sorting each block's fresh positions
+    took about 14 MB (add) and whole-grid gathers about 75 MB (mul) and
+    100 MB (add) on M2(Z3[i])."""
     ring = parse_ring_spec(spec)
     tracemalloc.start()
     try:
@@ -139,7 +143,7 @@ def test_ready_pairs_cover_every_element_generator_pair_once(table):
     products are the table's.  The stages come from the plain-Python
     oracle closure, the products from the table's rows as lists."""
     rows = table.tolist()
-    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b])
+    want = oracles.right_closure(len(rows), lambda a, b: rows[a][b])
     order, gens, starts = want["order"], want["gens"], want["stage_starts"]
     stages = greedy_closure(table).ready_pairs
     assert len(stages) == len(gens)
@@ -156,6 +160,54 @@ def test_ready_pairs_cover_every_element_generator_pair_once(table):
         assert xgs.tolist() == [rows[x][g] for x, g in pairs]
         seen += pairs
     assert sorted(seen) == sorted((x, g) for x in order for g in gens)
+
+
+def _stages(gens, order, starts) -> tuple:
+    return gens, [sorted(order[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def _assert_stages_match_magma_closure(table):
+    """``gens`` and each stage's element set equal those of the oracle
+    closure under every product."""
+    cl = greedy_closure(table)
+    rows = table.tolist()
+    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b])
+    assert _stages(cl.gens, cl.order.tolist(), cl.stage_starts) == _stages(
+        want["gens"], want["order"], want["stage_starts"])
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_closure_keeps_the_stages_of_the_magma_closure_on_corpus_tables(spec):
+    """On an associative table the subsemigroup a set generates is the set
+    of its left-nested words, so closing under right multiplication by the
+    generators reaches what closing under every product reaches."""
+    ring = parse_ring_spec(spec)
+    for table in (ring.add, ring.mul):
+        _assert_stages_match_magma_closure(table)
+
+
+def _full_transformation_monoid(k: int) -> np.ndarray:
+    """The composition table of all maps of ``range(k)`` into itself,
+    ``(f * g)(i) = g(f(i))``, over the maps in ``itertools.product`` order."""
+    maps = list(itertools.product(range(k), repeat=k))
+    index = {f: i for i, f in enumerate(maps)}
+    return np.array([[index[tuple(g[f[i]] for i in range(k))] for g in maps]
+                     for f in maps])
+
+
+_T3 = _full_transformation_monoid(3)
+
+
+@settings(max_examples=60)
+@given(perm=st.permutations(range(27)))
+def test_closure_keeps_the_stages_of_the_magma_closure_on_relabelled_t3(perm):
+    """The same on the full transformation monoid T3 (27 elements, not
+    commutative) relabelled by a permutation, which changes the order in
+    which the closure probes its elements."""
+    p = np.array(perm)
+    table = np.empty_like(_T3)
+    table[p[:, None], p[None, :]] = p[_T3]
+    _assert_stages_match_magma_closure(table)
 
 
 def _closure_fields(cl) -> dict:
@@ -182,12 +234,14 @@ def test_op_closure_is_built_once_read_only_and_fresh(corpus, op):
 
 def _mutants(spec: str, count: int):
     """``count`` rings labelled ``spec`` whose mul table differs from the
-    spec-built ring's in one entry, built after that ring's closures."""
+    spec-built ring's in one product x * g with g a generator of its
+    closure (a product the closure reads), built after that closure."""
     ring = parse_ring_spec(spec)
+    gens = rings.op_closure(ring, "mul").gens
     rng = np.random.default_rng(ring.size)
     out = []
     for _ in range(count):
-        x, y = (int(v) for v in rng.integers(0, ring.size, 2))
+        x, y = int(rng.integers(0, ring.size)), gens[int(rng.integers(0, len(gens)))]
         mul = ring.mul.copy()
         mul[x, y] = (int(mul[x, y]) + int(rng.integers(1, ring.size))) % ring.size
         out.append(rings.RingTable(ring.add, mul, ring.zero, ring.one,
@@ -231,19 +285,20 @@ def test_warm_closure_cache_gives_cold_results_on_mutants():
 
 
 # sha256 of the JSON list [gens, order, stage_starts, round_starts, deriv_x,
-# deriv_y] of each M2(Z7) closure, as built with every product read.
+# deriv_y] of each M2(Z7) closure, as oracles.right_closure builds it with
+# every product of its rounds read.
 _M2Z7_CLOSURES = {
-    "add": "be8f840c0d853c13c853a9eacbe6dbda605a4af87cf52fe0c1d0247ada96862d",
-    "mul": "c82ffcab2b3499c5bdb8040b12106f4063f901ddd1d183672f3f8cad96a39322",
+    "add": "7b6e53163edd3076e3951219ef20124be68e0c47be8874a5e1f671cbb2663a16",
+    "mul": "a37cc63b9409520d3bdcc37e18468fb959b15080b1f01b86394407fc7cc14552",
 }
 
 
 @pytest.mark.parametrize("op", ["add", "mul"])
 def test_closure_reads_no_product_once_complete(op, monkeypatch):
     """The M2(Z7) closures stop once every element is known: no block of
-    products reaches ``_first_unseen`` with every element seen, and fewer
-    than n^2 products are read in all, where saturating every round reads
-    each of the n^2 pairs once.  The closure is the one every read gives."""
+    products reaches ``_first_unseen`` with every element seen, and at most
+    n * len(gens) products are read in all, each element times each
+    generator at most once.  The closure is the one every read gives."""
     ring = parse_ring_spec("mat:2:zmod:7")
     first_unseen = _closure._first_unseen
     read = []
@@ -255,7 +310,7 @@ def test_closure_reads_no_product_once_complete(op, monkeypatch):
 
     monkeypatch.setattr(_closure, "_first_unseen", counted)
     cl = greedy_closure(getattr(ring, op))
-    assert sum(read) < ring.size ** 2
+    assert sum(read) <= ring.size * len(cl.gens)
     fields = _closure_fields(cl)
     digest = hashlib.sha256(json.dumps([fields[k] for k in (
         "gens", "order", "stage_starts", "round_starts", "deriv_x", "deriv_y")]).encode())

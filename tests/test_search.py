@@ -86,13 +86,13 @@ def test_generators_m2z2():
 def test_generators_and_words_match_the_closure_started_at_the_identity():
     """On every corpus ring the oracle handles, the generators and words
     read from the ring's cached closure equal those of the plain-Python
-    closure started from the identity."""
+    right-generator closure started from the identity."""
     for spec in CORPUS_SPECS:
         if spec == "mat:2:gauss:3":
             continue
         ring = parse_ring_spec(spec)
         rows = ring.mul.tolist()
-        want = oracles.greedy_closure(ring.size, lambda a, b: rows[a][b], ring.one)
+        want = oracles.right_closure(ring.size, lambda a, b: rows[a][b], ring.one)
         gs = monoid_generators(ring)
         assert (gs.gens, gs.words) == (want["gens"], want["words"]), spec
 
