@@ -98,11 +98,12 @@ class ClosureStages:
         ``gens`` appears exactly once.  These are the products the rounds
         of stage p read (see :func:`greedy_closure`), together with those
         skipped once every element is known, so every derivation is a
-        ready pair.
+        ready pair.  The search's stage checks and the stacked-law kernel
+        read them; :func:`_generator_law` checks the same pairs on image
+        arrays.
 
-        Built on first use as three flat read-only arrays of the narrowest
-        unsigned dtype holding an element index; each stage's triple is a
-        view of them.
+        Built on first use as three flat read-only intp arrays; each
+        stage's triple is a view of them.
 
         Reduction lemma: on an associative table, a map phi into an
         associative operation with phi(x*g) = phi(x)*phi(g) on every ready
@@ -111,22 +112,45 @@ class ClosureStages:
         pair, and for y = y'g, phi(x*y'g) = phi(x*y')phi(g) =
         phi(x)phi(y')phi(g) = phi(x)phi(y'g).
         """
-        gens = np.asarray(self.gens, dtype=np.int64)
+        gens = np.asarray(self.gens, dtype=np.intp)
         starts = self.stage_starts
         xs, gs = [], []
         for p in range(len(self.gens)):
             new = self.order[starts[p]:starts[p + 1]]
             xs += [np.repeat(new, p), self.order[:starts[p + 1]]]
             gs += [np.tile(gens[:p], new.size), np.full(starts[p + 1], gens[p])]
-        dt = np.min_scalar_type(max(self.order.size - 1, 0))
-        flat_x = np.concatenate(xs).astype(dt)
-        flat_g = np.concatenate(gs).astype(dt)
-        flat_xg = self.table[flat_x, flat_g].astype(dt)
+        flat_x = np.concatenate(xs).astype(np.intp, copy=False)
+        flat_g = np.concatenate(gs).astype(np.intp, copy=False)
+        flat_xg = self.table[flat_x, flat_g].astype(np.intp)
         for arr in (flat_x, flat_g, flat_xg):
             arr.setflags(write=False)
         ends = np.cumsum([a.size for a in xs])[1::2].tolist()  # two parts per stage
         return [(flat_x[lo:hi], flat_g[lo:hi], flat_xg[lo:hi])
                 for lo, hi in zip([0] + ends, ends)]
+
+
+def _generator_law(dom_t: np.ndarray, cod_t: np.ndarray, imgs, gens):
+    """Whether phi(x o g) = phi(x) o' phi(g) for every element x and every
+    g in ``gens``, with o the table ``dom_t`` and o' the table ``cod_t``:
+    one bool for one image array ``imgs``, or one per row of a stack of
+    them.  Read one row block of x at a time; stops once every map has
+    failed.
+
+    With ``gens`` the generators of the closure of ``dom_t`` and both
+    tables associative these are the ready pairs, so the law then holds
+    on every pair (see :meth:`ClosureStages.ready_pairs`); with every
+    element as ``gens`` it is the full law.
+    """
+    imgs = np.asarray(imgs).astype(cod_t.dtype)  # images are cod indices
+    G = np.asarray(gens, dtype=np.intp)
+    img_g = imgs[..., None, G]
+    ok = np.ones(imgs.shape[:-1], dtype=bool)
+    for lo, hi in _row_blocks(dom_t.shape[0], G.size * ok.size):
+        ok &= (imgs[..., dom_t[lo:hi, G]]
+               == cod_t[imgs[..., lo:hi, None], img_g]).all(axis=(-2, -1))
+        if not ok.any():
+            break
+    return ok if ok.ndim else bool(ok)
 
 
 def greedy_closure(table: np.ndarray) -> ClosureStages:

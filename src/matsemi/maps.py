@@ -5,10 +5,10 @@ an image array over element indices.  The predicates decide whether a map
 is multiplicative, additive, involution-preserving, whether it satisfies
 the corner relation ``phi(1) = phi(e11) + phi(e22)`` on a 2x2 matrix
 ring, and the imaginary-unit analogue ``phi(i) = i phi(e11) + i phi(e22)``.
-The element laws are read on every element.  The pair laws read the
-first row block of the pair grid; when it holds on rings associative by
-construction, the rest is decided on the ready pairs of the domain's
-closure, and any failure runs the full scan.
+The element laws are read on every element.  On rings associative by
+construction, a pair law on a grid of several row blocks is first decided
+on x times the generators of the domain's closure, and only a failure
+runs the full scan.
 
 Every predicate returns a :class:`CheckReport` whose violating witnesses
 are listed in ascending lexicographic index order, capped at
@@ -16,15 +16,17 @@ are listed in ascending lexicographic index order, capped at
 witnesses are those of the full scan, whichever way it was decided.
 
 Each law is stated once.  ``_pair_law`` decides phi(x o y) = phi(x) o
-phi(y) for o in {*, +}, over all pairs or over the pairs of one element
-set; ``_law_kernel`` decides the same law for a stack of maps on the ready
-pairs of a generator closure, reading images through a column source and
-dropping each map at its first failed block of pairs (``_stacked_law``
-feeds it an image stack, the tensor suite lifted images, ``_pair_law``
-one map that passed its first block); and ``_relation`` gives both sides
-of the unital, corner and imaginary-unit relations for one image array or
-a stack of them.  The predicates here, the search, the witness scans, the
-verification suites and the CLI all use these three.
+phi(y) for o in {*, +} for one map, over all pairs or over the pairs of
+one element set, through ``_closure._generator_law`` (the yes/no check
+of one image array, or each row of a stack, on x times a generator set)
+and the full scan; ``_law_kernel`` decides the same law for a stack of
+maps on the ready pairs of a generator closure, reading images through a
+column source and dropping each map at its first failed block of pairs
+(``_stacked_law`` feeds it an image stack, the tensor suite lifted
+images); and ``_relation`` gives both sides of the unital, corner and
+imaginary-unit relations for one image array or a stack of them.  The
+predicates here, the search, the witness scans, the verification suites
+and the CLI all use these.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._closure import _block_rows
+from ._closure import _block_rows, _generator_law
 from .errors import MapFormatError, NotAMatrixRing
 from .rings import (
     MatrixRingView,
@@ -169,41 +171,22 @@ def _element_report(name: str, eq: np.ndarray, witness_cap: int) -> CheckReport:
                        {"checked": len(eq), "violations": int(bad.size)})
 
 
-def _joint_report(name: str, parts: list[CheckReport], witness_cap: int,
+def _joint_report(name: str, parts: list[CheckReport],
                   extra_counts: dict | None = None) -> CheckReport:
     """One report for the conjunction of ``parts``: counts summed, witnesses
-    concatenated in order and capped."""
+    concatenated in order and capped at :data:`WITNESS_CAP`."""
     violations = sum(r.counts["violations"] for r in parts)
     counts = {"checked": sum(r.counts["checked"] for r in parts),
               "violations": violations, **(extra_counts or {})}
-    witnesses = [w for r in parts for w in r.witnesses][:witness_cap]
+    witnesses = [w for r in parts for w in r.witnesses][:WITNESS_CAP]
     return CheckReport(name, violations == 0, witnesses, counts)
-
-
-def _pair_rows(op: str, dom: RingTable, cod: RingTable, img, xs=None):
-    """``law(lo, hi)`` for :func:`rings._row_scan`: phi(x o y) = phi(x) o
-    phi(y) for the map with image array ``img``, on rows x in
-    ``xs[lo:hi]`` (by default ``lo..hi-1``) and columns y in ``xs`` (by
-    default every element).  Images are gathered in the codomain table's
-    dtype; without ``xs`` the grid is read as row slices and whole rows,
-    with no column gather."""
-    dom_t, cod_t = getattr(dom, op), getattr(cod, op)
-    img = np.asarray(img).astype(cod_t.dtype)
-    img_y = img if xs is None else img[xs]
-
-    def law(lo, hi):
-        x = slice(lo, hi) if xs is None else xs[lo:hi]
-        prod = dom_t[x] if xs is None else np.take(dom_t[x], xs, axis=1)
-        return np.take(img, prod) == np.take(np.take(cod_t, img[x], axis=0), img_y, axis=1)
-    return law
 
 
 def _holds(op: str, dom: RingTable, cod: RingTable, img) -> bool:
     """Whether the map with image array ``img`` satisfies the ``op`` pair
-    law on every pair, by a full scan that stops at its first failed row
-    block."""
-    return _row_scan((dom.size, dom.size), _pair_rows(op, dom, cod, img),
-                     count=False)[0] == 0
+    law on every pair: :func:`_closure._generator_law` over every element,
+    which stops at its first failed row block."""
+    return _generator_law(getattr(dom, op), getattr(cod, op), img, range(dom.size))
 
 
 def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
@@ -213,30 +196,34 @@ def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
 
     Witnesses are element pairs in the order of the grid (lexicographic for
     sorted ``elems``), read one row block of x at a time
-    (:func:`rings._row_scan`, :func:`_pair_rows`).
+    (:func:`rings._row_scan`), with images gathered in the codomain
+    table's dtype.
 
     Over all pairs of a grid of several row blocks, with both rings marked
-    associative by construction (:func:`rings._built_ring`), the first
-    row block is scanned, and when it holds, the law is decided on the
-    ready pairs of ``op_closure(dom, op)`` (:func:`_law_kernel`; the
-    closure is built on first use).  A map failing either runs the full
-    scan, which takes a failed first block as read, so counts and
-    witnesses are those of the full scan.
+    associative by construction (:func:`rings._built_ring`), the law is
+    first decided on x times the generators of ``op_closure(dom, op)``
+    (:func:`_closure._generator_law`; the closure is built on first use).
+    Only a map failing there runs the full scan, so counts and witnesses
+    are those of the full scan.
     """
     dom, cod = phi.dom, phi.cod
+    dom_t, cod_t = getattr(dom, op), getattr(cod, op)
     xs = None if elems is None else np.asarray(elems, dtype=np.int64)
-    law = _pair_rows(op, dom, cod, phi.img, xs)
     n = dom.size if xs is None else xs.size
-    rows = _block_rows(n)
-    passed = False
-    first = []  # a failed first block, handed to the full scan as read
-    if xs is None and n > rows and dom._associative and cod._associative:
-        first.append(law(0, rows))
-        if first[0].all():
-            first.clear()
-            passed = _law_kernel(op, dom, cod, 1, lambda es, live: phi.img[None, es])[0]
-    violations, found = (0, []) if passed else _row_scan(
-        (n, n), lambda lo, hi: first.pop() if first else law(lo, hi), witness_cap)
+    passed = (xs is None and n > _block_rows(n) and dom._associative
+              and cod._associative
+              and _generator_law(dom_t, cod_t, phi.img, op_closure(dom, op).gens))
+    violations, found = 0, []
+    if not passed:
+        img = phi.img.astype(cod_t.dtype)
+        img_y = img if xs is None else img[xs]
+
+        def law(lo, hi):  # rows x of the grid; without xs, row slices and whole rows
+            x = slice(lo, hi) if xs is None else xs[lo:hi]
+            prod = dom_t[x] if xs is None else np.take(dom_t[x], xs, axis=1)
+            return np.take(img, prod) == np.take(np.take(cod_t, img[x], axis=0),
+                                                 img_y, axis=1)
+        violations, found = _row_scan((n, n), law, witness_cap)
     if xs is not None:  # grid positions to elements
         found = [(int(xs[r]), int(xs[c])) for r, c in found]
     return CheckReport(name, violations == 0, found,
@@ -262,8 +249,11 @@ def _law_kernel(op: str, dom: RingTable, cod: RingTable, m: int, column) -> np.n
 
     The ready pairs decide the law when both op tables are associative
     (:meth:`ClosureStages.ready_pairs`), which the rings marked so by
-    construction are (:func:`rings._built_ring`).  Otherwise each map that
-    passed them is re-decided over all pairs (:func:`_holds`).
+    construction are (:func:`rings._built_ring`).  Otherwise the maps that
+    passed them are re-decided over all pairs, as one stack
+    (:func:`_closure._generator_law` over every element).  Its callers
+    are the stacks: :func:`_stacked_law` and the tensor suite's lifted
+    images; one image array goes through :func:`_closure._generator_law`.
     """
     cod_t = getattr(cod, op)
     flat = cod_t.ravel()
@@ -296,8 +286,7 @@ def _law_kernel(op: str, dom: RingTable, cod: RingTable, m: int, column) -> np.n
             i = j
     if not (dom._associative and cod._associative):
         every = np.arange(dom.size)
-        live = [i for i in live.tolist()
-                if _holds(op, dom, cod, column(every, np.array([i]))[0])]
+        live = live[_generator_law(getattr(dom, op), cod_t, column(every, live), every)]
     out = np.zeros(m, dtype=bool)
     out[live] = True
     return out
@@ -362,34 +351,34 @@ def is_unital(phi: MapTable) -> bool:
     return _relation_report("unital", phi).passed
 
 
-def is_multiplicative(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
+def is_multiplicative(phi: MapTable) -> CheckReport:
     """phi(x*y) = phi(x)*phi(y) over all pairs."""
-    return _pair_law("multiplicative", phi, "mul", witness_cap,
+    return _pair_law("multiplicative", phi, "mul", WITNESS_CAP,
                      extra_counts={"unital": int(is_unital(phi))})
 
 
-def is_additive(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
+def is_additive(phi: MapTable) -> CheckReport:
     """phi(x+y) = phi(x)+phi(y) over all pairs."""
-    return _pair_law("additive", phi, "add", witness_cap)
+    return _pair_law("additive", phi, "add", WITNESS_CAP)
 
 
-def is_ring_hom(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
+def is_ring_hom(phi: MapTable) -> CheckReport:
     """Conjunction of the multiplicative and additive scans."""
-    m = is_multiplicative(phi, witness_cap)
-    a = is_additive(phi, witness_cap)
-    return _joint_report("ring_hom", [m, a], witness_cap, {
+    m = is_multiplicative(phi)
+    a = is_additive(phi)
+    return _joint_report("ring_hom", [m, a], {
         "mul_violations": m.counts["violations"],
         "add_violations": a.counts["violations"],
         "unital": m.counts["unital"],
     })
 
 
-def respects_star(phi: MapTable, witness_cap: int = WITNESS_CAP) -> CheckReport:
+def respects_star(phi: MapTable) -> CheckReport:
     """phi(x*) = phi(x)* over all elements."""
     ds = phi.dom.require_star()
     cs = phi.cod.require_star()
     eq = phi.img[ds] == cs[phi.img]
-    return _element_report("star", eq, witness_cap)
+    return _element_report("star", eq, WITNESS_CAP)
 
 
 def corner_relation_holds(phi: MapTable) -> CheckReport:

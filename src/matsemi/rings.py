@@ -42,7 +42,13 @@ scan runs and reports the same first witness:
   each argument;
 * star additivity on x times the additive generators, given the group
   laws, and star antimultiplicativity on x times the multiplicative
-  generators, given multiplicative associativity: by induction on words.
+  generators, given multiplicative associativity: by induction on words,
+  over the closures' generators as they are, identity included.
+
+The first and third are map laws phi(x o g) = phi(x) o' phi(g) on x times
+generators, decided by ``_closure._generator_law``: for the maps
+y -> ys of the additive generators s, and for the involution into ``add``
+and into the transposed ``mul``.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._closure import ClosureStages, _first_unseen, _row_blocks, greedy_closure
+from ._closure import ClosureStages, _first_unseen, _generator_law, _row_blocks, greedy_closure
 from .errors import (
     MissingImaginaryUnit,
     MissingInvolution,
@@ -319,21 +325,18 @@ class MatrixRingView:
         # the product table is row i of X times Y, P[row i of X, Y].  P[r, Y]
         # is r·Y as a k-digit number: entry j is T[r, column j of Y], with
         # T[r, c] = sum_t r_t c_t over rows r and columns c of k base
-        # entries, broadcast onto the digit axes (t, j) of Y, which are in
-        # increasing order, so without a transpose.  Every partial sum stays
-        # below n and fits the table dtype; the ``dt(...)`` scalars keep the
-        # arithmetic in that dtype under NumPy 1.x and 2.x casting rules.
+        # entries, gathered at the number of column j of each Y.  Every
+        # partial sum stays below n and fits the table dtype; the ``dt(...)``
+        # scalars keep the arithmetic in that dtype under NumPy 1.x and 2.x
+        # casting rules.
         dt = _min_dtype(n)
         R = B ** k  # rows (and columns) of k base entries
         vecs = _digits(np.arange(R), k, B, _min_dtype(B))
         _, _, T = next(_mat_entries(base, vecs[:, None, None, :], vecs[None, :, :, None]))
         T = T.astype(dt, copy=False)
-        P = np.zeros((R,) + (B,) * k2, dtype=dt)
-        for j in range(k):
-            shape = [R] + [1] * k2
-            for t in range(k):
-                shape[1 + t * k + j] = B
-            P += (T * dt(B ** (k - 1 - j))).reshape(shape)
+        P = np.zeros((R, n), dtype=dt)
+        for j in range(k):  # digits[:, j::k] is column j of each Y
+            P += T[:, digits[:, j::k] @ place[k2 - k:]] * dt(B ** (k - 1 - j))
 
         star = None
         if base.star is not None:
@@ -342,7 +345,7 @@ class MatrixRingView:
 
         self.ring = _built_ring(
             _place_table(base.add, k2, dt, split=True),
-            _place_table(P.reshape(R, n), k, dt, split=False),
+            _place_table(P, k, dt, split=False),
             associative=base._associative,
             zero=self.scalar_matrix(base.zero),
             one=self.scalar_matrix(base.one),
@@ -458,12 +461,7 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
     if kind in ("zmod", "gauss"):
         if len(parts) != 2:
             raise RingSpecError(f"{kind} spec needs a modulus: {spec!r}")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise RingSpecError(f"bad modulus in ring spec {spec!r}") from None
-        if n < 1:
-            raise RingSpecError(f"modulus must be >= 1 in {spec!r}")
+        n = _spec_int(parts[1], "modulus", spec)
         _check_size(f"ring {spec}", n if kind == "zmod" else n * n, size_cap)
         return _zmod(n) if kind == "zmod" else _gaussian(n)
     if kind == "mat":
@@ -471,15 +469,25 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
         sub = rest.split(":", 1)
         if len(sub) != 2:
             raise RingSpecError(f"mat spec needs a dimension and base: {spec!r}")
-        try:
-            k = int(sub[0])
-        except ValueError:
-            raise RingSpecError(f"bad dimension in ring spec {spec!r}") from None
-        if k < 1:
-            raise RingSpecError(f"matrix dimension must be >= 1 in {spec!r}")
+        k = _spec_int(sub[0], "dimension", spec)
         base = parse_ring_spec(sub[1], size_cap=size_cap)
         return make_matrix_ring(base, k, size_cap=size_cap).ring
     raise RingSpecError(f"unknown ring spec {spec!r}")
+
+
+def _spec_int(text: str, what: str, spec: str) -> int:
+    """The modulus or dimension ``text`` of ``spec``: ASCII digits only, at
+    least 1.  Signs, spaces, underscores and non-ASCII digits, which
+    ``int`` would accept, raise :class:`RingSpecError`."""
+    try:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(text)
+        n = int(text)  # ValueError past the interpreter's digit limit
+    except ValueError:
+        raise RingSpecError(f"bad {what} in ring spec {spec!r}") from None
+    if n < 1:
+        raise RingSpecError(f"{what} must be >= 1 in {spec!r}")
+    return n
 
 
 def op_closure(ring: RingTable, op: str) -> ClosureStages:
@@ -798,14 +806,6 @@ def _xsy(hit):
     return None if hit is None else (hit[1], hit[0], hit[2])
 
 
-def _star_law_on(table: np.ndarray, star: np.ndarray, gens, swap: bool) -> bool:
-    """Whether (x o g)* = x* o g*, or g* o x* with ``swap``, for every
-    element x and every g in ``gens``."""
-    G = np.asarray(gens, dtype=np.intp)
-    sx, sg = star[:, None], star[G][None, :]
-    return bool((star[table[:, G]] == (table[sg, sx] if swap else table[sx, sg])).all())
-
-
 def validate_ring(ring: RingTable) -> RingValidation:
     """Run the full ring-axiom scan: additive commutative group,
     multiplicative monoid, distributivity, involution and imaginary-unit
@@ -891,10 +891,10 @@ def validate_ring(ring: RingTable) -> RingValidation:
 
     # With the additive group laws and left distributivity, the defect
     # (y+s)x - yx - sx is additive in x: it vanishes for every x once it
-    # vanishes for x in the additive generators.
-    GG = mul[np.ix_(G, G)]
-    reduced = group and ch["left_distributive"].passed and bool((
-        mul[add[:, G][:, :, None], G] == add[mul[:, G][:, None, :], GG]).all())
+    # vanishes for x in the additive generators, that is, when the map
+    # y -> ys of each generator s is additive on y + t for every generator t.
+    reduced = group and ch["left_distributive"].passed and bool(
+        _generator_law(add, add, mul[:, G].T, G).all())
 
     def right_dist(s, lo, hi):  # (y + s)x == yx + sx
         return (np.take(mul, add[lo:hi, s], axis=0)
@@ -912,6 +912,7 @@ def validate_ring(ring: RingTable) -> RingValidation:
     # triples is equivalent to vanishing everywhere.
     prereq = (group and ch["left_distributive"].passed
               and ch["right_distributive"].passed and ch["zero_absorbs"].passed)
+    GG = mul[np.ix_(G, G)]
     cube = prereq and bool(
         (mul[GG[:, :, None], G] == mul[G[:, None, None], GG[None, :, :]]).all())
 
@@ -933,29 +934,20 @@ def validate_ring(ring: RingTable) -> RingValidation:
             "star_fixes_one", int(star[ring.one]) == ring.one, 1,
             None if int(star[ring.one]) == ring.one else (ring.one,))
         # On an associative table, (x o y)* = x* o y* (additive) or
-        # y* o x* (antimultiplicative) holds for every x and y once it
-        # holds for every x and every y in a set S of which each element
-        # is a nonempty word, by induction on the word of y: for
-        # y = y' o g, x o y = (x o y') o g, and the law on the pairs
-        # (x o y', g), (x, y') and (y', g), with associativity on the
-        # starred side, gives it on (x, y).  The closure's generators less
-        # an identity are such a set: no derivation uses a passed
-        # identity, and 0 is a multiple of any other additive generator
-        # in a finite group.  The multiplicative identity may be no
-        # product of the others, so it stays in S unless (x 1)* = 1* x*
-        # follows from the identity law and 1* = 1.  When the reduced
-        # check fails or cannot apply, the full scan runs and reports the
-        # first witness.
-        if group and _star_law_on(add, star, gens_add, swap=False):
+        # y* o x* (antimultiplicative, the law of the map x -> x* into the
+        # transposed table) holds for every x and y once it holds for every
+        # x and every generator of the table's closure: the ready-pair
+        # lemma of ClosureStages.ready_pairs, with associativity on the
+        # starred side.  When the reduced check fails or cannot apply, the
+        # full scan runs and reports the first witness.
+        if group and _generator_law(add, add, star, op_closure(ring, "add").gens):
             ch["star_additive"] = CheckOutcome("star_additive", True, n * n)
         else:
             ch["star_additive"] = _outcome_at(
                 "star_additive", n, lambda lo, hi: np.take(star, add[lo:hi]) == np.take(
                     np.take(add, star[lo:hi], axis=0), star, axis=1))
-        one_law = ch["mul_identity"].passed and ch["star_fixes_one"].passed
-        star_gens = [g for g in op_closure(ring, "mul").gens
-                     if g != ring.one or not one_law]
-        if ch["mul_associative"].passed and _star_law_on(mul, star, star_gens, swap=True):
+        if ch["mul_associative"].passed and _generator_law(
+                mul, mul.T, star, op_closure(ring, "mul").gens):
             ch["star_antimultiplicative"] = CheckOutcome(
                 "star_antimultiplicative", True, n * n)
         else:

@@ -121,11 +121,9 @@ class _Plan:
                                     if starts[p] < a < starts[p + 1])]
                        for p in range(nstages)]
 
-        # Per stage: the ready pairs it decides; together they prove phi
-        # multiplicative (see ClosureStages.ready_pairs).  Widened to intp
-        # once here, so no node converts its index arrays.
-        self.ready = [tuple(a.astype(np.intp) for a in stage)
-                      for stage in cl.ready_pairs]
+        # Per stage: the ready pairs it decides, as intp arrays; together
+        # they prove phi multiplicative (see ClosureStages.ready_pairs).
+        self.ready = cl.ready_pairs
 
         # Per stage: decided pairs involving the variable whose product is
         # already decided (or the variable itself).  Sound constraints on

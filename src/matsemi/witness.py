@@ -64,8 +64,7 @@ TRACE_CONFLICT_CAP = 64
 # time on M2(Z7) and M2(Z3[i]) (2-vCPU Xeon, best of 3).
 
 
-def corner_product_identity_check(ring: RingTable,
-                                  witness_cap: int = WITNESS_CAP) -> CheckReport:
+def corner_product_identity_check(ring: RingTable) -> CheckReport:
     """Verify ``[[1,a],[0,0]] [[b,0],[1,0]] = [[a+b,0],[0,0]]`` for all a, b.
 
     Computed entrywise over ``ring`` one row block of a at a time (the 2x2
@@ -83,7 +82,7 @@ def corner_product_identity_check(ring: RingTable,
         eq00 = add[one_b[None, :], a_one[lo:hi, None]] == add[lo:hi]
         return eq00 & c01[lo:hi, None] & c10 & c11
 
-    violations, witnesses = _row_scan((n, n), law, witness_cap)
+    violations, witnesses = _row_scan((n, n), law, WITNESS_CAP)
     return CheckReport("corner_product_identity", violations == 0, witnesses,
                        {"checked": n * n, "violations": violations})
 
@@ -105,8 +104,7 @@ def _uv_closed_form(ring: RingTable, a, b):
     yield _at(add, star[a], star[b])
 
 
-def uv_product_identity_check(ring: RingTable,
-                              witness_cap: int = WITNESS_CAP) -> CheckReport:
+def uv_product_identity_check(ring: RingTable) -> CheckReport:
     """Verify the u/v block product for all pairs a, b of ``ring``.
 
     u = [[1, a], [-a*, 1]] and v = [[b, -1], [1, b*]]; the product must be
@@ -130,7 +128,7 @@ def uv_product_identity_check(ring: RingTable,
         eq &= _at(add, mul[na, m1], mul[one, star]) == next(want)  # (-a*)*(-1) + 1*b*
         return eq
 
-    violations, witnesses = _row_scan((n, n), law, witness_cap)
+    violations, witnesses = _row_scan((n, n), law, WITNESS_CAP)
     return CheckReport("uv_product_identity", violations == 0, witnesses,
                        {"checked": n * n, "violations": violations})
 

@@ -385,6 +385,16 @@ def right_closure(n: int, op, seed=None) -> dict:
     return _greedy(n, op, seed, pairs)
 
 
+def generator_law(n: int, dom_op, cod_op, img, gens) -> bool:
+    """Whether img[x o g] == img[x] o' img[g] for every x in range(n) and
+    every g in ``gens``, with o = ``dom_op`` and o' = ``cod_op``."""
+    for x in range(n):
+        for g in gens:
+            if img[dom_op(x, g)] != cod_op(img[x], img[g]):
+                return False
+    return True
+
+
 def _mat2_product(ring: OracleRing, a, b):
     """The 2x2 product ``a b`` of nested entry tuples over ``ring``."""
     return tuple(

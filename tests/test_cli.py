@@ -568,6 +568,33 @@ def test_ring_info_beyond_dense_table_limit_exit2(monkeypatch, capsys):
         _assert_one_line_error(*run_cli("ring", "info", spec), capsys)
 
 
+MALFORMED_INTEGER_SPECS = ["zmod:3_0", "zmod:+3", "zmod: 3", "zmod:\uff13",
+                           "gauss:0_3", "mat:+2:zmod:3", "mat:2_0:zmod:1"]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_INTEGER_SPECS)
+def test_ring_spec_integers_are_ascii_digits_exit2(spec, tmp_path, capsys):
+    """A modulus or dimension that ``int`` would coerce (underscores, a
+    sign, a space, a fullwidth digit) is a usage error, in ``ring info``
+    and as a map file's ``dom`` or ``cod``."""
+    _assert_one_line_error(*run_cli("ring", "info", spec), capsys)
+    for field in ("dom", "cod"):
+        doc = {"dom": "zmod:3", "cod": "zmod:3", "img": [0, 1, 2]}
+        doc[field] = spec
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(doc))
+        _assert_one_line_error(*run_cli("map", "check", str(path), "--mult"), capsys)
+
+
+@pytest.mark.parametrize("spec", ["mat:8:zmod:1", "mat:8:gauss:1"])
+def test_ring_info_one_element_matrix_ring_k8(spec):
+    """The 8x8 matrix ring over the one-element ring passes every cap and
+    is valid; its product table needs no array of more than 64 axes."""
+    code, out = run_cli("ring", "info", spec)
+    doc = json.loads(out)
+    assert code == 0 and doc["valid"] is True and doc["size"] == 1
+
+
 @pytest.mark.parametrize("img", [[0, 1.7], [0, True], [0, "1"]])
 def test_map_check_non_integer_img_exit2(img, tmp_path, capsys):
     path = tmp_path / "map.json"

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import CORPUS_SPECS
+from conftest import CORPUS_SPECS, random_mutants
 from matsemi import _closure, rings
-from matsemi._closure import greedy_closure
+from matsemi._closure import _generator_law, greedy_closure
 from matsemi.maps import _stacked_law
-from matsemi.rings import parse_ring_spec
+from matsemi.rings import RingTable, op_closure, parse_ring_spec
 from matsemi.search import enumerate_multiplicative_maps, function_space_masks
 
 # M2(Z3[i]) has 6561 elements, too many for the plain-Python oracle.
@@ -136,11 +136,11 @@ def test_closure_of_large_table_peaks_under_10_mb(spec, which):
 @settings(max_examples=120)
 @given(table=_tables())
 def test_ready_pairs_cover_every_element_generator_pair_once(table):
-    """On any table, associative or not: stage p of
-    ``ready_pairs`` holds exactly the pairs (x, g_q), q <= p, with x among
-    the elements known after stage p that were not already paired with
-    g_q at an earlier stage; it reads no element of a later stage, and its
-    products are the table's.  The stages come from the plain-Python
+    """On any table, associative or not: stage p of ``ready_pairs``, three
+    read-only intp arrays, holds exactly the pairs (x, g_q), q <= p, with x
+    among the elements known after stage p that were not already paired
+    with g_q at an earlier stage; it reads no element of a later stage, and
+    its products are the table's.  The stages come from the plain-Python
     oracle closure, the products from the table's rows as lists."""
     rows = table.tolist()
     want = oracles.right_closure(len(rows), lambda a, b: rows[a][b])
@@ -149,7 +149,7 @@ def test_ready_pairs_cover_every_element_generator_pair_once(table):
     assert len(stages) == len(gens)
     seen = []
     for p, (xs, gs, xgs) in enumerate(stages):
-        assert xs.dtype == gs.dtype == xgs.dtype == np.min_scalar_type(len(rows) - 1)
+        assert xs.dtype == gs.dtype == xgs.dtype == np.intp
         assert not (xs.flags.writeable or gs.flags.writeable or xgs.flags.writeable)
         pairs = list(zip(xs.tolist(), gs.tolist()))
         known = order[:starts[p + 1]]
@@ -315,3 +315,64 @@ def test_closure_reads_no_product_once_complete(op, monkeypatch):
     digest = hashlib.sha256(json.dumps([fields[k] for k in (
         "gens", "order", "stage_starts", "round_starts", "deriv_x", "deriv_y")]).encode())
     assert digest.hexdigest() == _M2Z7_CLOSURES[op]
+
+
+# ---------------------------------------------------------------------------
+# The generator law on image arrays
+
+
+def _assert_generator_law_matches_oracle(table, imgs, gens, label):
+    """``_generator_law`` on ``table`` into itself and into its transpose,
+    for the stack ``imgs`` and for each of its rows, equals
+    ``oracles.generator_law`` on the tables' entries as Python ints."""
+    for cod_t in (table, table.T):
+        want = [oracles.generator_law(len(table), table.item, cod_t.item,
+                                      img.tolist(), list(gens)) for img in imgs]
+        assert _generator_law(table, cod_t, imgs, gens).tolist() == want, label
+        assert [_generator_law(table, cod_t, img, gens) for img in imgs] == want, label
+
+
+def _self_maps(ring, rng):
+    """The identity, the zero map, the involution (when there is one), the
+    identity moved at its last element and a random map of ``ring``."""
+    n = ring.size
+    moved = np.arange(n)
+    moved[-1] = (n - 1 + int(rng.integers(1, n))) % n if n > 1 else 0
+    maps = [np.arange(n), np.full(n, ring.zero), moved, rng.integers(0, n, n)]
+    if ring.star is not None:
+        maps.insert(2, np.asarray(ring.star, dtype=np.int64))
+    return np.stack(maps)
+
+
+@pytest.mark.parametrize("spec", [*CORPUS_SPECS, "mat:2:zmod:7"])
+def test_generator_law_matches_oracle_on_spec_rings(spec):
+    """Over each closure's generators, and over every element on rings of
+    at most 64 elements, with the table and its transpose as codomain: the
+    verdicts of ``_generator_law`` on a stack of self-maps and on each map
+    alone equal the plain-Python double loop.  The involution passes into
+    the transposed product table and the identity into it only on
+    commutative rings, so both verdicts occur."""
+    ring = parse_ring_spec(spec)
+    imgs = _self_maps(ring, np.random.default_rng(ring.size))
+    for op in ("mul", "add"):
+        table = getattr(ring, op)
+        gens_sets = [op_closure(ring, op).gens]
+        if ring.size <= 64:
+            gens_sets.append(range(ring.size))
+        for gens in gens_sets:
+            _assert_generator_law_matches_oracle(table, imgs, gens, (spec, op))
+
+
+@pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "zmod:5", "gauss:2"])
+def test_generator_law_matches_oracle_on_random_mutants(spec):
+    """The same comparison on the seeded 1-3-entry mutants of the spec
+    ring's tables, over each mutant table's closure generators and over
+    every element."""
+    ring = parse_ring_spec(spec)
+    rng = np.random.default_rng(ring.size)
+    for trial, add, mul in random_mutants(ring, [23, ring.size], 12):
+        mutant = RingTable(add, mul, ring.zero, ring.one)
+        imgs = _self_maps(mutant, rng)
+        for table in (mutant.add, mutant.mul):
+            for gens in (greedy_closure(table).gens, range(ring.size)):
+                _assert_generator_law_matches_oracle(table, imgs, gens, (spec, trial))

@@ -37,6 +37,7 @@ from matsemi.maps import (
     zero_map,
 )
 from matsemi.rings import (
+    MatrixRingView,
     RingTable,
     _digits,
     _pool,
@@ -122,7 +123,7 @@ def test_cube_on_z4():
 def test_witness_order_and_cap():
     z4 = make_zmod(4)
     bad = constant_map(z4, z4, 2)  # wildly non-multiplicative
-    rep = is_multiplicative(bad, witness_cap=5)
+    rep = _pair_law("multiplicative", bad, "mul", 5)
     assert len(rep.witnesses) == 5
     assert rep.witnesses == sorted(rep.witnesses)
     assert rep.counts["violations"] > 5
@@ -173,8 +174,7 @@ def test_pair_scan_across_block_boundary(op):
         img[rows] = (img[rows] + 2) % n
         bad = np.argwhere(img[table] != table[img[:, None], img[None, :]])
         for cap in (0, 1, 16) + ((len(bad),) if len(bad) < 10**5 else ()):
-            rep = (is_multiplicative if op == "mul" else is_additive)(
-                MapTable(ring, ring, img), witness_cap=cap)
+            rep = _pair_law("law", MapTable(ring, ring, img), op, cap)
             assert rep.counts["violations"] == len(bad)
             assert rep.witnesses == [tuple(int(v) for v in w) for w in bad[:cap]]
 
@@ -522,7 +522,7 @@ def test_law_kernel_edge_cases(op, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Map laws decided on ready pairs once the first row block holds
+# Map laws decided on x times the closure generators on rings marked associative
 
 FAST_PATH_SPECS = [*CORPUS_SPECS, "mat:2:zmod:7"]
 
@@ -561,24 +561,28 @@ def test_ready_pair_map_laws_report_as_full_scans(block_rows, monkeypatch):
     """On every corpus ring and M2(Z7), ``is_multiplicative`` and
     ``is_additive`` report byte for byte as the full scans do (the ring
     marked as not associative) on passing maps, on maps failing in the
-    first row block, which build no closure, and on maps failing only past
-    it.  A passing map on a grid of several blocks is decided by the
-    kernel."""
-    kernel_ops = []
-    kernel = maps._law_kernel
+    first row block and on maps failing only past it.  A passing map on a
+    grid of several row blocks (over 1024 elements at the default block
+    size) runs neither the full scan nor ``_law_kernel``: the generator
+    law decides it."""
+    scans, kernel_ops = [], []
+    row_scan, kernel = maps._row_scan, maps._law_kernel
 
-    def counted(op, *args):
+    def counted_scan(*args):
+        scans.append(args[0])
+        return row_scan(*args)
+
+    def counted_kernel(op, *args):
         kernel_ops.append(op)
         return kernel(op, *args)
 
-    monkeypatch.setattr(maps, "_law_kernel", counted)
+    monkeypatch.setattr(maps, "_row_scan", counted_scan)
+    monkeypatch.setattr(maps, "_law_kernel", counted_kernel)
     default = _closure._BLOCK_ENTRIES
     late = set()
     for spec in FAST_PATH_SPECS:
         ring = parse_ring_spec(spec)
         n = ring.size
-        for op in ("mul", "add"):
-            op_closure(ring, op)
         rows = block_rows or _closure._block_rows(n)
         monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", rows * n if block_rows else default)
         first_block_fails = np.arange(n)
@@ -590,19 +594,31 @@ def test_ready_pair_map_laws_report_as_full_scans(block_rows, monkeypatch):
             late.add(op)
         for kind, img in cases:
             phi = MapTable(ring, ring, img)
-            kernel_ops.clear()
+            scans.clear()
             fast = [is_multiplicative(phi).to_json(), is_additive(phi).to_json()]
             if kind == "pass" and n > rows:
-                assert kernel_ops == ["mul", "add"], spec
+                assert scans == [], spec
             if kind == "first" and n > 2:  # on Z2 it is the constant 1
-                assert kernel_ops == [], spec
                 assert not (fast[0]["pass"] or fast[1]["pass"]), spec
             monkeypatch.setattr(ring, "_associative", False)
             full = [is_multiplicative(phi).to_json(), is_additive(phi).to_json()]
             monkeypatch.setattr(ring, "_associative", True)
             assert fast == full, (spec, kind, img.tolist()[:8])
+    assert kernel_ops == []
     if block_rows:
         assert late == {"mul", "add"}
+
+
+def test_map_laws_leave_the_ready_pairs_unbuilt():
+    """On a fresh M2(Z7), marked associative, ``is_multiplicative`` and
+    ``is_additive`` decide the identity on x times the closure generators:
+    they build both closures and neither closure's ready pairs."""
+    ring = MatrixRingView(make_zmod(7), 2).ring
+    assert ring._associative and ring._closures == {}
+    phi = identity_map(ring)
+    assert is_multiplicative(phi).passed and is_additive(phi).passed
+    for op in ("mul", "add"):
+        assert "ready_pairs" not in vars(ring._closures[op]), op
 
 
 def test_unmarked_rings_never_build_a_closure_in_a_predicate(monkeypatch):

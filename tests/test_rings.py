@@ -7,6 +7,7 @@ definitional path must agree before anything else is trusted.
 
 import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -376,10 +377,19 @@ def test_parse_nested_matrix_spec():
 
 
 @pytest.mark.parametrize("bad", ["", "zmod", "zmod:x", "zmod:0", "ring:3",
-                                 "mat:2", "mat:0:zmod:2", "mat:x:zmod:2"])
+                                 "mat:2", "mat:0:zmod:2", "mat:x:zmod:2",
+                                 "zmod:3_0", "zmod:+3", "zmod: 3", "zmod:\uff13",
+                                 "zmod:-3", "gauss:0_3", "gauss:\u00b3",
+                                 "mat:2_0:zmod:2", "mat: 2:zmod:2", "mat:+2:zmod:2",
+                                 pytest.param("zmod:" + "9" * 5000, id="5000-digits")])
 def test_parse_rejects_bad_specs(bad):
     with pytest.raises(RingSpecError):
         parse_ring_spec(bad)
+
+
+def test_parse_reads_leading_zeros_as_decimal():
+    assert parse_ring_spec("zmod:03") is parse_ring_spec("zmod:3")
+    assert parse_ring_spec("mat:02:gauss:002") is parse_ring_spec("mat:2:gauss:2")
 
 
 def test_parse_respects_size_cap():
@@ -440,6 +450,36 @@ def test_validation_agrees_with_triple_loop_oracle(spec):
     else:
         oring = oracles.oracle_mat2(oracles.oracle_zmod(2))
     assert oracles.ring_axioms_hold(oring)
+
+
+# sha256 of json.dumps(validate_ring(ring).to_json(), sort_keys=True) for
+# each corpus ring and M2(Z7): every check's verdict, count, witness and
+# note, and the info block, byte for byte.
+_VALIDATION_DIGESTS = {
+    "zmod:1": "80bd107a9d6f93c4921539a47c7f7579e8701fdaae9f5b9a031459bff2d54f41",
+    "zmod:2": "6f722df8eae70ef6eb1b5a95b56702ff567e345fd4223a61dbe24525da2a4fe1",
+    "zmod:3": "7d182b664f29f8764c5c39710a745312976be9d177b0623e9a736020edb3ea55",
+    "zmod:4": "9b1ec8b36832576796c21234e56d05475b69147184725604d1e8a4cc7bb64f8a",
+    "zmod:5": "99819513e7b74e0572510e4caefa1fa6785333b6968416a32638dd3c69ed116b",
+    "zmod:6": "b824da0227e936b46bb24da5db65897f7eebc3cb17f19fdc7976941885642812",
+    "zmod:7": "3ac44a17357f80fa18fb6c3b278c9d027db1ac232523aec2c840f73cdf2a6286",
+    "zmod:8": "4da54707b39a9371ff32f86ca3714e133b770a54d9a46b0f313b8b093a237fc9",
+    "gauss:2": "43f787f20ee82c52fe4bd6cf6e85345e2a21f661f50eaaa7a525efc608b7cc7d",
+    "gauss:3": "ab2e9af79b6397bafb69a9cda45a64eb0f3dd5468b8e6fd2d72d27490e96e6bf",
+    "mat:2:zmod:2": "7f01c2764d89be45ce86f52d384567fcd8cd3a13840b8fc8b64f6462aa6556f6",
+    "mat:2:zmod:3": "c5ddeaf8aab46687293d2d14acd0b60c97e29982e8c912749956756d99180cb0",
+    "mat:2:zmod:4": "4b34cf5c8adeb80be752dfd23e7c8e25004300163133cce4c722296eb6afe911",
+    "mat:2:gauss:2": "e5a274d6c1c5b3f287f310243a75d8514414a580ae52d8798c53ba3281c9ccd1",
+    "mat:2:gauss:3": "0d3e962d41f4f6c9617d4d8e0177a19504cd9db07a1e843638b7d6dc82057d62",
+    "mat:2:zmod:7": "740247366b6fe578db300fef8eb9f28d9db5ec39ed88280892a21c65e5f2f94a",
+}
+
+
+@pytest.mark.parametrize("spec", list(_VALIDATION_DIGESTS))
+def test_validation_reports_match_pinned_digests(spec):
+    report = validate_ring(parse_ring_spec(spec)).to_json()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == _VALIDATION_DIGESTS[spec]
 
 
 @pytest.mark.parametrize("bad", [
