@@ -450,12 +450,14 @@ def make_matrix_ring(base: RingTable, k: int,
 def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
     """Parse a ring spec string: ``zmod:<n>``, ``gauss:<n>``, ``mat:<k>:<spec>``.
 
-    ``mat`` specs nest, e.g. ``mat:2:gauss:3``.  The element cap and the
+    ``mat`` specs nest, e.g. ``mat:2:gauss:3``.  A spec holding whitespace
+    anywhere is refused, not stripped.  The element cap and the
     dense-table limit are checked on every call (see :func:`_check_size`);
     within a process each spec yields one shared ring object, the one its
     constructor returns.
     """
-    spec = spec.strip()
+    if any(c.isspace() for c in spec):
+        raise RingSpecError(f"whitespace in ring spec {spec!r}")
     parts = spec.split(":", 1)
     kind = parts[0]
     if kind in ("zmod", "gauss"):
@@ -985,20 +987,24 @@ def validate_matrix_view(view: MatrixRingView) -> RingValidation:
     ch["encode_decode_bijective"] = _outcome(
         "encode_decode_bijective", view.encode(view.decode(idx)) == idx, n)
 
-    eu = [[view.matrix_unit(i, j) for j in range(k)] for i in range(k)]
-    ok = True
+    # The k^2 x k^2 grid of products e_ij e_pq, with e_ij at row i*k + j
+    # and e_pq at column p*k + q, in row blocks; the witness is its last
+    # failing pair in (i, j, p, q) order.
+    eu = np.array([[view.matrix_unit(i, j) for j in range(k)] for i in range(k)],
+                  dtype=np.intp)
+    flat = eu.ravel()
     wit = None
-    pairs = 0
-    for i in range(k):
-        for j in range(k):
-            for kk in range(k):
-                for ll in range(k):
-                    pairs += 1
-                    got = int(ring.mul[eu[i][j], eu[kk][ll]])
-                    want = eu[i][ll] if j == kk else ring.zero
-                    if got != want:
-                        ok, wit = False, (eu[i][j], eu[kk][ll])
-    ch["matrix_unit_relations"] = CheckOutcome("matrix_unit_relations", ok, pairs, wit)
+    for lo, hi in _row_blocks(k * k, k * k):
+        rows = np.arange(lo, hi)
+        kron = (rows % k)[:, None, None] == np.arange(k)[None, :, None]
+        want = np.where(kron, eu[rows // k][:, None, :], ring.zero)
+        bad = np.flatnonzero(ring.mul[flat[lo:hi, None], flat[None, :]]
+                             != want.reshape(hi - lo, k * k))
+        if bad.size:
+            r, c = divmod(int(bad[-1]), k * k)
+            wit = (int(flat[lo + r]), int(flat[c]))
+    ch["matrix_unit_relations"] = CheckOutcome(
+        "matrix_unit_relations", wit is None, k ** 4, wit)
 
     total = eu[0][0]
     for i in range(1, k):

@@ -104,6 +104,7 @@ _PREFILTER_PROBES = 64
 
 class _Plan:
     def __init__(self, dom: RingTable, filters: tuple[str, ...]):
+        self.filters = filters
         cl = op_closure(dom, "mul")
         self.vars = cl.gens
         nstages = len(self.vars)
@@ -279,23 +280,54 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     return out, nodes, exhausted
 
 
+@dataclass(frozen=True)
+class _Shared:
+    """A task argument standing for the shared object at position ``at``
+    (see :func:`_run_ring_tasks`)."""
+
+    at: int
+
+
+def _resolved(args: tuple, shared: tuple) -> list:
+    return [shared[a.at] if isinstance(a, _Shared) else a for a in args]
+
+
+# The shared objects of the _run_ring_tasks call whose pool started this
+# worker process; set once per worker, when it starts, and never in the
+# process that runs the call.
+_worker_shared: tuple = ()
+
+
+def _share(shared: tuple) -> None:
+    """Pool-worker initializer of :func:`_run_ring_tasks`."""
+    global _worker_shared
+    _worker_shared = shared
+
+
 def _on_spec_rings(fn, dom_spec: str, cod_spec: str, args: tuple):
     """Pool-worker side of :func:`_run_ring_tasks`."""
-    return fn(parse_ring_spec(dom_spec), parse_ring_spec(cod_spec), *args)
+    return fn(parse_ring_spec(dom_spec), parse_ring_spec(cod_spec),
+              *_resolved(args, _worker_shared))
 
 
-def _run_ring_tasks(fn, dom: RingTable, cod: RingTable, argss: list[tuple],
-                    workers: int) -> list:
-    """``[fn(dom, cod, *args) for args in argss]``, in order.
+def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
+                    shared: tuple, workers: int) -> list:
+    """``[fn(dom, cod, *args) for fn, args in tasks]``, in order, where
+    each argument ``_Shared(i)`` stands for ``shared[i]``.
 
-    A process pool of at most one process per task runs the tasks only
-    when ``workers > 1``, there is more than one task, and both rings are
-    the objects :func:`parse_ring_spec` returns for their labels: the
-    processes resolve the labels to the same rings (under ``fork``, from
-    the constructor caches they inherit).  Any other ring, hand-assembled
-    or labelled with a spec it was not built from, runs in this process.
-    ``fn`` must be a private module-level function, so a pickled reference
-    resolves to it even when public names are wrapped.
+    ``shared`` holds the large read-only objects the tasks read, such as
+    search plans, so no task argument holds one.  A process pool of at
+    most one process per task runs the tasks only when ``workers > 1``,
+    there is more than one task, and both rings are the objects
+    :func:`parse_ring_spec` returns for their labels: the processes
+    resolve the labels to the same rings (under ``fork``, from the
+    constructor caches they inherit).  The pool is started and joined
+    within the call.  ``shared`` reaches each of its processes once, as
+    the initializer's argument, which ``fork`` hands over without
+    pickling.  Any other ring, hand-assembled or labelled with a spec it
+    was not built from, runs in this process.  Each ``fn`` must be a
+    private module-level function, so a pickled reference resolves to it
+    even when public names are wrapped.
     """
     def built_from_spec(ring: RingTable) -> bool:
         try:
@@ -303,13 +335,14 @@ def _run_ring_tasks(fn, dom: RingTable, cod: RingTable, argss: list[tuple],
         except MatsemiError:
             return False
 
-    if (workers > 1 and len(argss) > 1
+    if (workers > 1 and len(tasks) > 1
             and built_from_spec(dom) and built_from_spec(cod)):
-        with ProcessPoolExecutor(max_workers=min(workers, len(argss))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 initializer=_share, initargs=(shared,)) as pool:
             futs = [pool.submit(_on_spec_rings, fn, dom.label, cod.label, args)
-                    for args in argss]
+                    for fn, args in tasks]
             return [f.result() for f in futs]
-    return [fn(dom, cod, *args) for args in argss]
+    return [fn(dom, cod, *_resolved(args, shared)) for fn, args in tasks]
 
 
 # The top-level branches are split into at most this many search tasks.
@@ -326,42 +359,33 @@ def _partition(total: int) -> list[tuple[int, int]]:
             if bounds[i] < bounds[i + 1]]
 
 
-def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
-                                  filters=(), limit: int | None = None,
-                                  node_budget: int | None = None,
-                                  workers: int = 1) -> EnumerationResult:
-    """Enumerate all multiplicative maps ``dom -> cod`` passing the filters.
-
-    Emission is in lexicographic order of the full image arrays and equals
-    the brute-force-filtered set whenever the search runs to completion
-    (``exhaustive`` in the result).  ``node_budget`` bounds the nodes each
-    top-level branch may visit; ``limit`` truncates the output.  Both
-    truncations clear the ``exhaustive`` flag.
-
-    With ``workers > 1`` the fixed top-level partition may be executed by
-    a process pool (see :func:`_run_ring_tasks`); output is merged in
-    partition order, so results are byte-identical for every worker count.
-
-    Multiplicativity is decided on right products by the search variables
-    (the "ready" pairs of each stage), and on every pair for each complete
-    map when a ring is not marked associative by construction (see
-    :func:`_search_range`).
-    """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
+def _enumeration_plan(dom: RingTable, cod: RingTable, filters) -> _Plan:
+    """The search plan of an enumeration dom -> cod, with its canonical
+    filters in ``plan.filters``.  An unknown filter, or one that a ring
+    cannot carry, raises here, before any task runs."""
     filters = canonical_filters(filters)
     if "star" in filters:
         dom.require_star()
         cod.require_star()
     if "i_relation" in filters:
         cod.require_i()
-    plan = _Plan(dom, filters)  # validates filter applicability eagerly
-    results = _run_ring_tasks(
-        _search_range, dom, cod,
-        [(plan, limit, node_budget, lo, hi)
-         for lo, hi in _partition(cod.size)],
-        workers)
+    return _Plan(dom, filters)
 
+
+def _enumeration_tasks(plan_at: int, cod: RingTable, limit: int | None,
+                       node_budget: int | None) -> list[tuple]:
+    """The :func:`_run_ring_tasks` tasks of one enumeration into ``cod``,
+    one per block of the fixed partition, on the plan at position
+    ``plan_at`` of the shared objects."""
+    return [(_search_range, (_Shared(plan_at), limit, node_budget, lo, hi))
+            for lo, hi in _partition(cod.size)]
+
+
+def _merged_enumeration(dom: RingTable, cod: RingTable, filters: tuple[str, ...],
+                        limit: int | None, results: list) -> EnumerationResult:
+    """The enumeration whose tasks returned ``results``, in partition
+    order: their maps concatenated and cut at ``limit``, their node counts
+    summed."""
     maps: list[MapTable] = []
     nodes = 0
     exhaustive = True
@@ -375,6 +399,41 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
                 exhaustive = False
     return EnumerationResult(maps=maps, nodes=nodes,
                              exhaustive=exhaustive, filters=filters)
+
+
+def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
+                                  filters=(), limit: int | None = None,
+                                  node_budget: int | None = None,
+                                  workers: int = 1) -> EnumerationResult:
+    """Enumerate all multiplicative maps ``dom -> cod`` passing the filters.
+
+    Emission is in lexicographic order of the full image arrays and equals
+    the brute-force-filtered set whenever the search runs to completion
+    (``exhaustive`` in the result).  ``node_budget`` bounds the nodes each
+    top-level branch may visit; ``limit`` truncates the output.  Both
+    truncations clear the ``exhaustive`` flag.
+
+    The enumeration is three steps, which a suite running several searches
+    in one pool also takes: build the plan (:func:`_enumeration_plan`,
+    which refuses a bad filter), list the tasks of the fixed top-level
+    partition (:func:`_enumeration_tasks`) and merge their results in
+    partition order (:func:`_merged_enumeration`).  With ``workers > 1``
+    a process pool may run the tasks (see :func:`_run_ring_tasks`), the
+    plan handed to its processes once each; results are byte-identical
+    for every worker count.
+
+    Multiplicativity is decided on right products by the search variables
+    (the "ready" pairs of each stage), and on every pair for each complete
+    map when a ring is not marked associative by construction (see
+    :func:`_search_range`).
+    """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
+    plan = _enumeration_plan(dom, cod, filters)
+    results = _run_ring_tasks(dom, cod,
+                              _enumeration_tasks(0, cod, limit, node_budget),
+                              (plan,), workers)
+    return _merged_enumeration(dom, cod, plan.filters, limit, results)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Each suite exercises one equivalence or identity over concrete finite
 rings and returns a structured report with deterministic field order.
-Function-space scans are chunked into fixed-size tasks so results are
-byte-identical for any worker count.
+Function-space scans are chunked into fixed-size tasks, and searches into
+the fixed partition of :mod:`matsemi.search`, so results are
+byte-identical for any worker count.  A suite hands all of its tasks to
+one :func:`~matsemi.search._run_ring_tasks` call, so a command starts at
+most one process pool.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .rings import (
     units,
 )
 from .search import (
+    _enumeration_plan,
+    _enumeration_tasks,
+    _merged_enumeration,
     _run_ring_tasks,
     enumerate_multiplicative_maps,
     function_space_masks,
@@ -54,15 +60,17 @@ DEFAULT_NODE_BUDGET = 5000
 DEFAULT_MAP_LIMIT = 40
 
 
-def _scan_functions(task, dom: RingTable, cod: RingTable, total: int,
-                    workers: int, *args) -> list[np.ndarray]:
-    """Run ``task(dom, cod, lo, hi, *args)`` over the function ids
-    ``0..total-1`` in fixed chunks of ``_CHUNK`` and join each of its
-    outputs in chunk order, so the result is the same for any ``workers``."""
-    parts = _run_ring_tasks(
-        task, dom, cod,
-        [(lo, min(lo + _CHUNK, total), *args) for lo in range(0, total, _CHUNK)],
-        workers)
+def _scan_tasks(task, total: int, *args) -> list[tuple]:
+    """The :func:`_run_ring_tasks` tasks running
+    ``task(dom, cod, lo, hi, *args)`` over the function ids
+    ``0..total-1`` in fixed chunks of ``_CHUNK``."""
+    return [(task, (lo, min(lo + _CHUNK, total), *args))
+            for lo in range(0, total, _CHUNK)]
+
+
+def _joined(parts: list) -> list[np.ndarray]:
+    """Each output of the scan tasks' results ``parts`` joined in chunk
+    order, so the result is the same for any worker count."""
     return [np.concatenate(out) for out in zip(*parts)]
 
 
@@ -127,16 +135,26 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     the generator-based enumeration reproduces the multiplicative set
     element for element.  A domain not built as a 2x2 matrix ring is
     refused (:class:`~matsemi.errors.NotAMatrixRing`) before any function
-    is scanned."""
+    is scanned.
+
+    Both enumerations' plans are built first; then the scan's chunks and
+    the two enumerations' partitions run as one task list, so
+    ``workers > 1`` starts one process pool, not three."""
     total = function_space_size(dom, cod)
     _corner_units(dom)
-    mult_ids, corner_ids, add_ids = _scan_functions(_corner_task, dom, cod,
-                                                    total, workers)
+    plans = (_enumeration_plan(dom, cod, ()),
+             _enumeration_plan(dom, cod, ("corner",)))
+    scan = _scan_tasks(_corner_task, total)
+    searches = [_enumeration_tasks(i, cod, None, None) for i in range(2)]
+    parts = _run_ring_tasks(dom, cod, scan + searches[0] + searches[1],
+                            plans, workers)
+    mult_ids, corner_ids, add_ids = _joined(parts[:len(scan)])
     sets_equal = bool(np.array_equal(corner_ids, add_ids))
 
-    res = enumerate_multiplicative_maps(dom, cod, workers=workers)
-    res_corner = enumerate_multiplicative_maps(dom, cod, filters=("corner",),
-                                               workers=workers)
+    split = len(scan) + len(searches[0])
+    res, res_corner = (
+        _merged_enumeration(dom, cod, plan.filters, None, results)
+        for plan, results in zip(plans, (parts[len(scan):split], parts[split:])))
     matches = (_enumeration_matches(res, mult_ids, dom, cod)
                and _enumeration_matches(res_corner, corner_ids, dom, cod))
 
@@ -193,8 +211,8 @@ def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
     total = function_space_size(dom, cod)
     for ring in (dom, cod):
         make_matrix_ring(ring, _TENSOR_K, size_cap=size_cap)
-    hom_ids, lift_ids = _scan_functions(_tensor_task, dom, cod, total, workers,
-                                        size_cap)
+    hom_ids, lift_ids = _joined(_run_ring_tasks(
+        dom, cod, _scan_tasks(_tensor_task, total, size_cap), (), workers))
     return TensorEquivalenceReport(
         dom=dom.label, cod=cod.label, k=_TENSOR_K, total_functions=total,
         ring_homs=int(hom_ids.size), lift_multiplicative=int(lift_ids.size),

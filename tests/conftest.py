@@ -15,6 +15,42 @@ settings.register_profile(
 )
 settings.load_profile("deterministic")
 
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A fake executor in place of the process pool of
+    ``search._run_ring_tasks``: it runs the pool's initializer and every
+    task in this process.  Returns the size of each pool started, in
+    order."""
+    from concurrent.futures import Future
+
+    from matsemi import search
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    # The initializer sets the worker-side shared objects, here in this
+    # process; restore them afterwards.
+    monkeypatch.setattr(search, "_worker_shared", ())
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 def whole_grid_law(op, dom, cod, imgs):
     """One bool per row of the image stack ``imgs`` (maps dom -> cod):
     whether phi(x o y) = phi(x) o phi(y) for ``op`` on every pair, read

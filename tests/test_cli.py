@@ -570,12 +570,15 @@ def test_ring_info_beyond_dense_table_limit_exit2(monkeypatch, capsys):
 
 MALFORMED_INTEGER_SPECS = ["zmod:3_0", "zmod:+3", "zmod: 3", "zmod:\uff13",
                            "gauss:0_3", "mat:+2:zmod:3", "mat:2_0:zmod:1"]
+WHITESPACE_SPECS = ["mat:2: zmod:3", " zmod:3 ", "mat: 2:zmod:3", "zmod:3\n",
+                    "\tmat:2:zmod:2"]
 
 
-@pytest.mark.parametrize("spec", MALFORMED_INTEGER_SPECS)
+@pytest.mark.parametrize("spec", MALFORMED_INTEGER_SPECS + WHITESPACE_SPECS)
 def test_ring_spec_integers_are_ascii_digits_exit2(spec, tmp_path, capsys):
     """A modulus or dimension that ``int`` would coerce (underscores, a
-    sign, a space, a fullwidth digit) is a usage error, in ``ring info``
+    sign, a space, a fullwidth digit), and whitespace anywhere in a spec,
+    which would otherwise be stripped, are usage errors, in ``ring info``
     and as a map file's ``dom`` or ``cod``."""
     _assert_one_line_error(*run_cli("ring", "info", spec), capsys)
     for field in ("dom", "cod"):

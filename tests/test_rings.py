@@ -143,7 +143,7 @@ def test_one_ring_object_per_spec():
 
     assert parse_ring_spec("mat:2:zmod:2") is make_matrix_ring(make_zmod(2), 2).ring
     assert parse_ring_spec("zmod:5") is make_zmod(5)
-    assert parse_ring_spec(" gauss:3") is make_gaussian(3)
+    assert parse_ring_spec("gauss:3") is make_gaussian(3)
     lifted = tensor_id(identity_map(make_gaussian(2)), 2)
     assert lifted.dom is lifted.cod is parse_ring_spec("mat:2:gauss:2")
 
@@ -381,6 +381,8 @@ def test_parse_nested_matrix_spec():
                                  "zmod:3_0", "zmod:+3", "zmod: 3", "zmod:\uff13",
                                  "zmod:-3", "gauss:0_3", "gauss:\u00b3",
                                  "mat:2_0:zmod:2", "mat: 2:zmod:2", "mat:+2:zmod:2",
+                                 "mat:2: zmod:3", " zmod:3 ", "zmod:3\n", "\tgauss:2",
+                                 "mat:2:zmod:3 ", "mat\u00a0:2:zmod:3",
                                  pytest.param("zmod:" + "9" * 5000, id="5000-digits")])
 def test_parse_rejects_bad_specs(bad):
     with pytest.raises(RingSpecError):
@@ -969,6 +971,43 @@ def test_matrix_view_scans():
     for base in (make_zmod(2), make_zmod(3), make_gaussian(2)):
         view = make_matrix_ring(base, 2)
         assert validate_matrix_view(view).ok
+
+
+def _matrix_unit_relations_by_loop(view):
+    """``(ok, checked, witness)`` of e_ij e_kl = delta_jk e_il by a loop
+    over (i, j, k, l); the witness is the last failing pair."""
+    k, ring = view.k, view.ring
+    eu = [[view.matrix_unit(i, j) for j in range(k)] for i in range(k)]
+    ok, wit, pairs = True, None, 0
+    for i, j, kk, ll in itertools.product(range(k), repeat=4):
+        pairs += 1
+        want = eu[i][ll] if j == kk else ring.zero
+        if int(ring.mul[eu[i][j], eu[kk][ll]]) != want:
+            ok, wit = False, (eu[i][j], eu[kk][ll])
+    return ok, pairs, wit
+
+
+@pytest.mark.parametrize("spec,k", [("zmod:2", 2), ("zmod:3", 2),
+                                    ("gauss:2", 2), ("zmod:2", 3)])
+def test_matrix_unit_relations_match_the_loop_on_corrupted_views(spec, k):
+    """On a valid view and on views whose product table has one to three
+    entries at matrix-unit products changed, the row-blocked check gives
+    the loop's verdict, count and witness."""
+    view = MatrixRingView(parse_ring_spec(spec), k)
+    ring = view.ring
+    units_ = [view.matrix_unit(i, j) for i in range(k) for j in range(k)]
+    rng = np.random.default_rng(k * ring.size)
+    for trial in range(12):
+        mul = ring.mul.copy()
+        for _ in range(int(rng.integers(1, 4)) if trial else 0):
+            a, b = (units_[int(x)] for x in rng.integers(0, len(units_), 2))
+            mul[a, b] = (int(mul[a, b]) + int(rng.integers(1, ring.size))) % ring.size
+        view.ring = RingTable(ring.add, mul, ring.zero, ring.one, star=ring.star,
+                              label=ring.label)
+        got = validate_matrix_view(view).checks["matrix_unit_relations"]
+        ok, checked, wit = _matrix_unit_relations_by_loop(view)
+        assert (got.passed, got.checked, got.witness) == (ok, checked, wit), trial
+        assert ok == (trial == 0), trial
 
 
 # ---------------------------------------------------------------------------

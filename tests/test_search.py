@@ -4,6 +4,8 @@ import functools
 import gc
 import hashlib
 import json
+import multiprocessing
+import pickle
 import weakref
 
 import numpy as np
@@ -40,6 +42,7 @@ from matsemi.search import (
     monoid_generators,
     unique_addition_probe,
 )
+from matsemi.verify import verify_corner_equivalence, verify_fourth_power_search
 
 Z1 = make_zmod(1)
 Z2 = make_zmod(2)
@@ -481,33 +484,51 @@ def test_unique_addition_matches_bijection_oracle(spec, count):
     }
 
 
-def test_process_pool_has_at_most_one_process_per_task(monkeypatch):
+def test_process_pool_has_at_most_one_process_per_task(in_process_pool):
     """``workers`` beyond the task count starts no idle processes.  A fake
     executor records the pool size and runs each task in this process."""
-    from concurrent.futures import Future
-
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
     res = enumerate_multiplicative_maps(Z4, Z4, workers=5000)
-    assert sizes == [len(search._partition(Z4.size))] == [4]
+    assert in_process_pool == [len(search._partition(Z4.size))] == [4]
     assert [m.img.tolist() for m in res.maps] == [
         m.img.tolist() for m in enumerate_multiplicative_maps(Z4, Z4).maps]
+
+
+def _refuse_to_pickle(self, protocol):
+    raise AssertionError("a search plan was pickled")
+
+
+@pytest.mark.parametrize("run", [
+    lambda workers: [m.img.tolist() for m in enumerate_multiplicative_maps(
+        parse_ring_spec("mat:2:zmod:3"), parse_ring_spec("mat:2:zmod:3"),
+        filters=("star",), workers=workers).maps],
+    lambda workers: verify_corner_equivalence(
+        parse_ring_spec("mat:2:zmod:2"), Z2, workers=workers).to_json(),
+    lambda workers: verify_fourth_power_search(
+        parse_ring_spec("mat:2:gauss:2"), parse_ring_spec("gauss:2"),
+        workers=workers).to_json(),
+], ids=["enumerate-star", "prop1", "i-relation"])
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked pool process inherits the plans")
+def test_process_pool_gets_plans_without_pickling(run, monkeypatch):
+    """A real pool of two processes runs each command's tasks while no
+    search plan can be pickled: the plans reach the processes when they
+    are forked.  The output equals the one-worker output, and no child
+    process is left once the call returns."""
+    started = []
+
+    class CountedPool(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(search._Plan, "__reduce_ex__", _refuse_to_pickle,
+                        raising=False)
+    with pytest.raises(AssertionError, match="pickled"):
+        pickle.dumps(_Plan(Z4, ()))
+    assert run(2) == run(1)
+    assert started == [2]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
