@@ -972,6 +972,19 @@ def validate_ring(ring: RingTable) -> RingValidation:
     return v
 
 
+def _matrix_units(view: MatrixRingView) -> np.ndarray:
+    """Indices of the k^2 matrix units, e_ij at position i*k + j, encoded
+    as a stack of unit matrices in row blocks of the (k^2, k^2) grid of
+    their entries."""
+    k2 = view.k * view.k
+    out = np.empty(k2, dtype=np.intp)
+    for lo, hi in _row_blocks(k2, k2):
+        mats = np.full((hi - lo, k2), view.base.zero, dtype=np.int64)
+        mats[np.arange(hi - lo), np.arange(lo, hi)] = view.base.one
+        out[lo:hi] = view.encode(mats.reshape(hi - lo, view.k, view.k))
+    return out
+
+
 def validate_matrix_view(view: MatrixRingView) -> RingValidation:
     """Scan the matrix-ring structure: encode/decode bijection, the matrix
     unit relations ``e_ij e_kl = delta_jk e_il``, the diagonal-sum identity,
@@ -990,9 +1003,8 @@ def validate_matrix_view(view: MatrixRingView) -> RingValidation:
     # The k^2 x k^2 grid of products e_ij e_pq, with e_ij at row i*k + j
     # and e_pq at column p*k + q, in row blocks; the witness is its last
     # failing pair in (i, j, p, q) order.
-    eu = np.array([[view.matrix_unit(i, j) for j in range(k)] for i in range(k)],
-                  dtype=np.intp)
-    flat = eu.ravel()
+    flat = _matrix_units(view)
+    eu = flat.reshape(k, k)
     wit = None
     for lo, hi in _row_blocks(k * k, k * k):
         rows = np.arange(lo, hi)

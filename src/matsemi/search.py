@@ -19,6 +19,7 @@ no matter how many worker processes execute them.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -310,24 +311,35 @@ def _on_spec_rings(fn, dom_spec: str, cod_spec: str, args: tuple):
               *_resolved(args, _worker_shared))
 
 
+# A _run_ring_tasks call runs its tasks in this process until they have
+# taken this much CPU time, and only then hands the rest to a pool: a
+# two-process pool costs about 20 ms of CPU and 13-15 ms of wall time to
+# start and join, more than most commands' whole search, while the fixed
+# partition leaves nearly all of a large search in its first task.
+_POOL_AFTER_S = 0.1
+
+
 def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
                     shared: tuple, workers: int) -> list:
     """``[fn(dom, cod, *args) for fn, args in tasks]``, in order, where
     each argument ``_Shared(i)`` stands for ``shared[i]``.
 
     ``shared`` holds the large read-only objects the tasks read, such as
-    search plans, so no task argument holds one.  A process pool of at
-    most one process per task runs the tasks only when ``workers > 1``,
-    there is more than one task, and both rings are the objects
-    :func:`parse_ring_spec` returns for their labels: the processes
+    search plans, so no task argument holds one.  The tasks run in order
+    in this process.  Before each one, if the tasks so far have taken
+    :data:`_POOL_AFTER_S` of this process's CPU time, ``workers > 1``, at
+    least two tasks remain, and both rings are the objects
+    :func:`parse_ring_spec` returns for their labels, every remaining task
+    goes to one process pool of at most one process per remaining task
+    instead, and its results follow the ones computed here.  The pool's processes
     resolve the labels to the same rings (under ``fork``, from the
     constructor caches they inherit).  The pool is started and joined
     within the call.  ``shared`` reaches each of its processes once, as
     the initializer's argument, which ``fork`` hands over without
     pickling.  Any other ring, hand-assembled or labelled with a spec it
-    was not built from, runs in this process.  Each ``fn`` must be a
-    private module-level function, so a pickled reference resolves to it
-    even when public names are wrapped.
+    was not built from, runs every task in this process.  Each ``fn`` must
+    be a private module-level function, so a pickled reference resolves
+    to it even when public names are wrapped.
     """
     def built_from_spec(ring: RingTable) -> bool:
         try:
@@ -335,14 +347,22 @@ def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
         except MatsemiError:
             return False
 
-    if (workers > 1 and len(tasks) > 1
-            and built_from_spec(dom) and built_from_spec(cod)):
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                                 initializer=_share, initargs=(shared,)) as pool:
-            futs = [pool.submit(_on_spec_rings, fn, dom.label, cod.label, args)
-                    for fn, args in tasks]
-            return [f.result() for f in futs]
-    return [fn(dom, cod, *_resolved(args, shared)) for fn, args in tasks]
+    may_pool = (workers > 1 and len(tasks) > 1
+                and built_from_spec(dom) and built_from_spec(cod))
+    out = []
+    start = time.process_time()
+    for i, (fn, args) in enumerate(tasks):
+        if (may_pool and len(tasks) - i > 1
+                and time.process_time() - start >= _POOL_AFTER_S):
+            rest = tasks[i:]
+            with ProcessPoolExecutor(max_workers=min(workers, len(rest)),
+                                     initializer=_share,
+                                     initargs=(shared,)) as pool:
+                futs = [pool.submit(_on_spec_rings, fn, dom.label, cod.label, args)
+                        for fn, args in rest]
+                return out + [f.result() for f in futs]
+        out.append(fn(dom, cod, *_resolved(args, shared)))
+    return out
 
 
 # The top-level branches are split into at most this many search tasks.
@@ -417,10 +437,11 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     in one pool also takes: build the plan (:func:`_enumeration_plan`,
     which refuses a bad filter), list the tasks of the fixed top-level
     partition (:func:`_enumeration_tasks`) and merge their results in
-    partition order (:func:`_merged_enumeration`).  With ``workers > 1``
-    a process pool may run the tasks (see :func:`_run_ring_tasks`), the
-    plan handed to its processes once each; results are byte-identical
-    for every worker count.
+    partition order (:func:`_merged_enumeration`).  The tasks run in this
+    process; with ``workers > 1``, once they have taken
+    ``_POOL_AFTER_S`` of CPU time, a process pool runs the rest (see
+    :func:`_run_ring_tasks`), the plan handed to its processes once each.
+    Results are byte-identical for every worker count.
 
     Multiplicativity is decided on right products by the search variables
     (the "ready" pairs of each stage), and on every pair for each complete

@@ -5,8 +5,10 @@ rings and returns a structured report with deterministic field order.
 Function-space scans are chunked into fixed-size tasks, and searches into
 the fixed partition of :mod:`matsemi.search`, so results are
 byte-identical for any worker count.  A suite hands all of its tasks to
-one :func:`~matsemi.search._run_ring_tasks` call, so a command starts at
-most one process pool.
+one :func:`~matsemi.search._run_ring_tasks` call, which runs them in this
+process until they have taken ``search._POOL_AFTER_S`` of CPU time and
+only then may hand the rest to a process pool, so a command starts at
+most one pool, and a light one none.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
 
     Both enumerations' plans are built first; then the scan's chunks and
     the two enumerations' partitions run as one task list, so
-    ``workers > 1`` starts one process pool, not three."""
+    ``workers > 1`` starts at most one process pool, not three."""
     total = function_space_size(dom, cod)
     _corner_units(dom)
     plans = (_enumeration_plan(dom, cod, ()),

@@ -20,8 +20,9 @@ settings.load_profile("deterministic")
 def in_process_pool(monkeypatch):
     """A fake executor in place of the process pool of
     ``search._run_ring_tasks``: it runs the pool's initializer and every
-    task in this process.  Returns the size of each pool started, in
-    order."""
+    task in this process.  ``search._POOL_AFTER_S`` is 0, so a call that
+    may use a pool hands it every task.  Returns the size of each pool
+    started, in order."""
     from concurrent.futures import Future
 
     from matsemi import search
@@ -48,6 +49,7 @@ def in_process_pool(monkeypatch):
     # process; restore them afterwards.
     monkeypatch.setattr(search, "_worker_shared", ())
     monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     return sizes
 
 

@@ -359,6 +359,26 @@ def test_verify_tensor_zmod6_stdout_pinned(workers):
     assert (doc["ring_homs"], doc["lift_multiplicative"]) == (4, 6)
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("verify", "prop1", "--dom", "mat:2:zmod:2", "--cod", "zmod:2"),
+     "35fc80397ca1ece4ef1a258fae441c58204b2e52dbba4d839ef22bf94588d655"),
+    (("enumerate", "--dom", "mat:2:zmod:3", "--cod", "mat:2:zmod:3", "--filter", "star"),
+     "1aae927b5d17a5aa77a7b54e591318676597589df8bc645fd527ca3845aa1669"),
+], ids=["prop1", "enumerate-star"])
+def test_light_commands_start_no_pool_at_two_workers(argv, digest, monkeypatch):
+    """Commands whose tasks finish within ``search._POOL_AFTER_S`` of CPU
+    time run them all in this process at ``--workers 2`` and print the
+    one-worker bytes (pinned in CI too)."""
+    from matsemi import search
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    code, out = run_cli(*argv, "--workers", "2")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 def test_verify_doubling_stdout_pinned(map_files):
     """The doubling reports of the zmod:9 cube are pinned byte for byte.
     Under doubling-unitary the map certifies new elements at levels 1 and

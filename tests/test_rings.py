@@ -973,6 +973,22 @@ def test_matrix_view_scans():
         assert validate_matrix_view(view).ok
 
 
+@pytest.mark.parametrize("spec,digest", [
+    ("mat:2:zmod:2", "a27799b5119f51c9078512f3958de2408038deaa7b53922799a9a8ad098957ca"),
+    ("mat:2:zmod:3", "80b3ffbb3934f475f10aced7a379fb309bc0b4c40d9a4e82e8116a0f7f49b156"),
+    ("mat:2:zmod:4", "29f43300ff93aed55dc9dc00f20a841f7ca5b59ee1402083e0f6851a2e5e4633"),
+    ("mat:2:gauss:2", "f9dc9e9e92126fd1d38d51de71064da7d01a7958e718570f3c0673cf9800ea0e"),
+    ("mat:2:gauss:3", "9c725e8730f1ed288fe1b8fefe1dd0829f5e92ffad3e3c355202996669c1d579"),
+    ("mat:8:zmod:1", "2f74b22234fe31a9006006867f268eec9a3e83d908c437178f05b46b9d05b13f"),
+    ("mat:30:zmod:1", "bc7535ded07cb57703bebc0ada445ed438a7c895d0ae9bea5cc7e974720436ae"),
+])
+def test_matrix_view_reports_pinned(spec, digest):
+    """The json of ``validate_matrix_view`` is pinned byte for byte on the
+    corpus matrix rings and on k x k matrices over the zero ring."""
+    rep = validate_matrix_view(parse_ring_spec(spec).matrix_view).to_json()
+    assert hashlib.sha256(json.dumps(rep).encode()).hexdigest() == digest
+
+
 def _matrix_unit_relations_by_loop(view):
     """``(ok, checked, witness)`` of e_ij e_kl = delta_jk e_il by a loop
     over (i, j, k, l); the witness is the last failing pair."""

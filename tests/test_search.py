@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import pickle
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -493,6 +494,38 @@ def test_process_pool_has_at_most_one_process_per_task(in_process_pool):
         m.img.tolist() for m in enumerate_multiplicative_maps(Z4, Z4).maps]
 
 
+@pytest.mark.parametrize("k,pool", [(1, [3]), (2, [3]), (14, [2]), (15, [])])
+def test_tasks_run_here_until_the_cpu_threshold(k, pool, in_process_pool,
+                                                monkeypatch):
+    """A call runs its tasks in this process until they have taken
+    ``_POOL_AFTER_S`` of CPU time, then hands every remaining task to one
+    pool of ``min(workers, remaining)`` processes, unless only one task
+    remains.  A fake clock reads the number of tasks run so far, so the
+    call spills after ``k`` of the 16 tasks.  A task runs in the (fake)
+    pool when the pool's initializer has set the worker-side shared
+    objects.  The merged result equals the one-worker result."""
+    ring = parse_ring_spec("mat:2:zmod:2")
+    want = enumerate_multiplicative_maps(ring, ring)
+    ran = []
+    search_range = search._search_range
+
+    def recorded(dom, cod, plan, limit, node_budget, lo, hi):
+        ran.append("pool" if search._worker_shared else "here")
+        return search_range(dom, cod, plan, limit, node_budget, lo, hi)
+
+    monkeypatch.setattr(search, "_search_range", recorded)
+    monkeypatch.setattr(search, "time", SimpleNamespace(
+        process_time=lambda: float(len(ran))))
+    monkeypatch.setattr(search, "_POOL_AFTER_S", k)
+    got = enumerate_multiplicative_maps(ring, ring, workers=3)
+    assert len(search._partition(ring.size)) == 16
+    here = k if pool else 16
+    assert ran == ["here"] * here + ["pool"] * (16 - here)
+    assert in_process_pool == pool
+    assert ([m.img.tolist() for m in got.maps], got.nodes, got.exhaustive) == (
+        [m.img.tolist() for m in want.maps], want.nodes, want.exhaustive)
+
+
 def _refuse_to_pickle(self, protocol):
     raise AssertionError("a search plan was pickled")
 
@@ -510,10 +543,11 @@ def _refuse_to_pickle(self, protocol):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="only a forked pool process inherits the plans")
 def test_process_pool_gets_plans_without_pickling(run, monkeypatch):
-    """A real pool of two processes runs each command's tasks while no
-    search plan can be pickled: the plans reach the processes when they
-    are forked.  The output equals the one-worker output, and no child
-    process is left once the call returns."""
+    """A real pool of two processes runs each command's tasks (with
+    ``_POOL_AFTER_S`` at 0, every task) while no search plan can be
+    pickled: the plans reach the processes when they are forked.  The
+    output equals the one-worker output, and no child process is left
+    once the call returns."""
     started = []
 
     class CountedPool(search.ProcessPoolExecutor):
@@ -522,6 +556,7 @@ def test_process_pool_gets_plans_without_pickling(run, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     monkeypatch.setattr(search._Plan, "__reduce_ex__", _refuse_to_pickle,
                         raising=False)
     with pytest.raises(AssertionError, match="pickled"):
