@@ -14,7 +14,7 @@ import json
 import sys
 from functools import partial
 
-from .errors import MatsemiError, PreconditionFailed
+from .errors import MatsemiError, PreconditionFailed, decimal_int
 from .maps import (
     MapTable,
     _relation_report,
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     info = ring_sub.add_parser("info", help="build a ring and run axiom scans")
     info.add_argument("spec", help="ring spec, e.g. zmod:4 or mat:2:gauss:3")
     info.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    info.add_argument("--size-cap", type=int, default=None)
+    info.add_argument("--size-cap", type=decimal_int, default=None)
 
     mp = sub.add_parser("map", help="map predicates")
     map_sub = mp.add_subparsers(dest="map_command", required=True)
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="phi(i) = i phi(e11) + i phi(e22)")
     check.add_argument("--unital", action="store_true", help="phi(1) = 1")
     check.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    check.add_argument("--size-cap", type=int, default=None)
+    check.add_argument("--size-cap", type=decimal_int, default=None)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("suite", choices=VERIFY_IDS)
@@ -110,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--cod", help="codomain ring spec")
     ver.add_argument("--ring", help="ring spec for ring-level suites")
     ver.add_argument("--map", dest="map_path", help="JSON map file")
-    ver.add_argument("--limit", type=int, default=None)
-    ver.add_argument("--workers", type=int, default=None)
-    ver.add_argument("--size-cap", type=int, default=None)
+    ver.add_argument("--limit", type=decimal_int, default=None)
+    ver.add_argument("--workers", type=decimal_int, default=None)
+    ver.add_argument("--size-cap", type=decimal_int, default=None)
     ver.add_argument("--replay", help="replay a stored doubling trace")
     ver.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
@@ -121,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--cod", required=True)
     en.add_argument("--filter", action="append", default=[],
                     help="unital|star|corner|i_relation (repeatable)")
-    en.add_argument("--limit", type=int, default=None)
-    en.add_argument("--workers", type=int, default=1)
-    en.add_argument("--size-cap", type=int, default=None)
+    en.add_argument("--limit", type=decimal_int, default=None)
+    en.add_argument("--workers", type=decimal_int, default=1)
+    en.add_argument("--size-cap", type=decimal_int, default=None)
     en.add_argument("--format", choices=("json", "csv", "text"), default="json")
     return p
 

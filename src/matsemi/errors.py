@@ -4,7 +4,8 @@ All errors raised by this package derive from :class:`MatsemiError` so
 callers can distinguish library failures from genuine bugs.  The size cap
 bounds how many elements a constructed ring may have; it defaults to 10**6
 and can be overridden per call or through the ``MATSEMI_SIZE_CAP``
-environment variable.
+environment variable, read by :func:`decimal_int` as the CLI's integer
+flags are.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ class SizeMismatch(MatsemiError):
     """Two rings that must have equal size do not."""
 
 
+def decimal_int(text: str) -> int:
+    """``text`` as an integer: an optional leading ``-``, then ASCII digits
+    only.  The underscores, spaces, ``+`` signs and non-ASCII digits that
+    ``int`` accepts raise ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def effective_size_cap(explicit: int | None = None) -> int:
     """Resolve the size cap: explicit argument, else env var, else default."""
     if explicit is not None:
@@ -69,7 +80,7 @@ def effective_size_cap(explicit: int | None = None) -> int:
     env = os.environ.get(_ENV_VAR)
     if env:
         try:
-            cap = int(env)
+            cap = decimal_int(env)
         except ValueError as exc:
             raise ValueError(f"{_ENV_VAR} must be an integer, got {env!r}") from exc
         if cap < 1:

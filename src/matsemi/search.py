@@ -105,7 +105,6 @@ _PREFILTER_PROBES = 64
 
 class _Plan:
     def __init__(self, dom: RingTable, filters: tuple[str, ...]):
-        self.filters = filters
         cl = op_closure(dom, "mul")
         self.vars = cl.gens
         nstages = len(self.vars)
@@ -281,34 +280,24 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     return out, nodes, exhausted
 
 
-@dataclass(frozen=True)
-class _Shared:
-    """A task argument standing for the shared object at position ``at``
-    (see :func:`_run_ring_tasks`)."""
-
-    at: int
+# The call of _run_ring_tasks whose pool started this worker process, as
+# ``(dom label, cod label, remaining tasks)``; set once per worker, when it
+# starts, and never in the process that runs the call.
+_worker_tasks: tuple = ()
 
 
-def _resolved(args: tuple, shared: tuple) -> list:
-    return [shared[a.at] if isinstance(a, _Shared) else a for a in args]
-
-
-# The shared objects of the _run_ring_tasks call whose pool started this
-# worker process; set once per worker, when it starts, and never in the
-# process that runs the call.
-_worker_shared: tuple = ()
-
-
-def _share(shared: tuple) -> None:
+def _share(*call) -> None:
     """Pool-worker initializer of :func:`_run_ring_tasks`."""
-    global _worker_shared
-    _worker_shared = shared
+    global _worker_tasks
+    _worker_tasks = call
 
 
-def _on_spec_rings(fn, dom_spec: str, cod_spec: str, args: tuple):
-    """Pool-worker side of :func:`_run_ring_tasks`."""
-    return fn(parse_ring_spec(dom_spec), parse_ring_spec(cod_spec),
-              *_resolved(args, _worker_shared))
+def _run_task(j: int):
+    """Pool-worker side of :func:`_run_ring_tasks`: task ``j`` of the
+    remaining tasks, on the rings that the labels name."""
+    dom_spec, cod_spec, tasks = _worker_tasks
+    fn, args = tasks[j]
+    return fn(parse_ring_spec(dom_spec), parse_ring_spec(cod_spec), *args)
 
 
 # A _run_ring_tasks call runs its tasks in this process until they have
@@ -320,26 +309,24 @@ _POOL_AFTER_S = 0.1
 
 
 def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
-                    shared: tuple, workers: int) -> list:
-    """``[fn(dom, cod, *args) for fn, args in tasks]``, in order, where
-    each argument ``_Shared(i)`` stands for ``shared[i]``.
+                    workers: int) -> list:
+    """``[fn(dom, cod, *args) for fn, args in tasks]``, in order.
 
-    ``shared`` holds the large read-only objects the tasks read, such as
-    search plans, so no task argument holds one.  The tasks run in order
-    in this process.  Before each one, if the tasks so far have taken
-    :data:`_POOL_AFTER_S` of this process's CPU time, ``workers > 1``, at
-    least two tasks remain, and both rings are the objects
-    :func:`parse_ring_spec` returns for their labels, every remaining task
-    goes to one process pool of at most one process per remaining task
-    instead, and its results follow the ones computed here.  The pool's processes
-    resolve the labels to the same rings (under ``fork``, from the
-    constructor caches they inherit).  The pool is started and joined
-    within the call.  ``shared`` reaches each of its processes once, as
-    the initializer's argument, which ``fork`` hands over without
-    pickling.  Any other ring, hand-assembled or labelled with a spec it
-    was not built from, runs every task in this process.  Each ``fn`` must
-    be a private module-level function, so a pickled reference resolves
-    to it even when public names are wrapped.
+    The tasks run in order in this process.  Before each one, if the tasks
+    so far have taken :data:`_POOL_AFTER_S` of this process's CPU time,
+    ``workers > 1``, at least two tasks remain, and both rings are the
+    objects :func:`parse_ring_spec` returns for their labels, every
+    remaining task goes to one process pool of at most one process per
+    remaining task instead, and its results follow the ones computed here.
+    The pool is started and joined within the call.  Its processes receive
+    the labels and the remaining tasks once each, as the initializer's
+    arguments, which ``fork`` hands over without pickling, and each future
+    names its task by position, so no search plan is copied per task.  The
+    processes resolve the labels to the same rings (under ``fork``, from
+    the constructor caches they inherit).  Any other ring, hand-assembled
+    or labelled with a spec it was not built from, runs every task in this
+    process.  Each ``fn`` must be a private module-level function, so a
+    pickled reference resolves to it even when public names are wrapped.
     """
     def built_from_spec(ring: RingTable) -> bool:
         try:
@@ -357,11 +344,10 @@ def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
             rest = tasks[i:]
             with ProcessPoolExecutor(max_workers=min(workers, len(rest)),
                                      initializer=_share,
-                                     initargs=(shared,)) as pool:
-                futs = [pool.submit(_on_spec_rings, fn, dom.label, cod.label, args)
-                        for fn, args in rest]
+                                     initargs=(dom.label, cod.label, rest)) as pool:
+                futs = [pool.submit(_run_task, j) for j in range(len(rest))]
                 return out + [f.result() for f in futs]
-        out.append(fn(dom, cod, *_resolved(args, shared)))
+        out.append(fn(dom, cod, *args))
     return out
 
 
@@ -379,48 +365,6 @@ def _partition(total: int) -> list[tuple[int, int]]:
             if bounds[i] < bounds[i + 1]]
 
 
-def _enumeration_plan(dom: RingTable, cod: RingTable, filters) -> _Plan:
-    """The search plan of an enumeration dom -> cod, with its canonical
-    filters in ``plan.filters``.  An unknown filter, or one that a ring
-    cannot carry, raises here, before any task runs."""
-    filters = canonical_filters(filters)
-    if "star" in filters:
-        dom.require_star()
-        cod.require_star()
-    if "i_relation" in filters:
-        cod.require_i()
-    return _Plan(dom, filters)
-
-
-def _enumeration_tasks(plan_at: int, cod: RingTable, limit: int | None,
-                       node_budget: int | None) -> list[tuple]:
-    """The :func:`_run_ring_tasks` tasks of one enumeration into ``cod``,
-    one per block of the fixed partition, on the plan at position
-    ``plan_at`` of the shared objects."""
-    return [(_search_range, (_Shared(plan_at), limit, node_budget, lo, hi))
-            for lo, hi in _partition(cod.size)]
-
-
-def _merged_enumeration(dom: RingTable, cod: RingTable, filters: tuple[str, ...],
-                        limit: int | None, results: list) -> EnumerationResult:
-    """The enumeration whose tasks returned ``results``, in partition
-    order: their maps concatenated and cut at ``limit``, their node counts
-    summed."""
-    maps: list[MapTable] = []
-    nodes = 0
-    exhaustive = True
-    for imgs, n, ex in results:
-        nodes += n
-        exhaustive = exhaustive and ex
-        for arr in imgs:
-            if limit is None or len(maps) < limit:
-                maps.append(MapTable(dom, cod, arr))
-            else:
-                exhaustive = False
-    return EnumerationResult(maps=maps, nodes=nodes,
-                             exhaustive=exhaustive, filters=filters)
-
-
 def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
                                   filters=(), limit: int | None = None,
                                   node_budget: int | None = None,
@@ -431,17 +375,15 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     the brute-force-filtered set whenever the search runs to completion
     (``exhaustive`` in the result).  ``node_budget`` bounds the nodes each
     top-level branch may visit; ``limit`` truncates the output.  Both
-    truncations clear the ``exhaustive`` flag.
+    truncations clear the ``exhaustive`` flag.  An unknown filter, or one
+    that a ring cannot carry, raises before any node is visited.
 
-    The enumeration is three steps, which a suite running several searches
-    in one pool also takes: build the plan (:func:`_enumeration_plan`,
-    which refuses a bad filter), list the tasks of the fixed top-level
-    partition (:func:`_enumeration_tasks`) and merge their results in
-    partition order (:func:`_merged_enumeration`).  The tasks run in this
-    process; with ``workers > 1``, once they have taken
+    The top-level branches form one task per block of the fixed partition,
+    and the tasks' results merge in partition order.  The tasks run in
+    this process; with ``workers > 1``, once they have taken
     ``_POOL_AFTER_S`` of CPU time, a process pool runs the rest (see
-    :func:`_run_ring_tasks`), the plan handed to its processes once each.
-    Results are byte-identical for every worker count.
+    :func:`_run_ring_tasks`), so a call starts at most one pool, and a
+    light one none.  Results are byte-identical for every worker count.
 
     Multiplicativity is decided on right products by the search variables
     (the "ready" pairs of each stage), and on every pair for each complete
@@ -450,11 +392,28 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    plan = _enumeration_plan(dom, cod, filters)
-    results = _run_ring_tasks(dom, cod,
-                              _enumeration_tasks(0, cod, limit, node_budget),
-                              (plan,), workers)
-    return _merged_enumeration(dom, cod, plan.filters, limit, results)
+    filters = canonical_filters(filters)
+    if "star" in filters:
+        dom.require_star()
+        cod.require_star()
+    if "i_relation" in filters:
+        cod.require_i()
+    plan = _Plan(dom, filters)
+    tasks = [(_search_range, (plan, limit, node_budget, lo, hi))
+             for lo, hi in _partition(cod.size)]
+    maps: list[MapTable] = []
+    nodes = 0
+    exhaustive = True
+    for imgs, n, ex in _run_ring_tasks(dom, cod, tasks, workers):
+        nodes += n
+        exhaustive = exhaustive and ex
+        for arr in imgs:
+            if limit is None or len(maps) < limit:
+                maps.append(MapTable(dom, cod, arr))
+            else:
+                exhaustive = False
+    return EnumerationResult(maps=maps, nodes=nodes,
+                             exhaustive=exhaustive, filters=filters)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Each suite exercises one equivalence or identity over concrete finite
 rings and returns a structured report with deterministic field order.
 Function-space scans are chunked into fixed-size tasks, and searches into
 the fixed partition of :mod:`matsemi.search`, so results are
-byte-identical for any worker count.  A suite hands all of its tasks to
-one :func:`~matsemi.search._run_ring_tasks` call, which runs them in this
+byte-identical for any worker count.  Each task list goes to one
+:func:`~matsemi.search._run_ring_tasks` call, which runs the tasks in this
 process until they have taken ``search._POOL_AFTER_S`` of CPU time and
-only then may hand the rest to a process pool, so a command starts at
-most one pool, and a light one none.
+only then may hand the rest to a process pool, so each task list starts
+at most one pool, and a light command none.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .rings import (
     units,
 )
 from .search import (
-    _enumeration_plan,
-    _enumeration_tasks,
-    _merged_enumeration,
     _run_ring_tasks,
     enumerate_multiplicative_maps,
     function_space_masks,
@@ -137,26 +134,16 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     the generator-based enumeration reproduces the multiplicative set
     element for element.  A domain not built as a 2x2 matrix ring is
     refused (:class:`~matsemi.errors.NotAMatrixRing`) before any function
-    is scanned.
-
-    Both enumerations' plans are built first; then the scan's chunks and
-    the two enumerations' partitions run as one task list, so
-    ``workers > 1`` starts at most one process pool, not three."""
+    is scanned."""
     total = function_space_size(dom, cod)
     _corner_units(dom)
-    plans = (_enumeration_plan(dom, cod, ()),
-             _enumeration_plan(dom, cod, ("corner",)))
-    scan = _scan_tasks(_corner_task, total)
-    searches = [_enumeration_tasks(i, cod, None, None) for i in range(2)]
-    parts = _run_ring_tasks(dom, cod, scan + searches[0] + searches[1],
-                            plans, workers)
-    mult_ids, corner_ids, add_ids = _joined(parts[:len(scan)])
+    mult_ids, corner_ids, add_ids = _joined(_run_ring_tasks(
+        dom, cod, _scan_tasks(_corner_task, total), workers))
     sets_equal = bool(np.array_equal(corner_ids, add_ids))
 
-    split = len(scan) + len(searches[0])
-    res, res_corner = (
-        _merged_enumeration(dom, cod, plan.filters, None, results)
-        for plan, results in zip(plans, (parts[len(scan):split], parts[split:])))
+    res = enumerate_multiplicative_maps(dom, cod, workers=workers)
+    res_corner = enumerate_multiplicative_maps(dom, cod, filters=("corner",),
+                                               workers=workers)
     matches = (_enumeration_matches(res, mult_ids, dom, cod)
                and _enumeration_matches(res_corner, corner_ids, dom, cod))
 
@@ -214,7 +201,7 @@ def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
     for ring in (dom, cod):
         make_matrix_ring(ring, _TENSOR_K, size_cap=size_cap)
     hom_ids, lift_ids = _joined(_run_ring_tasks(
-        dom, cod, _scan_tasks(_tensor_task, total, size_cap), (), workers))
+        dom, cod, _scan_tasks(_tensor_task, total, size_cap), workers))
     return TensorEquivalenceReport(
         dom=dom.label, cod=cod.label, k=_TENSOR_K, total_functions=total,
         ring_homs=int(hom_ids.size), lift_multiplicative=int(lift_ids.size),

@@ -45,9 +45,9 @@ def in_process_pool(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    # The initializer sets the worker-side shared objects, here in this
-    # process; restore them afterwards.
-    monkeypatch.setattr(search, "_worker_shared", ())
+    # The initializer sets the worker-side tasks, here in this process;
+    # restore them afterwards.
+    monkeypatch.setattr(search, "_worker_tasks", ())
     monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     return sizes

@@ -452,6 +452,36 @@ def test_workers_below_one_exit2(workers, capsys):
         _assert_one_line_error(*run_cli(*argv, "--workers", workers), capsys)
 
 
+# Forms that int() reads as integers but an integer input refuses: an
+# underscore, a leading space, a plus sign and an Arabic-Indic digit one.
+_LOOSE_INTS = pytest.mark.parametrize("text", ["1_0", " 1", "+1", "١"],
+                                      ids=["underscore", "space", "plus", "non-ascii"])
+
+
+@_LOOSE_INTS
+@pytest.mark.parametrize("flag", ["--limit", "--workers", "--size-cap"])
+def test_integer_flags_take_ascii_digits_only(flag, text, capsys):
+    """An integer flag takes an optional ``-`` and ASCII digits only: any
+    other form exits 2 through argparse, as ``--workers abc`` does."""
+    for argv in (["enumerate", "--dom", "zmod:2", "--cod", "zmod:2"],
+                 ["verify", "i-relation", "--dom", "mat:2:zmod:2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, flag, text)
+        assert exc.value.code == 2
+        assert (f"argument {flag}: invalid decimal_int value: {text!r}"
+                in capsys.readouterr().err)
+
+
+@_LOOSE_INTS
+def test_env_size_cap_takes_ascii_digits_only(text, monkeypatch, capsys):
+    """``MATSEMI_SIZE_CAP`` follows the rule of the integer flags; any other
+    form exits 2 with one error line."""
+    monkeypatch.setenv("MATSEMI_SIZE_CAP", text)
+    assert run_cli("ring", "info", "zmod:2") == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: MATSEMI_SIZE_CAP must be an integer, got {text!r}\n")
+
+
 @pytest.mark.parametrize("limit", ["0", "-2"])
 def test_verify_i_relation_limit_below_one_exit2(limit, capsys):
     _assert_one_line_error(*run_cli("verify", "i-relation", "--dom", "mat:2:zmod:2",

@@ -43,7 +43,11 @@ from matsemi.search import (
     monoid_generators,
     unique_addition_probe,
 )
-from matsemi.verify import verify_corner_equivalence, verify_fourth_power_search
+from matsemi.verify import (
+    verify_corner_equivalence,
+    verify_fourth_power_search,
+    verify_tensor_equivalence,
+)
 
 Z1 = make_zmod(1)
 Z2 = make_zmod(2)
@@ -502,15 +506,15 @@ def test_tasks_run_here_until_the_cpu_threshold(k, pool, in_process_pool,
     pool of ``min(workers, remaining)`` processes, unless only one task
     remains.  A fake clock reads the number of tasks run so far, so the
     call spills after ``k`` of the 16 tasks.  A task runs in the (fake)
-    pool when the pool's initializer has set the worker-side shared
-    objects.  The merged result equals the one-worker result."""
+    pool when the pool's initializer has set the worker-side tasks.  The
+    merged result equals the one-worker result."""
     ring = parse_ring_spec("mat:2:zmod:2")
     want = enumerate_multiplicative_maps(ring, ring)
     ran = []
     search_range = search._search_range
 
     def recorded(dom, cod, plan, limit, node_budget, lo, hi):
-        ran.append("pool" if search._worker_shared else "here")
+        ran.append("pool" if search._worker_tasks else "here")
         return search_range(dom, cod, plan, limit, node_budget, lo, hi)
 
     monkeypatch.setattr(search, "_search_range", recorded)
@@ -530,23 +534,29 @@ def _refuse_to_pickle(self, protocol):
     raise AssertionError("a search plan was pickled")
 
 
-@pytest.mark.parametrize("run", [
-    lambda workers: [m.img.tolist() for m in enumerate_multiplicative_maps(
-        parse_ring_spec("mat:2:zmod:3"), parse_ring_spec("mat:2:zmod:3"),
-        filters=("star",), workers=workers).maps],
-    lambda workers: verify_corner_equivalence(
+def _star_enumeration(workers):
+    ring = parse_ring_spec("mat:2:zmod:3")
+    return [m.img.tolist() for m in enumerate_multiplicative_maps(
+        ring, ring, filters=("star",), workers=workers).maps]
+
+
+@pytest.mark.parametrize("run,pools", [
+    (_star_enumeration, [2]),
+    (lambda workers: verify_corner_equivalence(
         parse_ring_spec("mat:2:zmod:2"), Z2, workers=workers).to_json(),
-    lambda workers: verify_fourth_power_search(
+     [2, 2, 2]),
+    (lambda workers: verify_fourth_power_search(
         parse_ring_spec("mat:2:gauss:2"), parse_ring_spec("gauss:2"),
-        workers=workers).to_json(),
+        workers=workers).to_json(), [2]),
 ], ids=["enumerate-star", "prop1", "i-relation"])
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="only a forked pool process inherits the plans")
-def test_process_pool_gets_plans_without_pickling(run, monkeypatch):
-    """A real pool of two processes runs each command's tasks (with
-    ``_POOL_AFTER_S`` at 0, every task) while no search plan can be
-    pickled: the plans reach the processes when they are forked.  The
-    output equals the one-worker output, and no child process is left
+def test_process_pool_gets_plans_without_pickling(run, pools, monkeypatch):
+    """Real pools of two processes run each command's tasks (with
+    ``_POOL_AFTER_S`` at 0, every task; prop1 starts one for its scan and
+    one for each enumeration) while no search plan can be pickled: the
+    tasks holding the plans reach the processes when they are forked.
+    The output equals the one-worker output, and no child process is left
     once the call returns."""
     started = []
 
@@ -562,7 +572,33 @@ def test_process_pool_gets_plans_without_pickling(run, monkeypatch):
     with pytest.raises(AssertionError, match="pickled"):
         pickle.dumps(_Plan(Z4, ()))
     assert run(2) == run(1)
-    assert started == [2]
+    assert started == pools
+    assert multiprocessing.active_children() == []
+
+
+def test_spawned_pool_gives_the_one_worker_results(monkeypatch):
+    """A real pool under the ``spawn`` start method (with
+    ``_POOL_AFTER_S`` at 0, every task): its fresh processes parse the
+    ring labels again and receive the pickled tasks, plans included.  The
+    star enumeration on M2(Z3) and the tensor suite on Z6 equal their
+    one-worker results, and no child process is left."""
+    started = []
+
+    class SpawnedPool(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, mp_context=multiprocessing.get_context("spawn"),
+                             **kwargs)
+
+    def both(workers):
+        return (_star_enumeration(workers), verify_tensor_equivalence(
+            parse_ring_spec("zmod:6"), workers=workers).to_json())
+
+    want = both(1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SpawnedPool)
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
+    assert both(2) == want
+    assert started == [2, 2]
     assert multiprocessing.active_children() == []
 
 

@@ -55,12 +55,13 @@ def test_tensor_on_unparseable_ring(workers):
     assert _without_labels(rep.to_json()) == _without_labels(want.to_json())
 
 
-def test_prop1_starts_one_pool(in_process_pool):
-    """The scan and both enumerations of prop1 run in one pool, and the
+def test_prop1_starts_a_pool_per_task_list(in_process_pool):
+    """With every task handed to a pool, prop1 starts one pool for its
+    8 scan chunks and one for each enumeration's 2 tasks into Z2, and the
     report equals the one-worker report."""
     dom, cod = parse_ring_spec("mat:2:zmod:2"), parse_ring_spec("zmod:2")
     rep = verify_corner_equivalence(dom, cod, workers=2)
-    assert in_process_pool == [2]
+    assert in_process_pool == [2, 2, 2]
     assert rep.to_json() == verify_corner_equivalence(dom, cod).to_json()
 
 
