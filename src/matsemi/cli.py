@@ -37,10 +37,6 @@ from .verify import (
     verify_witness_suite,
 )
 
-VERIFY_IDS = ("prop1", "tensor", "i-relation", "witnesses",
-              "doubling-unitary", "doubling-gl")
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -80,51 +76,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="matsemi",
         description="Finite-ring multiplicative-map verification workbench")
     sub = p.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    shared.add_argument("--size-cap", type=decimal_int, default=None)
 
     ring = sub.add_parser("ring", help="ring inspection")
     ring_sub = ring.add_subparsers(dest="ring_command", required=True)
-    info = ring_sub.add_parser("info", help="build a ring and run axiom scans")
+    info = ring_sub.add_parser("info", parents=[shared],
+                               help="build a ring and run axiom scans")
     info.add_argument("spec", help="ring spec, e.g. zmod:4 or mat:2:gauss:3")
-    info.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    info.add_argument("--size-cap", type=decimal_int, default=None)
+    info.set_defaults(handler=_cmd_ring_info)
 
     mp = sub.add_parser("map", help="map predicates")
     map_sub = mp.add_subparsers(dest="map_command", required=True)
-    check = map_sub.add_parser("check", help="run predicate checks on a map file")
+    check = map_sub.add_parser("check", parents=[shared],
+                               help="run predicate checks on a map file")
     check.add_argument("path", help="JSON map file {dom, cod, img}")
-    check.add_argument("--mult", action="store_true", help="multiplicativity scan")
-    check.add_argument("--add", action="store_true", help="additivity scan")
-    check.add_argument("--ring-hom", action="store_true", help="both scans")
-    check.add_argument("--star", action="store_true", help="involution preservation")
-    check.add_argument("--corner", action="store_true",
-                       help="phi(1) = phi(e11) + phi(e22)")
-    check.add_argument("--i-relation", action="store_true",
-                       help="phi(i) = i phi(e11) + i phi(e22)")
-    check.add_argument("--unital", action="store_true", help="phi(1) = 1")
-    check.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    check.add_argument("--size-cap", type=decimal_int, default=None)
+    for flag, _, text in _CHECKS:
+        check.add_argument(flag, action="store_true", help=text)
+    check.set_defaults(handler=_cmd_map_check)
 
-    ver = sub.add_parser("verify", help="run a named verification suite")
-    ver.add_argument("suite", choices=VERIFY_IDS)
-    ver.add_argument("--dom", help="domain ring spec")
-    ver.add_argument("--cod", help="codomain ring spec")
-    ver.add_argument("--ring", help="ring spec for ring-level suites")
-    ver.add_argument("--map", dest="map_path", help="JSON map file")
-    ver.add_argument("--limit", type=decimal_int, default=None)
-    ver.add_argument("--workers", type=decimal_int, default=None)
-    ver.add_argument("--size-cap", type=decimal_int, default=None)
-    ver.add_argument("--replay", help="replay a stored doubling trace")
-    ver.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    ver = sub.add_parser("verify", parents=[shared],
+                         help="run a named verification suite")
+    ver.add_argument("suite", choices=_SUITES)
+    for flag, dest, kind, text in _VERIFY_FLAGS:
+        ver.add_argument(flag, dest=dest, type=kind, help=text)
+    ver.set_defaults(handler=_cmd_verify)
 
-    en = sub.add_parser("enumerate", help="enumerate multiplicative maps")
+    en = sub.add_parser("enumerate", parents=[shared],
+                        help="enumerate multiplicative maps")
     en.add_argument("--dom", required=True)
     en.add_argument("--cod", required=True)
     en.add_argument("--filter", action="append", default=[],
                     help="unital|star|corner|i_relation (repeatable)")
     en.add_argument("--limit", type=decimal_int, default=None)
     en.add_argument("--workers", type=decimal_int, default=1)
-    en.add_argument("--size-cap", type=decimal_int, default=None)
-    en.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    en.set_defaults(handler=_cmd_enumerate)
     return p
 
 
@@ -170,25 +157,26 @@ def _cmd_ring_info(args) -> int:
     return 0 if report["valid"] else 1
 
 
-# Report rows follow this order, whatever the order of the flags.
-_CHECK_FLAGS = [
-    ("mult", is_multiplicative),
-    ("add", is_additive),
-    ("ring_hom", is_ring_hom),
-    ("star", respects_star),
-    ("corner", corner_relation_holds),
-    ("i_relation", i_relation_holds),
-    ("unital", partial(_relation_report, "unital")),
+# The ``map check`` predicates as (flag, predicate, help).  Report rows
+# follow this order, whatever the order of the flags.
+_CHECKS = [
+    ("--mult", is_multiplicative, "multiplicativity scan"),
+    ("--add", is_additive, "additivity scan"),
+    ("--ring-hom", is_ring_hom, "both scans"),
+    ("--star", respects_star, "involution preservation"),
+    ("--corner", corner_relation_holds, "phi(1) = phi(e11) + phi(e22)"),
+    ("--i-relation", i_relation_holds, "phi(i) = i phi(e11) + i phi(e22)"),
+    ("--unital", partial(_relation_report, "unital"), "phi(1) = 1"),
 ]
 
 
 def _cmd_map_check(args) -> int:
-    phi = _load_map(args.path, args.size_cap)
-    selected = [fn for name, fn in _CHECK_FLAGS if getattr(args, name)]
+    phi = MapTable.from_json(_read_json(args.path, "map"), size_cap=args.size_cap)
+    selected = [fn for flag, fn, _ in _CHECKS
+                if getattr(args, flag[2:].replace("-", "_"))]
     if not selected:
-        raise MatsemiError(
-            "no checks requested; pass --mult/--add/--ring-hom/--star/"
-            "--corner/--i-relation/--unital")
+        raise MatsemiError("no checks requested; pass "
+                           + "/".join(flag for flag, _, _ in _CHECKS))
     reports = [fn(phi).to_json() for fn in selected]
     all_pass = all(r["pass"] for r in reports)
     doc = {"map": {"dom": phi.dom.label, "cod": phi.cod.label},
@@ -208,34 +196,52 @@ def _cmd_map_check(args) -> int:
     return 0 if all_pass else 1
 
 
-def _load_map(path: str, size_cap) -> MapTable:
+def _read_json(path: str, what: str):
+    """The JSON document in the file ``path``, a ``what`` (map or trace).
+    A file that is not UTF-8, a malformed document or one nested too
+    deeply to decode raises :class:`MatsemiError`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatsemiError(f"malformed map JSON: {exc}") from exc
-    return MapTable.from_json(payload, size_cap=size_cap)
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise MatsemiError(f"malformed {what} JSON: {exc}") from exc
 
 
-# Flags of ``verify`` that only some suites read, as (flag, attribute,
-# suites); any other suite refuses them with exit 2 rather than ignoring
-# them.  The doubling suites run in one process, so they refuse --workers.
-_SUITE_FLAGS = [
-    ("--dom", "dom", ("prop1", "tensor", "i-relation")),
-    ("--cod", "cod", ("prop1", "tensor", "i-relation")),
-    ("--workers", "workers", ("prop1", "tensor", "i-relation")),
-    ("--limit", "limit", ("i-relation",)),
-    ("--ring", "ring", ("witnesses",)),
-    ("--map", "map_path", ("doubling-unitary", "doubling-gl")),
-    ("--replay", "replay", ("doubling-unitary", "doubling-gl")),
+# Flags of ``verify`` that only some suites read, as (flag, dest, type,
+# help), in the order their refusals are checked.
+_VERIFY_FLAGS = [
+    ("--dom", "dom", str, "domain ring spec"),
+    ("--cod", "cod", str, "codomain ring spec"),
+    ("--workers", "workers", decimal_int, "worker processes"),
+    ("--limit", "limit", decimal_int, "most maps to list"),
+    ("--ring", "ring", str, "ring spec for ring-level suites"),
+    ("--map", "map_path", str, "JSON map file"),
+    ("--replay", "replay", str, "replay a stored doubling trace"),
 ]
+
+# Each suite's (flags it needs, other flags it may take); it refuses every
+# other flag of _VERIFY_FLAGS with exit 2 rather than ignoring it.  The
+# doubling suites run in one process, so they refuse --workers, and check
+# --map and --replay themselves.
+_SUITES = {
+    "prop1": (("--dom", "--cod"), ("--workers",)),
+    "tensor": (("--dom",), ("--cod", "--workers")),
+    "i-relation": (("--dom",), ("--cod", "--workers", "--limit")),
+    "witnesses": (("--ring",), ()),
+    "doubling-unitary": ((), ("--map", "--replay")),
+    "doubling-gl": ((), ("--map", "--replay")),
+}
 
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    for flag, attr, suites in _SUITE_FLAGS:
-        if getattr(args, attr) is not None and suite not in suites:
+    needs, takes = _SUITES[suite]
+    given = {flag: getattr(args, dest) for flag, dest, _, _ in _VERIFY_FLAGS}
+    for flag, value in given.items():
+        if value is not None and flag not in needs + takes:
             raise MatsemiError(f"verify {suite} does not take {flag}")
+    if not all(given[flag] for flag in needs):
+        raise MatsemiError(f"verify {suite} needs {' and '.join(needs)}")
     workers = 1 if args.workers is None else args.workers
     lines = None  # the generic text report unless a suite sets its own
     if suite in ("doubling-unitary", "doubling-gl"):
@@ -243,8 +249,7 @@ def _cmd_verify(args) -> int:
         if args.replay:
             if args.map_path:
                 raise MatsemiError(f"verify {suite} takes --map or --replay, not both")
-            with open(args.replay, "r", encoding="utf-8") as fh:
-                stored = json.load(fh)
+            stored = _read_json(args.replay, "trace")
             if isinstance(stored, dict) and stored.get("mode", mode) != mode:
                 raise MatsemiError(f"verify {suite} replays {mode!r} traces, "
                                    f"not {stored['mode']!r}")
@@ -256,36 +261,27 @@ def _cmd_verify(args) -> int:
         else:
             if not args.map_path:
                 raise MatsemiError(f"verify {suite} needs --map (or --replay)")
-            phi = _load_map(args.map_path, args.size_cap)
+            phi = MapTable.from_json(_read_json(args.map_path, "map"),
+                                     size_cap=args.size_cap)
             doc = verify_doubling(phi, mode=mode).to_json()
     elif suite == "prop1":
-        if not args.dom or not args.cod:
-            raise MatsemiError("verify prop1 needs --dom and --cod")
         dom = parse_ring_spec(args.dom, size_cap=args.size_cap)
         cod = parse_ring_spec(args.cod, size_cap=args.size_cap)
         doc = verify_corner_equivalence(dom, cod, workers=workers).to_json()
     elif suite == "tensor":
-        if not args.dom:
-            raise MatsemiError("verify tensor needs --dom")
         dom = parse_ring_spec(args.dom, size_cap=args.size_cap)
         cod = parse_ring_spec(args.cod, size_cap=args.size_cap) if args.cod else None
         doc = verify_tensor_equivalence(dom, cod, workers=workers,
                                         size_cap=args.size_cap).to_json()
     elif suite == "i-relation":
-        if not args.dom:
-            raise MatsemiError("verify i-relation needs --dom")
         dom = parse_ring_spec(args.dom, size_cap=args.size_cap)
         cod = parse_ring_spec(args.cod, size_cap=args.size_cap) if args.cod else None
         limit = args.limit if args.limit is not None else DEFAULT_MAP_LIMIT
         doc = verify_fourth_power_search(
             dom, cod, limit=limit, workers=workers).to_json()
-    elif suite == "witnesses":
-        if not args.ring:
-            raise MatsemiError("verify witnesses needs --ring")
+    else:  # witnesses
         ring = parse_ring_spec(args.ring, size_cap=args.size_cap)
         doc = verify_witness_suite(ring, args.size_cap).to_json()
-    else:  # pragma: no cover - argparse restricts choices
-        raise MatsemiError(f"unknown suite {suite}")
 
     scalars = [[k, v] for k, v in doc.items()
                if isinstance(v, (str, int, bool)) or v is None]
@@ -316,20 +312,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "workers", None) is not None and args.workers < 1:
             raise MatsemiError("--workers must be >= 1")
-        if args.command == "ring":
-            return _cmd_ring_info(args)
-        if args.command == "map":
-            return _cmd_map_check(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        parser.error(f"unknown command {args.command}")
+        return args.handler(args)
     except PreconditionFailed as exc:
         _emit(_dump({"error": "precondition_failed", "detail": str(exc),
                      "pass": False}))
@@ -337,7 +324,6 @@ def main(argv=None) -> int:
     except (MatsemiError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -424,10 +424,17 @@ def _check_dense_tables(name: str, n: int):
 
 def _matrix_ring_size(base: RingTable, k: int) -> tuple[str, int]:
     """The name and element count of the k x k matrix ring over ``base``;
-    ValueError unless ``k >= 1``."""
+    ValueError unless ``k >= 1``.  Raises :class:`SizeCapExceeded` when
+    the k**2 x k**2 grid of matrix-unit products, which
+    :func:`validate_matrix_view` checks, would pass the dense-table limit:
+    over a one-element base every other limit passes at any k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return f"matrix ring mat:{k}:{base.label}", base.size ** (k * k)
+    name = f"matrix ring mat:{k}:{base.label}"
+    if k**4 > _DENSE_TABLE_ENTRY_LIMIT:
+        raise SizeCapExceeded(f"{name} needs a {k * k}x{k * k} matrix-unit "
+                              "grid, beyond the dense-table limit")
+    return name, base.size ** (k * k)
 
 
 def make_matrix_ring(base: RingTable, k: int,

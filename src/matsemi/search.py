@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,17 +310,20 @@ _POOL_AFTER_S = 0.1
 
 
 def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
-                    workers: int) -> list:
-    """``[fn(dom, cod, *args) for fn, args in tasks]``, in order.
+                    workers: int):
+    """Yields ``fn(dom, cod, *args) for fn, args in tasks``, in order.
 
-    The tasks run in order in this process.  Before each one, if the tasks
-    so far have taken :data:`_POOL_AFTER_S` of this process's CPU time,
-    ``workers > 1``, at least two tasks remain, and both rings are the
-    objects :func:`parse_ring_spec` returns for their labels, every
-    remaining task goes to one process pool of at most one process per
-    remaining task instead, and its results follow the ones computed here.
-    The pool is started and joined within the call.  Its processes receive
-    the labels and the remaining tasks once each, as the initializer's
+    The tasks run in order in this process, each when the caller asks for
+    its result.  Before each one, if the tasks run so far have taken
+    :data:`_POOL_AFTER_S` of this process's CPU time, ``workers > 1``, at
+    least two tasks remain, and both rings are the objects
+    :func:`parse_ring_spec` returns for their labels, every remaining task
+    goes to one process pool of at most one process per remaining task
+    instead, and its results follow the ones computed here.  The pool is
+    started and joined within the iteration; a caller that stops early
+    (closing the generator) cancels the pool's tasks that have not
+    started, and the pool is joined on close.  Its processes receive the
+    labels and the remaining tasks once each, as the initializer's
     arguments, which ``fork`` hands over without pickling, and each future
     names its task by position, so no search plan is copied per task.  The
     processes resolve the labels to the same rings (under ``fork``, from
@@ -336,19 +340,25 @@ def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
 
     may_pool = (workers > 1 and len(tasks) > 1
                 and built_from_spec(dom) and built_from_spec(cod))
-    out = []
-    start = time.process_time()
+    spent = 0.0  # CPU time of the tasks run here, not of the caller
     for i, (fn, args) in enumerate(tasks):
-        if (may_pool and len(tasks) - i > 1
-                and time.process_time() - start >= _POOL_AFTER_S):
+        if may_pool and len(tasks) - i > 1 and spent >= _POOL_AFTER_S:
             rest = tasks[i:]
             with ProcessPoolExecutor(max_workers=min(workers, len(rest)),
                                      initializer=_share,
                                      initargs=(dom.label, cod.label, rest)) as pool:
                 futs = [pool.submit(_run_task, j) for j in range(len(rest))]
-                return out + [f.result() for f in futs]
-        out.append(fn(dom, cod, *args))
-    return out
+                try:
+                    for f in futs:
+                        yield f.result()
+                finally:
+                    for f in futs:
+                        f.cancel()
+            return
+        start = time.process_time()
+        result = fn(dom, cod, *args)
+        spent += time.process_time() - start
+        yield result
 
 
 # The top-level branches are split into at most this many search tasks.
@@ -383,7 +393,11 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     this process; with ``workers > 1``, once they have taken
     ``_POOL_AFTER_S`` of CPU time, a process pool runs the rest (see
     :func:`_run_ring_tasks`), so a call starts at most one pool, and a
-    light one none.  Results are byte-identical for every worker count.
+    light one none.  Once the merged results hold ``limit`` maps and are
+    already not exhaustive, every later map would be cut, so the call
+    takes no further task's results (and runs no further task in this
+    process).  ``nodes`` counts the nodes of the tasks whose results were
+    taken.  Results are byte-identical for every worker count.
 
     Multiplicativity is decided on right products by the search variables
     (the "ready" pairs of each stage), and on every pair for each complete
@@ -404,14 +418,17 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     maps: list[MapTable] = []
     nodes = 0
     exhaustive = True
-    for imgs, n, ex in _run_ring_tasks(dom, cod, tasks, workers):
-        nodes += n
-        exhaustive = exhaustive and ex
-        for arr in imgs:
-            if limit is None or len(maps) < limit:
-                maps.append(MapTable(dom, cod, arr))
-            else:
-                exhaustive = False
+    with closing(_run_ring_tasks(dom, cod, tasks, workers)) as results:
+        for imgs, n, ex in results:
+            nodes += n
+            exhaustive = exhaustive and ex
+            for arr in imgs:
+                if limit is None or len(maps) < limit:
+                    maps.append(MapTable(dom, cod, arr))
+                else:
+                    exhaustive = False
+            if not exhaustive and limit is not None and len(maps) == limit:
+                break
     return EnumerationResult(maps=maps, nodes=nodes,
                              exhaustive=exhaustive, filters=filters)
 

@@ -48,11 +48,11 @@ _TENSOR_K = 2
 
 # Default step budget per top-level branch of the capped i-relation search.
 # With it, the default search M2(Z3[i]) -> M2(Z3[i]) visits 6392 nodes in
-# about 1.3-2.3 s of CPU on a shared 2-core x86 Xeon host, the
-# multiplication's closure built beforehand (0.20-0.35 ms per node; the
-# whole command, ring and closure build included, takes 2.1-2.5 s) and is
-# not exhaustive; callers with more patience pass a larger budget
-# explicitly.
+# about 1.6-2.8 s of CPU on a shared 2-core x86 Xeon host, the
+# multiplication's closure built beforehand (0.25-0.44 ms per node; the
+# whole command, interpreter start, ring and closure build included,
+# takes 2.5-2.9 s) and is not exhaustive; callers with more patience pass
+# a larger budget explicitly.
 DEFAULT_NODE_BUDGET = 5000
 
 # Default cap on the maps the i-relation search lists.
@@ -67,9 +67,10 @@ def _scan_tasks(task, total: int, *args) -> list[tuple]:
             for lo in range(0, total, _CHUNK)]
 
 
-def _joined(parts: list) -> list[np.ndarray]:
-    """Each output of the scan tasks' results ``parts`` joined in chunk
-    order, so the result is the same for any worker count."""
+def _joined(parts) -> list[np.ndarray]:
+    """Each output of the scan tasks' results ``parts`` (every chunk's,
+    taken in chunk order) joined, so the result is the same for any
+    worker count."""
     return [np.concatenate(out) for out in zip(*parts)]
 
 

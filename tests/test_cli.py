@@ -648,6 +648,30 @@ def test_ring_info_one_element_matrix_ring_k8(spec):
     assert code == 0 and doc["valid"] is True and doc["size"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["map", "check", "{path}", "--mult"],
+    ["verify", "doubling-gl", "--map", "{path}"],
+    ["verify", "doubling-gl", "--replay", "{path}"],
+], ids=["map-check", "doubling-map", "replay"])
+@pytest.mark.parametrize("content", [
+    ("[" * 100000 + "]" * 100000).encode(),
+    b'\xff{"dom": "zmod:2"}',
+], ids=["deep-nested", "not-utf8"])
+def test_unreadable_json_file_exit2(argv, content, tmp_path, capsys):
+    """A map file or replay trace nested too deeply to decode, or not
+    UTF-8, is a usage error with one error line, not a traceback."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    _assert_one_line_error(
+        *run_cli(*(arg.format(path=path) for arg in argv)), capsys)
+
+
+def test_ring_info_matrix_dimension_past_the_unit_grid_bound_exit2(capsys):
+    """mat:119:zmod:1 passes the element cap and the dense-table limit,
+    but its 14161 x 14161 grid of matrix-unit products does not."""
+    _assert_one_line_error(*run_cli("ring", "info", "mat:119:zmod:1"), capsys)
+
+
 @pytest.mark.parametrize("img", [[0, 1.7], [0, True], [0, "1"]])
 def test_map_check_non_integer_img_exit2(img, tmp_path, capsys):
     path = tmp_path / "map.json"

@@ -412,6 +412,24 @@ def test_dense_table_limit_applies_to_every_spec(monkeypatch):
             parse_ring_spec(spec)
 
 
+def test_matrix_dimension_bounded_by_the_unit_grid():
+    """A k x k matrix ring is refused when the k**2 x k**2 grid of
+    matrix-unit products (k**4 entries) passes the dense-table limit,
+    before anything is allocated.  Over the one-element ring, which passes
+    every other limit at any k, that is k = 119; k = 118 passes."""
+    z1 = make_zmod(1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="^matrix ring mat:119:zmod:1 "
+                           "needs a 14161x14161 matrix-unit grid, beyond"):
+            make_matrix_ring(z1, 119)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rings._matrix_ring_size(z1, 118) == ("matrix ring mat:118:zmod:1", 1)
+
+
 def test_public_constructors_check_size_limits(monkeypatch):
     """``make_zmod`` and ``make_gaussian`` refuse, on every call and before
     their cache, a ring over the environment cap or the dense-table limit

@@ -602,6 +602,64 @@ def test_spawned_pool_gives_the_one_worker_results(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# The maps of each limited enumeration, as sha256 of their JSON image
+# lists, taken when every task still ran.
+_LIMITED_MAPS = {
+    ("mat:2:zmod:3", 1):
+        "0d03518143867a3eb12b88cfb6ca56a0126e184f2dee24052b27f4bec0e33f20",
+    ("mat:2:zmod:4", 1000):
+        "97bf564fee1cdb1af301c93fc6a1be56fe8e0447dd963dd39bb4af46d68b797d",
+}
+
+
+@pytest.mark.parametrize("spec,limit,nodes,ran", [
+    ("mat:2:zmod:3", 1, 22, 1),
+    ("mat:2:zmod:4", 1000, 71883, 1),
+], ids=["m2z3-limit-1", "m2z4-limit-1000"])
+def test_a_filled_limit_takes_no_later_task(spec, limit, nodes, ran, monkeypatch,
+                                            request):
+    """Once the merged maps fill ``limit`` and are already not exhaustive,
+    every later map would be cut, so no later task runs and ``nodes``
+    counts the tasks taken: for the endomorphisms of M2(Z3) at limit 1,
+    one task of 16 and 22 nodes (316 when all 16 ran), and of M2(Z4) at
+    limit 1000, 71883 nodes (74409).  The maps are those every task gave.
+    Under the (fake) pool, which runs every task, the summary is the
+    same."""
+    ring = parse_ring_spec(spec)
+    calls = []
+    search_range = search._search_range
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return search_range(*args)
+
+    monkeypatch.setattr(search, "_search_range", counted)
+    got = enumerate_multiplicative_maps(ring, ring, limit=limit)
+    assert (got.summary(), len(calls)) == (
+        {"count": limit, "nodes": nodes, "exhaustive": False, "filters": []}, ran)
+    digest = hashlib.sha256(json.dumps(
+        [m.img.tolist() for m in got.maps]).encode()).hexdigest()
+    assert digest == _LIMITED_MAPS[spec, limit]
+    pools = request.getfixturevalue("in_process_pool")
+    pooled = enumerate_multiplicative_maps(ring, ring, limit=limit, workers=2)
+    assert pools == [2]
+    assert pooled.summary() == got.summary()
+    assert [m.img.tolist() for m in pooled.maps] == [m.img.tolist() for m in got.maps]
+
+
+def test_a_filled_limit_cancels_the_pool_tasks_not_started(monkeypatch):
+    """A real pool of two processes (with ``_POOL_AFTER_S`` at 0, every
+    task) stops at the first task that fills ``limit``: the summary equals
+    the one-worker one and no child process is left."""
+    ring = parse_ring_spec("mat:2:zmod:3")
+    want = enumerate_multiplicative_maps(ring, ring, limit=1)
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
+    got = enumerate_multiplicative_maps(ring, ring, limit=1, workers=2)
+    assert got.summary() == want.summary()
+    assert [m.img.tolist() for m in got.maps] == [m.img.tolist() for m in want.maps]
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # Function-space scan plumbing
 
