@@ -250,9 +250,10 @@ def _cmd_verify(args) -> int:
             if args.map_path:
                 raise MatsemiError(f"verify {suite} takes --map or --replay, not both")
             stored = _read_json(args.replay, "trace")
-            if isinstance(stored, dict) and stored.get("mode", mode) != mode:
+            other = "units" if mode == "unitaries" else "unitaries"
+            if isinstance(stored, dict) and stored.get("mode") == other:
                 raise MatsemiError(f"verify {suite} replays {mode!r} traces, "
-                                   f"not {stored['mode']!r}")
+                                   f"not {other!r}")
             identical, recomputed = replay_doubling_trace(stored, args.size_cap)
             doc = {"suite": suite, "replay": args.replay,
                    "identical": identical,

@@ -61,13 +61,25 @@ class SizeMismatch(MatsemiError):
     """Two rings that must have equal size do not."""
 
 
+# Error messages quote outside input up to this many characters.
+_QUOTE_CAP = 80
+
+
+def _quoted(value) -> str:
+    """``repr(value)`` for an error message, cut to :data:`_QUOTE_CAP`
+    characters with the cut marked by ``...``, so the message stays short
+    however long the input it quotes."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_CAP else text[:_QUOTE_CAP - 3] + "..."
+
+
 def decimal_int(text: str) -> int:
     """``text`` as an integer: an optional leading ``-``, then ASCII digits
     only.  The underscores, spaces, ``+`` signs and non-ASCII digits that
     ``int`` accepts raise ValueError."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise ValueError(f"not a decimal integer: {_quoted(text)}")
     return int(text)
 
 
@@ -82,7 +94,8 @@ def effective_size_cap(explicit: int | None = None) -> int:
         try:
             cap = decimal_int(env)
         except ValueError as exc:
-            raise ValueError(f"{_ENV_VAR} must be an integer, got {env!r}") from exc
+            raise ValueError(
+                f"{_ENV_VAR} must be an integer, got {_quoted(env)}") from exc
         if cap < 1:
             raise ValueError(f"{_ENV_VAR} must be positive")
         return cap

@@ -127,7 +127,7 @@ def from_callable(dom: RingTable, cod: RingTable, fn) -> MapTable:
     return MapTable(dom, cod, [fn(x) for x in range(dom.size)])
 
 
-def determinant_map(view: MatrixRingView, cod: RingTable | None = None) -> MapTable:
+def determinant_map(view: MatrixRingView) -> MapTable:
     """ad - bc on a 2x2 matrix ring (meaningful over commutative bases)."""
     if view.k != 2:
         raise NotAMatrixRing("determinant map needs a 2x2 matrix ring")
@@ -135,7 +135,7 @@ def determinant_map(view: MatrixRingView, cod: RingTable | None = None) -> MapTa
     d = view.digits
     det = base.add[base.mul[d[:, 0], d[:, 3]],
                    base.neg[base.mul[d[:, 1], d[:, 2]]]]
-    return MapTable(view.ring, cod if cod is not None else base, det)
+    return MapTable(view.ring, base, det)
 
 
 @dataclass
@@ -180,13 +180,6 @@ def _joint_report(name: str, parts: list[CheckReport],
               "violations": violations, **(extra_counts or {})}
     witnesses = [w for r in parts for w in r.witnesses][:WITNESS_CAP]
     return CheckReport(name, violations == 0, witnesses, counts)
-
-
-def _holds(op: str, dom: RingTable, cod: RingTable, img) -> bool:
-    """Whether the map with image array ``img`` satisfies the ``op`` pair
-    law on every pair: :func:`_closure._generator_law` over every element,
-    which stops at its first failed row block."""
-    return _generator_law(getattr(dom, op), getattr(cod, op), img, range(dom.size))
 
 
 def _pair_law(name: str, phi: MapTable, op: str, witness_cap: int,
@@ -302,6 +295,13 @@ def _stacked_law(op: str, dom: RingTable, cod: RingTable, imgs) -> np.ndarray:
                        lambda elems, live: imgs[np.ix_(live, elems)])
 
 
+def _image_stack(maps: list[MapTable], n: int) -> np.ndarray:
+    """The image arrays of ``maps``, maps of an ``n``-element domain, as
+    one ``(len(maps), n)`` int64 stack."""
+    return (np.stack([m.img for m in maps]) if maps
+            else np.empty((0, n), dtype=np.int64))
+
+
 def _corner_units(ring: RingTable) -> tuple[int, int]:
     """The matrix units e11 and e22 of a ring built as a 2x2 matrix ring."""
     view = ring.matrix_view
@@ -405,9 +405,9 @@ def _lift(imgs, dv: MatrixRingView, cv: MatrixRingView, elems=None) -> np.ndarra
     return out
 
 
-def tensor_id(phi: MapTable, k: int, size_cap: int | None = None) -> MapTable:
+def tensor_id(phi: MapTable, k: int) -> MapTable:
     """Entrywise application of ``phi`` on k x k matrices: decode, map each
     entry through ``phi``, encode."""
-    dv = make_matrix_ring(phi.dom, k, size_cap=size_cap)
-    cv = make_matrix_ring(phi.cod, k, size_cap=size_cap)
+    dv = make_matrix_ring(phi.dom, k)
+    cv = make_matrix_ring(phi.cod, k)
     return MapTable(dv.ring, cv.ring, _lift(phi.img, dv, cv))

@@ -64,6 +64,7 @@ from .errors import (
     MissingInvolution,
     RingSpecError,
     SizeCapExceeded,
+    _quoted,
     effective_size_cap,
 )
 
@@ -464,12 +465,12 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
     constructor returns.
     """
     if any(c.isspace() for c in spec):
-        raise RingSpecError(f"whitespace in ring spec {spec!r}")
+        raise RingSpecError(f"whitespace in ring spec {_quoted(spec)}")
     parts = spec.split(":", 1)
     kind = parts[0]
     if kind in ("zmod", "gauss"):
         if len(parts) != 2:
-            raise RingSpecError(f"{kind} spec needs a modulus: {spec!r}")
+            raise RingSpecError(f"{kind} spec needs a modulus: {_quoted(spec)}")
         n = _spec_int(parts[1], "modulus", spec)
         _check_size(f"ring {spec}", n if kind == "zmod" else n * n, size_cap)
         return _zmod(n) if kind == "zmod" else _gaussian(n)
@@ -477,11 +478,12 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
         rest = parts[1] if len(parts) == 2 else ""
         sub = rest.split(":", 1)
         if len(sub) != 2:
-            raise RingSpecError(f"mat spec needs a dimension and base: {spec!r}")
+            raise RingSpecError(
+                f"mat spec needs a dimension and base: {_quoted(spec)}")
         k = _spec_int(sub[0], "dimension", spec)
         base = parse_ring_spec(sub[1], size_cap=size_cap)
         return make_matrix_ring(base, k, size_cap=size_cap).ring
-    raise RingSpecError(f"unknown ring spec {spec!r}")
+    raise RingSpecError(f"unknown ring spec {_quoted(spec)}")
 
 
 def _spec_int(text: str, what: str, spec: str) -> int:
@@ -493,9 +495,9 @@ def _spec_int(text: str, what: str, spec: str) -> int:
             raise ValueError(text)
         n = int(text)  # ValueError past the interpreter's digit limit
     except ValueError:
-        raise RingSpecError(f"bad {what} in ring spec {spec!r}") from None
+        raise RingSpecError(f"bad {what} in ring spec {_quoted(spec)}") from None
     if n < 1:
-        raise RingSpecError(f"{what} must be >= 1 in {spec!r}")
+        raise RingSpecError(f"{what} must be >= 1 in {_quoted(spec)}")
     return n
 
 
@@ -561,7 +563,7 @@ def _pool(ring: RingTable, mode: str) -> np.ndarray:
         return units(ring)
     if mode == "unitaries":
         return unitaries(ring)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ValueError(f"unknown mode {_quoted(mode)}")
 
 
 def sum_of_units_decompose(ring: RingTable, x: int, kmax: int,
@@ -740,17 +742,16 @@ class RingValidation:
         }
 
 
-def _row_scan(shape: tuple[int, int], law, witness_cap: int = 1,
-              count: bool = True) -> tuple[int, list[tuple[int, int]]]:
+def _row_scan(shape: tuple[int, int], law,
+              witness_cap: int = 1) -> tuple[int, list[tuple[int, int]]]:
     """Scan a ``shape`` boolean law in the row blocks of
     :func:`_closure._row_blocks`; ``law(lo, hi)`` returns its rows
     ``lo..hi-1``, true where the law holds.
 
     Returns the number of false entries and the first ``witness_cap`` of
-    them as ``(row, col)`` in row-major order.  With ``count`` false the
-    scan stops at the first block holding a false entry, so the count is
-    only nonzero-or-not.  Blocks keep every temporary at block size, and
-    laws gather with ``np.take`` along one axis of a contiguous table.
+    them as ``(row, col)`` in row-major order.  Blocks keep every
+    temporary at block size, and laws gather with ``np.take`` along one
+    axis of a contiguous table.
     """
     violations, witnesses = 0, []
     for lo, hi in _row_blocks(*shape):
@@ -767,15 +768,7 @@ def _row_scan(shape: tuple[int, int], law, witness_cap: int = 1,
             stop = int(np.searchsorted(np.cumsum(bad_per_row), need)) + 1
             witnesses += [(lo + r, c)
                           for r, c in np.argwhere(~ok[:stop])[:need].tolist()]
-        if not count:
-            break
     return violations, witnesses
-
-
-def _first_violation(n: int, law) -> tuple[int, int] | None:
-    """The first ``(row, col)`` where the n x n ``law`` fails, or None."""
-    _, w = _row_scan((n, n), law, 1, count=False)
-    return w[0] if w else None
 
 
 def _transposed(t: np.ndarray) -> np.ndarray:
@@ -795,18 +788,19 @@ def _outcome(name, eq, checked, mapper=lambda x: (x,)) -> CheckOutcome:
 
 
 def _outcome_at(name: str, n: int, law) -> CheckOutcome:
-    """Outcome of the n x n ``law(lo, hi)`` (see :func:`_row_scan`)."""
-    w = _first_violation(n, law)
-    return CheckOutcome(name, w is None, n * n, w)
+    """Outcome of the n x n ``law(lo, hi)`` (see :func:`_row_scan`); the
+    witness is its first failure."""
+    _, w = _row_scan((n, n), law)
+    return CheckOutcome(name, not w, n * n, w[0] if w else None)
 
 
 def _generator_scan(n: int, gens, law) -> tuple[int, int, int] | None:
     """The first failure ``(s, row, col)`` of the n x n laws
     ``law(s, lo, hi)``, generators s taken in order, or None."""
     for s in gens:
-        w = _first_violation(n, functools.partial(law, s))
-        if w is not None:
-            return (s, *w)
+        _, w = _row_scan((n, n), functools.partial(law, s))
+        if w:
+            return (s, *w[0])
     return None
 
 

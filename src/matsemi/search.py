@@ -26,15 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatsemiError, SizeCapExceeded, SizeMismatch
-from .maps import (
-    MapTable,
-    _holds,
-    _relation,
-    _stacked_law,
-    corner_relation_holds,
-    is_additive,
-)
+from ._closure import _generator_law
+from .errors import MatsemiError, SizeCapExceeded, SizeMismatch, _quoted
+from .maps import MapTable, _image_stack, _relation, _stacked_law
 from .rings import RingTable, _digits, op_closure, parse_ring_spec
 
 BRUTE_FORCE_LIMIT = 2**20
@@ -47,11 +41,12 @@ def canonical_filters(filters) -> tuple[str, ...]:
     for a plain string (which would read as its characters) and for a name
     not in :data:`KNOWN_FILTERS`."""
     if isinstance(filters, str):
-        raise ValueError(f"filters must be a sequence of names, not the string {filters!r}")
+        raise ValueError(
+            f"filters must be a sequence of names, not the string {_quoted(filters)}")
     filters = tuple(dict.fromkeys(filters))
     for f in filters:
         if f not in KNOWN_FILTERS:
-            raise ValueError(f"unknown filter {f!r}; known: {KNOWN_FILTERS}")
+            raise ValueError(f"unknown filter {_quoted(f)}; known: {KNOWN_FILTERS}")
     return filters
 
 
@@ -248,7 +243,7 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     def rec(p: int):
         nonlocal nodes, exhausted
         if p == nvars:
-            if exact or _holds("mul", dom, cod, img):
+            if exact or _generator_law(dom.mul, cod.mul, img, range(dom.size)):
                 out.append(img.copy())
                 if limit is not None and len(out) >= limit:
                     exhausted = False
@@ -438,31 +433,26 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
 
 
 def find_counterexamples(dom: RingTable, cod: RingTable,
-                         limit: int | None = None,
-                         node_budget: int | None = None,
-                         workers: int = 1) -> list[MapTable]:
+                         limit: int | None = None) -> list[MapTable]:
     """Multiplicative maps that fail additivity, in lexicographic order.
 
-    On a 2x2 matrix ring domain every returned map is cross-checked to
-    also fail the corner relation; a violation would disprove the
-    additivity equivalence and raises :class:`MatsemiError`.
+    Additivity is decided for every enumerated map at once, as one image
+    stack (:func:`~matsemi.maps._stacked_law`).  On a 2x2 matrix ring
+    domain every returned map is cross-checked to also fail the corner
+    relation; a violation would disprove the additivity equivalence and
+    raises :class:`MatsemiError`.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    res = enumerate_multiplicative_maps(dom, cod, node_budget=node_budget,
-                                        workers=workers)
-    out = []
-    is_mat2 = dom.matrix_view is not None and dom.matrix_view.k == 2
-    for phi in res.maps:
-        if is_additive(phi).passed:
-            continue
-        if is_mat2 and corner_relation_holds(phi).passed:
+    res = enumerate_multiplicative_maps(dom, cod)
+    additive = _stacked_law("add", dom, cod, _image_stack(res.maps, dom.size))
+    out = [phi for phi, ok in zip(res.maps, additive) if not ok][:limit]
+    if dom.matrix_view is not None and dom.matrix_view.k == 2:
+        _, lhs, rhs = _relation("corner", dom, cod, _image_stack(out, dom.size))
+        if (lhs == rhs).any():
             raise MatsemiError(
                 "multiplicative non-additive map satisfies the corner "
                 "relation; additivity equivalence violated")
-        out.append(phi)
-        if limit is not None and len(out) >= limit:
-            break
     return out
 
 
@@ -490,20 +480,18 @@ class UniqueAdditionReport:
         }
 
 
-def unique_addition_probe(dom: RingTable, cod: RingTable,
-                          node_budget: int | None = None,
-                          workers: int = 1) -> UniqueAdditionReport:
+def unique_addition_probe(dom: RingTable, cod: RingTable) -> UniqueAdditionReport:
     """Enumerate multiplicative monoid isomorphisms ``dom -> cod`` and flag
     which are additive.  Requires equal sizes (only bijections qualify):
     the isomorphisms are the bijective maps of the plain enumeration, in
-    its lexicographic order."""
+    its lexicographic order.  Their additivity is decided as one image
+    stack (:func:`~matsemi.maps._stacked_law`)."""
     if dom.size != cod.size:
         raise SizeMismatch(
             f"|{dom.label}| = {dom.size} but |{cod.label}| = {cod.size}")
-    res = enumerate_multiplicative_maps(dom, cod, node_budget=node_budget,
-                                        workers=workers)
+    res = enumerate_multiplicative_maps(dom, cod)
     isos = [m for m in res.maps if np.unique(m.img).size == cod.size]
-    flags = [is_additive(m).passed for m in isos]
+    flags = _stacked_law("add", dom, cod, _image_stack(isos, dom.size)).tolist()
     return UniqueAdditionReport(dom=dom.label, cod=cod.label,
                                 isomorphisms=isos, additive_flags=flags,
                                 exhaustive=res.exhaustive)

@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import MapFormatError, PreconditionFailed
-from .maps import MapTable, _corner_units, _law_kernel, _lift, _relation
+from .maps import MapTable, _corner_units, _image_stack, _law_kernel, _lift, _relation
 from .rings import (
     RingTable,
     _check_inverse_scan_cap,
@@ -91,10 +91,8 @@ def _enumeration_matches(res, ids: np.ndarray, dom: RingTable,
                          cod: RingTable) -> bool:
     """Whether the exhaustive enumeration ``res`` emitted exactly the
     functions with ids ``ids``, in the same order."""
-    imgs = (np.stack([m.img for m in res.maps]) if res.maps
-            else np.empty((0, dom.size), dtype=np.int64))
-    return res.exhaustive and bool(
-        np.array_equal(imgs, _digits(ids, dom.size, cod.size, np.int64)))
+    return res.exhaustive and bool(np.array_equal(
+        _image_stack(res.maps, dom.size), _digits(ids, dom.size, cod.size, np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +365,8 @@ def replay_doubling_trace(stored: dict,
     are built under ``size_cap``.
 
     Raises :class:`MapFormatError` unless ``stored`` is an object carrying
-    ``map``, ``mode``, an integer ``depth`` and a boolean ``zero_padding``.
+    ``map``, a ``mode`` of ``"units"`` or ``"unitaries"``, an integer
+    ``depth`` and a boolean ``zero_padding``; a bad ``mode`` is not quoted.
     """
     if not isinstance(stored, dict):
         raise MapFormatError("doubling trace must be a JSON object")
@@ -378,6 +377,8 @@ def replay_doubling_trace(stored: dict,
             or not isinstance(stored["zero_padding"], bool)):
         raise MapFormatError(
             "doubling trace needs an integer depth and a boolean zero_padding")
+    if stored["mode"] not in ("units", "unitaries"):
+        raise MapFormatError('doubling trace mode must be "units" or "unitaries"')
     phi = MapTable.from_json(stored["map"], size_cap=size_cap)
     trace = doubling_additivity_closure(
         phi, mode=stored["mode"], depth=stored["depth"],

@@ -550,6 +550,33 @@ def test_verify_replay_malformed_trace_exit2(trace, tmp_path, capsys):
         *run_cli("verify", "doubling-gl", "--replay", str(path)), capsys)
 
 
+_ID_Z4 = '{"dom": "zmod:4", "cod": "zmod:4", "img": [0, 1, 2, 3]}'
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["verify", "doubling-gl", "--replay", "{path}"],
+     '{"map": %s, "mode": "%s", "depth": 4, "zero_padding": true}'
+     % (_ID_Z4, "u" * 100_000)),
+    (["verify", "doubling-gl", "--replay", "{path}"],
+     '{"map": %s, "mode": %s, "depth": 4, "zero_padding": true}'
+     % (_ID_Z4, "[" * 960 + "]" * 960)),
+    (["map", "check", "{path}", "--mult"],
+     '{"dom": "%s", "cod": "zmod:2", "img": [0]}' % ("z" * 100_000)),
+], ids=["replay-long-mode", "replay-deep-mode", "map-long-dom"])
+def test_oversized_input_gives_a_short_error_line(argv, text, tmp_path):
+    """A trace mode of 100000 characters or 960 nested lists, or a map
+    domain spec of 100000 characters, exits 2 with one error line of at
+    most 200 bytes: the replay names no bad mode, and a quoted spec is
+    cut to 80 characters.  A fresh interpreter decodes the 960 levels,
+    which the test runner's deeper stack might not."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    r = _run_subprocess(*[a.format(path=path) for a in argv])
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr.startswith(b"error: ") and r.stderr.count(b"\n") == 1
+    assert len(r.stderr) <= 200
+
+
 @pytest.mark.parametrize("made,replayed", [
     ("doubling-gl", "doubling-unitary"), ("doubling-unitary", "doubling-gl")])
 def test_verify_replay_under_the_other_suite_exit2(made, replayed, map_files,

@@ -389,6 +389,17 @@ def test_parse_rejects_bad_specs(bad):
         parse_ring_spec(bad)
 
 
+@pytest.mark.parametrize("spec,quoted", [
+    ("x" * 78, repr("x" * 78)), ("x" * 79, repr("x" * 79)[:77] + "...")],
+    ids=["80-characters", "81-characters"])
+def test_spec_errors_quote_at_most_80_characters(spec, quoted):
+    """A spec whose repr fits in 80 characters is quoted whole; a longer
+    one is cut to 80 characters, ending in three dots."""
+    with pytest.raises(RingSpecError) as exc:
+        parse_ring_spec(spec)
+    assert str(exc.value) == f"unknown ring spec {quoted}"
+
+
 def test_parse_reads_leading_zeros_as_decimal():
     assert parse_ring_spec("zmod:03") is parse_ring_spec("zmod:3")
     assert parse_ring_spec("mat:02:gauss:002") is parse_ring_spec("mat:2:gauss:2")

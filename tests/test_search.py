@@ -489,6 +489,37 @@ def test_unique_addition_matches_bijection_oracle(spec, count):
     }
 
 
+def test_probes_with_nothing_to_report():
+    """zmod:1 has one multiplicative map into itself, and it is additive;
+    zmod:9 and gauss:3 have equal sizes but no multiplicative bijection."""
+    z1 = parse_ring_spec("zmod:1")
+    assert find_counterexamples(z1, z1) == []
+    rep = unique_addition_probe(parse_ring_spec("zmod:9"), G3)
+    assert rep.isomorphisms == [] and rep.additive_flags == []
+    assert rep.unique_addition and rep.exhaustive
+
+
+@pytest.mark.parametrize("run", [
+    lambda: find_counterexamples(M2Z2.ring, Z2),
+    lambda: find_counterexamples(Z4, Z4, limit=1),
+    lambda: unique_addition_probe(G3, G3),
+    lambda: unique_addition_probe(M2Z2.ring, M2Z2.ring),
+], ids=["ce-m2z2", "ce-z4-limit", "probe-g3", "probe-m2z2"])
+def test_probes_decide_additivity_without_per_map_scans(run, monkeypatch):
+    """The probes decide additivity as one image stack and run no
+    per-map pair-law report, whose witnesses they would not read."""
+    calls = []
+    real = maps._pair_law
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "_pair_law", counted)
+    run()
+    assert calls == []
+
+
 def test_process_pool_has_at_most_one_process_per_task(in_process_pool):
     """``workers`` beyond the task count starts no idle processes.  A fake
     executor records the pool size and runs each task in this process."""
@@ -734,14 +765,14 @@ def test_search_and_masks_are_exact_on_random_mutants(spec, monkeypatch):
     non-multiplicative map themselves, some complete map passes the stage
     checks and is refused by the full scan."""
     refused = []
-    holds = search._holds
+    holds = search._generator_law
 
     def counted(*args):
         ok = holds(*args)
         refused.append(not ok)
         return ok
 
-    monkeypatch.setattr(search, "_holds", counted)
+    monkeypatch.setattr(search, "_generator_law", counted)
     ring = parse_ring_spec(spec)
     for trial, add, mul in random_mutants(ring, [13, ring.size], 12):
         mutant = RingTable(add, mul, ring.zero, ring.one)
