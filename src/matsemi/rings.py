@@ -240,7 +240,7 @@ def make_zmod(n: int, /) -> RingTable:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_size(f"ring zmod:{n}", n, None)
+    _check_size(f"ring {_quoted(f'zmod:{n}')}", n, None)
     return _zmod(n)
 
 
@@ -278,7 +278,7 @@ def make_gaussian(n: int, /) -> RingTable:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_size(f"ring gauss:{n}", n * n, None)
+    _check_size(f"ring {_quoted(f'gauss:{n}')}", n * n, None)
     return _gaussian(n)
 
 
@@ -403,14 +403,17 @@ class MatrixRingView:
 
 
 def _check_size(name: str, n: int, size_cap: int | None):
-    """Refuse the ring ``name`` of ``n`` elements with
+    """Refuse the ring ``name`` (which quotes its spec through
+    :func:`~matsemi.errors._quoted`) of ``n`` elements with
     :class:`SizeCapExceeded` when ``n`` exceeds the element-count cap, or
     when its dense Cayley tables would not fit in memory at desk scale.
     Every public ring constructor runs it on every call, before any cache
-    lookup."""
+    lookup.  A count past 64 bits is given as a power of two, so the
+    message stays short however large the ring."""
     cap = effective_size_cap(size_cap)
     if n > cap:
-        raise SizeCapExceeded(f"{name} has {n} elements, cap is {cap}")
+        count = n if n.bit_length() <= 64 else f"more than 2**{n.bit_length() - 1}"
+        raise SizeCapExceeded(f"{name} has {count} elements, cap is {cap}")
     _check_dense_tables(name, n)
 
 
@@ -431,7 +434,7 @@ def _matrix_ring_size(base: RingTable, k: int) -> tuple[str, int]:
     over a one-element base every other limit passes at any k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    name = f"matrix ring mat:{k}:{base.label}"
+    name = f"matrix ring {_quoted(f'mat:{k}:{base.label}')}"
     if k**4 > _DENSE_TABLE_ENTRY_LIMIT:
         raise SizeCapExceeded(f"{name} needs a {k * k}x{k * k} matrix-unit "
                               "grid, beyond the dense-table limit")
@@ -472,7 +475,7 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
         if len(parts) != 2:
             raise RingSpecError(f"{kind} spec needs a modulus: {_quoted(spec)}")
         n = _spec_int(parts[1], "modulus", spec)
-        _check_size(f"ring {spec}", n if kind == "zmod" else n * n, size_cap)
+        _check_size(f"ring {_quoted(spec)}", n if kind == "zmod" else n * n, size_cap)
         return _zmod(n) if kind == "zmod" else _gaussian(n)
     if kind == "mat":
         rest = parts[1] if len(parts) == 2 else ""
@@ -486,16 +489,24 @@ def parse_ring_spec(spec: str, size_cap: int | None = None) -> RingTable:
     raise RingSpecError(f"unknown ring spec {_quoted(spec)}")
 
 
+# A modulus or dimension of more significant digits is refused before it
+# is converted: at 10**9 or more, the n**2 table entries of zmod and the
+# k**4 matrix-unit products of mat both pass the dense-table limit.
+_SPEC_DIGITS = len(str(_DENSE_TABLE_ENTRY_LIMIT))
+
+
 def _spec_int(text: str, what: str, spec: str) -> int:
     """The modulus or dimension ``text`` of ``spec``: ASCII digits only, at
     least 1.  Signs, spaces, underscores and non-ASCII digits, which
-    ``int`` would accept, raise :class:`RingSpecError`."""
-    try:
-        if not (text.isascii() and text.isdigit()):
-            raise ValueError(text)
-        n = int(text)  # ValueError past the interpreter's digit limit
-    except ValueError:
-        raise RingSpecError(f"bad {what} in ring spec {_quoted(spec)}") from None
+    ``int`` would accept, raise :class:`RingSpecError`, and so do more
+    than :data:`_SPEC_DIGITS` significant digits, before ``int`` reads
+    them."""
+    if not (text.isascii() and text.isdigit()):
+        raise RingSpecError(f"bad {what} in ring spec {_quoted(spec)}")
+    if len(text.lstrip("0")) > _SPEC_DIGITS:
+        raise RingSpecError(f"{what} in ring spec {_quoted(spec)} has more than "
+                            f"{_SPEC_DIGITS} digits, beyond the dense-table limit")
+    n = int(text)
     if n < 1:
         raise RingSpecError(f"{what} must be >= 1 in {_quoted(spec)}")
     return n

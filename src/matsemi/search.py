@@ -12,6 +12,11 @@ is then re-decided over all pairs, so the emitted stream is exactly the
 brute-force-filtered set on every table, in lexicographic order of the
 full image arrays.
 
+When every active filter is invariant under conjugation by the units of
+the codomain and the search is neither limited nor budgeted, it keeps one
+lexicographically least map per orbit of ``phi -> v phi v^-1`` and the
+orbits are expanded once at the end (see :func:`_conjugations`).
+
 Top-level branches are partitioned into a fixed number of tasks (a
 function of the codomain size only), so results merge in the same order
 no matter how many worker processes execute them.
@@ -29,7 +34,7 @@ import numpy as np
 from ._closure import _generator_law
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch, _quoted
 from .maps import MapTable, _image_stack, _relation, _stacked_law
-from .rings import RingTable, _digits, op_closure, parse_ring_spec
+from .rings import RingTable, _digits, op_closure, parse_ring_spec, units
 
 BRUTE_FORCE_LIMIT = 2**20
 
@@ -100,7 +105,11 @@ _PREFILTER_PROBES = 64
 
 
 class _Plan:
-    def __init__(self, dom: RingTable, filters: tuple[str, ...]):
+    def __init__(self, dom: RingTable, filters: tuple[str, ...],
+                 conj: np.ndarray | None = None):
+        # The conjugation table of the orbit search (see _conjugations), or
+        # None for the plain search.
+        self.conj = conj
         cl = op_closure(dom, "mul")
         self.vars = cl.gens
         nstages = len(self.vars)
@@ -172,6 +181,64 @@ class _Plan:
                 self.checkpoints[int(stage_of[list(elems)].max())].append(name)
 
 
+def _conjugations(dom: RingTable, cod: RingTable, filters: tuple[str, ...],
+                  limit: int | None, node_budget: int | None) -> np.ndarray | None:
+    """The inner automorphisms ``y -> v y v^-1`` of ``cod``, one row per
+    coset of its central units (the cosets are exactly the distinct
+    automorphisms), in the codomain's table dtype, when the search may keep
+    one map per orbit of ``phi -> Ad(v) o phi``; otherwise None.
+
+    It may when both rings are associative by construction, the search is
+    neither limited nor budgeted (a truncated orbit search has no
+    byte-stable meaning) and every filter is invariant under each Ad(v):
+    ``unital`` and ``corner`` always, ``i_relation`` when the codomain's
+    i is central, ``star`` only under unitaries, so never.  A table of one
+    row (every unit central, as on a commutative codomain) prunes nothing,
+    and the plain search runs.
+    """
+    if ("star" in filters or limit is not None or node_budget is not None
+            or not (dom._associative and cod._associative)):
+        return None
+    mul = cod.mul
+    if "i_relation" in filters and not np.array_equal(mul[cod.i_elem],
+                                                      mul[:, cod.i_elem]):
+        return None
+    u = units(cod)
+    # A unit is central when it commutes with the monoid's generators.
+    gens = op_closure(cod, "mul").gens
+    central = u[(mul[np.ix_(u, gens)] == mul[np.ix_(gens, u)].T).all(axis=1)]
+    reps = u[mul[np.ix_(central, u)].min(axis=0) == u]  # least of each coset
+    if reps.size == 1:
+        return None
+    inv = np.argmax(mul[reps] == cod.one, axis=1)
+    return mul[mul[reps], inv[:, None]]
+
+
+def _orbit_union(conj: np.ndarray, reps: list[np.ndarray],
+                 variables: list[int]) -> list[np.ndarray]:
+    """Every ``Ad(v) o phi`` with Ad(v) a row of ``conj`` and phi in
+    ``reps``, once each, in lexicographic order of the image arrays.
+
+    A multiplicative map is decided by its images of the search variables,
+    since every other element is a product of them, so the maps are
+    deduplicated and sorted on those images alone.  As the closure takes
+    each variable at the least element its predecessors do not generate,
+    two maps first differ at a variable, and the variable images sort the
+    full arrays.  The orbits of distinct representatives are disjoint, so
+    a repeated key is one map reached twice within its orbit.
+    """
+    if not reps:
+        return reps
+    R = np.stack(reps)
+    keys = conj[:, R[:, variables]].reshape(-1, len(variables))  # row g*|reps|+j
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    g, j = np.divmod(order[first], len(reps))
+    return list(conj[g[:, None], R[j]])
+
+
 class _StopSearch(Exception):
     pass
 
@@ -213,8 +280,17 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     """Depth-first search with the first variable restricted to [lo, hi).
     A complete map counts only once it is multiplicative on every pair:
     the stage checks decide that on rings marked associative by
-    construction, and a full scan re-decides it on any other."""
+    construction, and a full scan re-decides it on any other.
+
+    With a conjugation table on the plan (see :func:`_conjugations`) only
+    the least map of each orbit is kept, comparing the variable images in
+    order (isomorph rejection by lex-minimal representatives).  ``fixed``
+    holds the rows of the table that keep every decided variable image; a
+    candidate that one of them maps lower is pruned, since every
+    completion then has a lesser conjugate.  The least map of an orbit
+    passes at every prefix, so every orbit keeps exactly one map."""
     img = np.full(dom.size, -1, dtype=np.int64)
+    conj = plan.conj
     # The ready pairs gather their products from the flat table,
     # flat[a * m + b] = a * b; the rounds, mostly a few elements each, from
     # the 2-D table, which costs fewer NumPy calls per small gather.
@@ -240,7 +316,7 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
                 return False
         return True
 
-    def rec(p: int):
+    def rec(p: int, fixed: np.ndarray | None):
         nonlocal nodes, exhausted
         if p == nvars:
             if exact or _generator_law(dom.mul, cod.mul, img, range(dom.size)):
@@ -254,20 +330,26 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
         if node_budget is not None and nodes > node_budget:
             exhausted = False
             raise _StopSearch
-        for c in _candidates(plan, cod, img, p, lo, hi):
+        cand = _candidates(plan, cod, img, p, lo, hi)
+        if fixed is not None:
+            moved = conj[fixed[:, None], cand]
+            least = (moved >= cand).all(axis=0)
+        for j, c in enumerate(cand):
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 exhausted = False
                 raise _StopSearch
+            if fixed is not None and not least[j]:
+                continue
             img[v] = c
             for rnd, xs, ys in plan.rounds[p]:
                 img[rnd] = cod.mul[img[xs], img[ys]]
             if check_stage(p):
-                rec(p + 1)
+                rec(p + 1, None if fixed is None else fixed[moved[:, j] == c])
             img[plan.new_elems[p]] = -1
 
     try:
-        rec(0)
+        rec(0, None if conj is None else np.arange(len(conj)))
     except _StopSearch:
         pass
     # rec reaches itself through its closure cell; breaking that cycle
@@ -398,6 +480,14 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     (the "ready" pairs of each stage), and on every pair for each complete
     map when a ring is not marked associative by construction (see
     :func:`_search_range`).
+
+    Without ``limit`` or ``node_budget``, with both rings marked
+    associative and every filter invariant under conjugation by the
+    codomain's units (``star`` is not), the tasks keep one map per orbit
+    of ``phi -> v phi v^-1`` and the orbits are expanded here, once, after
+    every task (:func:`_conjugations`, :func:`_orbit_union`).  The maps
+    are those of the plain search, byte for byte; ``nodes`` counts the
+    candidates the smaller search tried, pruned ones included.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -407,10 +497,10 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
         cod.require_star()
     if "i_relation" in filters:
         cod.require_i()
-    plan = _Plan(dom, filters)
+    plan = _Plan(dom, filters, _conjugations(dom, cod, filters, limit, node_budget))
     tasks = [(_search_range, (plan, limit, node_budget, lo, hi))
              for lo, hi in _partition(cod.size)]
-    maps: list[MapTable] = []
+    found: list[np.ndarray] = []
     nodes = 0
     exhaustive = True
     with closing(_run_ring_tasks(dom, cod, tasks, workers)) as results:
@@ -418,14 +508,16 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
             nodes += n
             exhaustive = exhaustive and ex
             for arr in imgs:
-                if limit is None or len(maps) < limit:
-                    maps.append(MapTable(dom, cod, arr))
+                if limit is None or len(found) < limit:
+                    found.append(arr)
                 else:
                     exhaustive = False
-            if not exhaustive and limit is not None and len(maps) == limit:
+            if not exhaustive and limit is not None and len(found) == limit:
                 break
-    return EnumerationResult(maps=maps, nodes=nodes,
-                             exhaustive=exhaustive, filters=filters)
+    if plan.conj is not None:
+        found = _orbit_union(plan.conj, found, plan.vars)
+    return EnumerationResult(maps=[MapTable(dom, cod, arr) for arr in found],
+                             nodes=nodes, exhaustive=exhaustive, filters=filters)
 
 
 # ---------------------------------------------------------------------------

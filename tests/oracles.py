@@ -519,3 +519,27 @@ def doubling_closure(dom: OracleRing, cod: OracleRing, img, pool_elems,
         "extension": [[e, cert[e]] for e in sorted(cert)],
         "reps": [[e, *reps[e]] for e in sorted(reps)],
     }
+
+
+def inner_automorphisms(ring: OracleRing) -> list[tuple]:
+    """The distinct maps y -> v y v^-1 over the units v of ``ring``, as
+    image tuples, ascending."""
+    out = set()
+    for v in pool(ring, "units"):
+        w = next(y for y in range(ring.size) if ring.mul(v, y) == ring.one)
+        out.add(tuple(ring.mul(ring.mul(v, y), w) for y in range(ring.size)))
+    return sorted(out)
+
+
+def lex_min_representatives(maps, automorphisms) -> list[tuple]:
+    """The image tuples of ``maps`` that no automorphism in
+    ``automorphisms`` makes lexicographically smaller: phi with
+    phi <= a o phi for every a, which an orbit search keeps.  Input order
+    is kept."""
+    return [tuple(phi) for phi in maps
+            if all(tuple(a[y] for y in phi) >= tuple(phi) for a in automorphisms)]
+
+
+def pgl2_order(p: int) -> int:
+    """|PGL_2(F_p)| = |GL_2(F_p)| / (p - 1) = p (p^2 - 1), for a prime p."""
+    return p * (p * p - 1)

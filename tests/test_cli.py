@@ -442,7 +442,7 @@ def test_verify_tensor_applies_size_cap_flag_to_the_lift(env_cap, workers,
                         "--workers", workers)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
-        "error: matrix ring mat:2:zmod:4 has 256 elements, cap is 100\n")
+        "error: matrix ring 'mat:2:zmod:4' has 256 elements, cap is 100\n")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

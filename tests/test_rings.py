@@ -296,7 +296,7 @@ def test_matrix_view_checks_dimension_and_table_limit(monkeypatch):
         with pytest.raises(ValueError, match="^k must be >= 1$"):
             MatrixRingView(make_zmod(3), k)
     monkeypatch.setattr(rings, "_DENSE_TABLE_ENTRY_LIMIT", 100)
-    message = "^matrix ring mat:2:zmod:8 needs 4096x4096 tables, beyond the dense-table limit$"
+    message = "^matrix ring 'mat:2:zmod:8' needs 4096x4096 tables, beyond the dense-table limit$"
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapExceeded, match=message):
@@ -400,6 +400,35 @@ def test_spec_errors_quote_at_most_80_characters(spec, quoted):
     assert str(exc.value) == f"unknown ring spec {quoted}"
 
 
+@pytest.mark.parametrize("spec,error", [
+    ("zmod:" + "9" * 4000, RingSpecError),
+    ("mat:" + "9" * 4000 + ":zmod:2", RingSpecError),
+    ("gauss:" + "9" * 10, RingSpecError),
+    ("zmod:" + "0" * 4000 + "99999999", SizeCapExceeded),
+    ("mat:100:zmod:100", SizeCapExceeded),
+], ids=["long-modulus", "long-dimension", "ten-digit-modulus", "zero-padded",
+        "huge-matrix-ring"])
+def test_size_errors_stay_short_for_any_spec(spec, error):
+    """A modulus or dimension of more than nine significant digits is
+    refused before it is converted; the size messages quote the spec cut
+    to 80 characters and give a count past 64 bits as a power of two, so
+    no message reaches 200 characters or Python's own digit limit."""
+    with pytest.raises(error) as exc:
+        parse_ring_spec(spec)
+    assert len(str(exc.value)) < 200
+    assert "4300" not in str(exc.value)
+
+
+def test_spec_digit_bound_counts_significant_digits():
+    """Nine significant digits reach the element cap; leading zeros do not
+    count, and a tenth digit is refused whatever the cap."""
+    with pytest.raises(SizeCapExceeded, match="^ring 'zmod:999999999' has 999999999 "):
+        parse_ring_spec("zmod:999999999")
+    assert parse_ring_spec("zmod:" + "0" * 20 + "3") is parse_ring_spec("zmod:3")
+    with pytest.raises(RingSpecError, match="has more than 9 digits"):
+        parse_ring_spec("zmod:1000000000", size_cap=10**30)
+
+
 def test_parse_reads_leading_zeros_as_decimal():
     assert parse_ring_spec("zmod:03") is parse_ring_spec("zmod:3")
     assert parse_ring_spec("mat:02:gauss:002") is parse_ring_spec("mat:2:gauss:2")
@@ -431,14 +460,14 @@ def test_matrix_dimension_bounded_by_the_unit_grid():
     z1 = make_zmod(1)
     tracemalloc.start()
     try:
-        with pytest.raises(SizeCapExceeded, match="^matrix ring mat:119:zmod:1 "
+        with pytest.raises(SizeCapExceeded, match="^matrix ring 'mat:119:zmod:1' "
                            "needs a 14161x14161 matrix-unit grid, beyond"):
             make_matrix_ring(z1, 119)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert rings._matrix_ring_size(z1, 118) == ("matrix ring mat:118:zmod:1", 1)
+    assert rings._matrix_ring_size(z1, 118) == ("matrix ring 'mat:118:zmod:1'", 1)
 
 
 def test_public_constructors_check_size_limits(monkeypatch):
@@ -448,17 +477,17 @@ def test_public_constructors_check_size_limits(monkeypatch):
     still beats the environment and reaches the same shared ring."""
     monkeypatch.setattr(rings, "_DENSE_TABLE_ENTRY_LIMIT", 100)
     assert make_zmod(10) is parse_ring_spec("zmod:10")
-    for make, n, message in [(make_zmod, 11, "ring zmod:11 needs 11x11 tables"),
-                             (make_gaussian, 4, "ring gauss:4 needs 16x16 tables")]:
+    for make, n, message in [(make_zmod, 11, "ring 'zmod:11' needs 11x11 tables"),
+                             (make_gaussian, 4, "ring 'gauss:4' needs 16x16 tables")]:
         with pytest.raises(SizeCapExceeded, match=f"^{message}, beyond"):
             make(n)
     monkeypatch.undo()
     monkeypatch.setenv("MATSEMI_SIZE_CAP", "5")
     for make, n, spec, size in [(make_zmod, 7, "zmod:7", 7), (make_gaussian, 3, "gauss:3", 9)]:
         with pytest.raises(SizeCapExceeded,
-                           match=f"^ring {spec} has {size} elements, cap is 5$"):
+                           match=f"^ring '{spec}' has {size} elements, cap is 5$"):
             make(n)
-        with pytest.raises(SizeCapExceeded, match=f"^ring {spec} has {size} elements"):
+        with pytest.raises(SizeCapExceeded, match=f"^ring '{spec}' has {size} elements"):
             parse_ring_spec(spec)
     assert parse_ring_spec("zmod:7", size_cap=10).size == 7
     assert make_zmod(4) is parse_ring_spec("zmod:4")

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import CORPUS_SPECS, random_mutants, whole_grid_law
-from matsemi import maps, search
+from matsemi import maps, rings, search
 from matsemi.errors import SizeMismatch
 from matsemi.maps import (
     MapTable,
+    _image_stack,
     determinant_map,
     is_additive,
     is_multiplicative,
@@ -32,6 +33,7 @@ from matsemi.rings import (
     make_matrix_ring,
     make_zmod,
     parse_ring_spec,
+    units,
 )
 from matsemi.search import (
     _Plan,
@@ -354,18 +356,167 @@ def _digest(maps) -> str:
      329, 1, "d93aea5e6d77a565"),
     ("mat:2:gauss:3", "mat:2:gauss:3", ("star", "i_relation"), 4, 60,
      256, 1, "d93aea5e6d77a565"),
-    ("mat:2:zmod:3", "mat:2:zmod:3", (), None, None, 4292, 196, "56fb4ad2df58432d"),
+    ("mat:2:zmod:3", "mat:2:zmod:3", (), None, None, 607, 196, "56fb4ad2df58432d"),
     ("mat:2:zmod:3", "mat:2:zmod:3", ("star",), None, None, 1266, 52, "aff8d6b31aeb6edb"),
     ("mat:2:zmod:4", "mat:2:zmod:4", (), None, 1000, 3527, 186, "c55c5f6f20a9a28e"),
-], ids=["irel-base", "irel-endo-budget", "m2z3-endo", "m2z3-star", "m2z4-budget"])
+    ("mat:2:zmod:4", "mat:2:zmod:4", (), None, None, 31346, 6234, "6f82cc87b726afb4"),
+], ids=["irel-base", "irel-endo-budget", "m2z3-endo", "m2z3-star", "m2z4-budget",
+        "m2z4-endo"])
 def test_mid_size_search_node_counts_and_maps_pinned(
         dom, cod, filters, limit, budget, nodes, count, digest):
     """Searches too large for the brute-force oracle keep their node counts
-    and emitted maps, as recorded with the full new x prev stage grids."""
+    and emitted maps, as recorded with the full new x prev stage grids.
+    The two unbudgeted endomorphism searches of M2(Z3) and M2(Z4) search
+    one map per unit-conjugation orbit: 607 nodes where the plain search
+    visits 4292, and 31346 where it visits 482849, for the same maps (the
+    plain search gives both digests)."""
     res = enumerate_multiplicative_maps(parse_ring_spec(dom), parse_ring_spec(cod),
                                         filters=filters, limit=limit,
                                         node_budget=budget)
     assert (res.nodes, len(res.maps), _digest(res.maps)) == (nodes, count, digest)
+
+
+# ---------------------------------------------------------------------------
+# Orbit search: one map per unit-conjugation orbit, then expanded
+
+_ORBIT_CASES = [
+    ("mat:2:zmod:2", "mat:2:zmod:2", ()),
+    ("mat:2:zmod:2", "mat:2:zmod:2", ("corner",)),
+    ("mat:2:zmod:2", "mat:2:zmod:2", ("unital",)),
+    ("mat:2:zmod:3", "mat:2:zmod:3", ()),
+    ("mat:2:zmod:3", "mat:2:zmod:3", ("corner",)),
+    ("mat:2:zmod:3", "mat:2:zmod:3", ("unital",)),
+    ("mat:2:zmod:2", "mat:2:zmod:2", ("i_relation",)),
+    ("mat:2:gauss:2", "mat:2:zmod:2", ("i_relation",)),
+    ("mat:2:zmod:2", "mat:2:gauss:2", ("i_relation", "unital")),
+    ("gauss:2", "mat:2:zmod:3", ()),
+]
+_ORBIT_IDS = [f"{d}->{c}:{'+'.join(f) or 'all'}" for d, c, f in _ORBIT_CASES]
+
+
+def _rings(dom: str, cod: str):
+    return parse_ring_spec(dom), parse_ring_spec(cod)
+
+
+@functools.cache
+def _orbit_search(dom: str, cod: str, filters: tuple):
+    """``(conjugation table, representatives, emitted maps)`` of the
+    orbit search: the representatives come from one task over every first
+    value, the maps from the public call."""
+    d, c = _rings(dom, cod)
+    conj = search._conjugations(d, c, filters, None, None)
+    reps, _, exhausted = search._search_range(d, c, _Plan(d, filters, conj), None,
+                                              None, 0, c.size)
+    assert conj is not None and exhausted
+    res = enumerate_multiplicative_maps(d, c, filters=filters)
+    assert res.exhaustive
+    return conj, [r.tolist() for r in reps], [m.img.tolist() for m in res.maps]
+
+
+@pytest.mark.parametrize("dom,cod,filters", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_orbit_search_emits_the_plain_search_bytes(dom, cod, filters):
+    """A node budget keeps the plain search (exhaustive here, as the budget
+    is never reached); the orbit search emits byte-identical maps in fewer
+    nodes."""
+    d, c = _rings(dom, cod)
+    orbit = enumerate_multiplicative_maps(d, c, filters=filters)
+    plain = enumerate_multiplicative_maps(d, c, filters=filters, node_budget=10**9)
+    assert orbit.exhaustive and plain.exhaustive
+    assert orbit.nodes < plain.nodes
+    assert (_image_stack(orbit.maps, d.size).tobytes()
+            == _image_stack(plain.maps, d.size).tobytes())
+
+
+@pytest.mark.parametrize("dom,cod,filters", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_orbit_search_keeps_the_oracle_lex_min_representatives(dom, cod, filters):
+    """The conjugation table holds each inner automorphism of the codomain
+    once, as a plain-Python oracle lists them from the units; the search
+    keeps exactly the emitted maps that no automorphism makes
+    lexicographically smaller, one per orbit."""
+    conj, reps, emitted = _orbit_search(dom, cod, filters)
+    autos = oracles.inner_automorphisms(oracles.tabulated(_oracle_of(cod)))
+    assert conj.dtype == parse_ring_spec(cod).mul.dtype
+    assert sorted(map(tuple, conj.tolist())) == autos
+    assert [tuple(r) for r in reps] == oracles.lex_min_representatives(emitted, autos)
+
+
+@pytest.mark.parametrize("dom,cod,filters", _ORBIT_CASES, ids=_ORBIT_IDS)
+def test_orbit_stabilizer_identity(dom, cod, filters):
+    """Each representative's orbit has |G| / |Stab| maps, the stabilizer
+    being the automorphisms that fix it; summed over the representatives
+    this is the emitted count."""
+    conj, reps, emitted = _orbit_search(dom, cod, filters)
+    total = 0
+    for r in reps:
+        stab = int(np.count_nonzero((conj[:, r] == r).all(axis=1)))
+        assert len(conj) % stab == 0
+        total += len(conj) // stab
+    assert total == len(emitted)
+
+
+def _conjugation(ring: RingTable, v: int) -> np.ndarray:
+    """y -> v y v^-1 on ``ring``, from its product table."""
+    w = int(np.flatnonzero(ring.mul[v] == ring.one)[0])
+    return ring.mul[ring.mul[v], w].astype(np.int64)
+
+
+@given(spec=st.sampled_from(["mat:2:zmod:3", "mat:2:zmod:4"]), data=st.data())
+def test_emitted_maps_are_closed_under_conjugation_on_both_sides(spec, data):
+    """For units u and v, Ad(v) o phi o Ad(u) of an emitted endomorphism
+    phi is emitted too."""
+    ring = parse_ring_spec(spec)
+    emitted = _orbit_search(spec, spec, ())[2]
+    phi = np.array(emitted[data.draw(st.integers(0, len(emitted) - 1))])
+    u, v = (int(x) for x in data.draw(st.tuples(*[st.sampled_from(units(ring).tolist())] * 2)))
+    assert _conjugation(ring, v)[phi[_conjugation(ring, u)]].tolist() in emitted
+
+
+def test_orbit_search_applies_only_where_every_filter_is_invariant(monkeypatch):
+    """The orbit search needs both rings associative by construction, no
+    ``star`` filter, no ``limit`` and no ``node_budget``, which are tested
+    before any unit is computed; ``i_relation`` needs a central i in the
+    codomain.  A commutative codomain has one inner automorphism, and the
+    plain search runs."""
+    m2z3 = parse_ring_spec("mat:2:zmod:3")
+    assert search._conjugations(m2z3, m2z3, (), None, None).shape == (24, 81)
+    assert search._conjugations(m2z3, Z4, (), None, None) is None
+    assert search._conjugations(M2Z2.ring, parse_ring_spec("mat:2:gauss:2"),
+                                ("i_relation",), None, None).shape == (48, 256)
+    assert search._conjugations(M2Z2.ring, M2Z2.ring, ("i_relation",), None,
+                                None).shape == (6, 16)
+    e11 = M2Z2.matrix_unit(0, 0)
+    moved_i = rings._built_ring(M2Z2.ring.add, M2Z2.ring.mul, associative=True,
+                                zero=M2Z2.ring.zero, one=M2Z2.ring.one, i_elem=e11)
+    assert search._conjugations(M2Z2.ring, moved_i, ("i_relation",), None, None) is None
+    unmarked = RingTable(m2z3.add, m2z3.mul, m2z3.zero, m2z3.one)
+    assert search._conjugations(m2z3, unmarked, (), None, None) is None
+
+    def refuse(ring):
+        raise AssertionError("units computed")
+
+    monkeypatch.setattr(search, "units", refuse)
+    for filters, limit, budget in [(("star",), None, None), ((), 5, None),
+                                   ((), None, 100), (("corner", "star"), None, None)]:
+        assert search._conjugations(m2z3, m2z3, filters, limit, budget) is None
+        enumerate_multiplicative_maps(m2z3, m2z3, filters, limit=limit,
+                                      node_budget=budget)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_additive_endomorphisms_of_m2_over_a_prime_field(p):
+    """M2(F_p) is simple, so a nonzero ring endomorphism is an
+    automorphism; it fixes the prime field, so it is inner by
+    Skolem-Noether.  The additive multiplicative self-maps are therefore
+    the zero map and the p(p^2 - 1) distinct Ad(v), here built from
+    ``units`` and the product table, not from the search."""
+    ring = parse_ring_spec(f"mat:2:zmod:{p}")
+    res = enumerate_multiplicative_maps(ring, ring)
+    assert res.exhaustive
+    imgs = _image_stack(res.maps, ring.size)
+    additive = {tuple(r) for r in imgs[maps._stacked_law("add", ring, ring, imgs)].tolist()}
+    assert len(additive) == oracles.pgl2_order(p) + 1
+    inner = {tuple(_conjugation(ring, int(v)).tolist()) for v in units(ring)}
+    assert additive == inner | {(ring.zero,) * ring.size}
 
 
 @pytest.mark.parametrize("dom,cod,filters,run", [
@@ -571,15 +722,24 @@ def _star_enumeration(workers):
         ring, ring, filters=("star",), workers=workers).maps]
 
 
+def _orbit_enumeration(workers):
+    """The orbit search's result: every task's representatives merge
+    before one expansion."""
+    ring = parse_ring_spec("mat:2:zmod:3")
+    res = enumerate_multiplicative_maps(ring, ring, workers=workers)
+    return res.summary(), [m.img.tolist() for m in res.maps]
+
+
 @pytest.mark.parametrize("run,pools", [
     (_star_enumeration, [2]),
+    (_orbit_enumeration, [2]),
     (lambda workers: verify_corner_equivalence(
         parse_ring_spec("mat:2:zmod:2"), Z2, workers=workers).to_json(),
      [2, 2, 2]),
     (lambda workers: verify_fourth_power_search(
         parse_ring_spec("mat:2:gauss:2"), parse_ring_spec("gauss:2"),
         workers=workers).to_json(), [2]),
-], ids=["enumerate-star", "prop1", "i-relation"])
+], ids=["enumerate-star", "enumerate-orbit", "prop1", "i-relation"])
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="only a forked pool process inherits the plans")
 def test_process_pool_gets_plans_without_pickling(run, pools, monkeypatch):
