@@ -54,11 +54,19 @@ and into the transposed ``mul``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._closure import ClosureStages, _first_unseen, _generator_law, _row_blocks, greedy_closure
+from ._closure import (
+    ClosureStages,
+    _block_rows,
+    _first_unseen,
+    _generator_law,
+    _row_blocks,
+    greedy_closure,
+)
 from .errors import (
     MissingImaginaryUnit,
     MissingInvolution,
@@ -783,10 +791,15 @@ def _row_scan(shape: tuple[int, int], law,
 
 
 def _transposed(t: np.ndarray) -> np.ndarray:
-    """A contiguous copy of ``t.T``, written one row block at a time."""
+    """A contiguous copy of ``t.T``, written one square tile of about
+    :data:`_closure._BLOCK_ENTRIES` entries at a time.  A row block of a
+    wide table would write row pieces of a few entries, shorter than a
+    cache line; a tile writes rows as long as it is high."""
     out = np.empty(t.shape[::-1], dtype=t.dtype)
-    for lo, hi in _row_blocks(*t.shape):
-        out[:, lo:hi] = t[lo:hi].T
+    side = math.isqrt(_block_rows(1))  # _block_rows(1) is _BLOCK_ENTRIES
+    for lo, hi in _row_blocks(t.shape[0], side):
+        for clo, chi in _row_blocks(t.shape[1], side):
+            out[clo:chi, lo:hi] = t[lo:hi, clo:chi].T
     return out
 
 

@@ -105,6 +105,22 @@ def test_block_size_patch_reaches_row_blocks(monkeypatch):
     assert calls == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
 
+@pytest.mark.parametrize("entries", [None, 10], ids=["default-tiles", "3x3-tiles"])
+def test_transposed_copy_in_square_tiles(entries, monkeypatch):
+    """``rings._transposed`` writes square tiles of about ``_BLOCK_ENTRIES``
+    entries, partial ones at the edges included: the copy is ``t.T``, in
+    the table dtype and C-contiguous, on tables wider or taller than a
+    tile."""
+    if entries:
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(5)
+    for shape in [(300, 257), (257, 300), (7, 7), (1, 5)]:
+        t = rng.integers(0, 2**16, shape, dtype=np.uint16)
+        out = rings._transposed(t)
+        assert out.flags.c_contiguous and out.dtype == t.dtype
+        assert np.array_equal(out, t.T), shape
+
+
 def test_first_unseen_takes_the_first_position_per_value():
     flat = np.array([4, 2, 4, 1, 2, 3, 1])
     seen = np.zeros(5, dtype=bool)

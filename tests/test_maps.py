@@ -156,6 +156,31 @@ def test_pair_scan_peak_memory(scan, op, kind):
     assert rep.witnesses == [tuple(int(v) for v in w) for w in bad[:16]]
 
 
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-block", "3-row-block"])
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_full_pair_scan_peak_per_block_entry(op, block_rows, monkeypatch):
+    """The full scan of a random failing map of M_2(Z_7) peaks at 16 bytes
+    per block entry or less, plus the image arrays: the codomain-dtype
+    copy and NumPy's intp copy of it as ``np.take`` indices, 10 bytes per
+    element.  The ring is marked as not associative, so ``_pair_law``
+    runs the full scan alone, with no generator law before it."""
+    ring = make_matrix_ring(make_zmod(7), 2).ring
+    n = ring.size
+    if block_rows:
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * n)
+    monkeypatch.setattr(ring, "_associative", False)
+    phi = MapTable(ring, ring, np.random.default_rng(7).integers(0, n, n))
+    tracemalloc.start()
+    try:
+        rep = _pair_law("law", phi, op, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.passed and len(rep.witnesses) == 16
+    assert n * n > _closure._BLOCK_ENTRIES  # several blocks
+    assert peak <= 16 * _closure._BLOCK_ENTRIES + 10 * n
+
+
 @pytest.mark.parametrize("op", ["mul", "add"])
 def test_pair_scan_across_block_boundary(op):
     """Full pair scans of M_2(Z_7), whose rows span several blocks, on maps
@@ -524,7 +549,7 @@ def test_law_kernel_edge_cases(op, monkeypatch):
 # ---------------------------------------------------------------------------
 # Map laws decided on x times the closure generators on rings marked associative
 
-FAST_PATH_SPECS = [*CORPUS_SPECS, "mat:2:zmod:7"]
+FAST_PATH_SPECS = [*CORPUS_SPECS, "mat:2:zmod:5", "mat:2:zmod:7"]
 
 
 def _grid_holds(op, ring, img, rows=None):
@@ -562,9 +587,9 @@ def test_ready_pair_map_laws_report_as_full_scans(block_rows, monkeypatch):
     ``is_additive`` report byte for byte as the full scans do (the ring
     marked as not associative) on passing maps, on maps failing in the
     first row block and on maps failing only past it.  A passing map on a
-    grid of several row blocks (over 1024 elements at the default block
-    size) runs neither the full scan nor ``_law_kernel``: the generator
-    law decides it."""
+    grid of several row blocks (over 256 elements at the default block
+    size: M2(Z5) and M2(Z7)) runs neither the full scan nor
+    ``_law_kernel``: the generator law decides it."""
     scans, kernel_ops = [], []
     row_scan, kernel = maps._row_scan, maps._law_kernel
 
