@@ -383,10 +383,8 @@ class MatrixRingView:
 
     def matrix_unit(self, i: int, j: int, scalar: int | None = None) -> int:
         """Index of ``s * e_ij`` (entry ``s`` at row i, col j, zeros elsewhere)."""
-        m = np.full((self.k, self.k), self.base.zero, dtype=np.int64)
-        m[_index("i", i, self.k), _index("j", j, self.k)] = (
-            self.base.one if scalar is None else _index("scalar", scalar, self.base.size))
-        return int(self.encode(m))
+        s = self.base.one if scalar is None else _index("scalar", scalar, self.base.size)
+        return int(self._placed(s, [_index("i", i, self.k) * self.k + _index("j", j, self.k)]))
 
     @functools.cached_property
     def diagonal_units(self) -> tuple[int, ...]:
@@ -395,9 +393,16 @@ class MatrixRingView:
 
     def scalar_matrix(self, s: int) -> int:
         """Index of ``s`` times the identity matrix."""
-        m = np.full((self.k, self.k), self.base.zero, dtype=np.int64)
-        m[np.arange(self.k), np.arange(self.k)] = _index("scalar", s, self.base.size)
-        return int(self.encode(m))
+        s = _index("scalar", s, self.base.size)
+        return int(self._placed(s, np.arange(self.k) * (self.k + 1)))
+
+    def _placed(self, s, entries):
+        """Index of the matrix holding base element(s) ``s`` at the
+        row-major ``entries`` (summed over the last axis) and the base's
+        zero everywhere else: ``encode`` is linear in the entries, so it is
+        z*sum(place) + (s - z)*sum(place[entries]).  Nothing is validated."""
+        z = self.base.zero
+        return z * self.place.sum() + (np.asarray(s) - z) * self.place[entries].sum(axis=-1)
 
     def _render_matrix(self, idx: int) -> str:
         m = self.decode(np.asarray(idx))
@@ -659,19 +664,6 @@ def mat_mul(ring: RingTable, X, Y) -> np.ndarray:
     return out
 
 
-def mat_star(ring: RingTable, X) -> np.ndarray:
-    """Conjugate transpose of (…, k, k) index matrices."""
-    star = ring.require_star()
-    X = np.asarray(X)
-    return star[np.swapaxes(X, -1, -2)]
-
-
-def mat_eye(ring: RingTable, k: int) -> np.ndarray:
-    m = np.full((k, k), ring.zero, dtype=np.int64)
-    m[np.arange(k), np.arange(k)] = ring.one
-    return m
-
-
 def _check_inverse_scan_cap(ring: RingTable, size_cap: int | None = None):
     """Raise SizeCapExceeded when the |ring|**4 candidates of a 2x2
     inverse scan over ``ring`` exceed the size cap."""
@@ -701,7 +693,8 @@ def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
     second = rows[(p0 == ring.zero) & (p1 == ring.one)]
     L = np.hstack([np.repeat(first, len(second), axis=0),
                    np.tile(second, (len(first), 1))]).reshape(-1, 2, 2)
-    both = (mat_mul(ring, M, L) == mat_eye(ring, 2)).all(axis=(1, 2))
+    eye = np.where(np.eye(2, dtype=bool), ring.one, ring.zero)
+    both = (mat_mul(ring, M, L) == eye).all(axis=(1, 2))
     return L[np.argmax(both)].copy() if both.any() else None
 
 
@@ -997,19 +990,6 @@ def validate_ring(ring: RingTable) -> RingValidation:
     return v
 
 
-def _matrix_units(view: MatrixRingView) -> np.ndarray:
-    """Indices of the k^2 matrix units, e_ij at position i*k + j, encoded
-    as a stack of unit matrices in row blocks of the (k^2, k^2) grid of
-    their entries."""
-    k2 = view.k * view.k
-    out = np.empty(k2, dtype=np.intp)
-    for lo, hi in _row_blocks(k2, k2):
-        mats = np.full((hi - lo, k2), view.base.zero, dtype=np.int64)
-        mats[np.arange(hi - lo), np.arange(lo, hi)] = view.base.one
-        out[lo:hi] = view.encode(mats.reshape(hi - lo, view.k, view.k))
-    return out
-
-
 def validate_matrix_view(view: MatrixRingView) -> RingValidation:
     """Scan the matrix-ring structure: encode/decode bijection, the matrix
     unit relations ``e_ij e_kl = delta_jk e_il``, the diagonal-sum identity,
@@ -1028,7 +1008,7 @@ def validate_matrix_view(view: MatrixRingView) -> RingValidation:
     # The k^2 x k^2 grid of products e_ij e_pq, with e_ij at row i*k + j
     # and e_pq at column p*k + q, in row blocks; the witness is its last
     # failing pair in (i, j, p, q) order.
-    flat = _matrix_units(view)
+    flat = view._placed(view.base.one, np.arange(k * k)[:, None])
     eu = flat.reshape(k, k)
     wit = None
     for lo, hi in _row_blocks(k * k, k * k):
@@ -1051,7 +1031,7 @@ def validate_matrix_view(view: MatrixRingView) -> RingValidation:
         None if total == ring.one else (total, ring.one))
 
     if view.base.star is not None:
-        expected = view.encode(mat_star(view.base, view.decode(idx)))
+        expected = view.encode(view.base.star[np.swapaxes(view.decode(idx), -1, -2)])
         ch["star_is_conjugate_transpose"] = _outcome(
             "star_is_conjugate_transpose", np.asarray(ring.star, dtype=np.int64) == expected, n)
     if view.base.i_elem is not None:

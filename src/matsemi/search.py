@@ -460,10 +460,12 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
 
     Emission is in lexicographic order of the full image arrays and equals
     the brute-force-filtered set whenever the search runs to completion
-    (``exhaustive`` in the result).  ``node_budget`` bounds the nodes each
-    top-level branch may visit; ``limit`` truncates the output.  Both
-    truncations clear the ``exhaustive`` flag.  An unknown filter, or one
-    that a ring cannot carry, raises before any node is visited.
+    (``exhaustive`` in the result).  ``node_budget`` bounds the nodes of
+    each search task, one block of the first variable's values (see
+    :func:`_partition`), not of the whole call; ``limit`` truncates the
+    output.  Both truncations clear the ``exhaustive`` flag.  An unknown
+    filter, or one that a ring cannot carry, raises before any node is
+    visited.
 
     The top-level branches form one task per block of the fixed partition,
     and the tasks' results merge in partition order.  The tasks run in

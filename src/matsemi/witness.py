@@ -257,7 +257,7 @@ def extract_additivity(phi: MapTable) -> CornerCertificate:
     total, corners = None, []
     for pos in range(view.k * view.k):
         i, j = divmod(pos, view.k)
-        emb = np.array([view.matrix_unit(i, j, s) for s in range(base.size)])  # s e_ij
+        emb = view._placed(np.arange(base.size), [pos])  # s e_ij
         term = img[emb[view.digits[:, pos]]]
         total = term if total is None else cod.add[total, term]
         corners.append(_pair_law(f"corner_{i}{j}", MapTable(base, cod, img[emb]), "add", 1))

@@ -540,6 +540,11 @@ def lex_min_representatives(maps, automorphisms) -> list[tuple]:
             if all(tuple(a[y] for y in phi) >= tuple(phi) for a in automorphisms)]
 
 
-def pgl2_order(p: int) -> int:
-    """|PGL_2(F_p)| = |GL_2(F_p)| / (p - 1) = p (p^2 - 1), for a prime p."""
-    return p * (p * p - 1)
+def pgl_order(k: int, p: int) -> int:
+    """|PGL_k(F_p)| = |GL_k(F_p)| / (p - 1), for a prime p: a basis of
+    F_p^k is chosen row by row, each row outside the span of the rows
+    before it, in p^k - p^i ways for row i."""
+    order = 1
+    for i in range(k):
+        order *= p**k - p**i
+    return order // (p - 1)

@@ -21,6 +21,7 @@ from matsemi.errors import (
     RingSpecError,
     SizeCapExceeded,
 )
+from matsemi.maps import MapTable
 from matsemi.rings import (
     MatrixRingView,
     RingTable,
@@ -37,6 +38,7 @@ from matsemi.rings import (
     validate_ring,
 )
 from matsemi.search import enumerate_multiplicative_maps, monoid_generators
+from matsemi.witness import extract_additivity
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +354,29 @@ def test_view_scalar_matrix_refuses_non_indices(s):
     with pytest.raises(ValueError, match="^scalar "):
         _M2Z3.scalar_matrix(s)
     assert _M2Z3.scalar_matrix(2) == 2 * 27 + 2
+
+
+def test_view_names_matrices_over_a_base_whose_zero_is_not_index_0():
+    """Z_3 relabelled so that zero is index 2 and one is index 0: the
+    units, the scalar matrices and the view's zero and one equal the
+    encoded matrices, the view validates, and the identity's corner
+    certificate passes."""
+    z3 = make_zmod(3)
+    new = np.array([2, 0, 1])  # new index of each element of Z_3
+    old = np.argsort(new)
+    base = RingTable(new[z3.add[old[:, None], old]], new[z3.mul[old[:, None], old]],
+                     zero=2, one=0, star=np.arange(3))
+    view = MatrixRingView(base, 2)
+    assert view.matrix_unit(0, 1) == view.encode([[2, 0], [2, 2]])
+    assert view.matrix_unit(1, 0, 1) == view.encode([[2, 2], [1, 2]])
+    assert view.diagonal_units == (view.encode([[0, 2], [2, 2]]),
+                                   view.encode([[2, 2], [2, 0]]))
+    assert view.scalar_matrix(1) == view.encode([[1, 2], [2, 1]])
+    assert view.ring.zero == view.encode(np.full((2, 2), 2))
+    assert view.ring.one == view.encode([[0, 2], [2, 0]])
+    assert validate_matrix_view(view).ok
+    cert = extract_additivity(MapTable(view.ring, view.ring, np.arange(view.ring.size)))
+    assert cert.passed and cert.additive_confirmed
 
 
 # ---------------------------------------------------------------------------

@@ -502,19 +502,21 @@ def test_orbit_search_applies_only_where_every_filter_is_invariant(monkeypatch):
                                       node_budget=budget)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_additive_endomorphisms_of_m2_over_a_prime_field(p):
-    """M2(F_p) is simple, so a nonzero ring endomorphism is an
-    automorphism; it fixes the prime field, so it is inner by
-    Skolem-Noether.  The additive multiplicative self-maps are therefore
-    the zero map and the p(p^2 - 1) distinct Ad(v), here built from
-    ``units`` and the product table, not from the search."""
-    ring = parse_ring_spec(f"mat:2:zmod:{p}")
+@pytest.mark.parametrize("k,p", [(2, 2), (2, 3), (2, 5), (3, 2)],
+                         ids=["2", "3", "5", "k3-p2"])
+def test_additive_endomorphisms_of_m2_over_a_prime_field(k, p):
+    """M_k(F_p) is simple, so a nonzero ring endomorphism is injective,
+    hence an automorphism; it fixes the prime field, so it is an
+    F_p-algebra automorphism, inner by Skolem-Noether.  The additive
+    multiplicative self-maps are therefore the zero map and the
+    |PGL_k(F_p)| distinct Ad(v), here built from ``units`` and the product
+    table, not from the search."""
+    ring = parse_ring_spec(f"mat:{k}:zmod:{p}")
     res = enumerate_multiplicative_maps(ring, ring)
     assert res.exhaustive
     imgs = _image_stack(res.maps, ring.size)
     additive = {tuple(r) for r in imgs[maps._stacked_law("add", ring, ring, imgs)].tolist()}
-    assert len(additive) == oracles.pgl2_order(p) + 1
+    assert len(additive) == oracles.pgl_order(k, p) + 1
     inner = {tuple(_conjugation(ring, int(v)).tolist()) for v in units(ring)}
     assert additive == inner | {(ring.zero,) * ring.size}
 
