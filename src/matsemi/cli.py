@@ -212,7 +212,7 @@ def _read_json(path: str, what: str):
 _VERIFY_FLAGS = [
     ("--dom", "dom", str, "domain ring spec"),
     ("--cod", "cod", str, "codomain ring spec"),
-    ("--workers", "workers", decimal_int, "worker processes"),
+    ("--workers", "workers", decimal_int, "worker threads"),
     ("--limit", "limit", decimal_int, "most maps to list"),
     ("--ring", "ring", str, "ring spec for ring-level suites"),
     ("--map", "map_path", str, "JSON map file"),
@@ -221,7 +221,7 @@ _VERIFY_FLAGS = [
 
 # Each suite's (flags it needs, other flags it may take); it refuses every
 # other flag of _VERIFY_FLAGS with exit 2 rather than ignoring it.  The
-# doubling suites run in one process, so they refuse --workers, and check
+# doubling suites are not split into tasks, so they refuse --workers, and check
 # --map and --replay themselves.
 _SUITES = {
     "prop1": (("--dom", "--cod"), ("--workers",)),

@@ -19,22 +19,23 @@ orbits are expanded once at the end (see :func:`_conjugations`).
 
 Top-level branches are partitioned into a fixed number of tasks (a
 function of the codomain size only), so results merge in the same order
-no matter how many worker processes execute them.
+no matter how many worker threads execute them.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._closure import _generator_law
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch, _quoted
 from .maps import MapTable, _image_stack, _relation, _stacked_law
-from .rings import RingTable, _digits, op_closure, parse_ring_spec, units
+from .rings import RingTable, _digits, op_closure, units
 
 BRUTE_FORCE_LIMIT = 2**20
 
@@ -358,73 +359,46 @@ def _search_range(dom: RingTable, cod: RingTable, plan: _Plan,
     return out, nodes, exhausted
 
 
-# The call of _run_ring_tasks whose pool started this worker process, as
-# ``(dom label, cod label, remaining tasks)``; set once per worker, when it
-# starts, and never in the process that runs the call.
-_worker_tasks: tuple = ()
-
-
-def _share(*call) -> None:
-    """Pool-worker initializer of :func:`_run_ring_tasks`."""
-    global _worker_tasks
-    _worker_tasks = call
-
-
-def _run_task(j: int):
-    """Pool-worker side of :func:`_run_ring_tasks`: task ``j`` of the
-    remaining tasks, on the rings that the labels name."""
-    dom_spec, cod_spec, tasks = _worker_tasks
-    fn, args = tasks[j]
-    return fn(parse_ring_spec(dom_spec), parse_ring_spec(cod_spec), *args)
-
-
-# A _run_ring_tasks call runs its tasks in this process until they have
-# taken this much CPU time, and only then hands the rest to a pool: a
-# two-process pool costs about 20 ms of CPU and 13-15 ms of wall time to
-# start and join, more than most commands' whole search, while the fixed
-# partition leaves nearly all of a large search in its first task.
+# A _run_ring_tasks call runs its tasks in this thread until they have
+# taken this much CPU time, and only then hands the rest to a thread pool.
+# The searches and scans hold the interpreter lock for much of each task, so
+# threads started at the first task contend for it: the five --workers 2
+# commands of the bench sweep took 106-141 ms of CPU together that way on a
+# 2-vCPU x86 host, against 64-133 ms with this mark, where none of them
+# starts a pool.  The fixed partition leaves nearly all of a large search in
+# its first task anyway.
 _POOL_AFTER_S = 0.1
 
 
-def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
-                    workers: int):
-    """Yields ``fn(dom, cod, *args) for fn, args in tasks``, in order.
+def _run_ring_tasks(tasks: list, workers: int):
+    """Yields ``task()`` for each zero-argument callable in ``tasks``, in
+    order.
 
-    The tasks run in order in this process, each when the caller asks for
+    The tasks run in order in this thread, each when the caller asks for
     its result.  Before each one, if the tasks run so far have taken
-    :data:`_POOL_AFTER_S` of this process's CPU time, ``workers > 1``, at
-    least two tasks remain, and both rings are the objects
-    :func:`parse_ring_spec` returns for their labels, every remaining task
-    goes to one process pool of at most one process per remaining task
-    instead, and its results follow the ones computed here.  The pool is
-    started and joined within the iteration; a caller that stops early
-    (closing the generator) cancels the pool's tasks that have not
-    started, and the pool is joined on close.  Its processes receive the
-    labels and the remaining tasks once each, as the initializer's
-    arguments, which ``fork`` hands over without pickling, and each future
-    names its task by position, so no search plan is copied per task.  The
-    processes resolve the labels to the same rings (under ``fork``, from
-    the constructor caches they inherit).  Any other ring, hand-assembled
-    or labelled with a spec it was not built from, runs every task in this
-    process.  Each ``fn`` must be a private module-level function, so a
-    pickled reference resolves to it even when public names are wrapped.
-    """
-    def built_from_spec(ring: RingTable) -> bool:
-        try:
-            return parse_ring_spec(ring.label) is ring
-        except MatsemiError:
-            return False
+    :data:`_POOL_AFTER_S` of this process's CPU time, ``workers > 1`` and
+    at least two tasks remain, every remaining task goes to one thread pool
+    of at most one thread per remaining task instead, and its results
+    follow the ones computed here.  The pool is started and joined within
+    the iteration; a caller that stops early (closing the generator)
+    cancels the pool's tasks that have not started, and the pool is joined
+    on close.
 
-    may_pool = (workers > 1 and len(tasks) > 1
-                and built_from_spec(dom) and built_from_spec(cod))
+    Threads are safe because the tasks only read what they share (the
+    rings, plans and views), except for the idempotent caches a task may
+    fill on first use (:func:`~matsemi.rings.op_closure`,
+    ``ClosureStages.ready_pairs``): two threads that build one at once
+    store equal values.  A process pool would have to hand every plan
+    to its workers: under ``forkserver``, the default start method on
+    Linux from Python 3.14, the plans and ring labels are pickled to each
+    worker instead of inherited at fork.
+    """
     spent = 0.0  # CPU time of the tasks run here, not of the caller
-    for i, (fn, args) in enumerate(tasks):
-        if may_pool and len(tasks) - i > 1 and spent >= _POOL_AFTER_S:
+    for i, task in enumerate(tasks):
+        if workers > 1 and len(tasks) - i > 1 and spent >= _POOL_AFTER_S:
             rest = tasks[i:]
-            with ProcessPoolExecutor(max_workers=min(workers, len(rest)),
-                                     initializer=_share,
-                                     initargs=(dom.label, cod.label, rest)) as pool:
-                futs = [pool.submit(_run_task, j) for j in range(len(rest))]
+            with ThreadPoolExecutor(max_workers=min(workers, len(rest))) as pool:
+                futs = [pool.submit(t) for t in rest]
                 try:
                     for f in futs:
                         yield f.result()
@@ -433,7 +407,7 @@ def _run_ring_tasks(dom: RingTable, cod: RingTable, tasks: list[tuple],
                         f.cancel()
             return
         start = time.process_time()
-        result = fn(dom, cod, *args)
+        result = task()
         spent += time.process_time() - start
         yield result
 
@@ -469,14 +443,15 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
 
     The top-level branches form one task per block of the fixed partition,
     and the tasks' results merge in partition order.  The tasks run in
-    this process; with ``workers > 1``, once they have taken
-    ``_POOL_AFTER_S`` of CPU time, a process pool runs the rest (see
-    :func:`_run_ring_tasks`), so a call starts at most one pool, and a
-    light one none.  Once the merged results hold ``limit`` maps and are
+    this thread; with ``workers > 1``, once they have taken
+    ``_POOL_AFTER_S`` of CPU time, a pool of worker threads runs the rest
+    (see :func:`_run_ring_tasks`), so a call starts at most one pool, and
+    a light one none.  Once the merged results hold ``limit`` maps and are
     already not exhaustive, every later map would be cut, so the call
     takes no further task's results (and runs no further task in this
-    process).  ``nodes`` counts the nodes of the tasks whose results were
-    taken.  Results are byte-identical for every worker count.
+    thread, or cancels the pool's tasks that have not started).
+    ``nodes`` counts the nodes of the tasks whose results were taken.
+    Results are byte-identical for every worker count.
 
     Multiplicativity is decided on right products by the search variables
     (the "ready" pairs of each stage), and on every pair for each complete
@@ -500,12 +475,12 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     if "i_relation" in filters:
         cod.require_i()
     plan = _Plan(dom, filters, _conjugations(dom, cod, filters, limit, node_budget))
-    tasks = [(_search_range, (plan, limit, node_budget, lo, hi))
+    tasks = [partial(_search_range, dom, cod, plan, limit, node_budget, lo, hi)
              for lo, hi in _partition(cod.size)]
     found: list[np.ndarray] = []
     nodes = 0
     exhaustive = True
-    with closing(_run_ring_tasks(dom, cod, tasks, workers)) as results:
+    with closing(_run_ring_tasks(tasks, workers)) as results:
         for imgs, n, ex in results:
             nodes += n
             exhaustive = exhaustive and ex

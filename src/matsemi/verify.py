@@ -6,14 +6,15 @@ Function-space scans are chunked into fixed-size tasks, and searches into
 the fixed partition of :mod:`matsemi.search`, so results are
 byte-identical for any worker count.  Each task list goes to one
 :func:`~matsemi.search._run_ring_tasks` call, which runs the tasks in this
-process until they have taken ``search._POOL_AFTER_S`` of CPU time and
-only then may hand the rest to a process pool, so each task list starts
-at most one pool, and a light command none.
+thread until they have taken ``search._POOL_AFTER_S`` of CPU time and
+only then may hand the rest to a pool of worker threads, so each task
+list starts at most one pool, and a light command none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import MapFormatError, PreconditionFailed
 from .maps import MapTable, _corner_units, _image_stack, _law_kernel, _lift, _relation
 from .rings import (
+    MatrixRingView,
     RingTable,
     _check_inverse_scan_cap,
     _digits,
@@ -60,11 +62,11 @@ DEFAULT_NODE_BUDGET = 5000
 DEFAULT_MAP_LIMIT = 40
 
 
-def _scan_tasks(task, total: int, *args) -> list[tuple]:
+def _scan_tasks(task, total: int, *args) -> list[partial]:
     """The :func:`_run_ring_tasks` tasks running
-    ``task(dom, cod, lo, hi, *args)`` over the function ids
-    ``0..total-1`` in fixed chunks of ``_CHUNK``."""
-    return [(task, (lo, min(lo + _CHUNK, total), *args))
+    ``task(*args, lo, hi)`` over the function ids ``0..total-1`` in fixed
+    chunks of ``_CHUNK``."""
+    return [partial(task, *args, lo, min(lo + _CHUNK, total))
             for lo in range(0, total, _CHUNK)]
 
 
@@ -138,7 +140,7 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
     total = function_space_size(dom, cod)
     _corner_units(dom)
     mult_ids, corner_ids, add_ids = _joined(_run_ring_tasks(
-        dom, cod, _scan_tasks(_corner_task, total), workers))
+        _scan_tasks(_corner_task, total, dom, cod), workers))
     sets_equal = bool(np.array_equal(corner_ids, add_ids))
 
     res = enumerate_multiplicative_maps(dom, cod, workers=workers)
@@ -159,11 +161,8 @@ def verify_corner_equivalence(dom: RingTable, cod: RingTable,
 # Suite: matrix lift multiplicativity <-> ring homomorphism
 
 
-def _tensor_task(dom: RingTable, cod: RingTable, lo: int, hi: int,
-                 size_cap: int | None):
-    imgs, _, hom = function_space_masks(dom, cod, lo, hi)
-    dv = make_matrix_ring(dom, _TENSOR_K, size_cap=size_cap)
-    cv = make_matrix_ring(cod, _TENSOR_K, size_cap=size_cap)
+def _tensor_task(dv: MatrixRingView, cv: MatrixRingView, lo: int, hi: int):
+    imgs, _, hom = function_space_masks(dv.base, cv.base, lo, hi)
     lifted_ok = _law_kernel("mul", dv.ring, cv.ring, len(imgs),
                             lambda elems, live: _lift(imgs[live], dv, cv, elems))
     ids = np.arange(lo, hi, dtype=np.int64)
@@ -192,16 +191,17 @@ def verify_tensor_equivalence(dom: RingTable, cod: RingTable | None = None,
                               size_cap: int | None = None) -> TensorEquivalenceReport:
     """Over every function dom -> cod: the 2x2 matrix lift is
     multiplicative exactly for the ring homomorphisms.  Both 2x2 matrix
-    rings are built under ``size_cap`` before any function is scanned.
+    rings are built once, under ``size_cap``, before any function is
+    scanned, and every chunk reads them.
     The lift's verdicts come from :func:`~matsemi.maps._law_kernel`, which
     lifts the images of each closure stage's new matrices for the maps
     still alive only, so no chunk's lift is ever materialised."""
     cod = cod if cod is not None else dom
     total = function_space_size(dom, cod)
-    for ring in (dom, cod):
-        make_matrix_ring(ring, _TENSOR_K, size_cap=size_cap)
+    dv, cv = (make_matrix_ring(ring, _TENSOR_K, size_cap=size_cap)
+              for ring in (dom, cod))
     hom_ids, lift_ids = _joined(_run_ring_tasks(
-        dom, cod, _scan_tasks(_tensor_task, total, size_cap), workers))
+        _scan_tasks(_tensor_task, total, dv, cv), workers))
     return TensorEquivalenceReport(
         dom=dom.label, cod=cod.label, k=_TENSOR_K, total_functions=total,
         ring_homs=int(hom_ids.size), lift_multiplicative=int(lift_ids.size),

@@ -18,11 +18,11 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """A fake executor in place of the process pool of
-    ``search._run_ring_tasks``: it runs the pool's initializer and every
-    task in this process.  ``search._POOL_AFTER_S`` is 0, so a call that
-    may use a pool hands it every task.  Returns the size of each pool
-    started, in order."""
+    """A fake executor in place of the thread pool of
+    ``search._run_ring_tasks``: it runs every task in this thread as it is
+    submitted.  ``search._POOL_AFTER_S`` is 0, so a call that may use a
+    pool hands it every task.  Returns the size of each pool started, in
+    order."""
     from concurrent.futures import Future
 
     from matsemi import search
@@ -30,9 +30,8 @@ def in_process_pool(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -40,15 +39,12 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
+        def submit(self, fn):
             fut = Future()
-            fut.set_result(fn(*args))
+            fut.set_result(fn())
             return fut
 
-    # The initializer sets the worker-side tasks, here in this process;
-    # restore them afterwards.
-    monkeypatch.setattr(search, "_worker_tasks", ())
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", InProcessPool)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     return sizes
 

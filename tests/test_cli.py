@@ -367,14 +367,14 @@ def test_verify_tensor_zmod6_stdout_pinned(workers):
 ], ids=["prop1", "enumerate-star"])
 def test_light_commands_start_no_pool_at_two_workers(argv, digest, monkeypatch):
     """Commands whose tasks finish within ``search._POOL_AFTER_S`` of CPU
-    time run them all in this process at ``--workers 2`` and print the
+    time run them all in this thread at ``--workers 2`` and print the
     one-worker bytes (pinned in CI too)."""
     from matsemi import search
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", no_pool)
     code, out = run_cli(*argv, "--workers", "2")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
@@ -520,7 +520,7 @@ def test_corner_relation_on_non_matrix_domain_exit2(argv, capsys):
 def test_verify_prop1_refuses_non_matrix_domain_before_scanning(workers, monkeypatch,
                                                                  capsys):
     """A prop1 domain not built as a 2x2 matrix ring exits 2 before any
-    function is scanned, so no process pool is started."""
+    function is scanned, so no thread pool is started."""
     import matsemi.verify
 
     def not_reached(*args, **kwargs):

@@ -4,8 +4,7 @@ import functools
 import gc
 import hashlib
 import json
-import multiprocessing
-import pickle
+import threading
 import weakref
 from types import SimpleNamespace
 
@@ -674,8 +673,9 @@ def test_probes_decide_additivity_without_per_map_scans(run, monkeypatch):
 
 
 def test_process_pool_has_at_most_one_process_per_task(in_process_pool):
-    """``workers`` beyond the task count starts no idle processes.  A fake
-    executor records the pool size and runs each task in this process."""
+    """``workers`` beyond the task count starts no idle worker threads.  A
+    fake executor records the pool size and runs each task in this
+    thread."""
     res = enumerate_multiplicative_maps(Z4, Z4, workers=5000)
     assert in_process_pool == [len(search._partition(Z4.size))] == [4]
     assert [m.img.tolist() for m in res.maps] == [
@@ -685,12 +685,12 @@ def test_process_pool_has_at_most_one_process_per_task(in_process_pool):
 @pytest.mark.parametrize("k,pool", [(1, [3]), (2, [3]), (14, [2]), (15, [])])
 def test_tasks_run_here_until_the_cpu_threshold(k, pool, in_process_pool,
                                                 monkeypatch):
-    """A call runs its tasks in this process until they have taken
+    """A call runs its tasks in this thread until they have taken
     ``_POOL_AFTER_S`` of CPU time, then hands every remaining task to one
-    pool of ``min(workers, remaining)`` processes, unless only one task
+    pool of ``min(workers, remaining)`` threads, unless only one task
     remains.  A fake clock reads the number of tasks run so far, so the
     call spills after ``k`` of the 16 tasks.  A task runs in the (fake)
-    pool when the pool's initializer has set the worker-side tasks.  The
+    pool when a pool has been started, as a call starts at most one.  The
     merged result equals the one-worker result."""
     ring = parse_ring_spec("mat:2:zmod:2")
     want = enumerate_multiplicative_maps(ring, ring)
@@ -698,7 +698,7 @@ def test_tasks_run_here_until_the_cpu_threshold(k, pool, in_process_pool,
     search_range = search._search_range
 
     def recorded(dom, cod, plan, limit, node_budget, lo, hi):
-        ran.append("pool" if search._worker_tasks else "here")
+        ran.append("pool" if in_process_pool else "here")
         return search_range(dom, cod, plan, limit, node_budget, lo, hi)
 
     monkeypatch.setattr(search, "_search_range", recorded)
@@ -712,10 +712,6 @@ def test_tasks_run_here_until_the_cpu_threshold(k, pool, in_process_pool,
     assert in_process_pool == pool
     assert ([m.img.tolist() for m in got.maps], got.nodes, got.exhaustive) == (
         [m.img.tolist() for m in want.maps], want.nodes, want.exhaustive)
-
-
-def _refuse_to_pickle(self, protocol):
-    raise AssertionError("a search plan was pickled")
 
 
 def _star_enumeration(workers):
@@ -741,58 +737,29 @@ def _orbit_enumeration(workers):
     (lambda workers: verify_fourth_power_search(
         parse_ring_spec("mat:2:gauss:2"), parse_ring_spec("gauss:2"),
         workers=workers).to_json(), [2]),
-], ids=["enumerate-star", "enumerate-orbit", "prop1", "i-relation"])
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="only a forked pool process inherits the plans")
-def test_process_pool_gets_plans_without_pickling(run, pools, monkeypatch):
-    """Real pools of two processes run each command's tasks (with
+    (lambda workers: verify_tensor_equivalence(
+        parse_ring_spec("zmod:6"), workers=workers).to_json(), [2]),
+], ids=["enumerate-star", "enumerate-orbit", "prop1", "i-relation", "tensor"])
+def test_thread_pool_gives_the_one_worker_results(run, pools, monkeypatch):
+    """Real pools of two threads run each command's tasks (with
     ``_POOL_AFTER_S`` at 0, every task; prop1 starts one for its scan and
-    one for each enumeration) while no search plan can be pickled: the
-    tasks holding the plans reach the processes when they are forked.
-    The output equals the one-worker output, and no child process is left
+    one for each enumeration, tensor on Z6 one for its six scan chunks).
+    The output equals the one-worker output, and no worker thread is left
     once the call returns."""
     started = []
 
-    class CountedPool(search.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    class CountedPool(search.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", CountedPool)
+    want = run(1)
+    threads = threading.active_count()
+    monkeypatch.setattr(search, "ThreadPoolExecutor", CountedPool)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
-    monkeypatch.setattr(search._Plan, "__reduce_ex__", _refuse_to_pickle,
-                        raising=False)
-    with pytest.raises(AssertionError, match="pickled"):
-        pickle.dumps(_Plan(Z4, ()))
-    assert run(2) == run(1)
+    assert run(2) == want
     assert started == pools
-    assert multiprocessing.active_children() == []
-
-
-def test_spawned_pool_gives_the_one_worker_results(monkeypatch):
-    """A real pool under the ``spawn`` start method (with
-    ``_POOL_AFTER_S`` at 0, every task): its fresh processes parse the
-    ring labels again and receive the pickled tasks, plans included.  The
-    star enumeration on M2(Z3) and the tensor suite on Z6 equal their
-    one-worker results, and no child process is left."""
-    started = []
-
-    class SpawnedPool(search.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs["max_workers"])
-            super().__init__(*args, mp_context=multiprocessing.get_context("spawn"),
-                             **kwargs)
-
-    def both(workers):
-        return (_star_enumeration(workers), verify_tensor_equivalence(
-            parse_ring_spec("zmod:6"), workers=workers).to_json())
-
-    want = both(1)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SpawnedPool)
-    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
-    assert both(2) == want
-    assert started == [2, 2]
-    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 # The maps of each limited enumeration, as sha256 of their JSON image
@@ -841,16 +808,39 @@ def test_a_filled_limit_takes_no_later_task(spec, limit, nodes, ran, monkeypatch
 
 
 def test_a_filled_limit_cancels_the_pool_tasks_not_started(monkeypatch):
-    """A real pool of two processes (with ``_POOL_AFTER_S`` at 0, every
-    task) stops at the first task that fills ``limit``: the summary equals
-    the one-worker one and no child process is left."""
+    """A real pool of two threads (with ``_POOL_AFTER_S`` at 0, every task)
+    stops at the first task that fills ``limit``.  Every later task waits
+    until the pool is shut down, so both threads are busy when the tasks
+    not started are cancelled: at most tasks 0, 1 and 2 start.  The summary
+    equals the one-worker one and no worker thread is left."""
     ring = parse_ring_spec("mat:2:zmod:3")
     want = enumerate_multiplicative_maps(ring, ring, limit=1)
+    shut = threading.Event()
+    started, released = [], []
+    search_range = search._search_range
+
+    def held(dom, cod, plan, limit, node_budget, lo, hi):
+        started.append(lo)
+        if lo:
+            released.append(shut.wait(timeout=60))
+        return search_range(dom, cod, plan, limit, node_budget, lo, hi)
+
+    class ShutdownSignalled(search.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shut.set()
+            super().shutdown(*args, **kwargs)
+
+    firsts = [lo for lo, _ in search._partition(ring.size)]
+    threads = threading.active_count()
+    monkeypatch.setattr(search, "_search_range", held)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", ShutdownSignalled)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     got = enumerate_multiplicative_maps(ring, ring, limit=1, workers=2)
     assert got.summary() == want.summary()
     assert [m.img.tolist() for m in got.maps] == [m.img.tolist() for m in want.maps]
-    assert multiprocessing.active_children() == []
+    assert 0 in started and set(started) <= set(firsts[:3])
+    assert all(released)
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------

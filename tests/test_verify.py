@@ -2,6 +2,8 @@
 given, at every worker count, whatever the rings' labels say."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 import matsemi.verify
 from conftest import random_mutants, whole_grid_law
+from matsemi import search
 from matsemi.errors import SizeCapExceeded
 from matsemi.maps import (
     MapTable,
@@ -48,9 +51,12 @@ def _without_labels(doc: dict) -> dict:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_tensor_on_unparseable_ring(workers):
-    rep = verify_tensor_equivalence(_copy(make_zmod(4), "ring"), workers=workers)
-    want = verify_tensor_equivalence(make_zmod(4))
+def test_tensor_on_unparseable_ring(workers, monkeypatch):
+    """A hand-assembled ring goes to the pool like a spec-built one: with
+    ``_POOL_AFTER_S`` at 0, two workers hand all six chunks of Z6 to it."""
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
+    rep = verify_tensor_equivalence(_copy(make_zmod(6), "ring"), workers=workers)
+    want = verify_tensor_equivalence(make_zmod(6))
     assert rep.dom == rep.cod == "ring"
     assert _without_labels(rep.to_json()) == _without_labels(want.to_json())
 
@@ -66,7 +72,8 @@ def test_prop1_starts_a_pool_per_task_list(in_process_pool):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_prop1_on_unparseable_rings(workers):
+def test_prop1_on_unparseable_rings(workers, monkeypatch):
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     z2 = _copy(make_zmod(2), "ring")
     dom = make_matrix_ring(z2, 2).ring
     rep = verify_corner_equivalence(dom, z2, workers=workers)
@@ -74,6 +81,44 @@ def test_prop1_on_unparseable_rings(workers):
                                      make_zmod(2))
     assert rep.dom == "mat:2:ring" and rep.passed
     assert _without_labels(rep.to_json()) == _without_labels(want.to_json())
+
+
+def test_threads_build_the_lazy_caches_of_fresh_rings(monkeypatch):
+    """Worker threads meet the closures and ready pairs of freshly
+    hand-assembled rings unbuilt, so several may build one at once: prop1
+    on M2(copy of Z2) -> the Z2 copy and tensor on a Z6 copy, at four
+    workers with ``_POOL_AFTER_S`` at 0 (every task) and a short switch
+    interval, give the one-worker reports on other fresh copies.  Real
+    pools start, and no worker thread is left."""
+    def suites(workers):
+        z2 = _copy(make_zmod(2), "ring")
+        dom = make_matrix_ring(z2, 2).ring
+        z6 = _copy(make_zmod(6), "ring")
+        assert not (z2._closures or dom._closures or z6._closures)
+        return (verify_corner_equivalence(dom, z2, workers=workers).to_json(),
+                verify_tensor_equivalence(z6, workers=workers).to_json())
+
+    started = []
+
+    class CountedPool(search.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    want = suites(1)
+    threads = threading.active_count()
+    monkeypatch.setattr(search, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = suites(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    # prop1: 8 scan chunks, then 2 search tasks per enumeration; tensor: 6 chunks.
+    assert started == [4, 2, 2, 4]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -108,7 +153,8 @@ def test_witness_suite_checks_pair_scan_cap_first(monkeypatch):
 def _tensor_sets(ring: RingTable):
     """The ring-hom ids and the lift-multiplicative ids among all self-maps
     of ``ring``, from one stacked task over the whole function space."""
-    return matsemi.verify._tensor_task(ring, ring, 0, ring.size ** ring.size, None)
+    view = make_matrix_ring(ring, 2)
+    return matsemi.verify._tensor_task(view, view, 0, ring.size ** ring.size)
 
 
 @pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "gauss:2"])
@@ -195,7 +241,7 @@ def test_tensor_task_lifts_like_the_materialised_lift(dom_spec, cod_spec, lo, hi
     1024 maps at a time), and some map passes and some fails."""
     dom, cod = parse_ring_spec(dom_spec), parse_ring_spec(cod_spec)
     dv, cv = make_matrix_ring(dom, 2), make_matrix_ring(cod, 2)
-    _, lift_ids = matsemi.verify._tensor_task(dom, cod, lo, hi, None)
+    _, lift_ids = matsemi.verify._tensor_task(dv, cv, lo, hi)
     ids = np.arange(lo, hi)
     imgs = _digits(ids, dom.size, cod.size, np.int64)
     want = np.concatenate([_stacked_law("mul", dv.ring, cv.ring, _lift(imgs[i:i + 1024], dv, cv))
@@ -208,11 +254,11 @@ def test_tensor_chunk_runs_in_bounded_memory():
     """One zmod:6 chunk of the tensor suite (8192 functions, whose lifts
     would take 8192 x 1296 images) peaks under 32 MB, the rings and their
     closures built beforehand; it holds the 4 ring homs, all lifted."""
-    z6 = parse_ring_spec("zmod:6")
-    matsemi.verify._tensor_task(z6, z6, 8192, 2 * 8192, None)
+    v6 = make_matrix_ring(parse_ring_spec("zmod:6"), 2)
+    matsemi.verify._tensor_task(v6, v6, 8192, 2 * 8192)
     tracemalloc.start()
     try:
-        hom_ids, lift_ids = matsemi.verify._tensor_task(z6, z6, 0, 8192, None)
+        hom_ids, lift_ids = matsemi.verify._tensor_task(v6, v6, 0, 8192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
