@@ -356,8 +356,13 @@ def _relation_report(name: str, phi: MapTable) -> CheckReport:
                        {"checked": 1, "violations": int(not ok)})
 
 
+def unital_holds(phi: MapTable) -> CheckReport:
+    """phi(1) = 1."""
+    return _relation_report("unital", phi)
+
+
 def is_unital(phi: MapTable) -> bool:
-    return _relation_report("unital", phi).passed
+    return unital_holds(phi).passed
 
 
 def is_multiplicative(phi: MapTable) -> CheckReport:

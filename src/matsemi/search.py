@@ -25,7 +25,6 @@ no matter how many worker threads execute them.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -396,6 +395,10 @@ def _run_ring_tasks(tasks: list, workers: int):
     spent = 0.0  # CPU time of the tasks run here, not of the caller
     for i, task in enumerate(tasks):
         if workers > 1 and len(tasks) - i > 1 and spent >= _POOL_AFTER_S:
+            # Imported here: the light commands start no pool, and the
+            # import costs them start-up time (it loads ``logging``).
+            from concurrent.futures import ThreadPoolExecutor
+
             rest = tasks[i:]
             with ThreadPoolExecutor(max_workers=min(workers, len(rest))) as pool:
                 futs = [pool.submit(t) for t in rest]

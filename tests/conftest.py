@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import time
 from pathlib import Path
@@ -23,8 +24,6 @@ def in_process_pool(monkeypatch):
     submitted.  ``search._POOL_AFTER_S`` is 0, so a call that may use a
     pool hands it every task.  Returns the size of each pool started, in
     order."""
-    from concurrent.futures import Future
-
     from matsemi import search
 
     sizes = []
@@ -40,11 +39,11 @@ def in_process_pool(monkeypatch):
             return False
 
         def submit(self, fn):
-            fut = Future()
+            fut = concurrent.futures.Future()
             fut.set_result(fn())
             return fut
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InProcessPool)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     return sizes
 

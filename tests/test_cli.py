@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism, replay."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -123,6 +124,23 @@ def test_map_check_missing_file_exit2():
 def test_map_check_requires_a_check(map_files):
     code, _ = run_cli("map", "check", map_files["det"])
     assert code == 2
+
+
+def test_map_check_calls_the_predicate_on_the_module(map_files, monkeypatch):
+    """``map check`` looks each predicate up on ``matsemi.maps`` when it
+    runs, so a wrapper installed there (as a tracer does) sees the call."""
+    from matsemi import maps
+
+    calls = []
+    predicate = maps.is_multiplicative
+
+    def counted(phi):
+        calls.append(phi.dom.label)
+        return predicate(phi)
+
+    monkeypatch.setattr(maps, "is_multiplicative", counted)
+    code, _ = run_cli("map", "check", map_files["det"], "--mult")
+    assert (code, calls) == (0, ["mat:2:zmod:2"])
 
 
 def test_map_check_csv(map_files):
@@ -369,12 +387,10 @@ def test_light_commands_start_no_pool_at_two_workers(argv, digest, monkeypatch):
     """Commands whose tasks finish within ``search._POOL_AFTER_S`` of CPU
     time run them all in this thread at ``--workers 2`` and print the
     one-worker bytes (pinned in CI too)."""
-    from matsemi import search
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     code, out = run_cli(*argv, "--workers", "2")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
@@ -755,6 +771,41 @@ def test_enumerate_workers_byte_identical():
                             "--cod", "zmod:2", "--workers", w).stdout
             for w in ("1", "3")]
     assert outs[0] and outs[0] == outs[1]
+
+
+_STARTUP_MODULES = ["matsemi", "matsemi._closure", "matsemi.cli",
+                    "matsemi.errors", "matsemi.rings"]
+_SEARCH_MODULES = sorted(_STARTUP_MODULES + ["matsemi.maps", "matsemi.search"])
+_ENUMERATE = 'main(["enumerate", "--dom", "mat:2:zmod:2", "--cod", "zmod:2", "--workers", "2"])'
+
+
+@pytest.mark.parametrize("run,package,pool", [
+    ("pass", _STARTUP_MODULES, False),
+    ('main(["ring", "info", "zmod:4"])', _STARTUP_MODULES, False),
+    # Its tasks finish within search._POOL_AFTER_S, so it starts no pool.
+    (_ENUMERATE, _SEARCH_MODULES, False),
+    ("import matsemi.search; matsemi.search._POOL_AFTER_S = 0; " + _ENUMERATE,
+     _SEARCH_MODULES, True),
+], ids=["import", "ring-info", "enumerate", "enumerate-pool"])
+def test_commands_load_only_what_they_run(run, package, pool):
+    """In a fresh interpreter, ``import matsemi.cli`` loads no more of the
+    package than ``ring info`` runs; a command loads the modules it runs,
+    and ``concurrent.futures`` (which loads ``logging``) only when it
+    starts a pool.  Module sets, not timings, so the check holds on any
+    host."""
+    probe = "\n".join([
+        "import contextlib, io, json, sys",
+        "from matsemi.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    {run}",
+        "print(json.dumps(sorted(m for m in sys.modules",
+        "                        if m.split('.')[0] in ('matsemi', 'concurrent'))))",
+    ])
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                       timeout=600, check=True)
+    modules = json.loads(r.stdout)
+    assert [m for m in modules if m.startswith("matsemi")] == package
+    assert ("concurrent.futures" in modules) == pool
 
 
 @pytest.mark.parametrize("argv", [

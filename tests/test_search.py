@@ -1,5 +1,6 @@
 """Generator sets, enumeration completeness against the oracle, mining."""
 
+import concurrent.futures
 import functools
 import gc
 import hashlib
@@ -748,14 +749,14 @@ def test_thread_pool_gives_the_one_worker_results(run, pools, monkeypatch):
     once the call returns."""
     started = []
 
-    class CountedPool(search.ThreadPoolExecutor):
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
     want = run(1)
     threads = threading.active_count()
-    monkeypatch.setattr(search, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     assert run(2) == want
     assert started == pools
@@ -825,7 +826,7 @@ def test_a_filled_limit_cancels_the_pool_tasks_not_started(monkeypatch):
             released.append(shut.wait(timeout=60))
         return search_range(dom, cod, plan, limit, node_budget, lo, hi)
 
-    class ShutdownSignalled(search.ThreadPoolExecutor):
+    class ShutdownSignalled(concurrent.futures.ThreadPoolExecutor):
         def shutdown(self, *args, **kwargs):
             shut.set()
             super().shutdown(*args, **kwargs)
@@ -833,7 +834,7 @@ def test_a_filled_limit_cancels_the_pool_tasks_not_started(monkeypatch):
     firsts = [lo for lo, _ in search._partition(ring.size)]
     threads = threading.active_count()
     monkeypatch.setattr(search, "_search_range", held)
-    monkeypatch.setattr(search, "ThreadPoolExecutor", ShutdownSignalled)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ShutdownSignalled)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     got = enumerate_multiplicative_maps(ring, ring, limit=1, workers=2)
     assert got.summary() == want.summary()

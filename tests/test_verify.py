@@ -1,6 +1,7 @@
 """Verification suites and enumeration run on the ring objects they are
 given, at every worker count, whatever the rings' labels say."""
 
+import concurrent.futures
 import dataclasses
 import sys
 import threading
@@ -100,14 +101,14 @@ def test_threads_build_the_lazy_caches_of_fresh_rings(monkeypatch):
 
     started = []
 
-    class CountedPool(search.ThreadPoolExecutor):
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
     want = suites(1)
     threads = threading.active_count()
-    monkeypatch.setattr(search, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
     monkeypatch.setattr(search, "_POOL_AFTER_S", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
