@@ -15,10 +15,12 @@ Matrix computations here run entrywise over the base ring, and the 2x2
 matrix ring is never materialized (``rings.mat2_inverse_scan`` decides
 candidate rows).  The two identity scans evaluate their entrywise formulas
 one row block of a at a time through ``rings._row_scan``, as do the pair
-laws behind the corner checks and the pool gate, so no n x n or
-pool x pool grid is built.  The doubling certificate is
-two arrays indexed by element: the certified value and the pair (s, t)
-that first reached it.
+laws behind the corner checks and the doubling pool gate, so no n x n or
+pool x pool grid is built.  The pool gate reads the pool x pool grid only
+when it cannot decide multiplicativity on x times the multiplicative
+generators (rings not marked associative, or a map failing there).  The
+doubling certificate is two arrays indexed by element: the certified
+value and the pair (s, t) that first reached it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._closure import _first_unseen
+from ._closure import _first_unseen, _generator_law
 from .errors import NotAUnit, PreconditionFailed, SizeCapExceeded
 from .maps import (
     CheckReport,
@@ -47,6 +49,7 @@ from .rings import (
     _row_scan,
     mat2_inverse_scan,
     mat_mul,
+    op_closure,
     units,
 )
 
@@ -419,11 +422,19 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     """Run the doubling recursion over the chosen pool.
 
     Precondition (verified first, else :class:`PreconditionFailed`): ``phi``
-    is multiplicative on the pool.  Level 1 asserts pairwise additivity on
-    the pool; each further level combines previously certified sums, so a
-    conflict pinpoints the exact pair whose asserted sum disagrees with the
-    map table.  Pairs are processed in ascending lexicographic order and
-    the first decomposition reaching an element is the one recorded.
+    is multiplicative on the pool.  When both rings are marked associative
+    by construction (:func:`rings._built_ring`) it is first decided ring-wide,
+    on x times the generators of ``op_closure(dom, "mul")``
+    (:func:`_closure._generator_law`): a map passing there is multiplicative
+    on every pair (:meth:`ClosureStages.ready_pairs`), so on the pool.  Any
+    other map or ring runs the pool-pair scan, whose report a refusal
+    carries.
+
+    Level 1 asserts pairwise additivity on the pool; each further level
+    combines previously certified sums, so a conflict pinpoints the exact
+    pair whose asserted sum disagrees with the map table.  Pairs are
+    processed in ascending lexicographic order and the first decomposition
+    reaching an element is the one recorded.
 
     With zero padding the levels are semi-naive.  Level d >= 2 reports on
     the grid base x base of every certified element, but asserts only the
@@ -436,6 +447,8 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     region finding its first hits against the certified set as the level
     started.  At level 1, ``old`` is empty and ``fresh`` is the pool, so
     the level scans its whole grid, as does every level without padding.
+    Once every element is certified or reached in a scan, its remaining
+    row blocks only count conflicts: no block can hold a first hit.
     """
     if not 1 <= depth <= 4:
         raise ValueError("depth must be in 1..4")
@@ -443,9 +456,11 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     pool = _pool(dom, mode)
     img = phi.img
     pl = np.asarray(pool, dtype=np.int64)
-    rep = _pair_law("pool_multiplicative", phi, "mul", WITNESS_CAP, pl)
-    if not rep.passed:
-        raise PreconditionFailed("map is not multiplicative on the pool", rep)
+    if not (dom._associative and cod._associative
+            and _generator_law(dom.mul, cod.mul, img, op_closure(dom, "mul").gens)):
+        rep = _pair_law("pool_multiplicative", phi, "mul", WITNESS_CAP, pl)
+        if not rep.passed:
+            raise PreconditionFailed("map is not multiplicative on the pool", rep)
 
     n = dom.size
     value = np.full(n, -1, dtype=np.int64)
@@ -465,11 +480,12 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
         def law(lo, hi):
             r = rows[lo:hi]
             sums = _take2(dom.add, r, cols)
-            eq = img_t[sums] == _take2(cod.add, value[r], vals)
-            elems, pos = _first_unseen(sums.ravel(), seen)
-            seen[elems] = True
-            i, j = np.divmod(pos, cols.size)
-            first[elems] = np.minimum(first[elems], r[i] * n + cols[j])
+            eq = np.take(img_t, sums) == _take2(cod.add, value[r], vals)
+            if not seen.all():  # else no block of this scan has a first hit
+                elems, pos = _first_unseen(sums.ravel(), seen)
+                seen[elems] = True
+                i, j = np.divmod(pos, cols.size)
+                first[elems] = np.minimum(first[elems], r[i] * n + cols[j])
             return eq
 
         total, bad = _row_scan((rows.size, cols.size), law, cap)

@@ -144,9 +144,10 @@ def test_identity_checks_scan_in_bounded_memory(check):
 
 
 def test_doubling_pool_gate_scans_in_bounded_memory(corpus):
-    """The doubling pool gate on M2(Z3[i]), multiplicativity over its 5760
-    units, peaks under 32 MB: it gathers one row block of units at a
-    time, where a whole pool x pool grid took about 158 MB."""
+    """The doubling pool gate's pool-pair scan on M2(Z3[i]),
+    multiplicativity over its 5760 units, peaks under 32 MB: it gathers
+    one row block of units at a time, where a whole pool x pool grid took
+    about 158 MB."""
     ring = corpus["rings"]["mat:2:gauss:3"]
     pool = units(ring)
     tracemalloc.start()
@@ -417,8 +418,110 @@ def test_doubling_gate_reports_first_pool_violations_in_order():
     assert rep.witnesses == bad[:16]
 
 
+M2Z7 = parse_ring_spec("mat:2:zmod:7")
+M2Z7_TRANSPOSE = [((i // 343 * 7 + i // 7 % 7) * 7 + i // 49 % 7) * 7 + i % 7
+                  for i in range(7**4)]
+
+
+def _unmarked(ring):
+    """A copy of ``ring``'s tables as a plain :class:`RingTable`, which is
+    never marked associative."""
+    return RingTable(ring.add, ring.mul, ring.zero, ring.one, star=ring.star,
+                     i_elem=ring.i_elem, label=ring.label)
+
+
+def _counting_pair_law(monkeypatch):
+    """Wrap ``witness._pair_law``; returns the list of predicates it ran."""
+    calls = []
+    real = witness._pair_law
+    monkeypatch.setattr(witness, "_pair_law",
+                        lambda name, *args: calls.append(name) or real(name, *args))
+    return calls
+
+
+def _identity_on_units(ring):
+    """The identity on the units and random elsewhere, seeded by the
+    ring's size."""
+    img = np.random.default_rng(ring.size).integers(0, ring.size, ring.size)
+    img[units(ring)] = units(ring)
+    return MapTable(ring, ring, img)
+
+
+@pytest.mark.parametrize("mode", ["units", "unitaries"])
+def test_doubling_pool_gate_reads_the_generator_law(mode, monkeypatch):
+    """On spec-built rings, marked associative, a map passing the law on x
+    times the multiplicative generators is multiplicative everywhere, so
+    the pool-pair scan does not run: the identity and a unit conjugation
+    of M2(Z7).  It runs on an unmarked copy of the same tables, and for a
+    map multiplicative on the pool but failing the generator law; every
+    trace is the one the scan admits."""
+    u = int(units(M2Z7)[100])
+    inv = int(np.argmax(M2Z7.mul[u] == M2Z7.one))
+    conj = MapTable(M2Z7, M2Z7, M2Z7.mul[M2Z7.mul[u], inv])
+    assert not np.array_equal(conj.img, np.arange(M2Z7.size))
+    calls = _counting_pair_law(monkeypatch)
+    traces = [doubling_additivity_closure(phi, mode, 2)
+              for phi in (identity_map(M2Z7), conj)]
+    assert calls == [] and all(tr.ok for tr in traces)
+
+    copy = _unmarked(M2Z7)
+    tr = doubling_additivity_closure(identity_map(copy), mode, 2)
+    assert calls == ["pool_multiplicative"]
+    assert tr.to_json() == traces[0].to_json()
+
+    calls.clear()
+    phi = _identity_on_units(M2Z7)
+    assert not is_multiplicative(phi).passed
+    doubling_additivity_closure(phi, mode, 1)
+    assert calls == ["pool_multiplicative"]
+
+
+@pytest.mark.parametrize("marked", [True, False], ids=["marked", "unmarked"])
+@pytest.mark.parametrize("mode, counts, witnesses", [
+    ("units", {"checked": 2016**2, "violations": 3967488},
+     [(56, y) for y in range(57, 73)]),
+    ("unitaries", {"checked": 256, "violations": 144},
+     [(56, 91), (56, 301), (56, 349), (56, 803), (56, 821), (56, 947),
+      (56, 971), (56, 1829), (56, 1853), (56, 1979), (56, 1997), (56, 2059),
+      (91, 56), (91, 336), (91, 349), (91, 803)]),
+])
+def test_doubling_pool_gate_refusal_is_the_pool_scan(marked, mode, counts, witnesses):
+    """The transpose of M2(Z7), which reverses products, fails the
+    generator law and is refused with the pool-pair scan's report: its
+    violation count over the whole pool grid and its first 16 witnesses,
+    on the spec-built ring and on an unmarked copy alike."""
+    ring = M2Z7 if marked else _unmarked(M2Z7)
+    with pytest.raises(PreconditionFailed, match="not multiplicative on the pool") as exc:
+        doubling_additivity_closure(MapTable(ring, ring, M2Z7_TRANSPOSE), mode)
+    rep = exc.value.report
+    assert rep.predicate == "pool_multiplicative" and not rep.passed
+    assert rep.counts == counts
+    assert rep.witnesses == witnesses
+
+
+@pytest.mark.parametrize("mode", ["units", "unitaries"])
+def test_doubling_stops_first_hits_once_every_element_is_seen(mode, monkeypatch):
+    """No row block looks for first hits once every element is certified
+    or already reached in its scan."""
+    calls = []
+    real = witness._first_unseen
+
+    def first_unseen(flat, seen):
+        assert not seen.all()
+        calls.append(flat.size)
+        return real(flat, seen)
+
+    monkeypatch.setattr(witness, "_first_unseen", first_unseen)
+    tr = doubling_additivity_closure(identity_map(M2Z7), mode)
+    assert calls and tr.ok and tr.covered().size == M2Z7.size
+
+
 DOUBLING_SPECS = (["zmod:%d" % n for n in range(2, 9)]
                   + ["gauss:2", "gauss:3", "mat:2:zmod:2", "mat:2:gauss:2"])
+# Hand-assembled copies of two of them, never marked associative, on which
+# the pool gate always runs the pool-pair scan.
+UNMARKED = "unmarked:"
+UNMARKED_SPECS = [UNMARKED + spec for spec in ("mat:2:zmod:2", "mat:2:gauss:2")]
 
 
 def _oracle_of(spec):
@@ -433,13 +536,16 @@ def _doubling_cases(spec):
     """``(phi, mode, depth, zero_padding, oracle trace or None)`` for the
     identity, the cube and a map that is the identity on the units and
     random elsewhere, over both pools, depths 1-4, with and without
-    padding."""
+    padding.  An ``unmarked:`` spec has the cases of its spec, over an
+    unmarked copy of the ring."""
+    if spec.startswith(UNMARKED):
+        cases = _doubling_cases(spec[len(UNMARKED):])
+        ring = _unmarked(cases[0][0].dom)
+        return [(MapTable(ring, ring, phi.img), *rest) for phi, *rest in cases]
     ring = parse_ring_spec(spec)
     o = oracles.tabulated(_oracle_of(spec))
     pools = {mode: oracles.pool(o, mode) for mode in ("units", "unitaries")}
-    img = np.random.default_rng(ring.size).integers(0, ring.size, ring.size)
-    img[pools["units"]] = pools["units"]
-    maps = [identity_map(ring), power_map(ring, 3), MapTable(ring, ring, img)]
+    maps = [identity_map(ring), power_map(ring, 3), _identity_on_units(ring)]
     return [(phi, mode, depth, pad,
              oracles.doubling_closure(o, o, phi.img.tolist(), pool, depth, pad))
             for phi in maps for mode, pool in pools.items()
@@ -447,11 +553,12 @@ def _doubling_cases(spec):
 
 
 @pytest.mark.parametrize("block_rows", [None, 3], ids=["default-block", "3-row-block"])
-@pytest.mark.parametrize("spec", DOUBLING_SPECS)
+@pytest.mark.parametrize("spec", DOUBLING_SPECS + UNMARKED_SPECS)
 def test_doubling_closure_matches_oracle(spec, block_rows, monkeypatch):
     """The trace JSON, coverage and extension equal the plain-Python
     closure, also when each level scans blocks of at least 3 rows; a map
-    the oracle finds not multiplicative on the pool is refused."""
+    the oracle finds not multiplicative on the pool is refused.  On the
+    unmarked copies the pool gate always runs the pool-pair scan."""
     cases = _doubling_cases(spec)
     if block_rows is not None:
         monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * cases[0][0].dom.size)
