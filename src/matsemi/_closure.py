@@ -1,13 +1,13 @@
 """Greedy generating-set closure for a finite magma given by a Cayley table.
 
-Built once per ring and table by ``rings.op_closure``, which every
-generator reduction of the package reads.  The closure is taken under
-right multiplication by the generators, which is all the reduction lemma
-of ``ClosureStages.ready_pairs`` needs: each element is derived as x * g
-with g a generator, and building it reads at most n * len(gens)
+Built once per ring, table and priority by ``rings.op_closure``, which
+every generator reduction of the package reads.  The closure is taken
+under right multiplication by the generators, which is all the reduction
+lemma of ``ClosureStages.ready_pairs`` needs: each element is derived as
+x * g with g a generator, and building it reads at most n * len(gens)
 products.  Everything here is deterministic: generators are picked in
-ascending element order and each element records the first derivation
-that produced it.
+probe order (a caller's priority elements, then ascending element order)
+and each element records the first derivation that produced it.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ class ClosureStages:
     """Result of a greedy closure over the Cayley table ``table``.
 
     ``order`` lists every element once, in discovery order: the stage of
-    each generator in ``gens`` (ascending), which starts with the generator
-    itself.  Stage ``i`` is ``order[stage_starts[i]:stage_starts[i + 1]]``,
-    and each stage is split into saturation rounds
+    each generator in ``gens`` (in probe order, see :func:`greedy_closure`),
+    which starts with the generator itself.  Stage ``i`` is
+    ``order[stage_starts[i]:stage_starts[i + 1]]``, and each stage is
+    split into saturation rounds
     ``order[round_starts[j]:round_starts[j + 1]]``, each sorted ascending,
     whose derivations only reference elements of earlier rounds.  Both
     boundary lists end with ``order.size``.  ``deriv_x``/``deriv_y`` give
@@ -158,10 +159,11 @@ def _generator_law(dom_t: np.ndarray, cod_t: np.ndarray, imgs, gens):
     return ok if ok.ndim else bool(ok)
 
 
-def greedy_closure(table: np.ndarray) -> ClosureStages:
+def greedy_closure(table: np.ndarray, priority=()) -> ClosureStages:
     """Greedily pick generators for the magma ``(range(n), table)``.
 
-    Scans element indices in ascending order; any element not yet reachable
+    Probes the elements of ``priority`` in their order, then every element
+    index in ascending order; any element not yet reachable when probed
     becomes a generator, after which the reachable set is closed under
     right multiplication by the generators so far.  Each round takes the
     products frontier * (generators so far), and the first round of a
@@ -186,7 +188,7 @@ def greedy_closure(table: np.ndarray) -> ClosureStages:
     gens: list[int] = []
     stage_starts: list[int] = []
     round_starts: list[int] = []
-    for g in range(n):
+    for g in (*priority, *range(n)):
         if known[g]:
             continue
         gens.append(g)

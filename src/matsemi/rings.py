@@ -196,7 +196,7 @@ class RingTable:
         self._views: dict[int, "MatrixRingView"] = {}
         self._units = None
         self._unitaries = None
-        self._closures: dict[str, ClosureStages] = {}
+        self._closures: dict[tuple[str, tuple[int, ...]], ClosureStages] = {}
         self._associative = False  # see _built_ring
         for arr in (self.add, self.mul, self.neg):
             arr.setflags(write=False)
@@ -525,17 +525,20 @@ def _spec_int(text: str, what: str, spec: str) -> int:
     return n
 
 
-def op_closure(ring: RingTable, op: str) -> ClosureStages:
+def op_closure(ring: RingTable, op: str, priority=()) -> ClosureStages:
     """The :func:`~matsemi._closure.greedy_closure` of the ring's ``op``
-    table (``"mul"`` or ``"add"``), built on first use and kept on the ring
-    object, so its validation, generating sets, search plans and stacked
-    laws share one.  Its arrays are read-only."""
-    cl = ring._closures.get(op)
+    table (``"mul"`` or ``"add"``) that probes the elements of ``priority``
+    first, built on first use and kept on the ring object under
+    ``(op, priority)``, so its validation, generating sets, search plans
+    and stacked laws share one.  Its arrays are read-only.  Two threads
+    that build one at once store equal values."""
+    key = (op, tuple(map(int, priority)))
+    cl = ring._closures.get(key)
     if cl is None:
-        cl = greedy_closure(getattr(ring, op))
+        cl = greedy_closure(getattr(ring, op), key[1])
         for arr in (cl.order, cl.deriv_x, cl.deriv_y):
             arr.setflags(write=False)
-        ring._closures[op] = cl
+        ring._closures[key] = cl
     return cl
 
 

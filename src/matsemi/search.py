@@ -1,16 +1,17 @@
 """Exhaustive enumeration of multiplicative maps between finite monoids.
 
-The enumerator scans domain elements in ascending index order; every
-element not forced as a product of earlier assignments becomes a search
-variable, and after each assignment all forced images propagate through
-the precomputed derivation stages.  Each stage then checks only the right
+The enumerator scans domain elements in ascending index order (under the
+``i_relation`` filter, e11, e22 and i first); every element not forced as
+a product of earlier assignments becomes a search variable, and after
+each assignment all forced images propagate through the precomputed
+derivation stages.  Each stage then checks only the right
 products by a variable that it decides (its "ready" pairs), which is
 equivalent to checking every decided pair when both multiplications are
 associative.  Branches die as soon as the stage check or an active filter
 fails.  On rings not marked associative by construction each complete map
 is then re-decided over all pairs, so the emitted stream is exactly the
 brute-force-filtered set on every table, in lexicographic order of the
-full image arrays.
+full image arrays (sorted at the end when e11, e22 and i came first).
 
 When every active filter is invariant under conjugation by the units of
 the codomain and the search is neither limited nor budgeted, it keeps one
@@ -33,7 +34,7 @@ import numpy as np
 
 from ._closure import _generator_law
 from .errors import MatsemiError, SizeCapExceeded, SizeMismatch, _quoted
-from .maps import MapTable, _image_stack, _relation, _stacked_law
+from .maps import MapTable, _corner_units, _image_stack, _relation, _stacked_law
 from .rings import RingTable, _digits, op_closure, units
 
 BRUTE_FORCE_LIMIT = 2**20
@@ -105,12 +106,28 @@ _PREFILTER_PROBES = 64
 
 
 class _Plan:
+    """The search variables of ``dom`` and what each stage decides: the
+    generators of ``op_closure(dom, "mul", priority)``, their forced
+    rounds, ready pairs, candidate probes and filter checkpoints.
+
+    ``priority`` is ``(e11, e22, i)`` when ``i_relation`` is a filter and
+    there is no conjugation table, so the relation is decided at the third
+    variable and prunes every branch that breaks it there; otherwise it is
+    empty and the variables are picked in ascending element order, which
+    the orbit expansion needs (see :func:`_orbit_union`).  The ready pairs
+    prove multiplicativity whatever the order of the generators, since
+    their lemma inducts on words.
+    """
+
     def __init__(self, dom: RingTable, filters: tuple[str, ...],
                  conj: np.ndarray | None = None):
         # The conjugation table of the orbit search (see _conjugations), or
         # None for the plain search.
         self.conj = conj
-        cl = op_closure(dom, "mul")
+        self.priority: tuple[int, ...] = ()
+        if "i_relation" in filters and conj is None:
+            self.priority = (*_corner_units(dom), dom.require_i())
+        cl = op_closure(dom, "mul", self.priority)
         self.vars = cl.gens
         nstages = len(self.vars)
         starts, rs = cl.stage_starts, cl.round_starts
@@ -439,10 +456,14 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
     the brute-force-filtered set whenever the search runs to completion
     (``exhaustive`` in the result).  ``node_budget`` bounds the nodes of
     each search task, one block of the first variable's values (see
-    :func:`_partition`), not of the whole call; ``limit`` truncates the
-    output.  Both truncations clear the ``exhaustive`` flag.  An unknown
-    filter, or one that a ring cannot carry, raises before any node is
-    visited.
+    :func:`_partition`), not of the whole call; ``limit`` keeps the first
+    ``limit`` maps the tasks find, in partition order.  Both truncations
+    clear the ``exhaustive`` flag.  Under ``i_relation`` the search takes
+    e11, e22 and i as its first variables (see :class:`_Plan`) and finds
+    maps out of lexicographic order, so the maps kept are sorted here: a
+    limited search emits its first ``limit`` maps found, sorted, not the
+    least ``limit`` maps.  An unknown filter, or one that a ring cannot
+    carry, raises before any node is visited.
 
     The top-level branches form one task per block of the fixed partition,
     and the tasks' results merge in partition order.  The tasks run in
@@ -496,6 +517,8 @@ def enumerate_multiplicative_maps(dom: RingTable, cod: RingTable,
                 break
     if plan.conj is not None:
         found = _orbit_union(plan.conj, found, plan.vars)
+    elif plan.priority:
+        found.sort(key=np.ndarray.tolist)
     return EnumerationResult(maps=[MapTable(dom, cod, arr) for arr in found],
                              nodes=nodes, exhaustive=exhaustive, filters=filters)
 

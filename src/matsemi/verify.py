@@ -50,12 +50,12 @@ _TENSOR_K = 2
 
 # Default node budget per search task (one block of the first variable's
 # values, see search._partition) of the capped i-relation search.  With
-# it, the default search M2(Z3[i]) -> M2(Z3[i]) visits 6392 nodes over
-# its 16 tasks in about 1.3-1.4 s of CPU on a shared 2-core x86 Xeon host,
-# the multiplication's closure built beforehand (0.20-0.21 ms per node;
-# the whole command, interpreter start, ring and closure build included,
-# takes 1.6-1.8 s of wall time) and is not exhaustive; callers with more
-# patience pass a larger budget explicitly.
+# it, the default search M2(Z3[i]) -> M2(Z3[i]) visits 20016 nodes over
+# its 16 tasks and is not exhaustive (the whole command, interpreter
+# start, ring and closure build included, takes 0.5-0.7 s of wall time on
+# a shared 2-core x86 Xeon host); without a budget that search is
+# exhaustive at 141436 nodes.  Callers with more patience pass a larger
+# budget explicitly.
 DEFAULT_NODE_BUDGET = 5000
 
 # Default cap on the maps the i-relation search lists.

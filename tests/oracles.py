@@ -291,12 +291,13 @@ def shortest_unit_sum(ring: OracleRing, pool: list[int], x: int,
     return None
 
 
-def _greedy(n: int, op, seed, round_pairs) -> dict:
+def _greedy(n: int, op, seed, round_pairs, priority=()) -> dict:
     """The greedy closure of the magma ``(range(n), op)`` whose rounds form
     the products ``round_pairs(order, start, lo, gens)`` lists, the frontier
     being ``order[lo:]`` and the stage starting at ``order[start]``.
 
-    Elements are probed in ascending order; one that is not yet reachable
+    The elements of ``priority`` are probed first, in their order, then
+    every element in ascending order; one that is not yet reachable
     becomes a generator, and the reachable set is then saturated in rounds.
     The first product to reach an element is its derivation, and the
     round's new elements, sorted ascending, are the next frontier.  A word
@@ -306,7 +307,7 @@ def _greedy(n: int, op, seed, round_pairs) -> dict:
     known = set(order)
     deriv = {}
     gens, stage_starts, round_starts = [], [], []
-    for g in range(n):
+    for g in [*priority, *range(n)]:
         if g in known:
             continue
         gens.append(g)
@@ -352,7 +353,7 @@ def _greedy(n: int, op, seed, round_pairs) -> dict:
     }
 
 
-def greedy_closure(n: int, op, seed=None) -> dict:
+def greedy_closure(n: int, op, seed=None, priority=()) -> dict:
     """Greedy generating set of the magma ``(range(n), op)``, saturated
     under every product (see :func:`_greedy`).
 
@@ -364,10 +365,10 @@ def greedy_closure(n: int, op, seed=None) -> dict:
         return ([(x, y) for x in order[lo:] for y in order]
                 + [(x, y) for x in order[:lo] for y in order[lo:]])
 
-    return _greedy(n, op, seed, pairs)
+    return _greedy(n, op, seed, pairs, priority)
 
 
-def right_closure(n: int, op, seed=None) -> dict:
+def right_closure(n: int, op, seed=None, priority=()) -> dict:
     """Greedy generating set of the magma ``(range(n), op)``, closed under
     right multiplication by the generators (see :func:`_greedy`).
 
@@ -382,7 +383,7 @@ def right_closure(n: int, op, seed=None) -> dict:
             out += [(x, gens[-1]) for x in order[:start]]
         return out
 
-    return _greedy(n, op, seed, pairs)
+    return _greedy(n, op, seed, pairs, priority)
 
 
 def generator_law(n: int, dom_op, cod_op, img, gens) -> bool:

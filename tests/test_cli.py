@@ -352,13 +352,15 @@ def test_verify_witnesses_stdout_pinned(spec, digest):
         "69f55c2d855fa9bf15f9f150fdbb2d5cdedec783f3c4b91abed885009640a12a",
         "86069390a5526aff9ee7555abcd25236961554fdf954e0c745ba00310fa77e8f")),
     (("i-relation", "--dom", "mat:2:gauss:2", "--cod", "mat:2:gauss:2"), 0, (
-        "50c8bf54194e23db6af4d697ff2d31d3fcc8e71cb98da2e8ee64d72add497e0f",
-        "5113ec1e73580f2f9cdcd6bb8f5e458c31247c1b95710a19f727f92dc123d05c",
-        "1af92a0b7643c932a29d9bbbde364edeea5b8b0d5da499b6c042f3ad67c4fb21")),
+        "9bdc03eeed7df6f49cf967211e1b0e6f0af09815ab5de760d46d545fa7a19160",
+        "a307ffce6a9cc34e5f736a4b42db3ba41d92d6234fbd7572730936c8ad9ef6de",
+        "d8467cc7acbe786ddf914ac19738869fe9fa7df953878e6d168084b278c69c36")),
 ], ids=["prop1", "tensor-zmod3", "tensor-gauss2", "i-relation"])
 def test_verify_suite_stdout_pinned(argv, code, digests):
     """The json, csv and text reports of the function-space and search
-    suites are pinned byte for byte, with their exit codes."""
+    suites are pinned byte for byte, with their exit codes.  The
+    i-relation search on M2(Z2[i]) is exhaustive within the default budget
+    (9 maps, 1885 nodes)."""
     got = []
     for fmt in ("json", "csv", "text"):
         rc, out = run_cli("verify", *argv, "--format", fmt)
@@ -496,6 +498,22 @@ def test_env_size_cap_takes_ascii_digits_only(text, monkeypatch, capsys):
     assert run_cli("ring", "info", "zmod:2") == (2, "")
     assert capsys.readouterr().err == (
         f"error: MATSEMI_SIZE_CAP must be an integer, got {text!r}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("enumerate", "--dom", "gauss:3", "--cod", "gauss:3", "--filter", "i_relation"),
+     "ring gauss:3 was not built as a 2x2 matrix ring"),
+    (("verify", "i-relation", "--dom", "gauss:3"),
+     "ring gauss:3 was not built as a 2x2 matrix ring"),
+    (("verify", "i-relation", "--dom", "mat:2:zmod:3"),
+     "ring mat:2:zmod:3 carries no imaginary unit"),
+], ids=["enumerate-gauss3", "verify-gauss3", "verify-m2z3"])
+def test_i_relation_on_a_ring_without_its_elements_exit2(argv, message, capsys):
+    """The i-relation search reads e11, e22 and i of the domain; a domain
+    that is not a 2x2 matrix ring or has no imaginary unit exits 2 with
+    one error line."""
+    code, out = run_cli(*argv)
+    assert (code, out, capsys.readouterr().err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("limit", ["0", "-2"])

@@ -20,17 +20,23 @@ from conftest import CORPUS_SPECS, random_mutants
 from matsemi import _closure, rings
 from matsemi._closure import _generator_law, greedy_closure
 from matsemi.maps import _stacked_law
-from matsemi.rings import RingTable, op_closure, parse_ring_spec
+from matsemi.rings import (
+    MatrixRingView,
+    RingTable,
+    make_gaussian,
+    op_closure,
+    parse_ring_spec,
+)
 from matsemi.search import enumerate_multiplicative_maps, function_space_masks
 
 # M2(Z3[i]) has 6561 elements, too many for the plain-Python oracle.
 ORACLE_SPECS = [s for s in CORPUS_SPECS if s != "mat:2:gauss:3"]
 
 
-def _assert_matches_oracle(table):
-    cl = greedy_closure(table)
+def _assert_matches_oracle(table, priority=()):
+    cl = greedy_closure(table, priority)
     rows = table.tolist()
-    want = oracles.right_closure(len(rows), lambda a, b: rows[a][b])
+    want = oracles.right_closure(len(rows), lambda a, b: rows[a][b], priority=priority)
     got = {
         "gens": cl.gens, "order": cl.order.tolist(),
         "stage_starts": cl.stage_starts, "round_starts": cl.round_starts,
@@ -76,17 +82,53 @@ def _tables(draw):
     return table
 
 
+def _priority(draw, n: int) -> tuple[int, ...]:
+    """Up to four elements of ``range(n)`` to probe first, repeats allowed
+    (a repeat, already known when probed, is skipped)."""
+    return tuple(draw(st.lists(st.integers(0, n - 1), max_size=4)))
+
+
 @settings(max_examples=120)
-@given(table=_tables(), three_rows=st.booleans())
-def test_closure_matches_oracle(table, three_rows):
+@given(table=_tables(), three_rows=st.booleans(), data=st.data())
+def test_closure_matches_oracle(table, three_rows, data):
     """Generators, discovery order, stage and round boundaries, derivations
     and words all equal the oracle's, with the products gathered in blocks
-    of the default size or of three rows."""
+    of the default size or of three rows, and with a drawn priority
+    probed first or none."""
+    priority = _priority(data.draw, len(table))
     if three_rows:
         with _three_row_blocks(len(table)):
-            _assert_matches_oracle(table)
+            _assert_matches_oracle(table, priority)
     else:
-        _assert_matches_oracle(table)
+        _assert_matches_oracle(table, priority)
+
+
+def _corpus_priorities(ring) -> list[tuple[int, ...]]:
+    """The priorities tried on a corpus ring: the last element, the middle
+    one and the last again, and on a 2x2 matrix ring with an imaginary
+    unit the i-relation search's (e11, e22, i)."""
+    n = ring.size
+    out = [(n - 1, n // 2, n - 1)]
+    if ring.matrix_view is not None and ring.matrix_view.k == 2 and ring.has_i:
+        out.append((*ring.matrix_view.diagonal_units, ring.i_elem))
+    return out
+
+
+@pytest.mark.parametrize("spec,block_rows", [
+    *(pytest.param(s, None, id=s) for s in ORACLE_SPECS),
+    *(pytest.param(s, 3, id=f"{s}-3-row-block") for s in ORACLE_SPECS),
+])
+def test_priority_closure_matches_oracle_on_corpus_tables(spec, block_rows, monkeypatch):
+    """With elements probed first, each corpus closure equals the oracle's
+    right closure field for field, and keeps the generators and stage sets
+    of the oracle's closure under every product with the same priority."""
+    ring = parse_ring_spec(spec)
+    if block_rows is not None:
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * ring.size)
+    for priority in _corpus_priorities(ring):
+        for table in (ring.add, ring.mul):
+            _assert_matches_oracle(table, priority)
+            _assert_stages_match_magma_closure(table, priority)
 
 
 def test_block_size_patch_reaches_row_blocks(monkeypatch):
@@ -150,18 +192,20 @@ def test_closure_of_large_table_peaks_under_10_mb(spec, which):
 
 
 @settings(max_examples=120)
-@given(table=_tables())
-def test_ready_pairs_cover_every_element_generator_pair_once(table):
-    """On any table, associative or not: stage p of ``ready_pairs``, three
-    read-only intp arrays, holds exactly the pairs (x, g_q), q <= p, with x
-    among the elements known after stage p that were not already paired
-    with g_q at an earlier stage; it reads no element of a later stage, and
-    its products are the table's.  The stages come from the plain-Python
-    oracle closure, the products from the table's rows as lists."""
+@given(table=_tables(), data=st.data())
+def test_ready_pairs_cover_every_element_generator_pair_once(table, data):
+    """On any table, associative or not, and with a drawn priority probed
+    first or none: stage p of ``ready_pairs``, three read-only intp arrays,
+    holds exactly the pairs (x, g_q), q <= p, with x among the elements
+    known after stage p that were not already paired with g_q at an
+    earlier stage; it reads no element of a later stage, and its products
+    are the table's.  The stages come from the plain-Python oracle
+    closure, the products from the table's rows as lists."""
     rows = table.tolist()
-    want = oracles.right_closure(len(rows), lambda a, b: rows[a][b])
+    priority = _priority(data.draw, len(rows))
+    want = oracles.right_closure(len(rows), lambda a, b: rows[a][b], priority=priority)
     order, gens, starts = want["order"], want["gens"], want["stage_starts"]
-    stages = greedy_closure(table).ready_pairs
+    stages = greedy_closure(table, priority).ready_pairs
     assert len(stages) == len(gens)
     seen = []
     for p, (xs, gs, xgs) in enumerate(stages):
@@ -182,12 +226,12 @@ def _stages(gens, order, starts) -> tuple:
     return gens, [sorted(order[a:b]) for a, b in zip(starts, starts[1:])]
 
 
-def _assert_stages_match_magma_closure(table):
+def _assert_stages_match_magma_closure(table, priority=()):
     """``gens`` and each stage's element set equal those of the oracle
-    closure under every product."""
-    cl = greedy_closure(table)
+    closure under every product, both probing ``priority`` first."""
+    cl = greedy_closure(table, priority)
     rows = table.tolist()
-    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b])
+    want = oracles.greedy_closure(len(rows), lambda a, b: rows[a][b], priority=priority)
     assert _stages(cl.gens, cl.order.tolist(), cl.stage_starts) == _stages(
         want["gens"], want["order"], want["stage_starts"])
 
@@ -248,6 +292,26 @@ def test_op_closure_is_built_once_read_only_and_fresh(corpus, op):
             greedy_closure(getattr(ring, op))), spec
 
 
+def test_op_closure_is_kept_per_op_and_priority():
+    """On a fresh M2(Z2[i]), the closure probing (e11, e22, i) first is
+    built alone and kept under ``("mul", priority)``: one object per key,
+    whether the priority comes as ints or as an array, read-only and equal
+    to a closure built afresh.  The ascending closure is another entry."""
+    ring = MatrixRingView(make_gaussian(2), 2).ring
+    assert ring._closures == {}
+    priority = (*ring.matrix_view.diagonal_units, ring.i_elem)
+    cl = op_closure(ring, "mul", priority)
+    assert list(ring._closures) == [("mul", priority)]
+    assert op_closure(ring, "mul", np.array(priority)) is cl
+    assert cl.gens[:3] == list(priority)
+    for arr in (cl.order, cl.deriv_x, cl.deriv_y):
+        assert not arr.flags.writeable
+    assert _closure_fields(cl) == _closure_fields(greedy_closure(ring.mul, priority))
+    ascending = op_closure(ring, "mul")
+    assert ascending is not cl and ascending.gens == sorted(ascending.gens)
+    assert set(ring._closures) == {("mul", priority), ("mul", ())}
+
+
 def _mutants(spec: str, count: int):
     """``count`` rings labelled ``spec`` whose mul table differs from the
     spec-built ring's in one product x * g with g a generator of its
@@ -296,7 +360,7 @@ def test_warm_closure_cache_gives_cold_results_on_mutants():
     for m in mutants:
         assert m._closures == {}
         cold = outcome(m)
-        assert "mul" in m._closures
+        assert ("mul", ()) in m._closures
         assert outcome(m) == cold
 
 

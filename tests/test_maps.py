@@ -643,7 +643,7 @@ def test_map_laws_leave_the_ready_pairs_unbuilt():
     phi = identity_map(ring)
     assert is_multiplicative(phi).passed and is_additive(phi).passed
     for op in ("mul", "add"):
-        assert "ready_pairs" not in vars(ring._closures[op]), op
+        assert "ready_pairs" not in vars(ring._closures[op, ()]), op
 
 
 def test_unmarked_rings_never_build_a_closure_in_a_predicate(monkeypatch):

@@ -832,7 +832,8 @@ def test_search_after_validation_builds_no_closure(monkeypatch):
     generating sets and a search on that ring then build none."""
     calls = []
     build = rings.greedy_closure
-    monkeypatch.setattr(rings, "greedy_closure", lambda t: calls.append(t) or build(t))
+    monkeypatch.setattr(rings, "greedy_closure",
+                        lambda t, *priority: calls.append(t) or build(t, *priority))
     m2z2 = parse_ring_spec("mat:2:zmod:2")
     ring = RingTable(m2z2.add, m2z2.mul, m2z2.zero, m2z2.one, star=m2z2.star)
     validate_ring(ring)

@@ -17,16 +17,18 @@ from hypothesis import strategies as st
 import oracles
 from conftest import CORPUS_SPECS, random_mutants, whole_grid_law
 from matsemi import maps, rings, search
-from matsemi.errors import SizeMismatch
+from matsemi.errors import MissingImaginaryUnit, NotAMatrixRing, SizeMismatch
 from matsemi.maps import (
     MapTable,
     _image_stack,
     determinant_map,
+    i_relation_holds,
     is_additive,
     is_multiplicative,
     power_map,
 )
 from matsemi.rings import (
+    MatrixRingView,
     RingTable,
     _digits,
     make_gaussian,
@@ -315,25 +317,30 @@ def test_canonical_filters_refuses_a_plain_string():
 # Stage checks: ready pairs against full grids
 
 
-READY_RINGS = ("zmod:4", "gauss:2", "mat:2:zmod:2")
+# The plans of the ascending closure, and on M2(Z2[i]) the plan of the
+# i-relation search, whose closure probes e11, e22 and i first.
+READY_PLANS = (("zmod:4", ()), ("gauss:2", ()), ("mat:2:zmod:2", ()),
+               ("mat:2:gauss:2", ("star", "i_relation")))
 
 
 @functools.cache
-def _endos(spec: str) -> list:
-    return enumerate_multiplicative_maps(RINGS[spec], RINGS[spec]).maps
+def _endos(spec: str, filters: tuple = ()) -> list:
+    ring = parse_ring_spec(spec)
+    return enumerate_multiplicative_maps(ring, ring, filters).maps
 
 
-@given(spec=st.sampled_from(READY_RINGS), data=st.data())
-def test_ready_pairs_decide_multiplicativity_on_each_closure(spec, data):
-    """A multiplicative map with one entry changed: the ready pairs of
-    stages 0..p pass exactly when the map is multiplicative on every pair
-    of the closure reached after stage p."""
-    ring = RINGS[spec]
-    maps = _endos(spec)
+@given(case=st.sampled_from(READY_PLANS), data=st.data())
+def test_ready_pairs_decide_multiplicativity_on_each_closure(case, data):
+    """A multiplicative map (one the plan's search emits) with one entry
+    changed: the ready pairs of stages 0..p pass exactly when the map is
+    multiplicative on every pair of the closure reached after stage p."""
+    spec, filters = case
+    ring = parse_ring_spec(spec)
+    maps = _endos(spec, filters)
     img = maps[data.draw(st.integers(0, len(maps) - 1))].img.copy()
     img[data.draw(st.integers(0, ring.size - 1))] = data.draw(
         st.integers(0, ring.size - 1))
-    plan = _Plan(ring, ())
+    plan = _Plan(ring, filters)
     closure = np.empty(0, dtype=np.int64)
     ready_ok = True
     for p, new in enumerate(plan.new_elems):
@@ -353,15 +360,17 @@ def _digest(maps) -> str:
 
 @pytest.mark.parametrize("dom,cod,filters,limit,budget,nodes,count,digest", [
     ("mat:2:gauss:3", "gauss:3", ("star", "i_relation"), None, None,
-     329, 1, "d93aea5e6d77a565"),
+     159, 1, "d93aea5e6d77a565"),
     ("mat:2:gauss:3", "mat:2:gauss:3", ("star", "i_relation"), 4, 60,
      256, 1, "d93aea5e6d77a565"),
+    ("mat:2:gauss:2", "mat:2:gauss:2", ("star", "i_relation"), None, None,
+     1885, 9, "0af7bb060e8da756"),
     ("mat:2:zmod:3", "mat:2:zmod:3", (), None, None, 607, 196, "56fb4ad2df58432d"),
     ("mat:2:zmod:3", "mat:2:zmod:3", ("star",), None, None, 1266, 52, "aff8d6b31aeb6edb"),
     ("mat:2:zmod:4", "mat:2:zmod:4", (), None, 1000, 3527, 186, "c55c5f6f20a9a28e"),
     ("mat:2:zmod:4", "mat:2:zmod:4", (), None, None, 31346, 6234, "6f82cc87b726afb4"),
-], ids=["irel-base", "irel-endo-budget", "m2z3-endo", "m2z3-star", "m2z4-budget",
-        "m2z4-endo"])
+], ids=["irel-base", "irel-endo-budget", "irel-m2g2-endo", "m2z3-endo", "m2z3-star",
+        "m2z4-budget", "m2z4-endo"])
 def test_mid_size_search_node_counts_and_maps_pinned(
         dom, cod, filters, limit, budget, nodes, count, digest):
     """Searches too large for the brute-force oracle keep their node counts
@@ -369,11 +378,116 @@ def test_mid_size_search_node_counts_and_maps_pinned(
     The two unbudgeted endomorphism searches of M2(Z3) and M2(Z4) search
     one map per unit-conjugation orbit: 607 nodes where the plain search
     visits 4292, and 31346 where it visits 482849, for the same maps (the
-    plain search gives both digests)."""
+    plain search gives both digests).  The i-relation searches take e11,
+    e22 and i as their first variables: into Z3[i] 159 nodes, and on
+    M2(Z2[i]) 1885, where the ascending order visits 329 and 31267 for
+    the same maps (both digests are the ascending search's); the budgeted
+    one stays at 256 nodes."""
     res = enumerate_multiplicative_maps(parse_ring_spec(dom), parse_ring_spec(cod),
                                         filters=filters, limit=limit,
                                         node_budget=budget)
     assert (res.nodes, len(res.maps), _digest(res.maps)) == (nodes, count, digest)
+
+
+# ---------------------------------------------------------------------------
+# Relation-first order: the i-relation search takes e11, e22 and i first
+
+
+def test_i_relation_plan_reads_only_the_relation_first_closure():
+    """Under ``i_relation`` with no conjugation table, the plan's variables
+    start with e11, e22 and i, the relation is decided at the third stage,
+    and the closure probing them first is the only one built on a fresh
+    M2(Z2[i]).  With a conjugation table, or without the filter, the plan
+    keeps the ascending closure."""
+    ring = MatrixRingView(make_gaussian(2), 2).ring
+    assert ring._closures == {}
+    priority = (*ring.matrix_view.diagonal_units, ring.i_elem)
+    plan = _Plan(ring, ("star", "i_relation"))
+    assert plan.priority == priority and plan.vars[:3] == list(priority)
+    assert plan.checkpoints[2] == ["i_relation"]
+    assert list(ring._closures) == [("mul", priority)]
+    conj = search._conjugations(ring, ring, ("i_relation",), None, None)
+    for filters, table in ((("i_relation",), conj), (("star",), None)):
+        plan = _Plan(ring, filters, table)
+        assert plan.priority == () and plan.vars == sorted(plan.vars)
+    assert set(ring._closures) == {("mul", priority), ("mul", ())}
+
+
+@pytest.mark.parametrize("dom,cod,ascending", [
+    ("mat:2:gauss:2", "mat:2:gauss:2", "orbit"),
+    ("mat:2:zmod:2", "mat:2:gauss:2", "orbit"),
+    ("mat:2:gauss:2", "mat:2:zmod:2", "orbit"),
+    ("mat:2:gauss:2", "gauss:2", "star"),
+    ("mat:2:gauss:3", "gauss:3", "star"),
+    ("mat:2:zmod:2", "mat:2:gauss:2", "star"),
+    ("mat:2:gauss:2", "mat:2:zmod:2", "star"),
+], ids=lambda v: v)
+def test_relation_first_search_emits_the_ascending_search_maps(dom, cod, ascending):
+    """The relation-first search emits the maps of a search over the
+    ascending closure, in the same order: under ``i_relation`` alone the
+    orbit search, which keeps the ascending order, against the budgeted
+    plain search; under ``star`` the star search with the relation
+    applied to its maps afterwards."""
+    d, c = _rings(dom, cod)
+    if ascending == "orbit":
+        assert search._conjugations(d, c, ("i_relation",), None, None) is not None
+        want = enumerate_multiplicative_maps(d, c, ("i_relation",)).maps
+        got = enumerate_multiplicative_maps(d, c, ("i_relation",), node_budget=10**9)
+    else:
+        want = [m for m in enumerate_multiplicative_maps(d, c, ("star",)).maps
+                if i_relation_holds(m).passed]
+        got = enumerate_multiplicative_maps(d, c, ("star", "i_relation"))
+    assert got.exhaustive
+    assert [m.img.tolist() for m in got.maps] == [m.img.tolist() for m in want]
+
+
+def test_limited_i_relation_search_sorts_the_maps_it_finds(monkeypatch):
+    """The relation-first search finds the nine star i-relation
+    endomorphisms of M2(Z2[i]) out of lexicographic order: the least, the
+    sixth to ninth, then the second to fifth.  At limit 8 it keeps the
+    first eight found and emits them sorted, without the fifth least map.
+    A real pool of two threads, with ``_POOL_AFTER_S`` at 0, gives the
+    one-worker result."""
+    ring = parse_ring_spec("mat:2:gauss:2")
+    filters = ("star", "i_relation")
+    every = [m.img.tolist() for m in enumerate_multiplicative_maps(ring, ring, filters).maps]
+    assert len(every) == 9 and every == sorted(every)
+    plan = _Plan(ring, filters)
+    found = [img.tolist() for lo, hi in search._partition(ring.size)
+             for img in search._search_range(ring, ring, plan, None, None, lo, hi)[0]]
+    assert [every.index(f) for f in found] == [0, 5, 6, 7, 8, 1, 2, 3, 4]
+    outs = []
+    for workers, after in ((1, search._POOL_AFTER_S), (2, 0)):
+        monkeypatch.setattr(search, "_POOL_AFTER_S", after)
+        res = enumerate_multiplicative_maps(ring, ring, filters, limit=8, workers=workers)
+        outs.append((res.summary(), json.dumps([m.img.tolist() for m in res.maps])))
+    assert outs[0] == outs[1]
+    assert outs[0] == ({"count": 8, "nodes": 1877, "exhaustive": False,
+                        "filters": list(filters)}, json.dumps(sorted(found[:8])))
+    assert sorted(found[:8]) == [every[i] for i in (0, 1, 2, 3, 5, 6, 7, 8)]
+
+
+@pytest.mark.parametrize("dom,cod,error", [
+    ("gauss:3", "gauss:3", NotAMatrixRing),
+    ("mat:2:zmod:3", "mat:2:gauss:3", MissingImaginaryUnit),
+    ("mat:2:zmod:3", "mat:2:zmod:3", MissingImaginaryUnit),
+], ids=["not-a-matrix-ring", "no-i-in-dom", "no-i-in-cod"])
+def test_i_relation_refuses_a_ring_before_any_node(dom, cod, error, monkeypatch):
+    """A domain that is not a 2x2 matrix ring, or a ring without an
+    imaginary unit, is refused with its library error before any search
+    task runs, whether the relation-first plan or the orbit search would
+    have read it."""
+    def refused(*args):
+        raise AssertionError("a search task ran")
+
+    monkeypatch.setattr(search, "_search_range", refused)
+    d, c = _rings(dom, cod)
+    for filters, budget in ((("i_relation",), None), (("i_relation",), 100),
+                            (("star", "i_relation"), None)):
+        with pytest.raises(error):
+            enumerate_multiplicative_maps(d, c, filters, node_budget=budget)
+    with pytest.raises(error):
+        verify_fourth_power_search(d, c)
 
 
 # ---------------------------------------------------------------------------

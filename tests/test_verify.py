@@ -216,6 +216,19 @@ def test_fourth_power_search_needs_no_gates(spec, limit, budget, monkeypatch):
         assert is_multiplicative(phi).passed and i_relation_holds(phi).passed
 
 
+def test_fourth_power_search_on_m2_gauss3_is_exhaustive_without_a_budget():
+    """With neither limit nor budget, the relation-first search decides
+    every star-preserving multiplicative self-map of M2(Z3[i]) with the
+    imaginary-unit relation: 25 maps in 141436 nodes (about 2 s of CPU),
+    each annihilating zero and meeting the corner relation, and none
+    flagged."""
+    ring = parse_ring_spec("mat:2:gauss:3")
+    rep = verify_fourth_power_search(ring, ring, limit=None, node_budget=None)
+    assert (rep.enumerated, rep.nodes, rep.exhaustive, rep.zero_annihilating) == (
+        25, 141436, True, 25)
+    assert rep.passed and rep.flagged_findings == []
+
+
 @pytest.mark.parametrize("suite,run", [
     ("prop1", lambda m2: verify_corner_equivalence(m2, make_zmod(2))),
     ("tensor", lambda m2: verify_tensor_equivalence(make_zmod(3))),
