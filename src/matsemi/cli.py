@@ -305,14 +305,17 @@ def _cmd_enumerate(args) -> int:
     query = {"dom": args.dom, "cod": args.cod,
              "filters": list(result.filters), "limit": args.limit}
     summary = {"query": query, **result.summary()}
-    json_lines = [_dump(m.to_json()) for m in result.maps]
-    json_lines.append(_dump({"summary": summary}))
-    imgs = [" ".join(str(int(v)) for v in m.img) for m in result.maps]
+    # Build only the output that --format prints.
+    if args.format == "json":
+        json_lines = [_dump(m.to_json()) for m in result.maps]
+        json_lines.append(_dump({"summary": summary}))
+        _render(args.format, "\n".join(json_lines), [], [])
+        return 0
+    imgs = [" ".join(map(str, m.img.tolist())) for m in result.maps]
     lines = [f"map {i}: {img}" for i, img in enumerate(imgs)]
     lines.append(f"count {summary['count']}, nodes {summary['nodes']}, "
                  f"exhaustive {summary['exhaustive']}")
-    _render(args.format, "\n".join(json_lines),
-            [["index", "img"], *enumerate(imgs)], lines)
+    _render(args.format, "", [["index", "img"], *enumerate(imgs)], lines)
     return 0
 
 

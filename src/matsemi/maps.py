@@ -77,7 +77,7 @@ class MapTable:
 
     def to_json(self) -> dict:
         return {"dom": self.dom.label, "cod": self.cod.label,
-                "img": [int(v) for v in self.img]}
+                "img": self.img.tolist()}
 
     @classmethod
     def from_json(cls, obj, size_cap: int | None = None) -> "MapTable":

@@ -95,8 +95,11 @@ def _digits(ids, width: int, base: int, dtype) -> np.ndarray:
     r = np.array(ids, dtype=np.int64)
     out = np.empty((r.shape[0], width), dtype=dtype)
     for pos in range(width - 1, -1, -1):
-        out[:, pos] = r % base
-        r //= base
+        # One floor division and a multiply-subtract: NumPy's integer
+        # ``%`` by a scalar costs about three times its ``//``.
+        q = r // base
+        out[:, pos] = r - q * base
+        r = q
     return out
 
 
@@ -677,28 +680,79 @@ def _check_inverse_scan_cap(ring: RingTable, size_cap: int | None = None):
             f"inverse scan over {total} candidate matrices exceeds cap {cap}")
 
 
+def mat2_inverse_stack(ring: RingTable, Ms, size_cap: int | None = None):
+    """Two-sided inverses of a stack of 2x2 index matrices over ``ring``,
+    each by exhaustive scan of all |ring|**4 candidates: ``(found, inv)``,
+    where ``found[k]`` says whether matrix k has one and ``inv[k]`` is its
+    first in index order (zeros where there is none).
+
+    Row i of L·M reads only row i of L, so each of the |ring|**2 rows r
+    is decided once per matrix: the left inverses pair a row with
+    r·M = e_0 and one with r·M = e_1, in index order, and the first with
+    M·L = 1 is kept.  That is the first two-sided inverse of the full
+    scan, also on tables that break the ring axioms.  No determinant
+    shortcut is taken.  The stack goes through r·M in blocks of about
+    :data:`_closure._BLOCK_ENTRIES` (matrix, row) entries, and its
+    candidate pairs through M·L in chunks of as many entries, so the pass
+    runs in block memory for any stack.  The cap of
+    :func:`_check_inverse_scan_cap` is checked before any scan.  Raises
+    ValueError unless ``Ms`` is an (m, 2, 2) stack of element indices."""
+    Ms = _index_array("M", Ms, ring.size, np.int64)
+    if Ms.ndim != 3 or Ms.shape[1:] != (2, 2):
+        raise ValueError(f"M must be a stack of 2x2 matrices, not of shape {Ms.shape}")
+    _check_inverse_scan_cap(ring, size_cap)
+    found = np.zeros(len(Ms), dtype=bool)
+    inv = np.zeros_like(Ms)
+    n = ring.size
+    rows = _digits(np.arange(n * n), 2, n, np.int64)
+    add = ring.add.ravel()
+    eye = np.where(np.eye(2, dtype=bool), ring.one, ring.zero)
+    for lo, hi in _row_blocks(len(Ms), n * n):
+        M = Ms[lo:hi]
+        # Entry j of r·M for every row r = (r0, r1), in row order: the sum
+        # of r0·M[0, j] and r1·M[1, j], one gather from the flat sum table
+        # over the n x n grid of the two products.
+        entries = []
+        for j in (0, 1):
+            left = ring.mul[:, M[:, 0, j]].T.astype(np.intp) * n
+            right = ring.mul[:, M[:, 1, j]].T
+            entries.append(add[left[:, :, None] + right[:, None, :]].reshape(hi - lo, -1))
+        p0, p1 = entries
+        # (matrix, row) of the rows with r·M = e_0 and with r·M = e_1,
+        # matrix-major and in row order within a matrix.
+        fk, fr = np.nonzero((p0 == ring.one) & (p1 == ring.zero))
+        sk, sr = np.nonzero((p0 == ring.zero) & (p1 == ring.one))
+        nf = np.bincount(fk, minlength=hi - lo)
+        ns = np.bincount(sk, minlength=hi - lo)
+        # Matrix k's left inverses are the pairs t < nf[k] * ns[k], first
+        # row t // ns[k] and second row t % ns[k]: index order.
+        ends = np.cumsum(nf * ns)
+        f0, s0 = np.cumsum(nf) - nf, np.cumsum(ns) - ns
+        # A pair carries 16 int64 entries (its L, its M and M·L).
+        for plo, phi in _row_blocks(int(ends[-1]), 16):
+            t = np.arange(plo, phi)
+            k = np.searchsorted(ends, t, side="right")
+            a, b = np.divmod(t - (ends[k] - nf[k] * ns[k]), ns[k])
+            L = np.stack([rows[fr[f0[k] + a]], rows[sr[s0[k] + b]]], axis=1)
+            ok = (mat_mul(ring, M[k], L) == eye).all(axis=(1, 2))
+            # The first passing pair of each matrix not decided yet.
+            hit = np.flatnonzero(ok & ~found[lo + k])
+            hit = hit[np.r_[True, k[hit[1:]] != k[hit[:-1]]]] if hit.size else hit
+            found[lo + k[hit]] = True
+            inv[lo + k[hit]] = L[hit]
+    return found, inv
+
+
 def mat2_inverse_scan(ring: RingTable, M, size_cap: int | None = None):
     """Two-sided inverse of a 2x2 index matrix over ``ring`` by exhaustive
     scan of all |ring|**4 candidates: the first in index order, or None.
-
-    Row i of L·M reads only row i of L (:func:`_mat_entries`), so each of
-    the |ring|**2 rows r is decided once: the left inverses pair a row with
-    r·M = e_0 and one with r·M = e_1, in index order, and the first with
-    M·L = 1 is returned.  No determinant shortcut is taken.  Raises
-    ValueError unless ``M`` is a 2x2 matrix of element indices."""
-    M = _index_array("M", M, ring.size, np.int64)
+    A one-matrix stack of :func:`mat2_inverse_stack`.  Raises ValueError
+    unless ``M`` is a 2x2 matrix of element indices."""
+    M = np.asarray(M)
     if M.shape != (2, 2):
         raise ValueError(f"M must be a 2x2 matrix, not of shape {M.shape}")
-    _check_inverse_scan_cap(ring, size_cap)
-    rows = _digits(np.arange(ring.size**2), 2, ring.size, np.int64)
-    p0, p1 = (e for _, _, e in _mat_entries(ring, rows[:, None, :], M))
-    first = rows[(p0 == ring.one) & (p1 == ring.zero)]
-    second = rows[(p0 == ring.zero) & (p1 == ring.one)]
-    L = np.hstack([np.repeat(first, len(second), axis=0),
-                   np.tile(second, (len(first), 1))]).reshape(-1, 2, 2)
-    eye = np.where(np.eye(2, dtype=bool), ring.one, ring.zero)
-    both = (mat_mul(ring, M, L) == eye).all(axis=(1, 2))
-    return L[np.argmax(both)].copy() if both.any() else None
+    found, inv = mat2_inverse_stack(ring, M[None], size_cap)
+    return inv[0] if found[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .rings import (
     _check_inverse_scan_cap,
     _digits,
     make_matrix_ring,
+    mat2_inverse_stack,
     units,
 )
 from .search import (
@@ -36,10 +37,11 @@ from .search import (
     function_space_size,
 )
 from .witness import (
+    _WITNESS_MATRIX_NAMES,
     _fourth_power_report,
+    _witness_matrix_stack,
     corner_product_identity_check,
     doubling_additivity_closure,
-    invertible_witness_matrices,
     uv_product_identity_check,
 )
 
@@ -235,27 +237,25 @@ def verify_witness_suite(ring: RingTable, size_cap: int | None = None) -> Witnes
     """Corner and u/v product identities over all parameter pairs, plus
     exhaustive invertibility of gamma/alpha/beta for every unit lambda and
     every parameter value.  The inverse scans' |ring|**4 cap, under
-    ``size_cap``, is checked before any scan."""
+    ``size_cap``, is checked before any scan.  All the matrices go to one
+    :func:`~matsemi.rings.mat2_inverse_stack` call, ordered by lambda, then
+    p, then gamma, alpha, beta, which is the order of ``failures``."""
     _check_inverse_scan_cap(ring, size_cap)
     corner = corner_product_identity_check(ring)
     uv = uv_product_identity_check(ring)
     us = units(ring)
-    failures: list[tuple[str, int, int]] = []
-    checked = 0
-    for lam in us:
-        for p in range(ring.size):
-            gam, alp, bet = invertible_witness_matrices(ring, int(lam), p, p, p, size_cap)
-            checked += 3
-            for w in (gam, alp, bet):
-                if not w.invertible:
-                    failures.append((w.name, int(lam), p))
+    p = np.arange(ring.size)
+    mats = _witness_matrix_stack(ring, us[:, None], p, p, p)
+    found, _ = mat2_inverse_stack(ring, mats.reshape(-1, 2, 2), size_cap)
+    failures = [(_WITNESS_MATRIX_NAMES[w], int(us[u]), x)
+                for u, x, w in np.argwhere(~found.reshape(mats.shape[:3])).tolist()]
     return WitnessSuiteReport(
         ring=ring.label,
         corner_identity_pass=corner.passed,
         uv_identity_pass=uv.passed,
         pairs_checked=corner.counts["checked"] + uv.counts["checked"],
         units_count=int(us.size),
-        matrices_checked=checked,
+        matrices_checked=int(found.size),
         all_invertible=not failures,
         failures=failures)
 

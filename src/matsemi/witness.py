@@ -12,7 +12,7 @@ upgrade multiplicative maps to additive ones:
   units or unitaries (with the zero-padding rule for short sums).
 
 Matrix computations here run entrywise over the base ring, and the 2x2
-matrix ring is never materialized (``rings.mat2_inverse_scan`` decides
+matrix ring is never materialized (``rings.mat2_inverse_stack`` decides
 candidate rows).  The two identity scans evaluate their entrywise formulas
 one row block of a at a time through ``rings._row_scan``, as do the pair
 laws behind the corner checks and the doubling pool gate, so no n x n or
@@ -47,7 +47,7 @@ from .rings import (
     _index_array,
     _pool,
     _row_scan,
-    mat2_inverse_scan,
+    mat2_inverse_stack,
     mat_mul,
     op_closure,
     units,
@@ -156,9 +156,10 @@ def build_uv_pair(ring: RingTable, a: int, b: int) -> UVPair:
     """Build u = [[1,a],[-a*,1]], v = [[b,-1],[1,b*]] and their product.
 
     The product is checked against its closed form (upper-left ``a+b``).
-    Invertibility of u and v is decided by exhaustive two-sided inverse
-    scan when the candidate space fits the size cap, else left undecided
-    (``None``); no determinant shortcut is ever taken.  Raises ValueError
+    Invertibility of u and v is decided by one exhaustive two-sided inverse
+    scan of the stack (u, v) (:func:`rings.mat2_inverse_stack`) when the
+    candidate space fits the size cap, else left undecided (``None``); no
+    determinant shortcut is ever taken.  Raises ValueError
     unless ``a`` and ``b`` are element indices.
     """
     star = ring.require_star()
@@ -169,14 +170,12 @@ def build_uv_pair(ring: RingTable, a: int, b: int) -> UVPair:
     uv = mat_mul(ring, u, v)
     identity_holds = bool(np.array_equal(uv.ravel(), list(_uv_closed_form(ring, a, b))))
     try:
-        u_inv = mat2_inverse_scan(ring, u)
-        v_inv = mat2_inverse_scan(ring, v)
-        u_ok: bool | None = u_inv is not None
-        v_ok: bool | None = v_inv is not None
+        found, inv = mat2_inverse_stack(ring, np.stack([u, v]))
     except SizeCapExceeded:
-        u_inv = v_inv = None
-        u_ok = v_ok = None
-    return UVPair(a, b, u, v, uv, identity_holds, u_ok, v_ok, u_inv, v_inv)
+        return UVPair(a, b, u, v, uv, identity_holds, None, None, None, None)
+    u_inv, v_inv = (m if ok else None for ok, m in zip(found, inv))
+    return UVPair(a, b, u, v, uv, identity_holds, bool(found[0]), bool(found[1]),
+                  u_inv, v_inv)
 
 
 @dataclass
@@ -187,28 +186,37 @@ class WitnessMatrix:
     inverse: np.ndarray | None
 
 
+_WITNESS_MATRIX_NAMES = ("gamma", "alpha", "beta")
+
+
+def _witness_matrix_stack(ring: RingTable, lam, a, b, c) -> np.ndarray:
+    """gamma_c, alpha_a, beta_b (see :func:`invertible_witness_matrices`)
+    for index arrays ``lam``, ``a``, ``b``, ``c`` broadcast together: an
+    int64 array of their shape plus (3, 2, 2), in the order of
+    :data:`_WITNESS_MATRIX_NAMES`."""
+    lam, a, b, c = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64)
+                                         for x in (lam, a, b, c)))
+    one, zero = np.full_like(lam, ring.one), np.full_like(lam, ring.zero)
+    entries = [c, lam, lam, zero, one, a, zero, lam, b, lam, one, zero]
+    return np.stack(entries, axis=-1).reshape(*lam.shape, 3, 2, 2)
+
+
 def invertible_witness_matrices(ring: RingTable, lam: int, a: int, b: int, c: int,
                                 size_cap: int | None = None) -> tuple[WitnessMatrix, ...]:
     """The parameter matrices gamma_c = [[c,l],[l,0]], alpha_a = [[1,a],[0,l]],
-    beta_b = [[b,l],[1,0]] for a unit ``l``, each verified invertible by
-    exhaustive two-sided inverse scan over all 2x2 matrices, up to ``size_cap``.
+    beta_b = [[b,l],[1,0]] for a unit ``l``, verified invertible as one stack
+    by exhaustive two-sided inverse scan over all 2x2 matrices
+    (:func:`rings.mat2_inverse_stack`), up to ``size_cap``.
     Raises ValueError unless ``lam``, ``a``, ``b`` and ``c`` are element indices.
     """
     lam, a, b, c = _index_array("lam, a, b and c", [lam, a, b, c], ring.size,
                                 np.int64).tolist()
     if lam not in set(int(u) for u in units(ring)):
         raise NotAUnit(f"{lam} is not a unit of {ring.label}")
-    one, zero = ring.one, ring.zero
-    mats = [
-        ("gamma", np.array([[c, lam], [lam, zero]], dtype=np.int64)),
-        ("alpha", np.array([[one, a], [zero, lam]], dtype=np.int64)),
-        ("beta", np.array([[b, lam], [one, zero]], dtype=np.int64)),
-    ]
-    out = []
-    for name, m in mats:
-        inv = mat2_inverse_scan(ring, m, size_cap)
-        out.append(WitnessMatrix(name, m, inv is not None, inv))
-    return tuple(out)
+    mats = _witness_matrix_stack(ring, lam, a, b, c)
+    found, inv = mat2_inverse_stack(ring, mats, size_cap)
+    return tuple(WitnessMatrix(name, m, bool(ok), i if ok else None)
+                 for name, m, ok, i in zip(_WITNESS_MATRIX_NAMES, mats, found, inv))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from matsemi.rings import (
     make_zmod,
     mat_mul,
     mat2_inverse_scan,
+    mat2_inverse_stack,
     parse_ring_spec,
     sum_of_units_decompose,
     unitaries,
@@ -1260,16 +1261,87 @@ def _as_tuples(m):
     return None if m is None else tuple(tuple(int(e) for e in row) for row in m)
 
 
+def _stack_inverses(ring, mats):
+    found, inv = mat2_inverse_stack(ring, mats)
+    return [_as_tuples(m) if ok else None for ok, m in zip(found, inv)]
+
+
+def test_mat2_inverse_stack_takes_empty_and_one_matrix_stacks():
+    z3 = make_zmod(3)
+    found, inv = mat2_inverse_stack(z3, np.zeros((0, 2, 2), dtype=np.int64))
+    assert found.shape == (0,) and inv.shape == (0, 2, 2)
+    assert _stack_inverses(z3, [[[1, 1], [0, 1]]]) == [((1, 2), (0, 1))]
+    assert _stack_inverses(z3, [[[1, 1], [1, 1]]]) == [None]
+
+
+@pytest.mark.parametrize("ms", [
+    [[[1, 0], [0, 1]], [[-1, 0], [0, 1]]],
+    [[[1, 0], [0, 1]], [[3, 0], [0, 1]]],
+    [[[1.0, 0], [0, 1]]],
+    [[1, 0], [0, 1]],
+    [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+], ids=["negative", "too-large", "float", "not-a-stack", "3x3"])
+def test_mat2_inverse_stack_rejects_non_index_stacks(ms):
+    with pytest.raises(ValueError, match="^M "):
+        mat2_inverse_stack(make_zmod(3), np.array(ms))
+
+
+def test_mat2_inverse_stack_checks_the_cap_before_any_scan(monkeypatch):
+    """The |R|**4 cap refuses the stack before its candidate rows exist."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("scan ran before the size cap was checked")
+
+    monkeypatch.setattr(rings, "_digits", not_reached)
+    with pytest.raises(SizeCapExceeded, match="^inverse scan over 256 candidate"):
+        mat2_inverse_stack(make_zmod(4), np.zeros((3, 2, 2), dtype=np.int64),
+                           size_cap=100)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_digits_match_python_divmod(dtype):
+    """``_digits`` gives the digits of repeated Python ``divmod``, most
+    significant first, in ``dtype``, over random ids, widths and bases."""
+    rng = np.random.default_rng(38)
+    for _ in range(60):
+        base = int(rng.integers(2, 257 if dtype is np.uint8 else 5000))
+        width = int(rng.integers(1, 9))
+        ids = rng.integers(0, min(base**width, 2**62), size=int(rng.integers(0, 40)))
+        got = rings._digits(ids, width, base, dtype)
+        want = []
+        for x in ids.tolist():
+            row = []
+            for _ in range(width):
+                x, d = divmod(x, base)
+                row.append(d)
+            want.append(row[::-1])
+        assert got.dtype == dtype and got.shape == (len(ids), width)
+        assert got.tolist() == want, (base, width)
+
+
+def _stack_inverses_in_blocks(ring, mats):
+    """``_stack_inverses`` in one block and in blocks of 3 matrices, whose
+    candidate pairs go through M·L in chunks of at most 3 * |R|**2 // 16
+    (at least one pair); the two must agree."""
+    got = _stack_inverses(ring, mats)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_closure, "_BLOCK_ENTRIES", 3 * ring.size**2)
+        assert _stack_inverses(ring, mats) == got
+    return got
+
+
 @pytest.mark.parametrize("spec", ["zmod:2", "zmod:3", "zmod:4", "gauss:2"])
 def test_mat2_inverse_scan_matches_oracle_on_every_matrix(spec):
     """On every 2x2 matrix, the row-by-row scan returns the first two-sided
-    inverse of the plain-Python scan over all |R|**4 candidates."""
+    inverse of the plain-Python scan over all |R|**4 candidates, one matrix
+    at a time and with all of them as one stack, in stack order."""
     ring = parse_ring_spec(spec)
     kind, n = spec.split(":")
     oring = (oracles.oracle_zmod if kind == "zmod" else oracles.oracle_gauss)(int(n))
-    for m in _all_mat2(ring.size):
-        assert _as_tuples(mat2_inverse_scan(ring, m)) == oracles.mat2_inverse(
-            oring, _as_tuples(m)), m.tolist()
+    mats = _all_mat2(ring.size)
+    want = [oracles.mat2_inverse(oring, _as_tuples(m)) for m in mats]
+    assert _stack_inverses_in_blocks(ring, mats) == want
+    for m, w in zip(mats, want):
+        assert _as_tuples(mat2_inverse_scan(ring, m)) == w, m.tolist()
 
 
 @pytest.mark.parametrize("spec,sample", [("zmod:3", None), ("zmod:4", 12),
@@ -1277,8 +1349,10 @@ def test_mat2_inverse_scan_matches_oracle_on_every_matrix(spec):
 def test_mat2_inverse_scan_matches_oracle_on_single_entry_mutants(spec, sample):
     """On every single-entry add and mul mutant (each entry to the next
     value), the scan equals the oracle on every matrix (zmod:3) or on a
-    seeded sample of them.  The corpus includes matrices whose left
-    inverses are not unique, and left inverses that are not two-sided."""
+    seeded sample of them, scanned as one stack (in one block, and in
+    blocks of 3 matrices) and one by one.  The corpus includes matrices
+    whose left inverses are not unique, and left inverses that are not
+    two-sided."""
     ring = parse_ring_spec(spec)
     n = ring.size
     mats = _all_mat2(n)
@@ -1295,9 +1369,11 @@ def test_mat2_inverse_scan_matches_oracle_on_single_entry_mutants(spec, sample):
                 oring = oracles.OracleRing(n, lambda a, b: add[a][b],
                                            lambda a, b: mul[a][b], ring.zero, ring.one)
                 picked = mats if sample is None else mats[rng.choice(len(mats), sample)]
+                want = [oracles.mat2_inverse(oring, _as_tuples(m)) for m in picked]
+                assert _stack_inverses_in_blocks(mutant, picked) == want, (which, x, y)
                 for m in picked:
-                    assert _as_tuples(mat2_inverse_scan(mutant, m)) == oracles.mat2_inverse(
-                        oring, _as_tuples(m)), (which, x, y, m.tolist())
+                    assert _as_tuples(mat2_inverse_scan(mutant, m)) == want.pop(0), (
+                        which, x, y, m.tolist())
                     left = (mat_mul(mutant, mats, m) == eye).all(axis=(1, 2))
                     right = (mat_mul(mutant, m, mats) == eye).all(axis=(1, 2))
                     several_left += int(left.sum()) > 1

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import matsemi.verify
+import oracles
 from conftest import random_mutants, whole_grid_law
-from matsemi import search
+from matsemi import _closure, search
 from matsemi.errors import SizeCapExceeded
 from matsemi.maps import (
     MapTable,
@@ -149,6 +150,61 @@ def test_witness_suite_checks_pair_scan_cap_first(monkeypatch):
     with pytest.raises(SizeCapExceeded,
                        match=r"^inverse scan over 14641 candidate matrices exceeds cap 10$"):
         verify_witness_suite(make_zmod(11), size_cap=10)
+
+
+@pytest.mark.parametrize("spec", ["zmod:3", "zmod:4", "gauss:2"])
+def test_witness_suite_failures_match_oracle_on_mutants(spec):
+    """On every single-entry add and mul mutant, ``failures`` lists, in
+    order, the (gamma/alpha/beta, lambda, p) whose matrix the plain-Python
+    scan of all |R|**4 candidates finds no two-sided inverse for, looping
+    over the oracle's units lambda, then p.  The suite scans all its
+    matrices as one stack: in one block, and in blocks of 3 matrices."""
+    ring = parse_ring_spec(spec)
+    n, one, zero = ring.size, ring.one, ring.zero
+    failing = 0
+    for which in ("add", "mul"):
+        for x in range(n):
+            for y in range(n):
+                tables = {"add": ring.add.copy(), "mul": ring.mul.copy()}
+                tables[which][x, y] = (int(tables[which][x, y]) + 1) % n
+                mutant = RingTable(tables["add"], tables["mul"], zero, one,
+                                   star=ring.star)
+                add, mul = tables["add"].tolist(), tables["mul"].tolist()
+                oring = oracles.OracleRing(n, lambda a, b: add[a][b],
+                                           lambda a, b: mul[a][b], zero, one)
+                lams = oracles.pool(oring, "units")
+                want = [(name, lam, p) for lam in lams for p in range(n)
+                        for name, m in (("gamma", ((p, lam), (lam, zero))),
+                                        ("alpha", ((one, p), (zero, lam))),
+                                        ("beta", ((p, lam), (one, zero))))
+                        if oracles.mat2_inverse(oring, m) is None]
+                reps = [verify_witness_suite(mutant)]
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(_closure, "_BLOCK_ENTRIES", 3 * n * n)
+                    reps.append(verify_witness_suite(mutant))
+                for rep in reps:
+                    assert (rep.units_count, rep.matrices_checked) == (
+                        len(lams), 3 * len(lams) * n)
+                    assert rep.failures == want, (which, x, y)
+                    assert rep.all_invertible == (not want)
+                failing += bool(want)
+    assert failing
+
+
+def test_witness_suite_runs_in_block_memory():
+    """The Z_31 suite scans 2790 matrices against 961 candidate rows each;
+    r·M over the whole stack at once would hold 2.7 million entries per
+    array (21 MB at int64).  In blocks of about ``_BLOCK_ENTRIES``
+    (matrix, row) entries it peaks under 4 MB."""
+    ring = parse_ring_spec("zmod:31")
+    tracemalloc.start()
+    try:
+        rep = verify_witness_suite(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.matrices_checked, rep.all_invertible, rep.passed) == (2790, True, True)
+    assert peak < 4 * 2**20
 
 
 def _tensor_sets(ring: RingTable):
