@@ -10,6 +10,7 @@ found, 2 = usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,7 +55,10 @@ def _render(fmt: str, json_text: str, rows: list[list], lines: list[str]):
         _emit("\n".join(lines))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged (``--filter`` appends to a copy of its default list)."""
     p = argparse.ArgumentParser(
         prog="matsemi",
         description="Finite-ring multiplicative-map verification workbench")

@@ -18,9 +18,12 @@ one row block of a at a time through ``rings._row_scan``, as do the pair
 laws behind the corner checks and the doubling pool gate, so no n x n or
 pool x pool grid is built.  The pool gate reads the pool x pool grid only
 when it cannot decide multiplicativity on x times the multiplicative
-generators (rings not marked associative, or a map failing there).  The
-doubling certificate is two arrays indexed by element: the certified
-value and the pair (s, t) that first reached it.
+generators (rings not marked associative, or a map failing there).  In
+the same way the doubling levels gather their conflicts only when
+additivity is not decided on x times the additive generators; otherwise
+they only look for first hits.  The doubling certificate is two arrays
+indexed by element: the certified value and the pair (s, t) that first
+reached it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._closure import _first_unseen, _generator_law
+from ._closure import _first_unseen, _generator_law, _row_blocks
 from .errors import NotAUnit, PreconditionFailed, SizeCapExceeded
 from .maps import (
     CheckReport,
@@ -402,7 +405,7 @@ class DoublingTrace:
             "mode": self.mode,
             "depth": self.depth,
             "zero_padding": self.zero_padding,
-            "pool": [int(u) for u in self.pool],
+            "pool": self.pool.tolist(),
             "levels": [
                 {"level": lv.level, "pairs_checked": lv.pairs_checked,
                  "new_certified": lv.new_certified, "conflicts": lv.conflicts}
@@ -457,6 +460,18 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
     the level scans its whole grid, as does every level without padding.
     Once every element is certified or reached in a scan, its remaining
     row blocks only count conflicts: no block can hold a first hit.
+
+    Conflicts are decided ring-wide first, by the same lemma on addition:
+    when both rings are marked associative and phi(x + g) = phi(x) +
+    phi(g) for every x and every generator g of ``op_closure(dom, "add")``,
+    phi is additive on every pair.  Then every certified value is phi's
+    image, by induction over the levels: a pool element is certified with
+    phi(u), and a new sum with cert(s) + cert(t) = phi(s) + phi(t) =
+    phi(s+t).  So every asserted pair holds and every region's conflict
+    count is 0; the scans skip the conflict gathers, keep only the
+    first-hit bookkeeping and stop once every element is seen.  Any other
+    map or ring gathers both sides of every asserted pair, and only that
+    scan lists conflicts.  The trace is the same either way.
     """
     if not 1 <= depth <= 4:
         raise ValueError("depth must be in 1..4")
@@ -469,6 +484,11 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
         rep = _pair_law("pool_multiplicative", phi, "mul", WITNESS_CAP, pl)
         if not rep.passed:
             raise PreconditionFailed("map is not multiplicative on the pool", rep)
+
+    # The add-closure generators decide additivity on every pair by the
+    # same lemma; then no scan below can find a conflict.
+    additive = (dom._associative and cod._associative
+                and _generator_law(dom.add, cod.add, img, op_closure(dom, "add").gens))
 
     n = dom.size
     value = np.full(n, -1, dtype=np.int64)
@@ -483,18 +503,29 @@ def doubling_additivity_closure(phi: MapTable, mode: str = "units",
         key s * n + t of the first pair reaching each uncertified sum e.
         Returns the number of failed pairs and the first ``cap`` of them."""
         seen = value >= 0
+
+        def first_hits(r, sums):
+            elems, pos = _first_unseen(sums.ravel(), seen)
+            seen[elems] = True
+            i, j = np.divmod(pos, cols.size)
+            first[elems] = np.minimum(first[elems], r[i] * n + cols[j])
+
+        if additive:  # every pair holds, so only first hits are sought
+            for lo, hi in _row_blocks(rows.size, cols.size):
+                if seen.all():
+                    break
+                r = rows[lo:hi]
+                first_hits(r, _take2(dom.add, r, cols))
+            return 0, []
+
         vals = value[cols]
 
         def law(lo, hi):
             r = rows[lo:hi]
             sums = _take2(dom.add, r, cols)
-            eq = np.take(img_t, sums) == _take2(cod.add, value[r], vals)
             if not seen.all():  # else no block of this scan has a first hit
-                elems, pos = _first_unseen(sums.ravel(), seen)
-                seen[elems] = True
-                i, j = np.divmod(pos, cols.size)
-                first[elems] = np.minimum(first[elems], r[i] * n + cols[j])
-            return eq
+                first_hits(r, sums)
+            return np.take(img_t, sums) == _take2(cod.add, value[r], vals)
 
         total, bad = _row_scan((rows.size, cols.size), law, cap)
         return total, [(int(rows[i]), int(cols[j])) for i, j in bad]

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from matsemi.cli import main
+from matsemi.cli import build_parser, main
 from matsemi.maps import constant_map, determinant_map, identity_map, power_map
 from matsemi.rings import (
     make_gaussian,
@@ -757,6 +757,32 @@ def test_subprocess_exit_codes():
     assert _run_subprocess("ring", "info", "zmod:4").returncode == 0
     assert _run_subprocess("ring", "info", "nonsense:4").returncode == 2
     assert _run_subprocess("totally-bogus-command").returncode == 2
+
+
+def test_main_calls_in_one_process_match_fresh_interpreters(map_files, capsys):
+    """``main`` reuses one parser per process.  Calls in mixed order, with
+    and without ``--filter`` (an appending flag), with different ``map
+    check`` flags and a refused flag, print the bytes and exit with the
+    code of a fresh interpreter each, so no parsed value carries over."""
+    enum = ("enumerate", "--dom", "mat:2:zmod:2", "--cod", "zmod:2")
+    calls = [
+        (*enum, "--filter", "star"),
+        enum,
+        (*enum, "--filter", "star", "--filter", "corner"),
+        ("map", "check", map_files["det"], "--mult", "--corner"),
+        ("map", "check", map_files["det"], "--add", "--format", "text"),
+        ("verify", "witnesses", "--ring", "zmod:3", "--dom", "zmod:3"),
+        enum,
+        ("map", "check", map_files["det"], "--mult"),
+    ]
+    assert build_parser() is build_parser()
+    got = [run_cli(*argv) for argv in calls]
+    assert [code for code, _ in got] == [0, 0, 0, 1, 1, 2, 0, 0]
+    assert got[1] == got[6] != got[0]
+    capsys.readouterr()
+    for argv, (code, out) in zip(calls, got):
+        r = _run_subprocess(*argv)
+        assert (code, out) == (r.returncode, r.stdout.decode()), argv
 
 
 def test_env_size_cap_respected():

@@ -28,6 +28,7 @@ from matsemi.rings import (
     make_gaussian,
     make_matrix_ring,
     make_zmod,
+    op_closure,
     parse_ring_spec,
     sum_of_units_decompose,
     unitaries,
@@ -586,16 +587,18 @@ def test_doubling_oracle_cases_reach_conflicts_and_the_cap():
 
 
 def test_doubling_levels_assert_each_pair_once(monkeypatch):
-    """With zero padding on the M2(Z7) identity map over its 2016 units,
-    level 2 asserts only the pairs with a summand new at level 1 (fresh x
-    base, then old x fresh), and levels 3 and 4, which have no new summand,
-    assert nothing: 2401**2 pairs in all instead of 21,358,659.  Each level
-    still reports on its whole grid."""
+    """The conflict scan runs on an unmarked copy of M2(Z7), where
+    additivity is not decided on the generators.  With zero padding, the
+    identity map over the 2016 units asserts at level 2 only the pairs
+    with a summand new at level 1 (fresh x base, then old x fresh), and at
+    levels 3 and 4, which have no new summand, nothing: 2401**2 pairs in
+    all instead of 21,358,659.  Each level still reports on its whole
+    grid."""
     shapes = []
     real = witness._row_scan
     monkeypatch.setattr(witness, "_row_scan",
                         lambda shape, *args: shapes.append(shape) or real(shape, *args))
-    tr = doubling_additivity_closure(identity_map(parse_ring_spec("mat:2:zmod:7")), "units")
+    tr = doubling_additivity_closure(identity_map(_unmarked(M2Z7)), "units")
     assert tr.ok
     # Per level, fresh x base then old x fresh: at level 1 the pool and no
     # old elements, at levels 3 and 4 no fresh ones.
@@ -605,6 +608,118 @@ def test_doubling_levels_assert_each_pair_once(monkeypatch):
     assert [lv.pairs_checked for lv in tr.levels] == [4064256] + [2401**2] * 3
 
 
+def _counting_gathers(monkeypatch):
+    """Count the doubling scan's gathers: ``{"take2": n, "first_unseen": n,
+    "row_scan": [shape, ...]}``, by wrapping the three helpers in
+    ``witness``."""
+    seen = {"take2": 0, "first_unseen": 0, "row_scan": []}
+    take2, first_unseen, row_scan = witness._take2, witness._first_unseen, witness._row_scan
+
+    def counted_take2(*args):
+        seen["take2"] += 1
+        return take2(*args)
+
+    def counted_first_unseen(*args):
+        seen["first_unseen"] += 1
+        return first_unseen(*args)
+
+    monkeypatch.setattr(witness, "_take2", counted_take2)
+    monkeypatch.setattr(witness, "_first_unseen", counted_first_unseen)
+    monkeypatch.setattr(witness, "_row_scan",
+                        lambda shape, *args: seen["row_scan"].append(shape)
+                        or row_scan(shape, *args))
+    return seen
+
+
+M2Z7_DET = [((i // 343) * (i % 7) - (i // 49 % 7) * (i // 7 % 7)) % 7 * 344
+            for i in range(7**4)]  # det(X) I: 344 is the identity matrix
+
+
+@pytest.mark.parametrize("mode", ["units", "unitaries"])
+def test_doubling_additive_maps_gather_no_conflicts(mode, monkeypatch):
+    """The identity and a unit conjugation of M2(Z7) are additive on x
+    times the additive generators, so on every pair: the levels run no
+    conflict scan, and each gather of sums looks for first hits.  The
+    traces equal those of an unmarked copy, which runs the conflict scan."""
+    u = int(units(M2Z7)[100])
+    inv = int(np.argmax(M2Z7.mul[u] == M2Z7.one))
+    copy = _unmarked(M2Z7)
+    for img in (np.arange(M2Z7.size), M2Z7.mul[M2Z7.mul[u], inv]):
+        seen = _counting_gathers(monkeypatch)
+        tr = doubling_additivity_closure(MapTable(M2Z7, M2Z7, img), mode)
+        assert seen["row_scan"] == [] and 0 < seen["take2"] == seen["first_unseen"]
+        assert tr.ok and tr.covered().size == M2Z7.size
+        fallback = doubling_additivity_closure(MapTable(copy, copy, img), mode)
+        assert seen["row_scan"] and seen["take2"] > seen["first_unseen"]
+        assert tr.to_json() == fallback.to_json()
+
+
+@pytest.mark.parametrize("name, mode, levels", [
+    ("identity-on-units", "units", [663264, 924385, 924385, 924385]),
+    ("identity-on-units", "unitaries", [144, 3537, 532193, 924385]),
+    ("det", "units", [3471552, 4931066, 4931066, 4931066]),
+    ("det", "unitaries", [96, 16657, 2823325, 4897275]),
+])
+def test_doubling_non_additive_maps_run_the_conflict_scan(name, mode, levels,
+                                                          monkeypatch):
+    """Two maps of M2(Z7) that pass the pool gate but are not additive,
+    the identity on the units (random elsewhere) and det(X) I, run every
+    level's conflict scan and keep their conflict counts per level; the
+    traces equal those of an unmarked copy."""
+    img = _identity_on_units(M2Z7).img if name == "identity-on-units" else M2Z7_DET
+    phi = MapTable(M2Z7, M2Z7, img)
+    assert not is_additive(phi).passed
+    seen = _counting_gathers(monkeypatch)
+    tr = doubling_additivity_closure(phi, mode)
+    assert len(seen["row_scan"]) == 8
+    assert [lv.conflicts for lv in tr.levels] == levels
+    assert tr.conflicts_total == sum(levels) and len(tr.conflicts) == 64
+    copy = _unmarked(M2Z7)
+    assert tr.to_json() == doubling_additivity_closure(
+        MapTable(copy, copy, img), mode).to_json()
+
+
+def _add_swapped(ring, x, y1, y2):
+    """An unmarked copy of ``ring`` with the sums x + y1 and x + y2 swapped."""
+    add = ring.add.copy()
+    add[x, [y1, y2]] = add[x, [y2, y1]]
+    return RingTable(add, ring.mul, ring.zero, ring.one, star=ring.star,
+                     i_elem=ring.i_elem, label=ring.label)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default-block", "3-row-block"])
+@pytest.mark.parametrize("side", ["dom", "cod"])
+def test_doubling_additive_shortcut_skips_corrupted_add_tables(side, block_rows,
+                                                               monkeypatch):
+    """M2(Z2) with the sums 5 + 6 and 5 + 9 swapped, on either side of the
+    identity map: the map passes the add law on x times the additive
+    generators but is not additive, since the corrupted copy is not
+    associative.  The copy is unmarked, so the levels run the conflict
+    scan, and every trace equals the plain-Python closure."""
+    ring = parse_ring_spec("mat:2:zmod:2")
+    bad = _add_swapped(ring, 5, 6, 9)
+    dom, cod = (bad, ring) if side == "dom" else (ring, bad)
+    phi = MapTable(dom, cod, np.arange(ring.size))
+    assert _closure._generator_law(dom.add, cod.add, phi.img,
+                                   op_closure(dom, "add").gens)
+    assert not is_additive(phi).passed
+    if block_rows is not None:
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * ring.size)
+    o_dom, o_cod = _oracle_ring(dom), _oracle_ring(cod)
+    totals = []
+    for mode in ("units", "unitaries"):
+        pool = oracles.pool(o_dom, mode)
+        for depth in (1, 2, 3, 4):
+            for pad in (True, False):
+                want = oracles.doubling_closure(o_dom, o_cod, phi.img.tolist(),
+                                                pool, depth, pad)
+                tr = doubling_additivity_closure(phi, mode, depth, pad)
+                assert tr.to_json() == {"map": phi.to_json(), "mode": mode,
+                                        "depth": depth, "zero_padding": pad, **want}
+                totals.append(tr.conflicts_total)
+    assert any(totals)
+
+
 @pytest.mark.parametrize("mode,block_rows", [
     *(pytest.param(m, None, id=m) for m in ("units", "unitaries")),
     *(pytest.param(m, 3, id=f"{m}-3-row-block") for m in ("units", "unitaries")),
@@ -612,21 +727,23 @@ def test_doubling_levels_assert_each_pair_once(monkeypatch):
 def test_doubling_closure_runs_in_bounded_memory(mode, block_rows, monkeypatch):
     """The whole closure of the M2(Z7) identity map peaks under 4 MB:
     every region is gathered one row block at a time, the shorter index
-    first (measured under tracemalloc: 1.4 MB over the units and 1.1 MB
-    over the unitaries at the default block, under 0.4 MB at 3-row
-    blocks)."""
-    phi = identity_map(parse_ring_spec("mat:2:zmod:7"))
-    units(phi.dom), unitaries(phi.dom)  # cached pools, outside the measurement
+    first.  On the spec-built ring the levels gather only sums, and on an
+    unmarked copy both sides of every asserted pair (measured under
+    tracemalloc at the default block: 0.5 MB over the units and 0.7 MB
+    over the unitaries on the spec-built ring, 1.3 and 1.1 MB on the copy;
+    under 0.4 MB at 3-row blocks)."""
     if block_rows is not None:
-        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * phi.dom.size)
-    tracemalloc.start()
-    try:
-        tr = doubling_additivity_closure(phi, mode)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert tr.ok and tr.covered().size == 2401
-    assert peak < 4 * 2**20
+        monkeypatch.setattr(_closure, "_BLOCK_ENTRIES", block_rows * M2Z7.size)
+    for ring in (M2Z7, _unmarked(M2Z7)):
+        units(ring), unitaries(ring)  # cached pools, outside the measurement
+        tracemalloc.start()
+        try:
+            tr = doubling_additivity_closure(identity_map(ring), mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.ok and tr.covered().size == 2401
+        assert peak < 4 * 2**20
 
 
 def test_doubling_without_padding_only_even_lengths():
